@@ -9,6 +9,7 @@ from .errors import (
 )
 from .kron import (
     FactorPartition,
+    SketchedKron,
     SparseDiagonal,
     balanced_partition,
     kron_mat_mul,

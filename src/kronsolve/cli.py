@@ -9,37 +9,16 @@ Subcommands:
 * ``check`` runs the built-in oracle-equivalence suite and exits nonzero on
   any failure.
 
-``KRONSOLVE_THREADS`` caps the linear-algebra thread pools.
+The linear-algebra thread pools are sized when numpy loads, so cap them
+by setting ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` (or
+``MKL_NUM_THREADS``) in the environment before launching, e.g.
+``OPENBLAS_NUM_THREADS=1 kronsolve check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _cap_threads() -> None:
-    value = os.environ.get("KRONSOLVE_THREADS")
-    if not value:
-        return
-    try:
-        limit = max(1, int(value))
-    except ValueError:
-        print(f"kronsolve: ignoring non-integer KRONSOLVE_THREADS={value!r}",
-              file=sys.stderr)
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, str(limit))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        pass
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -139,7 +118,6 @@ def _cmd_check(_args) -> int:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
     if args.command == "synth-regression":
         return _cmd_synth_regression(args)

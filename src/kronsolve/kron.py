@@ -3,9 +3,11 @@
 The operator ``K = A1 kron ... kron AN`` is only ever represented by its
 factor list.  ``kron_mat_mul`` peels the rightmost factor off recursively;
 ``kron_vec_square`` cycles the reshape-multiply-permute identity for square
-factors; the ``sketched_*`` routines apply a row-sparsified ``K`` by
-splitting the factors into two column-balanced groups and touching only the
-nonzero rows.
+factors.  :class:`SketchedKron` is the row-sparsified ``S K`` for one
+sketch: built once, it splits the factors into two column-balanced groups,
+keeps the distinct Kronecker rows each group needs, and applies ``S K``,
+``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The
+``sketched_*`` functions are one-shot wrappers around it.
 """
 
 from __future__ import annotations
@@ -222,24 +224,6 @@ def sketch_rows_of_kron(factors: Sequence[np.ndarray], sketch: RowSketch) -> np.
     return sketch.weights[:, None] * kron_rows(factors, idx)
 
 
-def _split_indices(flat: np.ndarray, row_shape: tuple[int, ...],
-                   part: FactorPartition):
-    """Flat row indices -> per-group flat indices and multi-indices."""
-    multi = np.stack(np.unravel_index(flat, row_shape), axis=1)
-
-    def group(positions):
-        if len(positions) == 0:
-            return (np.zeros(multi.shape[0], dtype=np.int64),
-                    np.zeros((multi.shape[0], 0), dtype=np.intp))
-        dims = tuple(row_shape[i] for i in positions)
-        sub = multi[:, list(positions)]
-        return np.ravel_multi_index(tuple(sub.T), dims), sub
-
-    li, multi_left = group(part.left)
-    ri, multi_right = group(part.right)
-    return li, multi_left, ri, multi_right
-
-
 def _permute_from_groups(v: np.ndarray, col_shape: tuple[int, ...],
                          part: FactorPartition) -> np.ndarray:
     """Reorder a (left-group, right-group) flat vector to natural order."""
@@ -255,100 +239,105 @@ def _permute_to_groups(v: np.ndarray, col_shape: tuple[int, ...],
     return v.reshape(col_shape).transpose(order).reshape(-1)
 
 
+class SketchedKron:
+    """The row-sparsified operator ``S K`` for one sparse diagonal ``S``.
+
+    Everything that depends only on the factors and the sketch is derived
+    once: the factors are validated, the nonzero rows are split by
+    :func:`balanced_partition` into a left and a right column group, and the
+    distinct Kronecker rows of each group are formed together with every
+    nonzero row's position among them.  Each later apply is then a gather
+    plus small dense multiplies.  When more than
+    ``SPARSE_FALLBACK_FRACTION`` of the rows are sketched, the applies use
+    plain dense ``kron_mat_mul`` instead.
+    """
+
+    def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
+        self.factors = check_factors(factors)
+        self.s_diag = s_diag
+        self.rows, self.cols = kron_operator_shape(self.factors)
+        if s_diag.nnz and s_diag.indices[-1] >= self.rows:
+            raise InvalidInputError("sparse diagonal index out of range")
+        self.dense = s_diag.nnz > self.rows * SPARSE_FALLBACK_FRACTION
+        if self.dense or s_diag.nnz == 0:
+            return
+        row_shape = tuple(a.shape[0] for a in self.factors)
+        self.col_shape = tuple(a.shape[1] for a in self.factors)
+        self.part = balanced_partition(self.col_shape)
+        multi = np.unravel_index(s_diag.indices, row_shape)
+        self.left_rows, self.left_pos = self._group_rows(self.part.left, multi, row_shape)
+        self.right_rows, self.right_pos = self._group_rows(self.part.right, multi, row_shape)
+
+    def _group_rows(self, positions, multi, row_shape):
+        """Distinct Kronecker rows of one factor group, and each nonzero's position."""
+        if not positions:
+            return np.ones((1, 1)), np.zeros(self.s_diag.nnz, dtype=np.intp)
+        dims = tuple(row_shape[i] for i in positions)
+        flat = np.ravel_multi_index(tuple(multi[i] for i in positions), dims)
+        unique, pos = np.unique(flat, return_inverse=True)
+        distinct = np.stack(np.unravel_index(unique, dims), axis=1)
+        return kron_rows([self.factors[i] for i in positions], distinct), pos
+
+    def apply(self, c) -> np.ndarray:
+        """Entries of ``S K c`` at the nonzero rows of ``S``.
+
+        The right group acts on the matricized ``c`` at its distinct rows,
+        and each output entry contracts one left-group row with one of those
+        columns.  Returns values aligned with ``s_diag.indices`` (already
+        scaled by ``s_diag.values``).
+        """
+        c = np.asarray(c, dtype=np.float64).reshape(-1)
+        if c.size != self.cols:
+            raise InvalidInputError(
+                f"vector length {c.size} != operator columns {self.cols}")
+        if self.s_diag.nnz == 0:
+            return np.zeros(0)
+        if self.dense:
+            full = kron_mat_mul(self.factors, c)
+            return self.s_diag.values * full[self.s_diag.indices]
+        r_left = self.left_rows.shape[1]
+        c_mat = _permute_to_groups(c, self.col_shape, self.part).reshape(r_left, -1).T
+        y = self.right_rows @ c_mat  # (distinct right rows) x (left cols)
+        vals = np.einsum("tj,tj->t", y[self.right_pos], self.left_rows[self.left_pos])
+        return self.s_diag.values * vals
+
+    def transpose_apply(self, b_values) -> np.ndarray:
+        """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
+
+        ``S b`` is scattered into a sparse matricization over the factor
+        split, and one rectangular multiply against the distinct left-group
+        rows finishes the contraction.  ``b_values[t]`` corresponds to
+        ``s_diag.indices[t]``.
+        """
+        b_values = np.asarray(b_values, dtype=np.float64).reshape(-1)
+        if b_values.size != self.s_diag.nnz:
+            raise InvalidInputError("b_values must align with the sparse diagonal")
+        if self.s_diag.nnz == 0:
+            return np.zeros(self.cols)
+        scaled = self.s_diag.values * b_values
+        if self.dense:
+            full = np.zeros(self.rows)
+            full[self.s_diag.indices] = scaled
+            return kron_mat_mul([a.T for a in self.factors], full)
+        # columns of (right kron)^T @ B_S at the occupied left-group indices
+        w = np.zeros((self.left_rows.shape[0], self.right_rows.shape[1]))
+        np.add.at(w, self.left_pos, scaled[:, None] * self.right_rows[self.right_pos])
+        m = w.T @ self.left_rows  # (right cols) x (left cols): the rectangular multiply
+        grouped = m.T.reshape(-1)  # natural (left slow, right fast) flat order
+        return _permute_from_groups(grouped, self.col_shape, self.part)
+
+    def normal(self, x) -> np.ndarray:
+        """``K^T S^2 K x``, the sketched normal matrix applied to ``x``."""
+        return self.transpose_apply(self.apply(x))
+
+
 def sketched_kron_apply(factors: Sequence[np.ndarray], s_diag: SparseDiagonal,
                         c) -> np.ndarray:
-    """Entries of ``S K c`` at the nonzero rows of the diagonal ``S``.
-
-    Only the sketched rows of ``K c`` are formed: the factors are split by
-    :func:`balanced_partition`, the right group acts on the matricized ``c``
-    at the distinct right-group indices, and each output entry contracts one
-    left-group row with one precomputed column.  Returns values aligned with
-    ``s_diag.indices`` (already scaled by ``s_diag.values``).
-    """
-    factors = check_factors(factors)
-    rows, cols = kron_operator_shape(factors)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    if c.size != cols:
-        raise InvalidInputError(f"vector length {c.size} != operator columns {cols}")
-    if s_diag.nnz == 0:
-        return np.zeros(0)
-    if s_diag.indices[-1] >= rows:
-        raise InvalidInputError("sparse diagonal index out of range")
-    if s_diag.nnz > rows * SPARSE_FALLBACK_FRACTION:
-        full = kron_mat_mul(factors, c)
-        return s_diag.values * full[s_diag.indices]
-
-    row_shape = tuple(a.shape[0] for a in factors)
-    col_shape = tuple(a.shape[1] for a in factors)
-    part = balanced_partition(col_shape)
-    li, multi_left, ri, multi_right = _split_indices(s_diag.indices, row_shape, part)
-
-    r_left = math.prod(col_shape[i] for i in part.left)
-    c_grouped = _permute_to_groups(c, col_shape, part)
-    c_mat = c_grouped.reshape(r_left, -1).T  # (right cols) x (left cols)
-
-    uri, ri_pos = np.unique(ri, return_inverse=True)
-    right_rows = kron_rows([factors[i] for i in part.right],
-                           _first_occurrences(multi_right, ri, uri))
-    y = right_rows @ c_mat  # (distinct right rows) x (left cols)
-
-    uli, li_pos = np.unique(li, return_inverse=True)
-    left_rows = kron_rows([factors[i] for i in part.left],
-                          _first_occurrences(multi_left, li, uli))
-
-    vals = np.einsum("tj,tj->t", y[ri_pos], left_rows[li_pos])
-    return s_diag.values * vals
-
-
-def _first_occurrences(multi: np.ndarray, flat: np.ndarray,
-                       unique_flat: np.ndarray) -> np.ndarray:
-    """Multi-index of the first occurrence of each unique flat index."""
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    first = order[np.searchsorted(sorted_flat, unique_flat)]
-    return multi[first]
+    """Entries of ``S K c`` at the nonzero rows of ``S``; see :class:`SketchedKron`."""
+    return SketchedKron(factors, s_diag).apply(c)
 
 
 def sketched_kron_transpose_apply(factors: Sequence[np.ndarray],
                                   s_diag: SparseDiagonal, b_values) -> np.ndarray:
-    """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
-
-    ``S b`` is scattered into a sparse matricization over the balanced factor
-    split, the right group's transpose hits its few nonzero columns, and one
-    rectangular multiply against the occupied left-group rows finishes the
-    contraction.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
-    """
-    factors = check_factors(factors)
-    rows, cols = kron_operator_shape(factors)
-    b_values = np.asarray(b_values, dtype=np.float64).reshape(-1)
-    if b_values.size != s_diag.nnz:
-        raise InvalidInputError("b_values must align with the sparse diagonal")
-    if s_diag.nnz == 0:
-        return np.zeros(cols)
-    if s_diag.indices[-1] >= rows:
-        raise InvalidInputError("sparse diagonal index out of range")
-    if s_diag.nnz > rows * SPARSE_FALLBACK_FRACTION:
-        full = np.zeros(rows)
-        full[s_diag.indices] = s_diag.values * b_values
-        return kron_mat_mul([a.T for a in factors], full)
-
-    row_shape = tuple(a.shape[0] for a in factors)
-    col_shape = tuple(a.shape[1] for a in factors)
-    part = balanced_partition(col_shape)
-    li, multi_left, ri, multi_right = _split_indices(s_diag.indices, row_shape, part)
-    scaled = s_diag.values * b_values
-
-    r_right = math.prod(col_shape[i] for i in part.right)
-    right_rows = kron_rows([factors[i] for i in part.right], multi_right)
-
-    uli, li_pos = np.unique(li, return_inverse=True)
-    left_rows = kron_rows([factors[i] for i in part.left],
-                          _first_occurrences(multi_left, li, uli))
-
-    # columns of (right kron)^T @ B_S at the occupied left-group indices
-    w = np.zeros((uli.size, r_right))
-    np.add.at(w, li_pos, scaled[:, None] * right_rows)
-
-    m = w.T @ left_rows  # (right cols) x (left cols): the rectangular multiply
-    grouped = m.T.reshape(-1)  # natural (left slow, right fast) flat order
-    return _permute_from_groups(grouped, col_shape, part)
+    """``K^T S b`` from the entries of ``b`` at nonzero rows; see :class:`SketchedKron`."""
+    return SketchedKron(factors, s_diag).transpose_apply(b_values)

@@ -27,13 +27,12 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from .kron import (
+    SketchedKron,
     check_factors,
     kron_mat_mul,
     kron_operator_shape,
     kron_vec_square,
     sketch_rows_of_kron,
-    sketched_kron_apply,
-    sketched_kron_transpose_apply,
     sparse_diagonal_from_sketch,
 )
 from .leverage import (
@@ -62,9 +61,9 @@ _DIVERGENCE_GROWTH = 10.0
 class RegressionConfig:
     """Knobs shared by the stochastic solvers.
 
-    ``mode`` selects between the theoretical sample counts (``alpha`` forced
-    to 1) and practical ones scaled by ``alpha``.  ``damping=None`` uses the
-    default step size ``1 - sqrt(eps)``; ``max_richardson_iters=None`` uses
+    ``alpha`` scales the theoretical sample counts (``alpha=1`` uses them
+    unscaled).  ``damping=None`` uses the default step size
+    ``1 - sqrt(eps)``; ``max_richardson_iters=None`` uses
     ``8 * ceil(ln(1/eps))``.
     """
 
@@ -72,12 +71,10 @@ class RegressionConfig:
     delta: float = 0.05
     lam: float = 0.0
     alpha: float = 1.0
-    mode: str = "practical"
     max_richardson_iters: int | None = None
     residual_tol: float = 1e-9
     seed: int = 0
     damping: float | None = None
-    jl_log_factor: float = JL_LOG_FACTOR
     share_row_sketch: bool = False
 
     def __post_init__(self):
@@ -89,14 +86,8 @@ class RegressionConfig:
             raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.mode not in ("theoretical", "practical"):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.residual_tol <= 0.0:
             raise InvalidInputError("residual_tol must be positive")
-
-    @property
-    def effective_alpha(self) -> float:
-        return 1.0 if self.mode == "theoretical" else self.alpha
 
     @property
     def effective_damping(self) -> float:
@@ -348,7 +339,7 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     t0 = time.perf_counter()
     if sketch is None:
         sampler = build_product_sampler(exact_factor_scores(factors))
-        s = max(1, math.ceil(config.effective_alpha
+        s = max(1, math.ceil(config.alpha
                              * regression_sample_count(cols, config.eps)))
         sketch = sample_rows(sampler, s, config.seed)
     s = sketch.sample_count
@@ -399,7 +390,7 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
         raise InvalidInputError("need one cache entry per factor")
     n_factors = len(factors)
     lam = config.lam
-    alpha = config.effective_alpha
+    alpha = config.alpha
 
     t0 = time.perf_counter()
     s = max(1, math.ceil(alpha * REGRESSION_SAMPLE_CONSTANT * cols
@@ -440,7 +431,7 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
             grams.append(factor_gram(gram_tilde, assume_gram=True))
             scores.append(approx_leverage_scores_jl(
                 a, a_tilde, gram_tilde, eps_jl, seeds[2 * n + 1],
-                log_factor=config.jl_log_factor))
+                log_factor=JL_LOG_FACTOR))
 
     sampler = build_product_sampler(scores)
     precond = build_kron_preconditioner(grams, lam)
@@ -448,15 +439,10 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     sketch = sample_rows(sampler, s, seeds[-1])
     row_shape = tuple(a.shape[0] for a in factors)
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-    b_at = b[sdiag.indices]
-    rhs = sketched_kron_transpose_apply(factors, sdiag, sdiag.values * b_at)
-
-    def apply_normal(x: np.ndarray) -> np.ndarray:
-        sk = sketched_kron_apply(factors, sdiag, x)
-        return sketched_kron_transpose_apply(factors, sdiag, sk) + lam * x
-
-    x, iters = richardson_solve(apply_normal, precond.apply, rhs,
-                                config.effective_damping, config)
+    op = SketchedKron(factors, sdiag)
+    rhs = op.transpose_apply(sdiag.values * b[sdiag.indices])
+    x, iters = richardson_solve(lambda v: op.normal(v) + lam * v, precond.apply,
+                                rhs, config.effective_damping, config)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
                        iterations=iters, sample_count=s, wall_time=wall)

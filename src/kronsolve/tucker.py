@@ -13,25 +13,25 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
-from .kron import kron_mat_mul, kron_vec_square, sketched_kron_apply, \
-    sketched_kron_transpose_apply, sparse_diagonal_from_sketch
+from .kron import SketchedKron, kron_mat_mul, sparse_diagonal_from_sketch
 from .leverage import REGRESSION_SAMPLE_CONSTANT, build_product_sampler, \
     ridge_leverage_scores, sample_rows
 from .solvers import (
     DEFAULT_DENSE_GUARD,
     FactorCache,
+    KronPreconditioner,
     RegressionConfig,
     build_factor_cache,
+    build_kron_preconditioner,
     fast_kronecker_regression,
     kronmatmul_svd_solve,
-    pseudo_reciprocal,
     richardson_solve,
 )
 from .tensor import as_tensor, multi_mode_product, pseudo_inverse, unfold, vectorize, \
@@ -173,8 +173,7 @@ class FactorUpdateWorkspace:
     gn_pinv: np.ndarray          # G^+        (R_rest x R_n)
     gnt_pinv: np.ndarray         # (G^T)^+    (R_n x R_rest)
     penalty_weight: float
-    v_factors: tuple[np.ndarray, ...]
-    base_diag: np.ndarray        # ((kron of Gram eigenvalues) + w)^+
+    base: KronPreconditioner     # (K^T K + w I)^+ from the Gram eigendecompositions
     correction_left: np.ndarray  # G^+                (R_rest x R_n)
     correction_mid: np.ndarray   # Woodbury core inverse (R_n x R_n)
     correction_right: np.ndarray  # lam (G^T)^+ - w G  (R_n x R_rest)
@@ -193,19 +192,13 @@ class FactorUpdateWorkspace:
         """Project onto the constraint set: ``(I - N^+ N) z = G^T (G^T)^+ z``."""
         return self.g_n.T @ (self.gnt_pinv @ z)
 
-    def apply_base(self, z: np.ndarray) -> np.ndarray:
-        """Apply ``(K^T K + w I)^+`` through the factor eigendecompositions."""
-        t = kron_vec_square([v.T for v in self.v_factors], z)
-        t = t * self.base_diag
-        return kron_vec_square(list(self.v_factors), t)
-
     def apply(self, z: np.ndarray) -> np.ndarray:
         """Apply the Woodbury-corrected inverse of the penalized normal matrix."""
-        base = self.apply_base(z)
+        base = self.base.apply(z)
         corr = self.correction_right @ base
         corr = self.correction_mid @ corr
         corr = self.correction_left @ corr
-        return base - self.apply_base(corr)
+        return base - self.base.apply(corr)
 
     def apply_penalized_normal(self, z: np.ndarray) -> np.ndarray:
         """Exact ``(K^T K + w I + G^+ (lam (G^T)^+ - w G)) z`` (no sketch)."""
@@ -252,14 +245,12 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
     norm_sq = _power_iteration(apply_constrained_gram, r_rest)
     w = (1.0 + 12.0 / eps) * norm_sq * PENALTY_SAFETY_MARGIN
 
-    eig = reduce(np.kron, [g.eigenvalues for g in grams])
-    base_diag = pseudo_reciprocal(eig + w)
-    v_factors = tuple(g.v for g in grams)
+    base = build_kron_preconditioner(grams, w)
 
     correction_right = lam * gnt_pinv - w * g_n
-    # base_diag applied to the columns of G^+
-    t = kron_mat_mul([v.T for v in v_factors], gn_pinv)
-    p0_gpinv = kron_mat_mul(list(v_factors), base_diag[:, None] * t)
+    # the base preconditioner applied to the columns of G^+
+    t = kron_mat_mul([v.T for v in base.v_factors], gn_pinv)
+    p0_gpinv = kron_mat_mul(list(base.v_factors), base.d_diag[:, None] * t)
     core = np.eye(g_n.shape[0]) + correction_right @ p0_gpinv
     try:
         core_inv = np.linalg.solve(core, np.eye(g_n.shape[0]))
@@ -269,7 +260,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
             diagnostics={"w": w, "mode": n}) from exc
     return FactorUpdateWorkspace(
         g_n=g_n, gn_pinv=gn_pinv, gnt_pinv=gnt_pinv, penalty_weight=w,
-        v_factors=v_factors, base_diag=base_diag, correction_left=gn_pinv,
+        base=base, correction_left=gn_pinv,
         correction_mid=core_inv, correction_right=correction_right,
         gram_matrices=gram_mats)
 
@@ -334,7 +325,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     i_n = model.factors[n].shape[0]
     r_rest = math.prod(a.shape[1] for a in others)
     i_rest = math.prod(a.shape[0] for a in others)
-    s = max(1, math.ceil(config.effective_alpha * REGRESSION_SAMPLE_CONSTANT
+    s = max(1, math.ceil(config.alpha * REGRESSION_SAMPLE_CONSTANT
                          * r_rest * math.log(40 * r_rest)
                          * math.log(i_n / config.delta) / config.eps))
     if s >= i_rest:
@@ -354,19 +345,19 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     damping = config.effective_damping
     seeds = np.random.SeedSequence(config.seed).spawn(i_n)
     new_factor = np.empty((i_n, model.core.shape[n]))
-    shared_sketch = None
-    if config.share_row_sketch:
-        shared_sketch = sample_rows(sampler, s, seeds[0])
+
+    def sketched_operator(seed) -> SketchedKron:
+        sketch = sample_rows(sampler, s, seed)
+        return SketchedKron(others, sparse_diagonal_from_sketch(sketch, row_shape))
+
+    shared_op = sketched_operator(seeds[0]) if config.share_row_sketch else None
     for i in range(i_n):
-        sketch = shared_sketch if shared_sketch is not None else \
-            sample_rows(sampler, s, seeds[i])
-        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-        b_at = b[i, sdiag.indices]
-        rhs = sketched_kron_transpose_apply(others, sdiag, sdiag.values * b_at)
+        op = shared_op if shared_op is not None else sketched_operator(seeds[i])
+        sdiag = op.s_diag
+        rhs = op.transpose_apply(sdiag.values * b[i, sdiag.indices])
 
         def apply_normal(z: np.ndarray) -> np.ndarray:
-            t = sketched_kron_transpose_apply(
-                others, sdiag, sketched_kron_apply(others, sdiag, z))
+            t = op.normal(z)
             t = t + w * z
             t = t + lam * (workspace.gn_pinv @ (workspace.gnt_pinv @ z))
             t = t - w * (workspace.gn_pinv @ (workspace.g_n @ z))
@@ -381,7 +372,11 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
 
 @dataclass
 class AlsReport:
-    """Loss/time trace of one alternating-least-squares run."""
+    """Loss/time trace of one alternating-least-squares run.
+
+    ``step_seconds`` times each block update alone (not the loss recorded
+    after it); ``sweep_seconds`` is the sum of one sweep's step times.
+    """
 
     step_labels: list[str] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)
@@ -461,7 +456,6 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     seed_root = np.random.SeedSequence(config.seed)
     prev_sweep_loss = report.step_losses[-1]
     for sweep in range(sweeps):
-        sweep_start = time.perf_counter()
         sweep_seeds = seed_root.spawn(x.ndim + 1)
         for n in range(x.ndim):
             t0 = time.perf_counter()
@@ -484,7 +478,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
         report.sweep_losses.append(report.step_losses[-1])
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq
                                  if x_norm_sq > 0 else 0.0)
-        report.sweep_seconds.append(time.perf_counter() - sweep_start)
+        report.sweep_seconds.append(sum(report.step_seconds[-(x.ndim + 1):]))
         loss = report.sweep_losses[-1]
         if (loss_change_tol is not None
                 and abs(prev_sweep_loss - loss) <= loss_change_tol * max(1.0, abs(prev_sweep_loss))):
@@ -495,5 +489,4 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
 
 
 def _reseed(config: RegressionConfig, seed_seq: np.random.SeedSequence) -> RegressionConfig:
-    from dataclasses import replace
     return replace(config, seed=int(seed_seq.generate_state(1)[0]))

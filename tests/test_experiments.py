@@ -185,13 +185,6 @@ class TestCli:
     def test_check_command(self):
         assert cli_main(["check"]) == 0
 
-    def test_thread_env_is_tolerated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KRONSOLVE_THREADS", "1")
-        out = tmp_path / "reg.csv"
-        rc = cli_main(["synth-regression", "--n", "16", "--d", "2",
-                       "--solvers", "kronmatmul", "--out", str(out)])
-        assert rc == 0
-
 
 class TestDefaults:
     def test_spec_defaults_match_study_setup(self):

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronsolve.errors import InvalidInputError
 from kronsolve.kron import (
+    SPARSE_FALLBACK_FRACTION,
+    SketchedKron,
     SparseDiagonal,
     balanced_partition,
     kron_mat_mul,
@@ -17,6 +21,7 @@ from kronsolve.kron import (
     sparse_diagonal_from_sketch,
 )
 from kronsolve.leverage import RowSketch
+from kronsolve.tensor import explicit_kron
 
 from conftest import dense_kron
 
@@ -239,6 +244,93 @@ class TestSketchedApplies:
         sd = SparseDiagonal(indices=np.array([5]), values=np.array([1.0]))
         with pytest.raises(InvalidInputError):
             sketched_kron_apply(facs, sd, rng.standard_normal(4))
+
+
+@st.composite
+def sketched_problems(draw):
+    """Factors of order 1-4 and a sketch diagonal with repeated draws.
+
+    The number of distinct rows is drawn on one side of
+    ``SPARSE_FALLBACK_FRACTION`` chosen up front, so both the two-group
+    scheme and the dense fallback are exercised; order 1 (and unit column
+    dimensions) leave one partition group empty.
+    """
+    shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                           min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal(s) for s in shapes]
+    row_shape = tuple(s[0] for s in shapes)
+    n_rows = math.prod(row_shape)
+    sparse_max = int(n_rows * SPARSE_FALLBACK_FRACTION)
+    if draw(st.booleans()) or sparse_max == 0:
+        distinct = draw(st.integers(sparse_max + 1, n_rows))
+    else:
+        distinct = draw(st.integers(0, sparse_max))
+    rows = rng.choice(n_rows, size=distinct, replace=False)
+    # every chosen row at least once, some of them again
+    repeats = rng.choice(rows, size=draw(st.integers(0, 6))) if distinct else rows
+    flat = np.concatenate([rows, repeats]).astype(np.int64)
+    rng.shuffle(flat)
+    multi = np.stack(np.unravel_index(flat, row_shape), axis=1)
+    sketch = RowSketch(indices=multi, weights=rng.uniform(0.1, 2.0, flat.size))
+    sd = sparse_diagonal_from_sketch(sketch, row_shape)
+    assert sd.nnz == distinct
+    c = rng.standard_normal(math.prod(s[1] for s in shapes))
+    b_values = rng.standard_normal(sd.nnz)
+    return factors, sd, c, b_values
+
+
+def sketched_oracle(factors, sd):
+    """Dense ``S K`` restricted to the nonzero rows of ``S``."""
+    return sd.values[:, None] * explicit_kron(factors)[sd.indices]
+
+
+class TestSketchedProperties:
+    @given(sketched_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_applies_match_explicit_kron(self, problem):
+        factors, sd, c, b_values = problem
+        sk = sketched_oracle(factors, sd)
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(sk), initial=0.0)))
+        np.testing.assert_allclose(sketched_kron_apply(factors, sd, c), sk @ c,
+                                   rtol=1e-10, atol=tol * np.abs(c).sum())
+        np.testing.assert_allclose(
+            sketched_kron_transpose_apply(factors, sd, b_values), sk.T @ b_values,
+            rtol=1e-10, atol=tol * np.abs(b_values).sum())
+        normal = sketched_kron_transpose_apply(
+            factors, sd, sketched_kron_apply(factors, sd, c))
+        expected = sk.T @ (sk @ c)
+        np.testing.assert_allclose(normal, expected, rtol=1e-9,
+                                   atol=1e-9 * max(1.0, np.abs(expected).max(initial=0.0)))
+
+    @given(sketched_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_operator_normal_matches_explicit_kron(self, problem):
+        factors, sd, c, _ = problem
+        sk = sketched_oracle(factors, sd)
+        expected = sk.T @ (sk @ c)
+        np.testing.assert_allclose(
+            SketchedKron(factors, sd).normal(c), expected, rtol=1e-9,
+            atol=1e-9 * max(1.0, np.abs(expected).max(initial=0.0)))
+
+    @given(sketched_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_operator_reuse_is_bitwise_the_wrappers(self, problem, seed):
+        factors, sd, _, _ = problem
+        op = SketchedKron(factors, sd)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            c = rng.standard_normal(op.cols)
+            b_values = rng.standard_normal(sd.nnz)
+            np.testing.assert_array_equal(op.apply(c),
+                                          sketched_kron_apply(factors, sd, c))
+            np.testing.assert_array_equal(
+                op.transpose_apply(b_values),
+                sketched_kron_transpose_apply(factors, sd, b_values))
+            np.testing.assert_array_equal(
+                op.normal(c), sketched_kron_transpose_apply(
+                    factors, sd, sketched_kron_apply(factors, sd, c)))
 
 
 class TestSketchRowsOfKron:

@@ -321,12 +321,6 @@ class TestFastKroneckerRegression:
 
 
 class TestConfig:
-    def test_theoretical_mode_forces_full_counts(self):
-        cfg = RegressionConfig(mode="theoretical", alpha=1e-5)
-        assert cfg.effective_alpha == 1.0
-        cfg = RegressionConfig(mode="practical", alpha=1e-5)
-        assert cfg.effective_alpha == 1e-5
-
     def test_default_damping_and_iters(self):
         cfg = RegressionConfig(eps=0.25)
         assert cfg.effective_damping == pytest.approx(0.5)
@@ -344,5 +338,3 @@ class TestConfig:
             RegressionConfig(lam=-1.0)
         with pytest.raises(InvalidInputError):
             RegressionConfig(alpha=0.0)
-        with pytest.raises(InvalidInputError):
-            RegressionConfig(mode="other")

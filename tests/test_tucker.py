@@ -412,6 +412,17 @@ class TestTuckerAls:
         assert len(report.step_losses) == 1 + 2 * 4
         assert report.rre == pytest.approx(report.sweep_rres[-1])
 
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_sweep_seconds_sum_step_times(self, rng, mode):
+        x = rng.standard_normal((6, 5, 4))
+        cfg = RegressionConfig(eps=0.25, delta=0.05, seed=0, alpha=5e-5)
+        _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=3,
+                               solver_mode=mode, config=cfg)
+        steps = x.ndim + 1  # every factor, then the core
+        for k, seconds in enumerate(report.sweep_seconds):
+            first = 1 + k * steps  # step 0 is the initial core solve
+            assert seconds == sum(report.step_seconds[first:first + steps])
+
 
 class TestSharedSketchOption:
     def test_shared_sketch_produces_valid_update(self, rng):
