@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     tuck.add_argument("--lambda", dest="lam", type=float, default=0.0)
     tuck.add_argument("--eps", type=float, default=0.1)
     tuck.add_argument("--delta", type=float, default=0.01)
-    tuck.add_argument("--alpha", type=float, default=1.0)
+    tuck.add_argument("--alpha", type=float, default=1.0,
+                      help="sample-count scale for --mode fast; at 1.0 the "
+                           "counts exceed the rows and every step runs exact")
     tuck.add_argument("--mode", choices=("exact", "fast"), default="exact")
     tuck.add_argument("--sweeps", type=int, default=5)
     tuck.add_argument("--seed", type=int, default=0)

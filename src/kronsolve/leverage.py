@@ -69,17 +69,15 @@ def statistical_leverage_scores(a) -> LeverageScores:
     return ridge_leverage_scores(compact_svd(a), 0.0)
 
 
-def spectral_sample_count(d: int, eps: float, delta: float,
-                          beta: float = 1.0) -> int:
+def spectral_sample_count(d: int, eps: float, delta: float) -> int:
     """Rows needed for the (1 +/- eps) spectral sandwich at risk delta."""
     return math.ceil(SPECTRAL_SAMPLE_CONSTANT * d * math.log(2 * d / delta)
-                     / (beta * eps**2))
+                     / eps**2)
 
 
-def regression_sample_count(d: int, eps: float, beta: float = 1.0) -> int:
+def regression_sample_count(d: int, eps: float) -> int:
     """Rows needed for (1+eps)-approximate regression (9/10 success)."""
-    return math.ceil(REGRESSION_SAMPLE_CONSTANT * d * math.log(40 * d)
-                     / (beta * eps))
+    return math.ceil(REGRESSION_SAMPLE_CONSTANT * d * math.log(40 * d) / eps)
 
 
 def approx_leverage_scores_jl(a, a_tilde, gram_tilde, eps: float, seed,
@@ -152,8 +150,6 @@ class ProductSampler:
 
     Built from per-factor leverage scores; the probability of multi-index
     ``(i_1, ..., i_N)`` is the product of the per-factor normalized scores.
-    ``beta`` records the sampling-distribution quality implied by the score
-    approximation factors (1 when every factor's scores are exact).
     """
 
     def __init__(self, per_factor_scores: Sequence[LeverageScores]):
@@ -172,7 +168,6 @@ class ProductSampler:
             probs.append(scores / total)
         self.per_factor_probabilities = probs
         self.per_factor_cdf = [np.cumsum(p) for p in probs]
-        self.beta = float(np.prod([1.0 / ls.approx_factor for ls in per_factor_scores]))
 
     @property
     def order(self) -> int:

@@ -36,16 +36,12 @@ from .kron import (
     sparse_diagonal_from_sketch,
 )
 from .leverage import (
-    JL_LOG_FACTOR,
     REGRESSION_SAMPLE_CONSTANT,
     LeverageScores,
-    approx_leverage_scores_jl,
     build_product_sampler,
     regression_sample_count,
     ridge_leverage_scores,
     sample_rows,
-    spectral_approx_rows,
-    spectral_sample_count,
 )
 from .tensor import CompactSvd, as_matrix, compact_svd
 
@@ -126,15 +122,11 @@ class FactorGram:
     eigenvalues: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.v.shape[0]
 
-
-def factor_gram(a, assume_gram: bool = False) -> FactorGram:
-    """Eigendecomposition of ``a.T @ a`` (or of ``a`` itself if it is a Gram)."""
+def factor_gram(a) -> FactorGram:
+    """Eigendecomposition of ``a.T @ a``."""
     a = as_matrix(a)
-    g = a if assume_gram else a.T @ a
+    g = a.T @ a
     g = 0.5 * (g + g.T)
     w, v = np.linalg.eigh(g)
     w = np.clip(w[::-1], 0.0, None)
@@ -154,6 +146,18 @@ def build_factor_cache(a) -> FactorCache:
     return FactorCache(svd=compact_svd(a), gram=factor_gram(a))
 
 
+def _check_caches(factors: Sequence[np.ndarray],
+                  caches: Sequence[FactorCache]) -> None:
+    if len(caches) != len(factors):
+        raise InvalidInputError("need one cache entry per factor")
+    for n, (a, cache) in enumerate(zip(factors, caches)):
+        if cache.svd.u.shape[0] != a.shape[0] or cache.gram.v.shape[0] != a.shape[1]:
+            raise InvalidInputError(
+                f"cache {n} was built for a {cache.svd.u.shape[0]}x"
+                f"{cache.gram.v.shape[0]} factor, factor {n} is "
+                f"{a.shape[0]}x{a.shape[1]}")
+
+
 @dataclass(frozen=True)
 class KronPreconditioner:
     """Decomposed inverse normal matrix ``(V kron ...) D (V kron ...)^T``.
@@ -166,7 +170,6 @@ class KronPreconditioner:
 
     v_factors: tuple[np.ndarray, ...]
     d_diag: np.ndarray
-    lam: float
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         t = kron_vec_square([v.T for v in self.v_factors], x)
@@ -185,8 +188,7 @@ def pseudo_reciprocal(d: np.ndarray) -> np.ndarray:
 def build_kron_preconditioner(grams: Sequence[FactorGram], lam: float) -> KronPreconditioner:
     eig = reduce(np.kron, [g.eigenvalues for g in grams])
     d_diag = pseudo_reciprocal(eig + lam)
-    return KronPreconditioner(v_factors=tuple(g.v for g in grams),
-                              d_diag=d_diag, lam=lam)
+    return KronPreconditioner(v_factors=tuple(g.v for g in grams), d_diag=d_diag)
 
 
 def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
@@ -366,18 +368,17 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
                               ) -> SolveReport:
     """(1+eps)-approximate Kronecker ridge regression in subquadratic time.
 
-    Pipeline: per-factor row-sampled spectral approximations at accuracy
-    ``ln(1+eps/4)/N`` each, Gram eigendecompositions for the decomposed
-    preconditioner, Johnson-Lindenstrauss leverage-score estimates feeding a
-    product-distribution row sampler, then
+    Pipeline: one thin SVD and Gram eigendecomposition per factor
+    (:func:`build_factor_cache`, O(n d^2) each), whose exact statistical
+    leverage scores feed a product-distribution row sampler and whose Gram
+    eigenpairs build the decomposed preconditioner; then
     ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` sampled rows solved by
     damped preconditioned Richardson iteration where every operator
     application exploits sketch sparsity and Kronecker structure.
 
-    With ``caches`` supplied (one per factor) the per-factor preprocessing is
-    skipped: exact Gram eigendecompositions and exact leverage scores are
-    read from the cache.  When the sample count reaches the actual row count
-    the sketch is pointless and the exact SVD solver runs instead.
+    ``caches`` (one per factor, e.g. reused across Tucker sweeps) skips the
+    per-factor decompositions.  When the sample count reaches the actual row
+    count the sketch is pointless and the exact SVD solver runs instead.
 
     ``wall_time`` covers the solve; the reported loss is evaluated exactly
     afterwards.
@@ -386,14 +387,12 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     if not 0.0 < config.eps <= 0.25:
         raise InvalidInputError(
             f"fast regression requires eps in (0, 1/4], got {config.eps}")
-    if caches is not None and len(caches) != len(factors):
-        raise InvalidInputError("need one cache entry per factor")
-    n_factors = len(factors)
+    if caches is not None:
+        _check_caches(factors, caches)
     lam = config.lam
-    alpha = config.alpha
 
     t0 = time.perf_counter()
-    s = max(1, math.ceil(alpha * REGRESSION_SAMPLE_CONSTANT * cols
+    s = max(1, math.ceil(config.alpha * REGRESSION_SAMPLE_CONSTANT * cols
                          * math.log(40 * cols) * math.log(1.0 / config.delta)
                          / config.eps))
     if s >= rows:
@@ -403,40 +402,14 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
         return SolveReport(solution=exact.solution, loss=exact.loss,
                            iterations=0, sample_count=0, wall_time=wall)
 
-    seed_root = np.random.SeedSequence(config.seed)
-    seeds = seed_root.spawn(2 * n_factors + 1)
+    if caches is None:
+        caches = [build_factor_cache(a) for a in factors]
+    sampler = build_product_sampler(exact_factor_scores(factors, caches))
+    precond = build_kron_preconditioner([c.gram for c in caches], lam)
 
-    grams: list[FactorGram] = []
-    scores: list[LeverageScores] = []
-    if caches is not None:
-        for cache in caches:
-            grams.append(cache.gram)
-            scores.append(ridge_leverage_scores(cache.svd, 0.0))
-    else:
-        # One-sided per-factor target (1 + ln(1+eps/4)/N); realized by a
-        # two-sided sketch at eps' = t/(2+t) rescaled by 1/sqrt(1-eps').
-        eps_one = math.log1p(config.eps / 4.0) / n_factors
-        eps_two = eps_one / (2.0 + eps_one)
-        delta_n = config.delta / (2.0 * n_factors)
-        eps_jl = 4.0 * math.log1p(config.eps / 4.0) / n_factors
-        for n, a in enumerate(factors):
-            s_n = math.ceil(alpha * spectral_sample_count(a.shape[1], eps_two, delta_n))
-            if s_n >= a.shape[0]:
-                a_tilde = a
-            else:
-                sa = spectral_approx_rows(a, eps_two, delta_n, seeds[2 * n],
-                                          alpha=alpha)
-                a_tilde = sa / math.sqrt(1.0 - eps_two)
-            gram_tilde = a_tilde.T @ a_tilde
-            grams.append(factor_gram(gram_tilde, assume_gram=True))
-            scores.append(approx_leverage_scores_jl(
-                a, a_tilde, gram_tilde, eps_jl, seeds[2 * n + 1],
-                log_factor=JL_LOG_FACTOR))
-
-    sampler = build_product_sampler(scores)
-    precond = build_kron_preconditioner(grams, lam)
-
-    sketch = sample_rows(sampler, s, seeds[-1])
+    # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
+    seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
+    sketch = sample_rows(sampler, s, seed)
     row_shape = tuple(a.shape[0] for a in factors)
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
     op = SketchedKron(factors, sdiag)

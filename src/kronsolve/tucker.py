@@ -177,11 +177,6 @@ class FactorUpdateWorkspace:
     correction_left: np.ndarray  # G^+                (R_rest x R_n)
     correction_mid: np.ndarray   # Woodbury core inverse (R_n x R_n)
     correction_right: np.ndarray  # lam (G^T)^+ - w G  (R_n x R_rest)
-    gram_matrices: tuple[np.ndarray, ...]
-
-    @property
-    def woodbury_core_inverse(self) -> np.ndarray:
-        return self.correction_mid
 
     def constraint_projector(self) -> np.ndarray:
         """Dense ``N = I - G^T (G^T)^+`` (orthogonal projector, test aid)."""
@@ -199,12 +194,6 @@ class FactorUpdateWorkspace:
         corr = self.correction_mid @ corr
         corr = self.correction_left @ corr
         return base - self.base.apply(corr)
-
-    def apply_penalized_normal(self, z: np.ndarray) -> np.ndarray:
-        """Exact ``(K^T K + w I + G^+ (lam (G^T)^+ - w G)) z`` (no sketch)."""
-        t = kron_mat_mul(list(self.gram_matrices), z)
-        t = t + self.penalty_weight * z
-        return t + self.correction_left @ (self.correction_right @ z)
 
 
 def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
@@ -261,8 +250,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
     return FactorUpdateWorkspace(
         g_n=g_n, gn_pinv=gn_pinv, gnt_pinv=gnt_pinv, penalty_weight=w,
         base=base, correction_left=gn_pinv,
-        correction_mid=core_inv, correction_right=correction_right,
-        gram_matrices=gram_mats)
+        correction_mid=core_inv, correction_right=correction_right)
 
 
 def _power_iteration(operator, dim: int, seed: int = 0) -> float:

@@ -310,6 +310,35 @@ class TestFastKroneckerRegression:
         rep = fast_kronecker_regression(facs, b, cfg, caches=caches)
         opt = kronmatmul_svd_solve(facs, b, 1e-2)
         assert rep.loss <= 1.3 * opt.loss
+        # Without caches the solver builds the same ones, so both calls give
+        # the same bits.  alpha=1e-3 asks for more rows than the 180 there
+        # are (exact route); at 1e-4 the sketch runs.
+        for alpha in (1e-3, 1e-4):
+            cfg_a = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, seed=4,
+                                     alpha=alpha)
+            cached = fast_kronecker_regression(facs, b, cfg_a, caches=caches)
+            plain = fast_kronecker_regression(facs, b, cfg_a)
+            assert plain.sample_count == cached.sample_count
+            assert plain.iterations == cached.iterations
+            np.testing.assert_array_equal(plain.solution, cached.solution)
+        assert 0 < cached.sample_count < 180
+
+    def test_mismatched_caches_rejected(self, rng):
+        facs = [rng.standard_normal((40, 2)), rng.standard_normal((12, 3))]
+        b = rng.standard_normal(480)
+        cfg = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, seed=4, alpha=1e-3)
+        for rows in (25, 50):
+            caches = [build_factor_cache(rng.standard_normal((rows, 2))),
+                      build_factor_cache(facs[1])]
+            with pytest.raises(InvalidInputError):
+                fast_kronecker_regression(facs, b, cfg, caches=caches)
+        # right rows, wrong column count
+        caches = [build_factor_cache(facs[0]),
+                  build_factor_cache(rng.standard_normal((12, 2)))]
+        with pytest.raises(InvalidInputError):
+            fast_kronecker_regression(facs, b, cfg, caches=caches)
+        with pytest.raises(InvalidInputError):
+            fast_kronecker_regression(facs, b, cfg, caches=caches[:1])
 
     def test_report_loss_matches_solution(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]
