@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "naive,kronmatmul,sketch-solve,fast")
     reg.add_argument("--repeats", type=int, default=1,
                      help="timing repetitions per cell (median reported)")
-    reg.add_argument("--parallel", action="store_true",
-                     help="run (solver, seed) cells concurrently")
     reg.add_argument("--force", action="store_true",
                      help="disable the exact-solver size guards")
     reg.add_argument("--out", required=True, help="output CSV path")
@@ -90,7 +88,7 @@ def _cmd_synth_regression(args) -> int:
         lam=args.lam, eps=args.eps, delta=args.delta, alpha=args.alpha,
         seeds=tuple(args.seeds),
         solvers=tuple(s for s in args.solvers.split(",") if s),
-        repeats=args.repeats, force=args.force, parallel=args.parallel)
+        repeats=args.repeats, force=args.force)
     rows = run_regression_experiment(spec, out_path=args.out)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {args.out}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,7 +57,6 @@ class ExperimentSpec:
     solvers: tuple[str, ...] = REGRESSION_SOLVERS
     repeats: int = 1
     force: bool = False
-    parallel: bool = False
     # tucker-only fields
     tensor_path: str | None = None
     core_shape: tuple[int, ...] = ()
@@ -192,12 +190,8 @@ def run_regression_experiment(spec: ExperimentSpec,
     optimum for the same seed when an exact solver is part of the run."""
     if spec.kind != "synth-regression":
         raise InvalidInputError("spec is not a synth-regression experiment")
-    cells = [(solver, seed) for seed in spec.seeds for solver in spec.solvers]
-    if spec.parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda c: _run_cell(spec, *c), cells))
-    else:
-        rows = [_run_cell(spec, solver, seed) for solver, seed in cells]
+    rows = [_run_cell(spec, solver, seed)
+            for seed in spec.seeds for solver in spec.solvers]
 
     opt_by_seed: dict[int, float] = {}
     for row in rows:

@@ -173,10 +173,6 @@ class ProductSampler:
     def order(self) -> int:
         return len(self.per_factor_probabilities)
 
-    @property
-    def row_shape(self) -> tuple[int, ...]:
-        return tuple(p.size for p in self.per_factor_probabilities)
-
     def probabilities(self, indices: np.ndarray) -> np.ndarray:
         """Joint sampling probability of each multi-index row in ``indices``."""
         indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))

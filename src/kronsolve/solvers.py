@@ -47,6 +47,10 @@ from .tensor import CompactSvd, as_matrix, compact_svd
 
 DEFAULT_DENSE_GUARD = 10**8
 
+# Richardson stops once the preconditioned residual falls below this
+# fraction of the preconditioned right-hand side.
+RESIDUAL_TOL = 1e-9
+
 # Divergence heuristic: this many consecutive residual increases by this
 # total growth factor aborts the iteration.
 _DIVERGENCE_WINDOW = 5
@@ -55,23 +59,18 @@ _DIVERGENCE_GROWTH = 10.0
 
 @dataclass(frozen=True)
 class RegressionConfig:
-    """Knobs shared by the stochastic solvers.
+    """The paper's parameters for the stochastic solvers.
 
     ``alpha`` scales the theoretical sample counts (``alpha=1`` uses them
-    unscaled).  ``damping=None`` uses the default step size
-    ``1 - sqrt(eps)``; ``max_richardson_iters=None`` uses
-    ``8 * ceil(ln(1/eps))``.
+    unscaled).  The Richardson step ``1 - sqrt(eps)`` and the iteration
+    budget ``8 * ceil(ln(1/eps))`` both derive from ``eps``.
     """
 
     eps: float = 0.25
     delta: float = 0.05
     lam: float = 0.0
     alpha: float = 1.0
-    max_richardson_iters: int | None = None
-    residual_tol: float = 1e-9
     seed: int = 0
-    damping: float | None = None
-    share_row_sketch: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -82,17 +81,13 @@ class RegressionConfig:
             raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.residual_tol <= 0.0:
-            raise InvalidInputError("residual_tol must be positive")
 
     @property
     def effective_damping(self) -> float:
-        return (1.0 - math.sqrt(self.eps)) if self.damping is None else self.damping
+        return 1.0 - math.sqrt(self.eps)
 
     @property
     def effective_max_iters(self) -> int:
-        if self.max_richardson_iters is not None:
-            return self.max_richardson_iters
         return 8 * max(1, math.ceil(math.log(1.0 / self.eps)))
 
     def with_lam(self, lam: float) -> "RegressionConfig":
@@ -203,9 +198,9 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
 
     Iterates ``x <- x - damping * M^+ (apply_normal(x) - rhs)`` from zero
     (or ``x0``) until the preconditioned residual drops below
-    ``config.residual_tol`` relative to the preconditioned right-hand side,
-    or the iteration budget runs out.  Returns the final iterate and the
-    number of updates applied.
+    :data:`RESIDUAL_TOL` relative to the preconditioned right-hand side, or
+    the budget ``config.effective_max_iters`` runs out.  Returns the final
+    iterate and the number of updates applied.
 
     Raises
     ------
@@ -217,7 +212,7 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
     if x.shape != rhs.shape:
         raise InvalidInputError("x0 must match the right-hand side length")
     scale = float(np.linalg.norm(apply_precond(rhs)))
-    tol = config.residual_tol * max(scale, np.finfo(float).tiny)
+    tol = RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
     history: list[float] = []
     iterations = 0
     for _ in range(config.effective_max_iters):

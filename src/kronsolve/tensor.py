@@ -57,13 +57,12 @@ class CompactSvd:
     """Compact SVD ``a = u @ diag(sigma) @ v.T`` with positive singular values.
 
     ``u`` is n x r and ``v`` is d x r with orthonormal columns; ``sigma`` is
-    sorted non-increasing and strictly above ``rank_tol * sigma[0]``.
+    sorted non-increasing and strictly above ``DEFAULT_RANK_TOL * sigma[0]``.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     @property
     def rank(self) -> int:
@@ -73,25 +72,21 @@ class CompactSvd:
         return (self.u * self.sigma) @ self.v.T
 
 
-def compact_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
-    """Compact SVD of ``a`` with singular values <= rank_tol * sigma_max dropped.
+def compact_svd(a) -> CompactSvd:
+    """Compact SVD of ``a``; drops singular values <= DEFAULT_RANK_TOL * sigma_max.
 
     Parameters
     ----------
     a : array_like, shape (n, d)
-    rank_tol : float
-        Relative truncation threshold, in [0, 1).
 
     Raises
     ------
     InvalidInputError
-        On non-finite input or rank_tol outside [0, 1).
+        On non-finite input.
     NumericalFailureError
         If the underlying LAPACK solver does not converge.
     """
     a = as_matrix(a)
-    if not 0.0 <= rank_tol < 1.0:
-        raise InvalidInputError(f"rank_tol must be in [0, 1), got {rank_tol}")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -102,14 +97,13 @@ def compact_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
     if s.size == 0 or s[0] <= 0.0:
         r = 0
     else:
-        r = int(np.count_nonzero(s > rank_tol * s[0]))
-    return CompactSvd(u=u[:, :r].copy(), sigma=s[:r].copy(), v=vt[:r].T.copy(),
-                      rank_tol=rank_tol)
+        r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
+    return CompactSvd(u=u[:, :r].copy(), sigma=s[:r].copy(), v=vt[:r].T.copy())
 
 
-def pseudo_inverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose inverse via the compact SVD: ``v @ diag(1/sigma) @ u.T``."""
-    svd = compact_svd(a, rank_tol)
+    svd = compact_svd(a)
     if svd.rank == 0:
         return np.zeros((svd.v.shape[0], svd.u.shape[0]))
     return (svd.v / svd.sigma) @ svd.u.T

@@ -127,14 +127,13 @@ def core_update(model: TuckerModel, x, mode: str = "exact",
     return devectorize(report.solution, model.core_shape)
 
 
-def naive_factor_update(model: TuckerModel, x, n: int,
-                        max_dense_entries: int | None = DEFAULT_DENSE_GUARD,
-                        ) -> np.ndarray:
+def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     """Exact ridge update of factor ``n``: every row solved via the normal
     equation ``(KK^T + lam I)^+ K b_i^T`` with ``K = G_(n) (kron of others)^T``.
 
     ``KK^T`` is assembled through the factor-Gram Kronecker identity; the
-    per-row right-hand sides use implicit Kronecker multiplies.
+    per-row right-hand sides use implicit Kronecker multiplies.  Refuses
+    when ``R_rest^2`` exceeds ``DEFAULT_DENSE_GUARD``.
     """
     x = as_tensor(x)
     if x.shape != model.shape:
@@ -144,10 +143,10 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     others = _other_factors(model, n)
     g_n = unfold(model.core, n)
     r_rest = g_n.shape[1]
-    if max_dense_entries is not None and r_rest * r_rest > max_dense_entries:
+    if r_rest * r_rest > DEFAULT_DENSE_GUARD:
         raise SizeGuardError(
             f"Gram Kronecker product would hold {r_rest}x{r_rest} entries "
-            f"(guard: {max_dense_entries})")
+            f"(guard: {DEFAULT_DENSE_GUARD})")
     gram_rest = reduce(np.kron, [a.T @ a for a in others], np.ones((1, 1)))
     kkt = g_n @ gram_rest @ g_n.T
     b = unfold(x, n)
@@ -174,7 +173,6 @@ class FactorUpdateWorkspace:
     gnt_pinv: np.ndarray         # (G^T)^+    (R_n x R_rest)
     penalty_weight: float
     base: KronPreconditioner     # (K^T K + w I)^+ from the Gram eigendecompositions
-    correction_left: np.ndarray  # G^+                (R_rest x R_n)
     correction_mid: np.ndarray   # Woodbury core inverse (R_n x R_n)
     correction_right: np.ndarray  # lam (G^T)^+ - w G  (R_n x R_rest)
 
@@ -192,7 +190,7 @@ class FactorUpdateWorkspace:
         base = self.base.apply(z)
         corr = self.correction_right @ base
         corr = self.correction_mid @ corr
-        corr = self.correction_left @ corr
+        corr = self.gn_pinv @ corr
         return base - self.base.apply(corr)
 
 
@@ -249,8 +247,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
             diagnostics={"w": w, "mode": n}) from exc
     return FactorUpdateWorkspace(
         g_n=g_n, gn_pinv=gn_pinv, gnt_pinv=gnt_pinv, penalty_weight=w,
-        base=base, correction_left=gn_pinv,
-        correction_mid=core_inv, correction_right=correction_right)
+        base=base, correction_mid=core_inv, correction_right=correction_right)
 
 
 def _power_iteration(operator, dim: int, seed: int = 0) -> float:
@@ -334,14 +331,10 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     seeds = np.random.SeedSequence(config.seed).spawn(i_n)
     new_factor = np.empty((i_n, model.core.shape[n]))
 
-    def sketched_operator(seed) -> SketchedKron:
-        sketch = sample_rows(sampler, s, seed)
-        return SketchedKron(others, sparse_diagonal_from_sketch(sketch, row_shape))
-
-    shared_op = sketched_operator(seeds[0]) if config.share_row_sketch else None
     for i in range(i_n):
-        op = shared_op if shared_op is not None else sketched_operator(seeds[i])
-        sdiag = op.s_diag
+        sketch = sample_rows(sampler, s, seeds[i])
+        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
+        op = SketchedKron(others, sdiag)
         rhs = op.transpose_apply(sdiag.values * b[i, sdiag.indices])
 
         def apply_normal(z: np.ndarray) -> np.ndarray:
@@ -395,7 +388,6 @@ def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
 def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                sweeps: int = 5, solver_mode: str = "exact",
                config: RegressionConfig | None = None,
-               loss_change_tol: float | None = None,
                ) -> tuple[TuckerModel, AlsReport]:
     """Alternating least squares for the regularized Tucker objective.
 
@@ -442,7 +434,6 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     record("init-core", time.perf_counter() - t0)
 
     seed_root = np.random.SeedSequence(config.seed)
-    prev_sweep_loss = report.step_losses[-1]
     for sweep in range(sweeps):
         sweep_seeds = seed_root.spawn(x.ndim + 1)
         for n in range(x.ndim):
@@ -467,12 +458,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq
                                  if x_norm_sq > 0 else 0.0)
         report.sweep_seconds.append(sum(report.step_seconds[-(x.ndim + 1):]))
-        loss = report.sweep_losses[-1]
-        if (loss_change_tol is not None
-                and abs(prev_sweep_loss - loss) <= loss_change_tol * max(1.0, abs(prev_sweep_loss))):
-            break
-        prev_sweep_loss = loss
-    report.rre = relative_error(model, x)
+    report.rre = report.sweep_rres[-1]
     return model, report
 
 

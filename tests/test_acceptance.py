@@ -207,8 +207,7 @@ def test_richardson_rate():
             iterates = []
             richardson_solve(lambda v: ata @ v, lambda v: minv @ v, a.T @ b,
                              1.0,
-                             RegressionConfig(eps=0.25, max_richardson_iters=10,
-                                              residual_tol=1e-300),
+                             RegressionConfig(eps=0.25),
                              callback=lambda xk: iterates.append(xk.copy()))
             e0 = mnorm(xstar)
             rate = 1.0 - 1.0 / kappa

@@ -81,14 +81,6 @@ class TestRegressionExperiment:
             assert a.loss == b.loss
             assert a.rows_sampled == b.rows_sampled
 
-    def test_parallel_matches_serial(self):
-        spec = self.make_spec()
-        serial = run_regression_experiment(spec)
-        par = run_regression_experiment(self.make_spec(parallel=True))
-        for a, b in zip(serial, par):
-            assert a.solver == b.solver and a.seed == b.seed
-            assert a.loss == b.loss
-
     def test_desk_scale_fast_ratio(self):
         # benchmark-default eps/delta/lambda at theoretical sample counts
         spec = self.make_spec(n=128, d=8, alpha=1.0, seeds=(0,),

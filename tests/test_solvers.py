@@ -68,8 +68,7 @@ class TestRichardson:
 
         iterates = []
         richardson_solve(lambda v: ata @ v, lambda v: minv @ v, a.T @ b, 1.0,
-                         RegressionConfig(eps=0.25, max_richardson_iters=10,
-                                          residual_tol=1e-300),
+                         RegressionConfig(eps=0.25),
                          callback=lambda xk: iterates.append(xk.copy()))
         e0 = mnorm(xstar)
         rate = 1.0 - 1.0 / kappa
@@ -84,8 +83,7 @@ class TestRichardson:
         with pytest.raises(NumericalFailureError) as err:
             richardson_solve(lambda v: ata @ v, lambda v: bad @ v,
                              rng.standard_normal(3), 1.0,
-                             RegressionConfig(eps=0.25, max_richardson_iters=50,
-                                              residual_tol=1e-300))
+                             RegressionConfig(eps=0.25))
         assert "residual_history" in err.value.diagnostics
 
 
@@ -354,9 +352,6 @@ class TestConfig:
         cfg = RegressionConfig(eps=0.25)
         assert cfg.effective_damping == pytest.approx(0.5)
         assert cfg.effective_max_iters == 8 * math.ceil(math.log(4.0))
-        cfg = RegressionConfig(eps=0.25, damping=1.0, max_richardson_iters=3)
-        assert cfg.effective_damping == 1.0
-        assert cfg.effective_max_iters == 3
 
     def test_range_validation(self):
         with pytest.raises(InvalidInputError):

@@ -26,7 +26,7 @@ from conftest import dense_kron
 
 class TestCompactSvd:
     def test_identity(self):
-        svd = compact_svd(np.eye(3), rank_tol=1e-12)
+        svd = compact_svd(np.eye(3))
         assert svd.rank == 3
         np.testing.assert_allclose(svd.sigma, [1.0, 1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(svd.u.T @ svd.u, np.eye(3), atol=1e-10)
@@ -34,7 +34,7 @@ class TestCompactSvd:
         np.testing.assert_allclose(svd.reconstruct(), np.eye(3), atol=1e-12)
 
     def test_rank_deficient_diagonal(self):
-        svd = compact_svd([[3.0, 0.0], [0.0, 0.0]], rank_tol=1e-12)
+        svd = compact_svd([[3.0, 0.0], [0.0, 0.0]])
         assert svd.rank == 1
         np.testing.assert_allclose(svd.sigma, [3.0])
 
@@ -59,10 +59,6 @@ class TestCompactSvd:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
             compact_svd([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(InvalidInputError):
-            compact_svd(np.eye(2), rank_tol=1.5)
-        with pytest.raises(InvalidInputError):
-            compact_svd(np.eye(2), rank_tol=-0.1)
 
     def test_lapack_failure_maps_to_numerical_error(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -367,15 +367,6 @@ class TestTuckerAls:
         for a, b in zip(losses, losses[1:]):
             assert b <= a * (1 + 1e-10) + 1e-10
 
-    def test_loss_change_stop(self, rng):
-        u = rng.standard_normal(5)
-        x = np.einsum("i,j->ij", u, u)
-        _, report = tucker_als(x, (1, 1), lam=0.0, sweeps=50,
-                               solver_mode="exact",
-                               config=RegressionConfig(seed=0),
-                               loss_change_tol=1e-6)
-        assert len(report.sweep_losses) < 50
-
     def test_fast_mode_practical_reaches_exact_quality(self):
         from kronsolve.experiments import generate_synth_tucker
         x = generate_synth_tucker((20, 20, 20), (4, 4, 4), 0.01, seed=0)
@@ -410,7 +401,7 @@ class TestTuckerAls:
         assert len(report.sweep_rres) == 2
         # init core + 2 sweeps x (3 factors + core)
         assert len(report.step_losses) == 1 + 2 * 4
-        assert report.rre == pytest.approx(report.sweep_rres[-1])
+        assert report.rre == report.sweep_rres[-1]
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_sweep_seconds_sum_step_times(self, rng, mode):
@@ -423,20 +414,3 @@ class TestTuckerAls:
             first = 1 + k * steps  # step 0 is the initial core solve
             assert seconds == sum(report.step_seconds[first:first + steps])
 
-
-class TestSharedSketchOption:
-    def test_shared_sketch_produces_valid_update(self, rng):
-        x = rng.standard_normal((8, 8, 8))
-        model, _ = tucker_als(x, (2, 2, 2), lam=1e-3, sweeps=1,
-                              solver_mode="exact",
-                              config=RegressionConfig(seed=3))
-        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=3,
-                               alpha=5e-5, share_row_sketch=True)
-        fast = fast_factor_matrix_update(model, x, 0, cfg)
-        naive = naive_factor_update(model, x, 0)
-        design = leftover_design(model, 0)
-        b = unfold(x, 0)
-        for i in range(8):
-            lf = row_ridge_loss(design, fast[i], b[i], 1e-3)
-            ln = row_ridge_loss(design, naive[i], b[i], 1e-3)
-            assert lf <= 3.0 * ln  # looser: one sketch reused for all rows
