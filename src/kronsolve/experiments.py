@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, KronsolveError
 from .solvers import (
+    DEFAULT_DENSE_GUARD,
     RegressionConfig,
     SolveReport,
     fast_kronecker_regression,
@@ -143,7 +144,7 @@ def _median_run(fn: Callable[[], SolveReport], repeats: int) -> SolveReport:
 
 def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
     factors, b = generate_synth_regression(spec.n, spec.d, spec.order, seed)
-    guard = None if spec.force else 10**8
+    guard = None if spec.force else DEFAULT_DENSE_GUARD
     config = RegressionConfig(eps=spec.eps, delta=spec.delta, lam=spec.lam,
                               alpha=spec.alpha, seed=seed)
     rows = spec.n**spec.order

@@ -75,9 +75,11 @@ def spectral_sample_count(d: int, eps: float, delta: float) -> int:
                      / eps**2)
 
 
-def regression_sample_count(d: int, eps: float) -> int:
-    """Rows needed for (1+eps)-approximate regression (9/10 success)."""
-    return math.ceil(REGRESSION_SAMPLE_CONSTANT * d * math.log(40 * d) / eps)
+def regression_sample_count(d: int, eps: float, alpha: float,
+                            failure_log: float = 1.0) -> int:
+    """Rows for (1+eps)-approximate regression; ``failure_log`` is e.g. ln(1/delta)."""
+    return max(1, math.ceil(alpha * REGRESSION_SAMPLE_CONSTANT * d
+                            * math.log(40 * d) * failure_log / eps))
 
 
 def approx_leverage_scores_jl(a, a_tilde, gram_tilde, eps: float, seed,

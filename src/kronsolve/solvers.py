@@ -36,12 +36,11 @@ from .kron import (
     sparse_diagonal_from_sketch,
 )
 from .leverage import (
-    REGRESSION_SAMPLE_CONSTANT,
-    LeverageScores,
     build_product_sampler,
     regression_sample_count,
     ridge_leverage_scores,
     sample_rows,
+    statistical_leverage_scores,
 )
 from .tensor import CompactSvd, as_matrix, compact_svd
 
@@ -137,7 +136,6 @@ class FactorCache:
 
 
 def build_factor_cache(a) -> FactorCache:
-    a = as_matrix(a)
     return FactorCache(svd=compact_svd(a), gram=factor_gram(a))
 
 
@@ -287,18 +285,23 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
                        iterations=0, sample_count=0, wall_time=wall)
 
 
-def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveReport:
+def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float,
+                         caches: Sequence[FactorCache] | None = None) -> SolveReport:
     """Exact ridge solution from factor SVDs and implicit Kronecker products.
 
     ``x = (V kron ...) diag(sigma/(sigma^2+lam)) (U kron ...)^T b`` where the
     per-factor compact SVDs compose into a compact SVD of ``K``; agrees with
-    :func:`naive_normal_solve` for every ``lam >= 0``.
+    :func:`naive_normal_solve` for every ``lam >= 0``.  The SVDs come from
+    ``caches`` (one per factor, checked against the factors) when passed.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if lam < 0:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    if caches is not None:
+        _check_caches(factors, caches)
     t0 = time.perf_counter()
-    svds = [compact_svd(a) for a in factors]
+    svds = ([compact_svd(a) for a in factors] if caches is None
+            else [c.svd for c in caches])
     t = kron_mat_mul([s.u.T for s in svds], b)
     sigma = reduce(np.kron, [s.sigma for s in svds])
     t = t * (sigma / (sigma**2 + lam))
@@ -306,17 +309,6 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
                        iterations=0, sample_count=0, wall_time=wall)
-
-
-def exact_factor_scores(factors: Sequence[np.ndarray],
-                        caches: Sequence[FactorCache] | None = None,
-                        ) -> list[LeverageScores]:
-    """Exact statistical leverage scores of each factor."""
-    out = []
-    for n, a in enumerate(factors):
-        svd = caches[n].svd if caches is not None else compact_svd(a)
-        out.append(ridge_leverage_scores(svd, 0.0))
-    return out
 
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
@@ -335,9 +327,9 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     factors, b, rows, cols = _validated_problem(factors, b)
     t0 = time.perf_counter()
     if sketch is None:
-        sampler = build_product_sampler(exact_factor_scores(factors))
-        s = max(1, math.ceil(config.alpha
-                             * regression_sample_count(cols, config.eps)))
+        sampler = build_product_sampler(
+            [statistical_leverage_scores(a) for a in factors])
+        s = regression_sample_count(cols, config.eps, config.alpha)
         sketch = sample_rows(sampler, s, config.seed)
     s = sketch.sample_count
     if max_dense_entries is not None and max(s * cols, cols * cols) > max_dense_entries:
@@ -372,8 +364,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     application exploits sketch sparsity and Kronecker structure.
 
     ``caches`` (one per factor, e.g. reused across Tucker sweeps) skips the
-    per-factor decompositions.  When the sample count reaches the actual row
-    count the sketch is pointless and the exact SVD solver runs instead.
+    per-factor decompositions, also in the exact SVD solver that runs instead
+    when the sample count reaches the row count and the sketch is pointless.
 
     ``wall_time`` covers the solve; the reported loss is evaluated exactly
     afterwards.
@@ -387,19 +379,19 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     lam = config.lam
 
     t0 = time.perf_counter()
-    s = max(1, math.ceil(config.alpha * REGRESSION_SAMPLE_CONSTANT * cols
-                         * math.log(40 * cols) * math.log(1.0 / config.delta)
-                         / config.eps))
+    s = regression_sample_count(cols, config.eps, config.alpha,
+                                math.log(1.0 / config.delta))
     if s >= rows:
         # sketching cannot help: more samples than rows
-        exact = kronmatmul_svd_solve(factors, b, lam)
+        exact = kronmatmul_svd_solve(factors, b, lam, caches=caches)
         wall = time.perf_counter() - t0
         return SolveReport(solution=exact.solution, loss=exact.loss,
                            iterations=0, sample_count=0, wall_time=wall)
 
     if caches is None:
         caches = [build_factor_cache(a) for a in factors]
-    sampler = build_product_sampler(exact_factor_scores(factors, caches))
+    sampler = build_product_sampler(
+        [ridge_leverage_scores(c.svd, 0.0) for c in caches])
     precond = build_kron_preconditioner([c.gram for c in caches], lam)
 
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from .kron import SketchedKron, kron_mat_mul, sparse_diagonal_from_sketch
-from .leverage import REGRESSION_SAMPLE_CONSTANT, build_product_sampler, \
+from .leverage import build_product_sampler, regression_sample_count, \
     ridge_leverage_scores, sample_rows
 from .solvers import (
     DEFAULT_DENSE_GUARD,
@@ -30,6 +30,7 @@ from .solvers import (
     RegressionConfig,
     build_factor_cache,
     build_kron_preconditioner,
+    factor_gram,
     fast_kronecker_regression,
     kronmatmul_svd_solve,
     richardson_solve,
@@ -82,10 +83,18 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return multi_mode_product(model.core, model.factors)
 
 
+def _fit(model: TuckerModel, x: np.ndarray) -> tuple[float, float]:
+    """Squared reconstruction error and the regularized loss built on it."""
+    err = float(np.sum((reconstruct(model) - x) ** 2))
+    reg = float(np.sum(model.core**2))
+    reg += sum(float(np.sum(a**2)) for a in model.factors)
+    return err, err + model.lam * reg
+
+
 def relative_error(model: TuckerModel, x) -> float:
     """Relative reconstruction error ``||Xhat - X||_F^2 / ||X||_F^2``."""
     x = as_tensor(x)
-    num = float(np.sum((reconstruct(model) - x) ** 2))
+    num, _ = _fit(model, x)
     den = float(np.sum(x**2))
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
@@ -94,11 +103,7 @@ def relative_error(model: TuckerModel, x) -> float:
 
 def regularized_loss(model: TuckerModel, x) -> float:
     """Squared reconstruction error plus lam times all squared Frobenius norms."""
-    x = as_tensor(x)
-    err = float(np.sum((reconstruct(model) - x) ** 2))
-    reg = float(np.sum(model.core**2))
-    reg += sum(float(np.sum(a**2)) for a in model.factors)
-    return err + model.lam * reg
+    return _fit(model, as_tensor(x))[1]
 
 
 def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
@@ -110,14 +115,15 @@ def core_update(model: TuckerModel, x, mode: str = "exact",
                 caches: Sequence[FactorCache] | None = None) -> np.ndarray:
     """Solve the core regression at fixed factors; returns the new core.
 
-    ``exact`` uses the SVD solver; ``fast`` runs the sketched solver, reusing
-    cached per-factor Gram SVDs when provided.
+    ``exact`` uses the SVD solver, ``fast`` the sketched solver; both reuse
+    the per-factor decompositions in ``caches`` when provided.
     """
     x = as_tensor(x)
     if x.shape != model.shape:
         raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
     if mode == "exact":
-        report = kronmatmul_svd_solve(model.factors, vectorize(x), model.lam)
+        report = kronmatmul_svd_solve(model.factors, vectorize(x), model.lam,
+                                      caches=caches)
     elif mode == "fast":
         cfg = (config or RegressionConfig()).with_lam(model.lam)
         report = fast_kronecker_regression(model.factors, vectorize(x), cfg,
@@ -218,7 +224,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
     if caches is not None:
         grams = [c.gram for k, c in enumerate(caches) if k != n]
     else:
-        grams = [build_factor_cache(a).gram for a in others]
+        grams = [factor_gram(a) for a in others]
     gram_mats = tuple(g.matrix for g in grams)
     r_rest = g_n.shape[1]
 
@@ -295,7 +301,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     equality-constrained problem with the Woodbury preconditioner; the
     solution is projected back onto the constraint set and mapped through the
     core pseudoinverse.  When the sample count reaches the available row
-    count, the exact per-row solve runs instead.
+    count, the exact per-row solve runs instead.  ``caches`` (one per factor
+    of ``model``) supply the other factors' SVDs and Gram eigenpairs.
     """
     x = as_tensor(x)
     if x.shape != model.shape:
@@ -310,19 +317,16 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     i_n = model.factors[n].shape[0]
     r_rest = math.prod(a.shape[1] for a in others)
     i_rest = math.prod(a.shape[0] for a in others)
-    s = max(1, math.ceil(config.alpha * REGRESSION_SAMPLE_CONSTANT
-                         * r_rest * math.log(40 * r_rest)
-                         * math.log(i_n / config.delta) / config.eps))
+    s = regression_sample_count(r_rest, config.eps, config.alpha,
+                                math.log(i_n / config.delta))
     if s >= i_rest:
         return naive_factor_update(model, x, n)
 
+    if caches is None:
+        caches = [build_factor_cache(a) for a in model.factors]
     workspace = build_factor_workspace(model, n, config.eps, lam, caches=caches)
-    if caches is not None:
-        svds = [c.svd for k, c in enumerate(caches) if k != n]
-    else:
-        svds = [build_factor_cache(a).svd for a in others]
     sampler = build_product_sampler(
-        [ridge_leverage_scores(svd, 0.0) for svd in svds])
+        [ridge_leverage_scores(c.svd, 0.0) for k, c in enumerate(caches) if k != n])
 
     b = unfold(x, n)
     row_shape = tuple(a.shape[0] for a in others)
@@ -396,7 +400,9 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     update.  Each sweep then updates factors for modes ``0..N-1`` followed by
     the core, recording the regularized loss after every block update.  In
     ``exact`` mode every block update is an exact minimizer, so the recorded
-    losses are non-increasing (up to roundoff).
+    losses are non-increasing (up to roundoff).  Each factor is decomposed
+    once per update into a :class:`FactorCache` that all later block updates
+    read, the exact core updates included.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
@@ -421,16 +427,14 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     x_norm_sq = float(np.sum(x**2))
 
     def record(label: str, seconds: float):
-        err = float(np.sum((reconstruct(model) - x) ** 2))
-        reg = float(np.sum(model.core**2))
-        reg += sum(float(np.sum(a**2)) for a in model.factors)
+        err, loss = _fit(model, x)
         report.step_labels.append(label)
-        report.step_losses.append(err + lam * reg)
+        report.step_losses.append(loss)
         report.step_errors.append(err)
         report.step_seconds.append(seconds)
 
     t0 = time.perf_counter()
-    model.core = core_update(model, x, mode="exact")
+    model.core = core_update(model, x, mode="exact", caches=caches)
     record("init-core", time.perf_counter() - t0)
 
     seed_root = np.random.SeedSequence(config.seed)
@@ -448,7 +452,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
             record(f"sweep{sweep}-factor{n}", time.perf_counter() - t0)
         t0 = time.perf_counter()
         if solver_mode == "exact":
-            model.core = core_update(model, x, mode="exact")
+            model.core = core_update(model, x, mode="exact", caches=caches)
         else:
             step_cfg = _reseed(config, sweep_seeds[-1])
             model.core = core_update(model, x, mode="fast", config=step_cfg,

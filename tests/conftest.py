@@ -12,3 +12,19 @@ def dense_kron(factors):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def compact_svd_calls(monkeypatch):
+    """Shapes of the matrices every ``solvers.compact_svd`` call decomposes."""
+    import kronsolve.solvers as solvers
+
+    calls = []
+    original = solvers.compact_svd
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(solvers, "compact_svd", counting)
+    return calls

@@ -8,6 +8,7 @@ from kronsolve.errors import InvalidInputError, NumericalFailureError
 from kronsolve.leverage import (
     approx_leverage_scores_jl,
     build_product_sampler,
+    regression_sample_count,
     ridge_leverage_scores,
     sample_rows,
     spectral_approx_rows,
@@ -162,6 +163,19 @@ class TestSpectralApproxRows:
         with pytest.raises(InvalidInputError):
             spectral_approx_rows(rng.standard_normal((5, 2)), eps=0.0,
                                  delta=0.1, seed=0)
+
+
+class TestRegressionSampleCount:
+    # by hand: 1680 ln(40) / 0.25 = 24789.27; 1e-3 * 1680 * 4 ln(160) / 0.1
+    # = 341.05; 1e-4 * 1680 * 16 ln(640) ln(100) / 0.25 = 319.94
+    @pytest.mark.parametrize("d, eps, alpha, failure_log, expected", [
+        (1, 0.25, 1.0, 1.0, 24790),
+        (4, 0.1, 1e-3, 1.0, 342),
+        (16, 0.25, 1e-4, math.log(100), 320),
+        (4, 0.25, 1e-9, 1.0, 1),
+    ])
+    def test_hand_values(self, d, eps, alpha, failure_log, expected):
+        assert regression_sample_count(d, eps, alpha, failure_log) == expected
 
 
 class TestProductSampler:

@@ -199,6 +199,14 @@ class TestSketchAndSolve:
             hits += rep.loss <= 1.5 * opt.loss
         assert hits >= 34  # 85%
 
+    def test_sample_count_scales_before_rounding(self, rng):
+        # ceil(0.3 * 1680 ln(40) / 0.1) = ceil(18591.95) = 18592; scaling the
+        # rounded count instead gives ceil(0.3 * ceil(61973.17)) = 18593
+        facs = [rng.standard_normal((5, 1)), rng.standard_normal((4, 1))]
+        cfg = RegressionConfig(eps=0.1, lam=1e-2, alpha=0.3, seed=0)
+        rep = sketch_and_solve_ridge(facs, rng.standard_normal(20), cfg)
+        assert rep.sample_count == 18592
+
 
 class TestPreconditioner:
     def test_dense_construction_agreement(self, rng):
@@ -308,6 +316,8 @@ class TestFastKroneckerRegression:
         rep = fast_kronecker_regression(facs, b, cfg, caches=caches)
         opt = kronmatmul_svd_solve(facs, b, 1e-2)
         assert rep.loss <= 1.3 * opt.loss
+        cached_opt = kronmatmul_svd_solve(facs, b, 1e-2, caches=caches)
+        np.testing.assert_array_equal(cached_opt.solution, opt.solution)
         # Without caches the solver builds the same ones, so both calls give
         # the same bits.  alpha=1e-3 asks for more rows than the 180 there
         # are (exact route); at 1e-4 the sketch runs.
@@ -330,13 +340,29 @@ class TestFastKroneckerRegression:
                       build_factor_cache(facs[1])]
             with pytest.raises(InvalidInputError):
                 fast_kronecker_regression(facs, b, cfg, caches=caches)
+            with pytest.raises(InvalidInputError):
+                kronmatmul_svd_solve(facs, b, 1e-2, caches=caches)
         # right rows, wrong column count
         caches = [build_factor_cache(facs[0]),
                   build_factor_cache(rng.standard_normal((12, 2)))]
         with pytest.raises(InvalidInputError):
             fast_kronecker_regression(facs, b, cfg, caches=caches)
         with pytest.raises(InvalidInputError):
+            kronmatmul_svd_solve(facs, b, 1e-2, caches=caches)
+        with pytest.raises(InvalidInputError):
             fast_kronecker_regression(facs, b, cfg, caches=caches[:1])
+        with pytest.raises(InvalidInputError):
+            kronmatmul_svd_solve(facs, b, 1e-2, caches=caches[:1])
+
+    def test_exact_fallback_reuses_caches(self, rng, compact_svd_calls):
+        facs = [rng.standard_normal((20, 3)) for _ in range(2)]
+        b = rng.standard_normal(400)
+        caches = [build_factor_cache(a) for a in facs]
+        before = len(compact_svd_calls)
+        cfg = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, alpha=1.0, seed=0)
+        rep = fast_kronecker_regression(facs, b, cfg, caches=caches)
+        assert rep.sample_count == 0  # the exact route ran
+        assert len(compact_svd_calls) == before
 
     def test_report_loss_matches_solution(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]

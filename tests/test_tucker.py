@@ -391,6 +391,13 @@ class TestTuckerAls:
         with pytest.raises(InvalidInputError):
             tucker_als(x, (2, 2), solver_mode="bogus")
 
+    def test_exact_mode_decomposes_each_factor_once(self, rng, compact_svd_calls):
+        x = rng.standard_normal((6, 5, 4))
+        tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode="exact")
+        # one cache per factor at the start and after each factor update;
+        # the exact core updates read them
+        assert len(compact_svd_calls) == 3 * (2 + 1)
+
     def test_report_structure(self, rng):
         x = rng.standard_normal((5, 4, 3))
         _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=2,
