@@ -6,8 +6,12 @@ factor list.  ``kron_mat_mul`` peels the rightmost factor off recursively;
 factors.  :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the distinct Kronecker rows each group needs, and applies ``S K``,
-``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The
-``sketched_*`` functions are one-shot wrappers around it.
+``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The left-group
+row of every nonzero and the flat scatter index of the transpose are also
+built once (about nnz x left-group columns floats plus nnz x right-group
+columns int64), so an apply gathers only the right-group side and a
+transpose scatters with one ``np.bincount``.  The ``sketched_*`` functions
+are one-shot wrappers around it.
 """
 
 from __future__ import annotations
@@ -246,10 +250,14 @@ class SketchedKron:
     once: the factors are validated, the nonzero rows are split by
     :func:`balanced_partition` into a left and a right column group, and the
     distinct Kronecker rows of each group are formed together with every
-    nonzero row's position among them.  Each later apply is then a gather
-    plus small dense multiplies.  When more than
+    nonzero row's position among them.  Two structures that every call
+    would otherwise rebuild are kept as well: ``left_gather``, the
+    left-group row of each nonzero (nnz x left-group columns floats), and
+    ``scatter``, the flat (left row, right column) bin of each entry the
+    transpose accumulates (nnz x right-group columns int64).  Each later
+    apply is then a gather plus small dense multiplies.  When more than
     ``SPARSE_FALLBACK_FRACTION`` of the rows are sketched, the applies use
-    plain dense ``kron_mat_mul`` instead.
+    plain dense ``kron_mat_mul`` instead and nothing is precomputed.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
@@ -267,6 +275,9 @@ class SketchedKron:
         multi = np.unravel_index(s_diag.indices, row_shape)
         self.left_rows, self.left_pos = self._group_rows(self.part.left, multi, row_shape)
         self.right_rows, self.right_pos = self._group_rows(self.part.right, multi, row_shape)
+        self.left_gather = self.left_rows[self.left_pos]
+        r_right = self.right_rows.shape[1]
+        self.scatter = (self.left_pos[:, None] * r_right + np.arange(r_right)).reshape(-1)
 
     def _group_rows(self, positions, multi, row_shape):
         """Distinct Kronecker rows of one factor group, and each nonzero's position."""
@@ -298,7 +309,7 @@ class SketchedKron:
         r_left = self.left_rows.shape[1]
         c_mat = _permute_to_groups(c, self.col_shape, self.part).reshape(r_left, -1).T
         y = self.right_rows @ c_mat  # (distinct right rows) x (left cols)
-        vals = np.einsum("tj,tj->t", y[self.right_pos], self.left_rows[self.left_pos])
+        vals = np.einsum("tj,tj->t", y[self.right_pos], self.left_gather)
         return self.s_diag.values * vals
 
     def transpose_apply(self, b_values) -> np.ndarray:
@@ -306,8 +317,9 @@ class SketchedKron:
 
         ``S b`` is scattered into a sparse matricization over the factor
         split, and one rectangular multiply against the distinct left-group
-        rows finishes the contraction.  ``b_values[t]`` corresponds to
-        ``s_diag.indices[t]``.
+        rows finishes the contraction.  ``np.bincount`` adds each bin's terms
+        in nonzero order, as ``np.add.at`` would, so the sums are the same
+        to the bit.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
         """
         b_values = np.asarray(b_values, dtype=np.float64).reshape(-1)
         if b_values.size != self.s_diag.nnz:
@@ -320,8 +332,10 @@ class SketchedKron:
             full[self.s_diag.indices] = scaled
             return kron_mat_mul([a.T for a in self.factors], full)
         # columns of (right kron)^T @ B_S at the occupied left-group indices
-        w = np.zeros((self.left_rows.shape[0], self.right_rows.shape[1]))
-        np.add.at(w, self.left_pos, scaled[:, None] * self.right_rows[self.right_pos])
+        shape = (self.left_rows.shape[0], self.right_rows.shape[1])
+        terms = scaled[:, None] * self.right_rows[self.right_pos]
+        w = np.bincount(self.scatter, weights=terms.reshape(-1),
+                        minlength=shape[0] * shape[1]).reshape(shape)
         m = w.T @ self.left_rows  # (right cols) x (left cols): the rectangular multiply
         grouped = m.T.reshape(-1)  # natural (left slow, right fast) flat order
         return _permute_from_groups(grouped, self.col_shape, self.part)

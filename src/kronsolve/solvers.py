@@ -198,7 +198,9 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
     (or ``x0``) until the preconditioned residual drops below
     :data:`RESIDUAL_TOL` relative to the preconditioned right-hand side, or
     the budget ``config.effective_max_iters`` runs out.  Returns the final
-    iterate and the number of updates applied.
+    iterate and the number of updates applied.  From zero the first step is
+    ``-M^+ rhs``, which the tolerance already needs, so it costs no
+    operator apply.
 
     Raises
     ------
@@ -209,12 +211,16 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != rhs.shape:
         raise InvalidInputError("x0 must match the right-hand side length")
-    scale = float(np.linalg.norm(apply_precond(rhs)))
+    precond_rhs = apply_precond(rhs)
+    scale = float(np.linalg.norm(precond_rhs))
     tol = RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
     history: list[float] = []
     iterations = 0
-    for _ in range(config.effective_max_iters):
-        step = apply_precond(apply_normal(x) - rhs)
+    for k in range(config.effective_max_iters):
+        if k == 0 and x0 is None:
+            step = -precond_rhs  # apply_normal(0) is 0
+        else:
+            step = apply_precond(apply_normal(x) - rhs)
         norm = float(np.linalg.norm(step))
         history.append(norm)
         if norm <= tol:
@@ -368,7 +374,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     when the sample count reaches the row count and the sketch is pointless.
 
     ``wall_time`` covers the solve; the reported loss is evaluated exactly
-    afterwards.
+    afterwards, once the sketched operator and its precomputed gathers have
+    been released, so they do not add to the loss's peak memory.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if not 0.0 < config.eps <= 0.25:
@@ -404,5 +411,6 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     x, iters = richardson_solve(lambda v: op.normal(v) + lam * v, precond.apply,
                                 rhs, config.effective_damping, config)
     wall = time.perf_counter() - t0
+    del op
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
                        iterations=iters, sample_count=s, wall_time=wall)

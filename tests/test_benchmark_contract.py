@@ -9,6 +9,8 @@ benchmark run.  ``perfbench/`` is only read.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +72,22 @@ def test_tucker_fingerprint():
     result = ks.tucker.tucker_als(x, (2, 2, 2), lam=config.lam, sweeps=1,
                                   solver_mode="fast", config=config)
     assert len(workloads.TuckerWorkload.fingerprint(result)) == 16
+
+
+def test_fast_route_does_not_import_scipy():
+    # importing scipy.sparse costs about 0.2 s of setup_s; numpy is the one
+    # dependency
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import kronsolve as ks\n"
+        "rs = np.random.default_rng(0)\n"
+        "facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]\n"
+        "cfg = ks.solvers.RegressionConfig(seed=0, alpha=1e-4)\n"
+        "rep = ks.solvers.fast_kronecker_regression(facs, np.ones(400), cfg)\n"
+        "assert rep.sample_count > 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, cwd=Path(__file__).resolve().parent.parent)
+    assert result.returncode == 0, result.stderr

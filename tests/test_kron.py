@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronsolve.errors import InvalidInputError
@@ -246,6 +246,29 @@ class TestSketchedApplies:
             sketched_kron_apply(facs, sd, rng.standard_normal(4))
 
 
+def sketched_problem(shapes, seed, distinct, n_repeats):
+    """Factors of the given shapes and a sketch diagonal over ``distinct`` rows.
+
+    Every chosen row is drawn once and ``n_repeats`` of them again, in a
+    shuffled order, so the diagonal accumulates duplicate draws.
+    """
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal(s) for s in shapes]
+    row_shape = tuple(s[0] for s in shapes)
+    n_rows = math.prod(row_shape)
+    rows = rng.choice(n_rows, size=distinct, replace=False)
+    repeats = rng.choice(rows, size=n_repeats) if distinct else rows
+    flat = np.concatenate([rows, repeats]).astype(np.int64)
+    rng.shuffle(flat)
+    multi = np.stack(np.unravel_index(flat, row_shape), axis=1)
+    sketch = RowSketch(indices=multi, weights=rng.uniform(0.1, 2.0, flat.size))
+    sd = sparse_diagonal_from_sketch(sketch, row_shape)
+    assert sd.nnz == distinct
+    c = rng.standard_normal(math.prod(s[1] for s in shapes))
+    b_values = rng.standard_normal(sd.nnz)
+    return factors, sd, c, b_values
+
+
 @st.composite
 def sketched_problems(draw):
     """Factors of order 1-4 and a sketch diagonal with repeated draws.
@@ -258,27 +281,13 @@ def sketched_problems(draw):
     shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
                            min_size=1, max_size=4))
     seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    factors = [rng.standard_normal(s) for s in shapes]
-    row_shape = tuple(s[0] for s in shapes)
-    n_rows = math.prod(row_shape)
+    n_rows = math.prod(s[0] for s in shapes)
     sparse_max = int(n_rows * SPARSE_FALLBACK_FRACTION)
     if draw(st.booleans()) or sparse_max == 0:
         distinct = draw(st.integers(sparse_max + 1, n_rows))
     else:
         distinct = draw(st.integers(0, sparse_max))
-    rows = rng.choice(n_rows, size=distinct, replace=False)
-    # every chosen row at least once, some of them again
-    repeats = rng.choice(rows, size=draw(st.integers(0, 6))) if distinct else rows
-    flat = np.concatenate([rows, repeats]).astype(np.int64)
-    rng.shuffle(flat)
-    multi = np.stack(np.unravel_index(flat, row_shape), axis=1)
-    sketch = RowSketch(indices=multi, weights=rng.uniform(0.1, 2.0, flat.size))
-    sd = sparse_diagonal_from_sketch(sketch, row_shape)
-    assert sd.nnz == distinct
-    c = rng.standard_normal(math.prod(s[1] for s in shapes))
-    b_values = rng.standard_normal(sd.nnz)
-    return factors, sd, c, b_values
+    return sketched_problem(shapes, seed, distinct, draw(st.integers(0, 6)))
 
 
 def sketched_oracle(factors, sd):
@@ -286,7 +295,52 @@ def sketched_oracle(factors, sd):
     return sd.values[:, None] * explicit_kron(factors)[sd.indices]
 
 
+def first_formulation(op, c, b_values):
+    """``op.apply(c)`` and ``op.transpose_apply(b_values)`` as first written.
+
+    Both gathers are rebuilt on every call and the transpose scatters with
+    ``np.add.at``; the operator's precomputed kernels must match this to the
+    bit.
+    """
+    sd = op.s_diag
+    if sd.nnz == 0:
+        return np.zeros(0), np.zeros(op.cols)
+    scaled = sd.values * b_values
+    if op.dense:
+        full = np.zeros(op.rows)
+        full[sd.indices] = scaled
+        return (sd.values * kron_mat_mul(op.factors, c)[sd.indices],
+                kron_mat_mul([a.T for a in op.factors], full))
+    order = op.part.left + op.part.right
+    r_left = op.left_rows.shape[1]
+    c_mat = c.reshape(op.col_shape).transpose(order).reshape(-1).reshape(r_left, -1).T
+    y = op.right_rows @ c_mat
+    vals = np.einsum("tj,tj->t", y[op.right_pos], op.left_rows[op.left_pos])
+    w = np.zeros((op.left_rows.shape[0], op.right_rows.shape[1]))
+    np.add.at(w, op.left_pos, scaled[:, None] * op.right_rows[op.right_pos])
+    grouped = (w.T @ op.left_rows).T.reshape(-1)
+    grouped_shape = tuple(op.col_shape[i] for i in order)
+    natural = grouped.reshape(grouped_shape).transpose(
+        tuple(np.argsort(np.asarray(order)))).reshape(-1)
+    return sd.values * vals, natural
+
+
 class TestSketchedProperties:
+    # order 1 (left group empty), a unit column dimension (left group
+    # empty), a 1,200-row operator whose bins each sum many draws, order 4
+    @example(sketched_problem([(5, 2)], 1, 2, 6))
+    @example(sketched_problem([(4, 1), (3, 2)], 2, 5, 6))
+    @example(sketched_problem([(40, 3), (30, 3)], 3, 500, 300))
+    @example(sketched_problem([(5, 2), (4, 3), (3, 2), (2, 2)], 4, 30, 40))
+    @given(sketched_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_kernels_bitwise_match_first_formulation(self, problem):
+        factors, sd, c, b_values = problem
+        op = SketchedKron(factors, sd)
+        apply_ref, transpose_ref = first_formulation(op, c, b_values)
+        np.testing.assert_array_equal(op.apply(c), apply_ref)
+        np.testing.assert_array_equal(op.transpose_apply(b_values), transpose_ref)
+
     @given(sketched_problems())
     @settings(max_examples=150, deadline=None)
     def test_applies_match_explicit_kron(self, problem):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -74,6 +75,28 @@ class TestRichardson:
         rate = 1.0 - 1.0 / kappa
         for k, xk in enumerate(iterates, start=1):
             assert mnorm(xk - xstar) <= rate**k * e0 * (1 + 1e-10) + 1e-12
+
+    def test_zero_start_skips_the_zero_product(self, rng):
+        a = rng.standard_normal((8, 3))
+        b = rng.standard_normal(8)
+        ata = a.T @ a
+        minv = np.linalg.inv(2.0 * ata)
+        runs = []
+        for x0 in (None, np.zeros(3)):
+            calls = []
+
+            def apply_normal(v):
+                calls.append(v)
+                return ata @ v
+
+            x, iters = richardson_solve(apply_normal, lambda v: minv @ v,
+                                        a.T @ b, 1.0, RegressionConfig(eps=0.25),
+                                        x0=x0)
+            runs.append((x, iters, len(calls)))
+        (x_none, iters_none, calls_none), (x_zero, iters_zero, calls_zero) = runs
+        np.testing.assert_array_equal(x_none, x_zero)
+        assert iters_none == iters_zero > 1
+        assert calls_none == calls_zero - 1
 
     def test_divergence_detected(self, rng):
         a = rng.standard_normal((6, 3))
@@ -297,6 +320,33 @@ class TestFastKroneckerRegression:
             opt = kronmatmul_svd_solve(facs, b, 1e-3)
             hits += rep.loss <= (1 + cfg.eps) * opt.loss
         assert hits >= 95
+
+    def test_operator_released_before_exact_loss(self, monkeypatch):
+        # the loss's dense multiply must not run on top of the operator's
+        # precomputed gathers
+        import kronsolve.solvers as solvers
+
+        ops = []
+
+        class Recording(solvers.SketchedKron):
+            def __init__(self, *args):
+                super().__init__(*args)
+                ops.append((weakref.ref(self), self.dense))
+
+        original_loss = solvers.ridge_loss
+
+        def checked_loss(*args):
+            assert ops and all(ref() is None for ref, _ in ops)
+            return original_loss(*args)
+
+        monkeypatch.setattr(solvers, "SketchedKron", Recording)
+        monkeypatch.setattr(solvers, "ridge_loss", checked_loss)
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
+        assert rep.iterations > 0
+        assert [dense for _, dense in ops] == [False]
 
     def test_scale_equivariance(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]
