@@ -109,6 +109,20 @@ def run_checks() -> int:
     check("woodbury preconditioner",
           np.allclose(ws.apply(z), np.linalg.pinv(m) @ z, atol=1e-8))
 
+    # Tucker loss from the Gram identity vs the dense reconstruction, with
+    # the error at 1e-4 of ||X||^2 so that the identity's terms cancel
+    xhat = tucker.reconstruct(model)
+    noise = rng.standard_normal(xhat.shape)
+    xt = xhat + 1e-2 * np.linalg.norm(xhat) / np.linalg.norm(noise) * noise
+    err, loss = tucker._fit(model, xt, float(np.sum(xt**2)), tucker._qr_bases(model))
+    dense_err = float(np.sum((xhat - xt) ** 2))
+    dense_loss = dense_err + model.lam * (
+        float(np.sum(model.core**2)) + sum(float(np.sum(f**2)) for f in model.factors))
+    check("tucker loss identity",
+          abs(err - dense_err) <= 1e-10 * dense_err
+          and abs(loss - dense_loss) <= 1e-10 * dense_loss,
+          f"error {err!r} vs {dense_err!r}, loss {loss!r} vs {dense_loss!r}")
+
     # tensor file round trip
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.ktn"

@@ -3,13 +3,16 @@
 The operator ``K = A1 kron ... kron AN`` is only ever represented by its
 factor list.  ``kron_mat_mul`` peels the rightmost factor off recursively;
 ``kron_vec_square`` cycles the reshape-multiply-permute identity for square
-factors.  :class:`SketchedKron` is the row-sparsified ``S K`` for one
+factors; its checks wrap an unchecked kernel that the Kronecker-eigen
+preconditioner calls directly, because its factors are eigenvectors
+computed from checked input.  :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the distinct Kronecker rows each group needs, and applies ``S K``,
 ``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The left-group
-row of every nonzero and the flat scatter index of the transpose are also
-built once (about nnz x left-group columns floats plus nnz x right-group
-columns int64), so an apply gathers only the right-group side and a
+row of every nonzero, the flat scatter index of the transpose and the
+column permutation into and out of the group order are also built once
+(about nnz x left-group columns floats plus nnz x right-group columns
+int64), so an apply gathers only the right-group side and a
 transpose scatters with one ``np.bincount``.  The ``sketched_*`` functions
 are one-shot wrappers around it.
 """
@@ -98,6 +101,12 @@ def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
     size = math.prod(a.shape[0] for a in factors)
     if c.size != size:
         raise InvalidInputError(f"vector length {c.size} != operator size {size}")
+    return _kron_vec_square(factors, c)
+
+
+def _kron_vec_square(factors: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """:func:`kron_vec_square` without its checks: square float64 factors and
+    a flat float64 ``c`` of matching length are the caller's promise."""
     v = c
     for a in reversed(factors):
         r_n = a.shape[0]
@@ -228,21 +237,6 @@ def sketch_rows_of_kron(factors: Sequence[np.ndarray], sketch: RowSketch) -> np.
     return sketch.weights[:, None] * kron_rows(factors, idx)
 
 
-def _permute_from_groups(v: np.ndarray, col_shape: tuple[int, ...],
-                         part: FactorPartition) -> np.ndarray:
-    """Reorder a (left-group, right-group) flat vector to natural order."""
-    order = part.left + part.right
-    inverse = np.argsort(np.asarray(order))
-    grouped_shape = tuple(col_shape[i] for i in order)
-    return v.reshape(grouped_shape).transpose(tuple(inverse)).reshape(-1)
-
-
-def _permute_to_groups(v: np.ndarray, col_shape: tuple[int, ...],
-                       part: FactorPartition) -> np.ndarray:
-    order = part.left + part.right
-    return v.reshape(col_shape).transpose(order).reshape(-1)
-
-
 class SketchedKron:
     """The row-sparsified operator ``S K`` for one sparse diagonal ``S``.
 
@@ -250,11 +244,12 @@ class SketchedKron:
     once: the factors are validated, the nonzero rows are split by
     :func:`balanced_partition` into a left and a right column group, and the
     distinct Kronecker rows of each group are formed together with every
-    nonzero row's position among them.  Two structures that every call
+    nonzero row's position among them.  Three structures that every call
     would otherwise rebuild are kept as well: ``left_gather``, the
-    left-group row of each nonzero (nnz x left-group columns floats), and
+    left-group row of each nonzero (nnz x left-group columns floats),
     ``scatter``, the flat (left row, right column) bin of each entry the
-    transpose accumulates (nnz x right-group columns int64).  Each later
+    transpose accumulates (nnz x right-group columns int64), and the column
+    mode order of the two groups with its inverse permutation.  Each later
     apply is then a gather plus small dense multiplies.  When more than
     ``SPARSE_FALLBACK_FRACTION`` of the rows are sketched, the applies use
     plain dense ``kron_mat_mul`` instead and nothing is precomputed.
@@ -276,6 +271,10 @@ class SketchedKron:
         self.left_rows, self.left_pos = self._group_rows(self.part.left, multi, row_shape)
         self.right_rows, self.right_pos = self._group_rows(self.part.right, multi, row_shape)
         self.left_gather = self.left_rows[self.left_pos]
+        # column modes in (left group, right group) order, and back
+        self.group_order = self.part.left + self.part.right
+        self.grouped_shape = tuple(self.col_shape[i] for i in self.group_order)
+        self.ungroup = tuple(int(i) for i in np.argsort(self.group_order))
         r_right = self.right_rows.shape[1]
         self.scatter = (self.left_pos[:, None] * r_right + np.arange(r_right)).reshape(-1)
 
@@ -307,7 +306,8 @@ class SketchedKron:
             full = kron_mat_mul(self.factors, c)
             return self.s_diag.values * full[self.s_diag.indices]
         r_left = self.left_rows.shape[1]
-        c_mat = _permute_to_groups(c, self.col_shape, self.part).reshape(r_left, -1).T
+        grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(-1)
+        c_mat = grouped.reshape(r_left, -1).T
         y = self.right_rows @ c_mat  # (distinct right rows) x (left cols)
         vals = np.einsum("tj,tj->t", y[self.right_pos], self.left_gather)
         return self.s_diag.values * vals
@@ -337,8 +337,8 @@ class SketchedKron:
         w = np.bincount(self.scatter, weights=terms.reshape(-1),
                         minlength=shape[0] * shape[1]).reshape(shape)
         m = w.T @ self.left_rows  # (right cols) x (left cols): the rectangular multiply
-        grouped = m.T.reshape(-1)  # natural (left slow, right fast) flat order
-        return _permute_from_groups(grouped, self.col_shape, self.part)
+        # (left slow, right fast) grouped order, permuted back to natural order
+        return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
 
     def normal(self, x) -> np.ndarray:
         """``K^T S^2 K x``, the sketched normal matrix applied to ``x``."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,10 +28,10 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from .kron import (
     SketchedKron,
+    _kron_vec_square,
     check_factors,
     kron_mat_mul,
     kron_operator_shape,
-    kron_vec_square,
     sketch_rows_of_kron,
     sparse_diagonal_from_sketch,
 )
@@ -129,14 +129,24 @@ def factor_gram(a) -> FactorGram:
 
 @dataclass(frozen=True)
 class FactorCache:
-    """Per-factor spectral data reused across solves: thin SVD plus Gram."""
+    """Per-factor spectral data reused across solves: thin SVD plus Gram.
+
+    The SVD is computed when the cache is built.  The Gram eigenpairs are
+    computed from the stored factor on first access only, because the exact
+    solvers read just the SVD; the factor must not be modified in place
+    while the cache is in use.
+    """
 
     svd: CompactSvd
-    gram: FactorGram
+    factor: np.ndarray
+
+    @cached_property
+    def gram(self) -> FactorGram:
+        return factor_gram(self.factor)
 
 
 def build_factor_cache(a) -> FactorCache:
-    return FactorCache(svd=compact_svd(a), gram=factor_gram(a))
+    return FactorCache(svd=compact_svd(a), factor=np.asarray(a, dtype=np.float64))
 
 
 def _check_caches(factors: Sequence[np.ndarray],
@@ -144,10 +154,10 @@ def _check_caches(factors: Sequence[np.ndarray],
     if len(caches) != len(factors):
         raise InvalidInputError("need one cache entry per factor")
     for n, (a, cache) in enumerate(zip(factors, caches)):
-        if cache.svd.u.shape[0] != a.shape[0] or cache.gram.v.shape[0] != a.shape[1]:
+        if cache.svd.u.shape[0] != a.shape[0] or cache.svd.v.shape[0] != a.shape[1]:
             raise InvalidInputError(
                 f"cache {n} was built for a {cache.svd.u.shape[0]}x"
-                f"{cache.gram.v.shape[0]} factor, factor {n} is "
+                f"{cache.svd.v.shape[0]} factor, factor {n} is "
                 f"{a.shape[0]}x{a.shape[1]}")
 
 
@@ -158,16 +168,19 @@ class KronPreconditioner:
     ``d_diag`` holds ``(eig_1 kron ... kron eig_N + lam)^+`` entries (zero
     where the eigenvalue product and ``lam`` both vanish), so applying the
     preconditioner costs one diagonal scaling between two square Kronecker
-    multiplies.
+    multiplies.  The factors are :class:`FactorGram` eigenvectors, computed
+    from checked input, so :meth:`apply` multiplies through the unchecked
+    kernel of :func:`~kronsolve.kron.kron_vec_square`.
     """
 
     v_factors: tuple[np.ndarray, ...]
     d_diag: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        t = kron_vec_square([v.T for v in self.v_factors], x)
+        """``(V kron ...) D (V kron ...)^T x`` for a flat float64 ``x``."""
+        t = _kron_vec_square([v.T for v in self.v_factors], x)
         t = t * self.d_diag
-        return kron_vec_square(list(self.v_factors), t)
+        return _kron_vec_square(self.v_factors, t)
 
 
 def pseudo_reciprocal(d: np.ndarray) -> np.ndarray:
@@ -306,15 +319,24 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float,
     if caches is not None:
         _check_caches(factors, caches)
     t0 = time.perf_counter()
+    x = _svd_ridge_solution(factors, b, lam, caches)
+    wall = time.perf_counter() - t0
+    return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
+                       iterations=0, sample_count=0, wall_time=wall)
+
+
+def _svd_ridge_solution(factors: Sequence[np.ndarray], b: np.ndarray, lam: float,
+                        caches: Sequence[FactorCache] | None) -> np.ndarray:
+    """The solution of :func:`kronmatmul_svd_solve` without checks or loss.
+
+    The caller has validated ``factors``, ``b``, ``lam`` and ``caches``.
+    """
     svds = ([compact_svd(a) for a in factors] if caches is None
             else [c.svd for c in caches])
     t = kron_mat_mul([s.u.T for s in svds], b)
     sigma = reduce(np.kron, [s.sigma for s in svds])
     t = t * (sigma / (sigma**2 + lam))
-    x = kron_mat_mul([s.v for s in svds], t)
-    wall = time.perf_counter() - t0
-    return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
-                       iterations=0, sample_count=0, wall_time=wall)
+    return kron_mat_mul([s.v for s in svds], t)
 
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,

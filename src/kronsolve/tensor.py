@@ -134,6 +134,11 @@ def unfold(x, mode: int) -> np.ndarray:
     x = as_tensor(x)
     if not 0 <= mode < x.ndim:
         raise InvalidInputError(f"mode {mode} out of range for order-{x.ndim} tensor")
+    return _unfold(x, mode)
+
+
+def _unfold(x: np.ndarray, mode: int) -> np.ndarray:
+    """:func:`unfold` of an already validated float64 tensor (no finiteness scan)."""
     return np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1)
 
 

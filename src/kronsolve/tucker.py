@@ -28,15 +28,16 @@ from .solvers import (
     FactorCache,
     KronPreconditioner,
     RegressionConfig,
+    _check_caches,
+    _svd_ridge_solution,
+    _validated_problem,
     build_factor_cache,
     build_kron_preconditioner,
     factor_gram,
     fast_kronecker_regression,
-    kronmatmul_svd_solve,
     richardson_solve,
 )
-from .tensor import as_tensor, multi_mode_product, pseudo_inverse, unfold, vectorize, \
-    devectorize
+from .tensor import _unfold, as_tensor, multi_mode_product, pseudo_inverse, unfold
 
 POWER_ITERATION_MAX = 100
 POWER_ITERATION_TOL = 1e-6
@@ -83,19 +84,64 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return multi_mode_product(model.core, model.factors)
 
 
-def _fit(model: TuckerModel, x: np.ndarray) -> tuple[float, float]:
-    """Squared reconstruction error and the regularized loss built on it."""
-    err = float(np.sum((reconstruct(model) - x) ** 2))
+def _model_tensor(model: TuckerModel, x) -> np.ndarray:
+    """Validate ``x`` (finite, the model's shape) and return it as float64."""
+    x = as_tensor(x)
+    if x.shape != model.shape:
+        raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
+    return x
+
+
+def _project(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``x x_1 M1^T ... x_N MN^T``: each matrix's rows contract one mode of ``x``."""
+    for m in mats:
+        x = np.tensordot(x, m, axes=([0], [0]))  # contracts the leading mode, appends R_n
+    return x
+
+
+def _qr_bases(model: TuckerModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [np.linalg.qr(a) for a in model.factors]
+
+
+def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float,
+         bases: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+    """Squared reconstruction error and the regularized loss built on it.
+
+    ``x_norm_sq`` is ``||X||_F^2`` and ``bases`` holds ``np.linalg.qr`` of
+    each factor, so that ALS decomposes only the factor a step changed.
+    The error comes from the Gram identity (Kolda & Bader 2009, SIAM
+    Review, section 4.2)
+
+        ||Xhat - X||^2 = ||X||^2 - 2 <X x_n A_n^T, G> + <G x_n A_n^T A_n, G>,
+
+    so no dense reconstruction is formed: the cost is one pass over ``x``
+    plus core-sized work.  It is evaluated in each factor's QR basis
+    ``A_n = Q_n R_n``: with ``Y = X x_n Q_n^T`` and ``H = G x_n R_n`` it reads
+    ``(||X||^2 - ||Y||^2) + ||Y - H||^2``.  The first difference still
+    cancels, which bounds the absolute accuracy of the error to about
+    ulp * ||X||^2 (a few 1e-12 relative at a relative error of 1e-4); it
+    is clamped at 0.  Multiplying out ``A_n^T A_n`` instead loses up to 100x
+    more when the factors and the core differ in scale, as ridge ALS makes
+    them.
+    """
+    y = _project(x, [q for q, _ in bases])
+    h = _project(model.core, [r.T for _, r in bases])
+    err = max(x_norm_sq - float(np.sum(y**2)) + float(np.sum((y - h) ** 2)), 0.0)
     reg = float(np.sum(model.core**2))
     reg += sum(float(np.sum(a**2)) for a in model.factors)
     return err, err + model.lam * reg
 
 
 def relative_error(model: TuckerModel, x) -> float:
-    """Relative reconstruction error ``||Xhat - X||_F^2 / ||X||_F^2``."""
-    x = as_tensor(x)
-    num, _ = _fit(model, x)
+    """Relative reconstruction error ``||Xhat - X||_F^2 / ||X||_F^2``.
+
+    The numerator comes from the Gram identity (see ``_fit``), without a
+    dense reconstruction; it is accurate to about ulp * ||X||^2 absolute,
+    so the ratio is accurate to about 1e-16 absolute, and never negative.
+    """
+    x = _model_tensor(model, x)
     den = float(np.sum(x**2))
+    num, _ = _fit(model, x, den, _qr_bases(model))
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -103,7 +149,9 @@ def relative_error(model: TuckerModel, x) -> float:
 
 def regularized_loss(model: TuckerModel, x) -> float:
     """Squared reconstruction error plus lam times all squared Frobenius norms."""
-    return _fit(model, as_tensor(x))[1]
+    x = _model_tensor(model, x)
+    return _fit(model, x, float(np.sum(x**2)), _qr_bases(model))[1]
+
 
 
 def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
@@ -115,22 +163,30 @@ def core_update(model: TuckerModel, x, mode: str = "exact",
                 caches: Sequence[FactorCache] | None = None) -> np.ndarray:
     """Solve the core regression at fixed factors; returns the new core.
 
-    ``exact`` uses the SVD solver, ``fast`` the sketched solver; both reuse
-    the per-factor decompositions in ``caches`` when provided.
+    ``exact`` composes the factor SVDs as :func:`kronmatmul_svd_solve` does,
+    without evaluating a loss; ``fast`` runs the sketched solver.  Both
+    reuse the per-factor decompositions in ``caches`` when provided.
     """
-    x = as_tensor(x)
-    if x.shape != model.shape:
-        raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
-    if mode == "exact":
-        report = kronmatmul_svd_solve(model.factors, vectorize(x), model.lam,
-                                      caches=caches)
-    elif mode == "fast":
-        cfg = (config or RegressionConfig()).with_lam(model.lam)
-        report = fast_kronecker_regression(model.factors, vectorize(x), cfg,
-                                           caches=caches)
-    else:
+    x = _model_tensor(model, x)
+    if mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown core update mode {mode!r}")
-    return devectorize(report.solution, model.core_shape)
+    return _core_update(model, x, mode, config, caches)
+
+
+def _core_update(model: TuckerModel, x: np.ndarray, mode: str,
+                 config: RegressionConfig | None,
+                 caches: Sequence[FactorCache] | None) -> np.ndarray:
+    """:func:`core_update` for a tensor ``x`` that the caller has validated."""
+    if mode == "exact":
+        factors, b, _, _ = _validated_problem(model.factors, x)
+        if caches is not None:
+            _check_caches(factors, caches)
+        core = _svd_ridge_solution(factors, b, model.lam, caches)
+    else:
+        cfg = (config or RegressionConfig()).with_lam(model.lam)
+        core = fast_kronecker_regression(model.factors, x.reshape(-1), cfg,
+                                         caches=caches).solution
+    return core.reshape(model.core_shape)
 
 
 def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
@@ -141,11 +197,15 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     per-row right-hand sides use implicit Kronecker multiplies.  Refuses
     when ``R_rest^2`` exceeds ``DEFAULT_DENSE_GUARD``.
     """
-    x = as_tensor(x)
-    if x.shape != model.shape:
-        raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
+    x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
+    return _naive_factor_update(model, x, n)
+
+
+def _naive_factor_update(model: TuckerModel, x: np.ndarray, n: int) -> np.ndarray:
+    """:func:`naive_factor_update` for a tensor ``x`` and mode ``n`` that the
+    caller has validated."""
     others = _other_factors(model, n)
     g_n = unfold(model.core, n)
     r_rest = g_n.shape[1]
@@ -155,7 +215,7 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
             f"(guard: {DEFAULT_DENSE_GUARD})")
     gram_rest = reduce(np.kron, [a.T @ a for a in others], np.ones((1, 1)))
     kkt = g_n @ gram_rest @ g_n.T
-    b = unfold(x, n)
+    b = _unfold(x, n)
     # K B^T = G_(n) (kron of others)^T B^T, columns indexed by tensor rows
     rest_t = [a.T for a in others]
     kbt = g_n @ (kron_mat_mul(rest_t, b.T) if rest_t else b.T)
@@ -304,9 +364,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     count, the exact per-row solve runs instead.  ``caches`` (one per factor
     of ``model``) supply the other factors' SVDs and Gram eigenpairs.
     """
-    x = as_tensor(x)
-    if x.shape != model.shape:
-        raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
+    x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
     if not 0.0 < config.eps < 1.0 / 3.0:
@@ -328,7 +386,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     sampler = build_product_sampler(
         [ridge_leverage_scores(c.svd, 0.0) for k, c in enumerate(caches) if k != n])
 
-    b = unfold(x, n)
+    b = _unfold(x, n)
     row_shape = tuple(a.shape[0] for a in others)
     w = workspace.penalty_weight
     damping = config.effective_damping
@@ -359,8 +417,13 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
 class AlsReport:
     """Loss/time trace of one alternating-least-squares run.
 
-    ``step_seconds`` times each block update alone (not the loss recorded
-    after it); ``sweep_seconds`` is the sum of one sweep's step times.
+    ``step_errors`` (squared reconstruction errors) and ``step_losses``
+    (regularized losses) come from the Gram identity of ``_fit``, not from a
+    dense reconstruction; each error is accurate to about ulp * ||X||^2
+    absolute (a few 1e-12 relative at a relative error of 1e-4) and is never
+    negative.  ``step_seconds`` times each block update alone (not the loss
+    recorded after it); ``sweep_seconds`` is the sum of one sweep's step
+    times.
     """
 
     step_labels: list[str] = field(default_factory=list)
@@ -400,9 +463,16 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     update.  Each sweep then updates factors for modes ``0..N-1`` followed by
     the core, recording the regularized loss after every block update.  In
     ``exact`` mode every block update is an exact minimizer, so the recorded
-    losses are non-increasing (up to roundoff).  Each factor is decomposed
-    once per update into a :class:`FactorCache` that all later block updates
-    read, the exact core updates included.
+    losses are non-increasing (up to roundoff).  The losses come from the
+    Gram identity (see :class:`AlsReport` for their accuracy), with
+    ``||X||^2`` computed once per call, so no step forms the dense
+    reconstruction.  Each factor is decomposed once per update into a
+    :class:`FactorCache` that all later block updates read, the exact core
+    updates included; its Gram eigenpairs are only computed when the fast
+    route reads them.  ``x`` is validated once, here, and the exact block
+    updates do not scan it again; a fast factor update checks it once more
+    as its own public entry point does, which is negligible against its
+    sketched row solves.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
@@ -423,18 +493,19 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
 
     model = initial_model(x, core_shape, lam, config.seed)
     caches = [build_factor_cache(a) for a in model.factors]
+    bases = _qr_bases(model)
     report = AlsReport()
     x_norm_sq = float(np.sum(x**2))
 
     def record(label: str, seconds: float):
-        err, loss = _fit(model, x)
+        err, loss = _fit(model, x, x_norm_sq, bases)
         report.step_labels.append(label)
         report.step_losses.append(loss)
         report.step_errors.append(err)
         report.step_seconds.append(seconds)
 
     t0 = time.perf_counter()
-    model.core = core_update(model, x, mode="exact", caches=caches)
+    model.core = _core_update(model, x, "exact", None, caches)
     record("init-core", time.perf_counter() - t0)
 
     seed_root = np.random.SeedSequence(config.seed)
@@ -443,20 +514,18 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
         for n in range(x.ndim):
             t0 = time.perf_counter()
             if solver_mode == "exact":
-                model.factors[n] = naive_factor_update(model, x, n)
+                model.factors[n] = _naive_factor_update(model, x, n)
             else:
                 step_cfg = _reseed(config, sweep_seeds[n])
                 model.factors[n] = fast_factor_matrix_update(
                     model, x, n, step_cfg, caches=caches)
             caches[n] = build_factor_cache(model.factors[n])
-            record(f"sweep{sweep}-factor{n}", time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0
+            bases[n] = np.linalg.qr(model.factors[n])  # for the loss record only
+            record(f"sweep{sweep}-factor{n}", seconds)
         t0 = time.perf_counter()
-        if solver_mode == "exact":
-            model.core = core_update(model, x, mode="exact", caches=caches)
-        else:
-            step_cfg = _reseed(config, sweep_seeds[-1])
-            model.core = core_update(model, x, mode="fast", config=step_cfg,
-                                     caches=caches)
+        step_cfg = _reseed(config, sweep_seeds[-1]) if solver_mode == "fast" else None
+        model.core = _core_update(model, x, solver_mode, step_cfg, caches)
         record(f"sweep{sweep}-core", time.perf_counter() - t0)
         report.sweep_losses.append(report.step_losses[-1])
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq

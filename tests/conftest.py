@@ -15,16 +15,27 @@ def rng():
 
 
 @pytest.fixture
-def compact_svd_calls(monkeypatch):
-    """Shapes of the matrices every ``solvers.compact_svd`` call decomposes."""
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the test and
+    returns the list that collects the positional arguments of every call."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def compact_svd_calls(count_calls):
+    """Arguments of every ``solvers.compact_svd`` call."""
     import kronsolve.solvers as solvers
 
-    calls = []
-    original = solvers.compact_svd
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(solvers, "compact_svd", counting)
-    return calls
+    return count_calls(solvers, "compact_svd")

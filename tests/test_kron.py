@@ -99,6 +99,13 @@ class TestKronVecSquare:
         with pytest.raises(InvalidInputError):
             kron_vec_square([rng.standard_normal((3, 2))], rng.standard_normal(2))
 
+    def test_rejects_non_finite_factors(self, rng):
+        for bad in (np.nan, np.inf):
+            a = rng.standard_normal((3, 3))
+            a[1, 2] = bad
+            with pytest.raises(InvalidInputError):
+                kron_vec_square([np.eye(2), a], rng.standard_normal(6))
+
 
 class TestBalancedPartition:
     def test_perfect_split(self):

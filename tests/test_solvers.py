@@ -3,9 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kronsolve.solvers as solvers
 from kronsolve.errors import InvalidInputError, NumericalFailureError, SizeGuardError
-from kronsolve.kron import sketch_rows_of_kron
+from kronsolve.kron import kron_vec_square, sketch_rows_of_kron
 from kronsolve.leverage import (
     RowSketch,
     build_product_sampler,
@@ -253,6 +256,21 @@ class TestPreconditioner:
         x = rng.standard_normal(2)
         np.testing.assert_allclose(pre.apply(x), dense @ x, atol=1e-10)
 
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 4)), min_size=1,
+                    max_size=4),
+           st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_matches_checked_kernels_bitwise(self, shapes, lam, seed):
+        # apply runs the unchecked kernel; the checked public one gives the same bits
+        rs = np.random.default_rng(seed)
+        shapes = [(max(i, r), r) for i, r in shapes]
+        pre = build_kron_preconditioner(
+            [factor_gram(rs.standard_normal(s)) for s in shapes], lam)
+        x = rs.standard_normal(pre.d_diag.size)
+        t = kron_vec_square([v.T for v in pre.v_factors], x)
+        want = kron_vec_square(list(pre.v_factors), t * pre.d_diag)
+        np.testing.assert_array_equal(pre.apply(x), want)
+
     def test_sketched_normal_sandwich(self, rng):
         eps, tau, lam = 0.25, 0.25, 1e-3
         hits = 0
@@ -380,6 +398,17 @@ class TestFastKroneckerRegression:
             assert plain.iterations == cached.iterations
             np.testing.assert_array_equal(plain.solution, cached.solution)
         assert 0 < cached.sample_count < 180
+
+    def test_cache_gram_computed_on_first_read(self, rng, count_calls):
+        a = rng.standard_normal((9, 3))
+        grams = count_calls(solvers, "factor_gram")
+        cache = build_factor_cache(a)
+        assert grams == []
+        first = cache.gram
+        assert cache.gram is first and len(grams) == 1
+        want = factor_gram(a)
+        for field in ("v", "eigenvalues", "matrix"):
+            np.testing.assert_array_equal(getattr(first, field), getattr(want, field))
 
     def test_mismatched_caches_rejected(self, rng):
         facs = [rng.standard_normal((40, 2)), rng.standard_normal((12, 3))]

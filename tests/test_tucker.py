@@ -1,10 +1,15 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+import kronsolve.solvers as solvers
+import kronsolve.tensor as tensor
+import kronsolve.tucker as tucker
 from kronsolve.errors import InvalidInputError
+from kronsolve.experiments import generate_synth_tucker
 from kronsolve.solvers import RegressionConfig, build_factor_cache, ridge_loss
 from kronsolve.tensor import explicit_kron, unfold, vectorize
 from kronsolve.tucker import (
@@ -421,3 +426,135 @@ class TestTuckerAls:
             first = 1 + k * steps  # step 0 is the initial core solve
             assert seconds == sum(report.step_seconds[first:first + steps])
 
+
+
+def dense_fit(model, x, x_norm_sq, bases):
+    """The dense reconstruction formula that ``tucker._fit`` replaces."""
+    err = float(np.sum((reconstruct(model) - x) ** 2))
+    reg = float(np.sum(model.core**2)) + sum(float(np.sum(a**2)) for a in model.factors)
+    return err, err + model.lam * reg
+
+
+# 12^3 with a rank-3 core: at alpha 5e-5 every fast factor row and the fast
+# core update draw a sketch instead of falling back to the exact solve
+LOSS_CFG = RegressionConfig(eps=0.25, delta=0.05, seed=3, alpha=5e-5)
+
+
+class TestLossRecording:
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_recorder_feeds_nothing_back(self, monkeypatch, mode):
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        model, report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
+                                   solver_mode=mode, config=LOSS_CFG)
+        monkeypatch.setattr(tucker, "_fit", dense_fit)
+        dense_model, dense_report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
+                                               solver_mode=mode, config=LOSS_CFG)
+        np.testing.assert_array_equal(model.core, dense_model.core)
+        for a, b in zip(model.factors, dense_model.factors):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(report.step_losses, dense_report.step_losses,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(report.step_errors, dense_report.step_errors,
+                                   rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("shape,seed", [((20, 20, 20), 0), ((20, 20, 20), 2),
+                                            ((30, 30, 30), 1), ((40, 30, 20), 0),
+                                            ((40, 30, 20), 3)])
+    def test_identity_accuracy_at_the_noise_floor(self, shape, seed):
+        # exact ridge ALS leaves factors and core at unequal scales, and the
+        # error is about 1e-4 of ||X||^2, so four digits cancel; the documented
+        # accuracy is about ulp * ||X||^2 (expanding A^T A reached 26 ulp here)
+        x = generate_synth_tucker(shape, (4, 4, 4), 0.01, seed=seed)
+        model, _ = tucker_als(x, (4, 4, 4), lam=1e-3, sweeps=3,
+                              config=RegressionConfig(seed=seed + 10))
+        x_norm_sq = float(np.sum(x**2))
+        err, loss = tucker._fit(model, x, x_norm_sq, tucker._qr_bases(model))
+        want_err, want_loss = dense_fit(model, x, x_norm_sq, None)
+        ulp = np.finfo(float).eps * x_norm_sq
+        assert abs(err - want_err) <= 10 * ulp
+        assert abs(loss - want_loss) <= 10 * ulp
+        assert err == pytest.approx(want_err, rel=1e-10, abs=0)
+
+    def test_error_clamped_at_zero(self, rng):
+        for _ in range(20):
+            model = random_model(rng, (6, 5, 4), (2, 3, 2))
+            xhat = reconstruct(model)
+            bases = tucker._qr_bases(model)
+            assert tucker._fit(model, xhat, float(np.sum(xhat**2)), bases)[0] >= 0.0
+            assert relative_error(model, reconstruct(model)) >= 0.0
+
+    def test_step_seconds_exclude_the_loss_record(self, monkeypatch, rng):
+        # the QR bases serve only the loss record, so a slow QR must not
+        # show in the block-update times
+        qr = np.linalg.qr
+
+        def slow_qr(a, *args, **kwargs):
+            time.sleep(0.1)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", slow_qr)
+        x = rng.standard_normal((6, 5, 4))
+        _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=1, solver_mode="exact")
+        assert max(report.step_seconds) < 0.1
+
+    def test_shape_mismatch_rejected(self, rng):
+        model = random_model(rng, (6, 5, 4), (2, 2, 2))
+        with pytest.raises(InvalidInputError):
+            relative_error(model, rng.standard_normal((6, 5, 1)))
+        with pytest.raises(InvalidInputError):
+            regularized_loss(model, rng.standard_normal((5, 4)))
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_no_dense_reconstruction_inside_als(self, count_calls, mode):
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        reconstructs = count_calls(tucker, "reconstruct")
+        ridge_losses = count_calls(solvers, "ridge_loss")
+        grams = [count_calls(solvers, "factor_gram"), count_calls(tucker, "factor_gram")]
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
+                   config=LOSS_CFG)
+        assert len(reconstructs) == 0
+        if mode == "exact":
+            # the exact core updates neither evaluate a loss nor read a Gram
+            assert len(ridge_losses) == 0
+            assert sum(len(g) for g in grams) == 0
+        else:
+            # one exact loss per sketched core update, inside the solver's report
+            assert len(ridge_losses) == 2
+            assert sum(len(g) for g in grams) > 0
+
+
+class TestValidateOnce:
+    def test_als_scans_the_tensor_once(self, monkeypatch, rng):
+        x = rng.standard_normal((7, 6, 5))
+        scans = []
+        original = tensor.as_tensor
+
+        def counting(t, *args, **kwargs):
+            if np.size(t) == x.size:
+                scans.append(1)
+            return original(t, *args, **kwargs)
+
+        monkeypatch.setattr(tucker, "as_tensor", counting)
+        monkeypatch.setattr(tensor, "as_tensor", counting)
+        tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode="exact")
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_nan_tensor_rejected(self, rng, mode):
+        x = rng.standard_normal((6, 5, 4))
+        x[2, 1, 3] = np.nan
+        with pytest.raises(InvalidInputError):
+            tucker_als(x, (2, 2, 2), sweeps=1, solver_mode=mode, config=LOSS_CFG)
+
+    def test_nan_tensor_rejected_by_each_step(self, rng):
+        model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((6, 5, 4))
+        x[0, 0, 0] = np.inf
+        with pytest.raises(InvalidInputError):
+            core_update(model, x, mode="exact")
+        with pytest.raises(InvalidInputError):
+            naive_factor_update(model, x, 1)
+        with pytest.raises(InvalidInputError):
+            fast_factor_matrix_update(model, x, 1, LOSS_CFG)
+        with pytest.raises(InvalidInputError):
+            relative_error(model, x)
