@@ -109,6 +109,22 @@ def run_checks() -> int:
     check("woodbury preconditioner",
           np.allclose(ws.apply(z), np.linalg.pinv(m) @ z, atol=1e-8))
 
+    # sketched block factor update vs every row's dense sketched ridge
+    # solution from the same sketch (one rescaled row per draw)
+    xb = rng.standard_normal((5, 6, 4))
+    cfg = solvers.RegressionConfig(eps=0.25, delta=0.05, lam=0.1, alpha=1e-5, seed=7)
+    s = leverage.regression_sample_count(6, cfg.eps, cfg.alpha, np.log(5 / cfg.delta))
+    sketch = leverage.sample_rows(leverage.build_product_sampler(
+        [leverage.statistical_leverage_scores(a) for a in others]), s, cfg.seed)
+    design = kron.sketch_rows_of_kron(others, sketch) @ gmat.T
+    flat = np.ravel_multi_index(tuple(sketch.indices.T), (6, 4))
+    sb = sketch.weights[:, None] * tensor.unfold(xb, 0)[:, flat].T
+    want = np.linalg.pinv(design.T @ design + 0.1 * np.eye(2)) @ (design.T @ sb)
+    got = tucker.fast_factor_matrix_update(model, xb, 0, cfg)
+    check("tucker block factor update",
+          s < 24 and np.allclose(got, want.T, rtol=1e-10, atol=0),
+          f"{s} draws, largest difference {np.max(np.abs(got - want.T))!r}")
+
     # Tucker loss from the Gram identity vs the dense reconstruction, with
     # the error at 1e-4 of ||X||^2 so that the identity's terms cancel
     xhat = tucker.reconstruct(model)

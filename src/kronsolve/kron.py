@@ -92,6 +92,7 @@ def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
     One factor is applied per round to the fastest-varying mode, then the
     flat vector is cyclically permuted; after N rounds the index order is
     back to natural.  Costs ``O(R * sum_n R_n)`` for ``R = prod R_n``.
+    Non-finite factors or a non-finite vector raise :class:`InvalidInputError`.
     """
     factors = check_factors(factors)
     for n, a in enumerate(factors):
@@ -101,6 +102,8 @@ def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
     size = math.prod(a.shape[0] for a in factors)
     if c.size != size:
         raise InvalidInputError(f"vector length {c.size} != operator size {size}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidInputError("vector contains non-finite entries")
     return _kron_vec_square(factors, c)
 
 

@@ -267,6 +267,18 @@ def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
     return float(r @ r + lam * (x @ x))
 
 
+def _check_finite_reads(values: np.ndarray, what: str) -> None:
+    """Reject non-finite ``b`` where a solver reads it.
+
+    No route scans all of ``b``: the exact routes check their ``R``-length
+    projection of it, which a NaN or inf anywhere in ``b`` reaches (NaN and
+    ``inf * 0`` are NaN, and ``inf`` survives a sum or turns it into NaN),
+    and the sketched routes check the entries they draw.
+    """
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError(f"b contains non-finite entries ({what} is not finite)")
+
+
 def _validated_problem(factors, b):
     factors = check_factors(factors)
     rows, cols = kron_operator_shape(factors)
@@ -298,6 +310,7 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
     t0 = time.perf_counter()
     gram = reduce(np.kron, [a.T @ a for a in factors])
     ktb = kron_mat_mul([a.T for a in factors], b)
+    _check_finite_reads(ktb, "K^T b")
     x = np.linalg.pinv(gram + lam * np.eye(cols)) @ ktb
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
@@ -312,6 +325,8 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float,
     per-factor compact SVDs compose into a compact SVD of ``K``; agrees with
     :func:`naive_normal_solve` for every ``lam >= 0``.  The SVDs come from
     ``caches`` (one per factor, checked against the factors) when passed.
+    A non-finite ``b`` raises :class:`InvalidInputError`; it is caught in
+    the projection ``(U kron ...)^T b``, not by a scan of ``b``.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if lam < 0:
@@ -329,11 +344,13 @@ def _svd_ridge_solution(factors: Sequence[np.ndarray], b: np.ndarray, lam: float
                         caches: Sequence[FactorCache] | None) -> np.ndarray:
     """The solution of :func:`kronmatmul_svd_solve` without checks or loss.
 
-    The caller has validated ``factors``, ``b``, ``lam`` and ``caches``.
+    The caller has validated ``factors``, ``lam`` and ``caches``; ``b`` is
+    checked through its projection.
     """
     svds = ([compact_svd(a) for a in factors] if caches is None
             else [c.svd for c in caches])
     t = kron_mat_mul([s.u.T for s in svds], b)
+    _check_finite_reads(t, "(U kron ...)^T b")
     sigma = reduce(np.kron, [s.sigma for s in svds])
     t = t * (sigma / (sigma**2 + lam))
     return kron_mat_mul([s.v for s in svds], t)
@@ -371,6 +388,7 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     else:
         flat = sketch.indices
     sb = sketch.weights * b[flat]
+    _check_finite_reads(sb, "S b")
     x = np.linalg.pinv(sk.T @ sk + config.lam * np.eye(cols)) @ (sk.T @ sb)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, config.lam),
@@ -394,6 +412,11 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     ``caches`` (one per factor, e.g. reused across Tucker sweeps) skips the
     per-factor decompositions, also in the exact SVD solver that runs instead
     when the sample count reaches the row count and the sketch is pointless.
+
+    ``b`` is checked where it is read: a non-finite entry at a sampled row
+    raises :class:`InvalidInputError`, and one at a row the sketch did not
+    draw shows up as a non-finite (NaN or inf) loss.  The exact fallback
+    checks its projection of ``b`` instead.
 
     ``wall_time`` covers the solve; the reported loss is evaluated exactly
     afterwards, once the sketched operator and its precomputed gathers have
@@ -428,8 +451,10 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     sketch = sample_rows(sampler, s, seed)
     row_shape = tuple(a.shape[0] for a in factors)
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
+    b_drawn = b[sdiag.indices]
+    _check_finite_reads(b_drawn, "b at a sampled row")
     op = SketchedKron(factors, sdiag)
-    rhs = op.transpose_apply(sdiag.values * b[sdiag.indices])
+    rhs = op.transpose_apply(sdiag.values * b_drawn)
     x, iters = richardson_solve(lambda v: op.normal(v) + lam * v, precond.apply,
                                 rhs, config.effective_damping, config)
     wall = time.perf_counter() - t0

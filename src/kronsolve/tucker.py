@@ -1,12 +1,19 @@
 """L2-regularized Tucker decomposition by alternating least squares.
 
-Each sweep updates every factor matrix and then the core tensor; both block
-updates are ridge regression problems against an implicit Kronecker design
-matrix.  ``exact`` mode solves them exactly (block coordinate descent, so
-the regularized loss is non-increasing); ``fast`` mode runs the sketched
-solvers row by row, substituting each factor-row problem by an
-equality-constrained one whose penalized relaxation is preconditioned via a
-rank-R_n Woodbury correction.
+ALS starts from a seeded, sequentially truncated randomized HOSVD of the
+tensor (a range finder per mode, Halko, Martinsson & Tropp 2011), which
+both modes share.  Each sweep then updates every factor matrix and then the
+core tensor; both block updates are ridge regression problems against an
+implicit Kronecker design matrix.  ``exact`` mode solves them exactly
+(block coordinate descent, so the regularized loss is non-increasing).
+``fast`` mode draws one leverage-score sketch of the leftover Kronecker rows
+per factor update and solves the small sketched ridge problem for all rows
+of the factor at once (as sketched Tucker-ALS does, Malik & Becker 2018);
+its core update runs the sketched Kronecker regression solver.
+
+The constrained-update workspace (:class:`FactorUpdateWorkspace`,
+:func:`build_factor_workspace`) is the Woodbury-preconditioned per-row
+route that the fast factor update used to run; no solver calls it.
 """
 
 from __future__ import annotations
@@ -35,9 +42,11 @@ from .solvers import (
     build_kron_preconditioner,
     factor_gram,
     fast_kronecker_regression,
-    richardson_solve,
 )
 from .tensor import _unfold, as_tensor, multi_mode_product, pseudo_inverse, unfold
+
+# Columns of the range finder's test matrix beyond the target rank R_n.
+RANGE_FINDER_OVERSAMPLING = 5
 
 POWER_ITERATION_MAX = 100
 POWER_ITERATION_TOL = 1e-6
@@ -124,8 +133,15 @@ def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float,
     more when the factors and the core differ in scale, as ridge ALS makes
     them.
     """
-    y = _project(x, [q for q, _ in bases])
-    h = _project(model.core, [r.T for _, r in bases])
+    return _fit_projected(model, _project(x, [q for q, _ in bases]), x_norm_sq,
+                          [r for _, r in bases])
+
+
+def _fit_projected(model: TuckerModel, y: np.ndarray, x_norm_sq: float,
+                   rs: Sequence[np.ndarray]) -> tuple[float, float]:
+    """:func:`_fit` from the projection ``Y = X x_1 Q_1^T ... x_N Q_N^T``
+    and the triangular factors ``R_n``, for a caller that holds ``Y``."""
+    h = _project(model.core, [r.T for r in rs])
     err = max(x_norm_sq - float(np.sum(y**2)) + float(np.sum((y - h) ** 2)), 0.0)
     reg = float(np.sum(model.core**2))
     reg += sum(float(np.sum(a**2)) for a in model.factors)
@@ -228,8 +244,10 @@ def _naive_factor_update(model: TuckerModel, x: np.ndarray, n: int) -> np.ndarra
 class FactorUpdateWorkspace:
     """Preassembled operators for the constrained factor-row solves.
 
-    Holds the pseudoinverses of the core unfolding, the penalty weight for
-    the nullspace constraint, and the Woodbury-corrected inverse of the
+    No solver calls this: the fast factor update solves one sketched block
+    problem instead (see :func:`fast_factor_matrix_update`).  Holds the
+    pseudoinverses of the core unfolding, the penalty weight for the
+    nullspace constraint, and the Woodbury-corrected inverse of the
     penalized normal matrix, decomposed so one application costs Kronecker
     multiplies plus rank-``R_n`` corrections.
     """
@@ -265,8 +283,9 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
                            ) -> FactorUpdateWorkspace:
     """Assemble the constrained-update preconditioner for factor ``n``.
 
-    The penalty weight is ``(1 + 12/eps)`` times a power-iteration estimate
-    of ``||[K; sqrt(lam) (G^T)^+] N||_2^2`` (times a 1.05 safety margin,
+    No solver calls this (see :class:`FactorUpdateWorkspace`).  The penalty
+    weight is ``(1 + 12/eps)`` times a power-iteration estimate of
+    ``||[K; sqrt(lam) (G^T)^+] N||_2^2`` (times a 1.05 safety margin,
     since power iteration approaches the norm from below), and the inverse of
     the penalized normal matrix is decomposed by the Woodbury identity around
     ``(K^T K + w I)^+``.
@@ -319,6 +338,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
 def _power_iteration(operator, dim: int, seed: int = 0) -> float:
     """Largest-eigenvalue lower bound for a PSD operator; 0 if it is zero.
 
+    Only :func:`build_factor_workspace`, which no solver calls, uses it.
     Runs at most ``POWER_ITERATION_MAX`` rounds.  Every Rayleigh quotient of
     a PSD operator lower-bounds the top eigenvalue, so when the 1e-6
     relative-change stop is not reached (nearly degenerate spectra) the best
@@ -352,17 +372,24 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
                               config: RegressionConfig,
                               caches: Sequence[FactorCache] | None = None,
                               ) -> np.ndarray:
-    """Sketched update of factor ``n``; each row is solved independently.
+    """Sketched update of factor ``n``: one sketched ridge solve for all rows.
 
-    Row ``i`` of the unfolding is fit by sampling
+    Row ``i`` of the factor minimizes ``||K y - b_i||^2 + lam ||y||^2`` with
+    ``K = (kron of the other factors) G_(n)^T`` and ``b_i`` row ``i`` of the
+    mode-``n`` unfolding.  One sketch ``S`` of
     ``ceil(alpha * 1680 R_rest ln(40 R_rest) ln(I_n/delta) / eps)`` rows of
-    the leftover Kronecker product from the leverage-score product
-    distribution, then running damped Richardson iteration on the penalized
-    equality-constrained problem with the Woodbury preconditioner; the
-    solution is projected back onto the constraint set and mapped through the
-    core pseudoinverse.  When the sample count reaches the available row
-    count, the exact per-row solve runs instead.  ``caches`` (one per factor
-    of ``model``) supply the other factors' SVDs and Gram eigenpairs.
+    the leftover Kronecker product is drawn from the leverage-score product
+    distribution (seeded by ``config.seed``).  The sketched design
+    ``D = S K`` (nnz x R_n) takes R_n applies of one :class:`SketchedKron`,
+    and ``(D^T D + lam I)^+ D^T S B^T`` solves every row at once, with the
+    pseudo-inverse convention of :func:`naive_factor_update` (so ``lam = 0``
+    with a rank-deficient core does not raise).  The ``ln(I_n/delta)``
+    factor is the per-row union bound of the paper: the one sketch serves
+    all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
+    together with probability ``1 - delta``.  When the sample count reaches
+    the leftover row count, the exact update :func:`naive_factor_update`
+    runs instead.  ``caches`` (one per factor of ``model``) supply the other
+    factors' SVDs for the leverage scores.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
@@ -370,7 +397,6 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     if not 0.0 < config.eps < 1.0 / 3.0:
         raise InvalidInputError(
             f"factor updates require eps in (0, 1/3), got {config.eps}")
-    lam = model.lam
     others = _other_factors(model, n)
     i_n = model.factors[n].shape[0]
     r_rest = math.prod(a.shape[1] for a in others)
@@ -382,35 +408,16 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
 
     if caches is None:
         caches = [build_factor_cache(a) for a in model.factors]
-    workspace = build_factor_workspace(model, n, config.eps, lam, caches=caches)
     sampler = build_product_sampler(
         [ridge_leverage_scores(c.svd, 0.0) for k, c in enumerate(caches) if k != n])
-
-    b = _unfold(x, n)
-    row_shape = tuple(a.shape[0] for a in others)
-    w = workspace.penalty_weight
-    damping = config.effective_damping
-    seeds = np.random.SeedSequence(config.seed).spawn(i_n)
-    new_factor = np.empty((i_n, model.core.shape[n]))
-
-    for i in range(i_n):
-        sketch = sample_rows(sampler, s, seeds[i])
-        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-        op = SketchedKron(others, sdiag)
-        rhs = op.transpose_apply(sdiag.values * b[i, sdiag.indices])
-
-        def apply_normal(z: np.ndarray) -> np.ndarray:
-            t = op.normal(z)
-            t = t + w * z
-            t = t + lam * (workspace.gn_pinv @ (workspace.gnt_pinv @ z))
-            t = t - w * (workspace.gn_pinv @ (workspace.g_n @ z))
-            return t
-
-        z, _ = richardson_solve(apply_normal, workspace.apply, rhs, damping,
-                                config)
-        z = workspace.project_feasible(z)
-        new_factor[i, :] = workspace.gnt_pinv @ z
-    return new_factor
+    sketch = sample_rows(sampler, s, config.seed)
+    sdiag = sparse_diagonal_from_sketch(sketch, tuple(a.shape[0] for a in others))
+    op = SketchedKron(others, sdiag)
+    g_n = unfold(model.core, n)
+    design = np.column_stack([op.apply(g) for g in g_n])  # nnz x R_n
+    sb = sdiag.values[:, None] * _unfold(x, n)[:, sdiag.indices].T  # nnz x I_n
+    gram = design.T @ design + model.lam * np.eye(g_n.shape[0])
+    return (np.linalg.pinv(gram) @ (design.T @ sb)).T
 
 
 @dataclass
@@ -422,8 +429,9 @@ class AlsReport:
     dense reconstruction; each error is accurate to about ulp * ||X||^2
     absolute (a few 1e-12 relative at a relative error of 1e-4) and is never
     negative.  ``step_seconds`` times each block update alone (not the loss
-    recorded after it); ``sweep_seconds`` is the sum of one sweep's step
-    times.
+    recorded after it); the first step, ``init-core``, times the
+    range-finder start that yields the initial factors and core.
+    ``sweep_seconds`` is the sum of one sweep's step times.
     """
 
     step_labels: list[str] = field(default_factory=list)
@@ -440,16 +448,47 @@ class AlsReport:
         return float(np.mean(self.sweep_seconds)) if self.sweep_seconds else math.nan
 
 
+def _khatri_rao(mats: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Column-wise Kronecker product of ``k``-column matrices, first one slowest."""
+    out = np.ones((1, k))
+    for m in mats:
+        out = (out[:, None, :] * m[None, :, :]).reshape(-1, k)
+    return out
+
+
 def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
-                  seed) -> TuckerModel:
-    """Random orthonormal factors; the core is filled by the first exact solve."""
+                  seed) -> tuple[TuckerModel, np.ndarray]:
+    """The ALS start: a sequentially truncated randomized HOSVD of ``x``.
+
+    For ``n = 0..N-1``, on ``T``, the tensor already truncated in the modes
+    before ``n``: ``Q`` is an orthonormal basis of ``T_(n) Omega``, where
+    ``Omega`` is the Khatri-Rao product of one seeded Gaussian matrix per
+    other mode with ``R_n + RANGE_FINDER_OVERSAMPLING`` columns (so no
+    ``I_rest x k`` Gaussian is drawn); ``U_n`` is ``Q`` times the top-``R_n``
+    eigenvectors of ``(Q^T T_(n)) (Q^T T_(n))^T``; and ``T <- T x_n U_n^T``,
+    whose unfolding is those eigenvectors applied to ``Q^T T_(n)``, so each
+    mode costs two passes over ``T``.  ``Q`` comes from the thin SVD of the
+    sketch, which spans the same range as its QR factor.
+
+    The factors are orthonormal, so the exact ridge core is the projection
+    ``T = X x_1 U_1^T ... x_N U_N^T`` divided by ``1 + lam``.  Returns the
+    model and ``T``.
+    """
     rng = np.random.default_rng(seed)
+    t = x
     factors = []
-    for i_n, r_n in zip(x.shape, core_shape):
-        q, _ = np.linalg.qr(rng.standard_normal((i_n, r_n)))
-        factors.append(q)
-    core = np.zeros(tuple(core_shape))
-    return TuckerModel(core=core, factors=factors, lam=lam)
+    for n, r_n in enumerate(core_shape):
+        k = min(r_n + RANGE_FINDER_OVERSAMPLING, t.shape[n])
+        rest = t.shape[:n] + t.shape[n + 1:]
+        t_n = _unfold(t, n)
+        omega = _khatri_rao([rng.standard_normal((d, k)) for d in rest], k)
+        q = np.linalg.svd(t_n @ omega, full_matrices=False)[0]
+        sketch = q.T @ t_n
+        _, v = np.linalg.eigh(sketch @ sketch.T)
+        top = v[:, ::-1][:, :r_n]  # eigh sorts ascending
+        factors.append(q @ top)
+        t = np.moveaxis((top.T @ sketch).reshape((r_n,) + rest), 0, n)
+    return TuckerModel(core=t / (1.0 + lam), factors=factors, lam=lam), t
 
 
 def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
@@ -458,12 +497,15 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                ) -> tuple[TuckerModel, AlsReport]:
     """Alternating least squares for the regularized Tucker objective.
 
-    Factors are initialized to random orthonormal matrices (seeded from
-    ``config.seed``) and the core is solved exactly once before any factor
-    update.  Each sweep then updates factors for modes ``0..N-1`` followed by
-    the core, recording the regularized loss after every block update.  In
-    ``exact`` mode every block update is an exact minimizer, so the recorded
-    losses are non-increasing (up to roundoff).  The losses come from the
+    The start is the range-finder HOSVD of :func:`initial_model` (seeded
+    from ``config.seed``, the same in both modes): orthonormal factors and
+    their exact ridge core, recorded as the ``init-core`` step.  Its loss
+    is read off the projected tensor the start already holds, with the
+    factors as their own QR bases.  Each sweep then updates factors for
+    modes ``0..N-1`` followed by the core, recording the regularized loss
+    after every block update.  In ``exact`` mode every block update is an
+    exact minimizer, so the recorded losses are non-increasing (up to
+    roundoff).  The losses come from the
     Gram identity (see :class:`AlsReport` for their accuracy), with
     ``||X||^2`` computed once per call, so no step forms the dense
     reconstruction.  Each factor is decomposed once per update into a
@@ -472,7 +514,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     route reads them.  ``x`` is validated once, here, and the exact block
     updates do not scan it again; a fast factor update checks it once more
     as its own public entry point does, which is negligible against its
-    sketched row solves.
+    sketched block solve.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
@@ -491,22 +533,23 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")
     config = (config or RegressionConfig()).with_lam(lam)
 
-    model = initial_model(x, core_shape, lam, config.seed)
-    caches = [build_factor_cache(a) for a in model.factors]
-    bases = _qr_bases(model)
     report = AlsReport()
     x_norm_sq = float(np.sum(x**2))
 
-    def record(label: str, seconds: float):
-        err, loss = _fit(model, x, x_norm_sq, bases)
+    def record(label: str, seconds: float, fit: tuple[float, float] | None = None):
+        err, loss = _fit(model, x, x_norm_sq, bases) if fit is None else fit
         report.step_labels.append(label)
         report.step_losses.append(loss)
         report.step_errors.append(err)
         report.step_seconds.append(seconds)
 
     t0 = time.perf_counter()
-    model.core = _core_update(model, x, "exact", None, caches)
-    record("init-core", time.perf_counter() - t0)
+    model, projected = initial_model(x, core_shape, lam, config.seed)
+    seconds = time.perf_counter() - t0
+    eyes = [np.eye(r) for r in core_shape]
+    bases = list(zip(model.factors, eyes))  # orthonormal factors are their own Q
+    record("init-core", seconds, _fit_projected(model, projected, x_norm_sq, eyes))
+    caches = [build_factor_cache(a) for a in model.factors]
 
     seed_root = np.random.SeedSequence(config.seed)
     for sweep in range(sweeps):

@@ -1,7 +1,21 @@
+import importlib.util
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` by path (the benchmark is only read)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dense_kron(factors):

@@ -8,7 +8,6 @@ hooked argument or dropping a digested field fails here rather than in a
 benchmark run.  ``perfbench/`` is only read.
 """
 
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -18,19 +17,10 @@ import pytest
 
 import kronsolve as ks
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import load_perfbench
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load("spans")
-workloads = _load("workloads")
+spans = load_perfbench("spans")
+workloads = load_perfbench("workloads")
 
 
 @pytest.fixture

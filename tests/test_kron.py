@@ -106,6 +106,13 @@ class TestKronVecSquare:
             with pytest.raises(InvalidInputError):
                 kron_vec_square([np.eye(2), a], rng.standard_normal(6))
 
+    def test_rejects_non_finite_vector(self, rng):
+        for bad in (np.nan, np.inf, -np.inf):
+            c = rng.standard_normal(6)
+            c[4] = bad
+            with pytest.raises(InvalidInputError):
+                kron_vec_square([np.eye(2), rng.standard_normal((3, 3))], c)
+
 
 class TestBalancedPartition:
     def test_perfect_split(self):

@@ -452,6 +452,70 @@ class TestFastKroneckerRegression:
             ridge_loss(facs, rep.solution, b, 1e-3), abs=1e-10)
 
 
+class TestNonFiniteTarget:
+    """A NaN or inf in ``b`` raises where a solver reads ``b``."""
+
+    FACTORS_SEED = 7
+    CFG = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=3, alpha=2e-4)
+
+    @classmethod
+    def problem(cls):
+        rs = np.random.default_rng(cls.FACTORS_SEED)
+        return [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)], rs.standard_normal(400)
+
+    def drawn_rows(self, count_calls, factors, b):
+        """The distinct rows the fast route's sketch reads at ``CFG``."""
+        calls = count_calls(solvers, "sparse_diagonal_from_sketch")
+        rep = fast_kronecker_regression(factors, b, self.CFG)
+        assert 0 < rep.sample_count < b.size and len(calls) == 1
+        sketch, row_shape = calls[0]
+        drawn = np.unique(np.ravel_multi_index(tuple(sketch.indices.T), row_shape))
+        assert 0 < drawn.size < b.size
+        return drawn, rep
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fast_rejects_a_drawn_entry(self, count_calls, bad):
+        factors, b = self.problem()
+        drawn, _ = self.drawn_rows(count_calls, factors, b)
+        b[drawn[len(drawn) // 2]] = bad
+        with pytest.raises(InvalidInputError):
+            fast_kronecker_regression(factors, b, self.CFG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fast_undrawn_entry_shows_in_the_loss(self, count_calls, bad):
+        factors, b = self.problem()
+        drawn, clean = self.drawn_rows(count_calls, factors, b)
+        b[np.setdiff1d(np.arange(b.size), drawn)[0]] = bad
+        rep = fast_kronecker_regression(factors, b, self.CFG)
+        np.testing.assert_array_equal(rep.solution, clean.solution)
+        assert not math.isfinite(rep.loss)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 137, 399])
+    def test_exact_routes_reject(self, bad, where):
+        factors, b = self.problem()
+        b[where] = bad
+        with pytest.raises(InvalidInputError):
+            kronmatmul_svd_solve(factors, b, 1e-3)
+        with pytest.raises(InvalidInputError):
+            kronmatmul_svd_solve(factors, b, 1e-3,
+                                 caches=[build_factor_cache(a) for a in factors])
+        with pytest.raises(InvalidInputError):
+            naive_normal_solve(factors, b, 1e-3)
+        # alpha 1: more samples than rows, so the fast route runs the exact one
+        with pytest.raises(InvalidInputError):
+            fast_kronecker_regression(factors, b, RegressionConfig(lam=1e-3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sketch_and_solve_rejects_a_drawn_entry(self, bad):
+        factors, b = self.problem()
+        sketch = RowSketch(indices=np.array([[0, 1], [5, 2], [5, 2], [19, 19]]),
+                           weights=np.ones(4))
+        b[5 * 20 + 2] = bad
+        with pytest.raises(InvalidInputError):
+            sketch_and_solve_ridge(factors, b, self.CFG, sketch=sketch)
+
+
 class TestConfig:
     def test_default_damping_and_iters(self):
         cfg = RegressionConfig(eps=0.25)

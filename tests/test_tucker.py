@@ -4,12 +4,23 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import kronsolve as ks
+import kronsolve.kron as kron
 import kronsolve.solvers as solvers
 import kronsolve.tensor as tensor
 import kronsolve.tucker as tucker
 from kronsolve.errors import InvalidInputError
 from kronsolve.experiments import generate_synth_tucker
+from kronsolve.kron import sketch_rows_of_kron
+from kronsolve.leverage import (
+    build_product_sampler,
+    regression_sample_count,
+    sample_rows,
+    statistical_leverage_scores,
+)
 from kronsolve.solvers import RegressionConfig, build_factor_cache, ridge_loss
 from kronsolve.tensor import explicit_kron, unfold, vectorize
 from kronsolve.tucker import (
@@ -25,7 +36,7 @@ from kronsolve.tucker import (
     tucker_als,
 )
 
-from conftest import dense_kron
+from conftest import dense_kron, load_perfbench
 
 
 def random_model(rng, shape, rank, lam=0.0):
@@ -344,6 +355,219 @@ class TestFastFactorUpdate:
         with pytest.raises(InvalidInputError):
             fast_factor_matrix_update(model, rng.standard_normal((5, 4, 3)), 0,
                                       RegressionConfig(eps=0.35, seed=0))
+
+
+def sketched_block_oracle(model, x, n, config):
+    """Every row of the factor-``n`` update solved densely from the same sketch.
+
+    The sketch is drawn as the update documents (exact statistical leverage
+    scores of the other factors, ``config.seed``); ``S K`` keeps one
+    rescaled row per draw, repeated draws included, and each row's sketched
+    ridge problem is solved with the pseudo-inverse convention.
+    """
+    others = [a for k, a in enumerate(model.factors) if k != n]
+    row_shape = tuple(a.shape[0] for a in others)
+    r_rest = math.prod(a.shape[1] for a in others)
+    s = regression_sample_count(r_rest, config.eps, config.alpha,
+                                math.log(model.factors[n].shape[0] / config.delta))
+    sampler = build_product_sampler([statistical_leverage_scores(a) for a in others])
+    sketch = sample_rows(sampler, s, config.seed)
+    design = sketch_rows_of_kron(others, sketch) @ unfold(model.core, n).T
+    flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
+    sb = sketch.weights[:, None] * unfold(x, n)[:, flat].T
+    gram = design.T @ design + model.lam * np.eye(design.shape[1])
+    return (np.linalg.pinv(gram) @ (design.T @ sb)).T, sketch
+
+
+def assert_rows_close(got, want, rtol):
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= rtol * max(np.linalg.norm(w), 1e-300)
+
+
+def block_problem(ranks, extra, n, lam, seed, target):
+    """A model, a tensor and a config whose factor-``n`` sample count is about
+    ``target`` draws (alpha scaled to it); ``None`` if the exact update runs."""
+    rng = np.random.default_rng(seed)
+    shape = [r + e for r, e in zip(ranks, extra)]
+    model = random_model(rng, shape, ranks, lam=lam)
+    x = rng.standard_normal(shape)
+    r_rest = math.prod(r for k, r in enumerate(ranks) if k != n)
+    i_rest = math.prod(i for k, i in enumerate(shape) if k != n)
+    failure_log = math.log(shape[n] / 0.05)
+    unscaled = regression_sample_count(r_rest, 0.25, 1.0, failure_log)
+    cfg = RegressionConfig(eps=0.25, delta=0.05, lam=lam, seed=seed,
+                           alpha=min(1.0, target / unscaled))
+    if regression_sample_count(r_rest, 0.25, cfg.alpha, failure_log) >= i_rest:
+        return None
+    return model, x, cfg
+
+
+@st.composite
+def block_problems(draw):
+    """Orders 2-4, ranks 1-3, and a sample count anywhere below the leftover rows."""
+    order = draw(st.integers(2, 4))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    extra = draw(st.lists(st.integers(0, 4), min_size=order, max_size=order))
+    n = draw(st.integers(0, order - 1))
+    i_rest = math.prod(r + e for k, (r, e) in enumerate(zip(ranks, extra)) if k != n)
+    assume(i_rest >= 2)
+    target = draw(st.integers(1, i_rest - 1))
+    # the two solves differ by roundoff times the condition number of
+    # D^T D + lam I; lam >= 0.1 against unit-scale factors keeps it below
+    # 1e-10 (at lam near 0.02 about 1 problem in 6,000 reached 1.1e-10)
+    lam = draw(st.floats(0.1, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    problem = block_problem(ranks, extra, n, lam, seed, target)
+    assume(problem is not None)
+    return problem + (n,)
+
+
+class TestBlockFactorUpdate:
+    """The fast factor update is one sketched ridge solve for all rows."""
+
+    # dense (0.0: every sketch) and two-group (1.0: no sketch) applies of
+    # SketchedKron, on either side of SPARSE_FALLBACK_FRACTION
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    @given(problem=block_problems())
+    @example(problem=block_problem((2, 3, 2, 2), (3, 1, 2, 2), 1, 0.05, 9, 60) + (1,))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_sketched_ridge(self, fraction, problem):
+        model, x, cfg, n = problem
+        want, sketch = sketched_block_oracle(model, x, n, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kron, "SPARSE_FALLBACK_FRACTION", fraction)
+            got = fast_factor_matrix_update(model, x, n, cfg)
+        assert got.shape == model.factors[n].shape
+        assert_rows_close(got, want, 1e-10)
+
+    def test_example_repeats_draws(self):
+        model, x, cfg = block_problem((2, 3, 2, 2), (3, 1, 2, 2), 1, 0.05, 9, 60)
+        _, sketch = sketched_block_oracle(model, x, 1, cfg)
+        distinct = np.unique(sketch.indices, axis=0).shape[0]
+        assert distinct < sketch.sample_count
+
+    def test_rank_deficient_core_without_ridge(self):
+        # a zero core slice along mode 0 makes the sketched design rank
+        # deficient; with lam 0 the pseudo-inverse solution comes out
+        model, x, cfg = block_problem((3, 2, 2), (3, 4, 4), 0, 0.0, 4, 20)
+        model.core[1] = 0.0
+        got = fast_factor_matrix_update(model, x, 0, cfg)
+        want, _ = sketched_block_oracle(model, x, 0, cfg)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[:, 1], np.zeros(x.shape[0]))
+        assert_rows_close(got, want, 1e-10)
+
+    def test_one_sketch_per_update(self, count_calls):
+        model, x, cfg = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
+        draws = count_calls(tucker, "sample_rows")
+        exact = count_calls(tucker, "naive_factor_update")
+        fast_factor_matrix_update(model, x, 2, cfg)
+        assert len(draws) == 1 and len(exact) == 0
+        # the draw count is the per-row union bound's: ln(I_n / delta)
+        assert draws[0][1] == regression_sample_count(4, 0.25, cfg.alpha,
+                                                      math.log(6 / 0.05))
+
+    def test_one_sketch_per_update_inside_als(self, count_calls):
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        draws = count_calls(tucker, "sample_rows")
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
+                   config=LOSS_CFG)
+        assert len(draws) == 2 * 3
+
+    def test_exact_update_when_the_sketch_covers_the_rows(self, count_calls):
+        model, x, _ = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
+        draws = count_calls(tucker, "sample_rows")
+        exact = count_calls(tucker, "naive_factor_update")
+        got = fast_factor_matrix_update(model, x, 2, RegressionConfig(lam=0.1))
+        assert len(draws) == 0 and len(exact) == 1
+        np.testing.assert_array_equal(got, naive_factor_update(model, x, 2))
+
+
+class TestRangeFinderStart:
+    @pytest.mark.parametrize("shape,rank,lam,seed", [
+        ((12, 10, 8), (3, 2, 4), 1e-3, 0), ((20, 20, 20), (4, 4, 4), 0.0, 1),
+        ((9, 30), (2, 5), 0.5, 2), ((6, 5, 4, 7), (2, 3, 1, 2), 1e-2, 3),
+        ((7,), (3,), 0.1, 4), ((5, 4, 3), (5, 4, 3), 1e-3, 5)])
+    def test_orthonormal_factors_and_exact_core(self, shape, rank, lam, seed):
+        x = generate_synth_tucker(shape, [min(2, r) for r in rank], 0.01, seed=seed)
+        model, projected = tucker.initial_model(x, rank, lam, seed)
+        for a, r in zip(model.factors, rank):
+            assert np.max(np.abs(a.T @ a - np.eye(r))) <= 1e-12
+        exact = tucker._core_update(model, x, "exact", None, None)
+        assert np.max(np.abs(model.core - exact)) <= 1e-12 * np.max(np.abs(exact))
+        np.testing.assert_array_equal(model.core, projected / (1.0 + lam))
+
+        x_norm_sq = float(np.sum(x**2))
+        want_err, want_loss = tucker._fit(model, x, x_norm_sq, tucker._qr_bases(model))
+        _, report = tucker_als(x, rank, lam=lam, sweeps=1,
+                               config=RegressionConfig(seed=seed))
+        assert report.step_labels[0] == "init-core"
+        assert report.step_losses[0] == pytest.approx(want_loss, rel=1e-10, abs=1e-300)
+        assert report.step_errors[0] == pytest.approx(want_err, rel=1e-10,
+                                                      abs=1e-12 * x_norm_sq)
+
+    def test_seeded_and_shared_by_both_modes(self, count_calls):
+        x = generate_synth_tucker((10, 9, 8), (3, 3, 3), 0.01, seed=6)
+        starts = count_calls(tucker, "initial_model")
+        cfg = RegressionConfig(eps=0.25, delta=0.05, seed=11, alpha=5e-5)
+        for mode in ("exact", "fast"):
+            tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1, solver_mode=mode, config=cfg)
+        assert [args[3] for args in starts] == [11, 11]
+        a, _ = tucker.initial_model(x, (3, 3, 3), 1e-3, 11)
+        b, _ = tucker.initial_model(x, (3, 3, 3), 1e-3, 11)
+        np.testing.assert_array_equal(a.core, b.core)
+
+    def test_captures_the_leading_subspaces(self):
+        # tensors with a slowly decaying spectrum (29 rank-one terms weighted
+        # 1/k): per tensor the start keeps 84-99% of the energy that the dense
+        # sequentially truncated HOSVD keeps, 93% on average; the sketch's
+        # own leading singular vectors, without the Q^T T_(n) step, keep
+        # 3-97%, 59% on average
+        kept = []
+        for shape, rank in [((20, 20, 20), (4, 4, 4)), ((30, 25, 20), (3, 5, 2)),
+                            ((12, 12, 12, 12), (2, 3, 2, 3))]:
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                x = np.zeros(shape)
+                for k in range(1, 30):
+                    term = np.ones(())
+                    for i in shape:
+                        term = np.multiply.outer(term, rng.standard_normal(i))
+                    x += term / k
+                t = x
+                for n, r in enumerate(rank):
+                    u = np.linalg.svd(unfold(t, n), full_matrices=False)[0][:, :r]
+                    t = np.moveaxis(np.tensordot(u, t, axes=([0], [n])), 0, n)
+                _, projected = tucker.initial_model(x, rank, 0.0, seed)
+                kept.append(np.sum(projected**2) / np.sum(t**2))
+        assert min(kept) >= 0.8 and np.mean(kept) >= 0.9, kept
+
+    def test_zero_tensor(self):
+        x = np.zeros((5, 4, 3))
+        model, _ = tucker.initial_model(x, (2, 2, 2), 0.1, 0)
+        assert not np.any(model.core)
+        for a in model.factors:
+            np.testing.assert_allclose(a.T @ a, np.eye(2), atol=1e-12)
+
+
+# Known failing fast starts from the previous random-orthonormal start: the
+# benchmark's tucker-cube instance (--seed) and the call's config.seed.  From
+# them the fast route ended 5.18, 3.13 and 3.57 times the best exact rre of
+# the benchmark run, and from the last one exact ALS stalled at rre 9.4e-3.
+CLIFF_STARTS = [(1463759648, 403133303), (804, 291095248), (11, 592467769)]
+
+
+@pytest.mark.parametrize("instance_seed,call_seed", CLIFF_STARTS)
+def test_fast_tucker_cliff_starts(tmp_path, instance_seed, call_seed):
+    workloads = load_perfbench("workloads")
+    work = workloads.TuckerWorkload("tucker-cube")
+    work.setup(ks, instance_seed, tmp_path)
+    work.reseed(call_seed)
+    fast = work.error(work.fast(ks))
+    exact = work.error(work.exact(ks))
+    assert fast <= 1.1 * exact, (fast, exact)
+    # the noise (relative scale TUCKER_NOISE) sets the floor of the rre
+    assert exact <= 1.05 * workloads.TUCKER_NOISE**2, exact
 
 
 class TestTuckerAls:
