@@ -8,7 +8,6 @@ from .errors import (
     TensorFormatError,
 )
 from .kron import (
-    FactorPartition,
     SketchedKron,
     SparseDiagonal,
     balanced_partition,
@@ -47,18 +46,15 @@ from .solvers import (
 from .tensor import (
     CompactSvd,
     compact_svd,
-    devectorize,
     explicit_kron,
     fold,
     multi_mode_product,
     n_mode_product,
     pseudo_inverse,
-    stack_columns,
     unfold,
-    unstack_columns,
     vectorize,
 )
-from .tensor_io import read_matrix_csv, read_tensor, write_results_csv, write_tensor
+from .tensor_io import read_tensor, write_results_csv, write_tensor
 from .tucker import (
     AlsReport,
     FactorUpdateWorkspace,

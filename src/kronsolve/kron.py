@@ -30,10 +30,6 @@ from .errors import InvalidInputError
 from .leverage import RowSketch
 from .tensor import as_matrix
 
-# Above this nonzero fraction the sparse two-group scheme loses to a plain
-# dense multiply, so the sketched paths fall back to kron_mat_mul.
-SPARSE_FALLBACK_FRACTION = 0.5
-
 BALANCED_PARTITION_MAX_ORDER = 30
 
 
@@ -253,9 +249,7 @@ class SketchedKron:
     ``scatter``, the flat (left row, right column) bin of each entry the
     transpose accumulates (nnz x right-group columns int64), and the column
     mode order of the two groups with its inverse permutation.  Each later
-    apply is then a gather plus small dense multiplies.  When more than
-    ``SPARSE_FALLBACK_FRACTION`` of the rows are sketched, the applies use
-    plain dense ``kron_mat_mul`` instead and nothing is precomputed.
+    apply is then a gather plus small dense multiplies.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
@@ -264,8 +258,7 @@ class SketchedKron:
         self.rows, self.cols = kron_operator_shape(self.factors)
         if s_diag.nnz and s_diag.indices[-1] >= self.rows:
             raise InvalidInputError("sparse diagonal index out of range")
-        self.dense = s_diag.nnz > self.rows * SPARSE_FALLBACK_FRACTION
-        if self.dense or s_diag.nnz == 0:
+        if s_diag.nnz == 0:
             return
         row_shape = tuple(a.shape[0] for a in self.factors)
         self.col_shape = tuple(a.shape[1] for a in self.factors)
@@ -305,9 +298,6 @@ class SketchedKron:
                 f"vector length {c.size} != operator columns {self.cols}")
         if self.s_diag.nnz == 0:
             return np.zeros(0)
-        if self.dense:
-            full = kron_mat_mul(self.factors, c)
-            return self.s_diag.values * full[self.s_diag.indices]
         r_left = self.left_rows.shape[1]
         grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(-1)
         c_mat = grouped.reshape(r_left, -1).T
@@ -330,10 +320,6 @@ class SketchedKron:
         if self.s_diag.nnz == 0:
             return np.zeros(self.cols)
         scaled = self.s_diag.values * b_values
-        if self.dense:
-            full = np.zeros(self.rows)
-            full[self.s_diag.indices] = scaled
-            return kron_mat_mul([a.T for a in self.factors], full)
         # columns of (right kron)^T @ B_S at the occupied left-group indices
         shape = (self.left_rows.shape[0], self.right_rows.shape[1])
         terms = scaled[:, None] * self.right_rows[self.right_pos]

@@ -8,7 +8,9 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
 * :func:`kronmatmul_svd_solve` composes the factor SVDs and never forms an
   R x R matrix; exact, and the reference for OPT.
 * :func:`sketch_and_solve_ridge` samples rows of ``K`` by their leverage
-  scores and solves the sketched normal equation directly.
+  scores and solves the sketched normal equation directly with
+  :func:`sketched_ridge_solve`, the direct solve that the fast Tucker block
+  updates share.
 * :func:`fast_kronecker_regression` solves the *sketched* problem by damped
   Richardson iteration preconditioned with the eigendecomposition of the
   *unsketched* normal matrix, so every step costs only sparse Kronecker
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +34,11 @@ from .kron import (
     check_factors,
     kron_mat_mul,
     kron_operator_shape,
-    sketch_rows_of_kron,
+    kron_rows,
     sparse_diagonal_from_sketch,
 )
 from .leverage import (
+    RowSketch,
     build_product_sampler,
     regression_sample_count,
     ridge_leverage_scores,
@@ -89,9 +92,6 @@ class RegressionConfig:
     def effective_max_iters(self) -> int:
         return 8 * max(1, math.ceil(math.log(1.0 / self.eps)))
 
-    def with_lam(self, lam: float) -> "RegressionConfig":
-        return replace(self, lam=lam)
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -129,24 +129,13 @@ def factor_gram(a) -> FactorGram:
 
 @dataclass(frozen=True)
 class FactorCache:
-    """Per-factor spectral data reused across solves: thin SVD plus Gram.
-
-    The SVD is computed when the cache is built.  The Gram eigenpairs are
-    computed from the stored factor on first access only, because the exact
-    solvers read just the SVD; the factor must not be modified in place
-    while the cache is in use.
-    """
+    """The thin SVD of one factor, reused by every solve that reads it."""
 
     svd: CompactSvd
-    factor: np.ndarray
-
-    @cached_property
-    def gram(self) -> FactorGram:
-        return factor_gram(self.factor)
 
 
 def build_factor_cache(a) -> FactorCache:
-    return FactorCache(svd=compact_svd(a), factor=np.asarray(a, dtype=np.float64))
+    return FactorCache(svd=compact_svd(a))
 
 
 def _check_caches(factors: Sequence[np.ndarray],
@@ -309,7 +298,8 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
             f"(guard: {max_dense_entries})")
     t0 = time.perf_counter()
     gram = reduce(np.kron, [a.T @ a for a in factors])
-    ktb = kron_mat_mul([a.T for a in factors], b)
+    with np.errstate(invalid="ignore"):  # a non-finite b raises just below
+        ktb = kron_mat_mul([a.T for a in factors], b)
     _check_finite_reads(ktb, "K^T b")
     x = np.linalg.pinv(gram + lam * np.eye(cols)) @ ktb
     wall = time.perf_counter() - t0
@@ -317,24 +307,20 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
                        iterations=0, sample_count=0, wall_time=wall)
 
 
-def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float,
-                         caches: Sequence[FactorCache] | None = None) -> SolveReport:
+def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveReport:
     """Exact ridge solution from factor SVDs and implicit Kronecker products.
 
     ``x = (V kron ...) diag(sigma/(sigma^2+lam)) (U kron ...)^T b`` where the
     per-factor compact SVDs compose into a compact SVD of ``K``; agrees with
-    :func:`naive_normal_solve` for every ``lam >= 0``.  The SVDs come from
-    ``caches`` (one per factor, checked against the factors) when passed.
-    A non-finite ``b`` raises :class:`InvalidInputError`; it is caught in
-    the projection ``(U kron ...)^T b``, not by a scan of ``b``.
+    :func:`naive_normal_solve` for every ``lam >= 0``.  A non-finite ``b``
+    raises :class:`InvalidInputError`; it is caught in the projection
+    ``(U kron ...)^T b``, not by a scan of ``b``.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if lam < 0:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
-    if caches is not None:
-        _check_caches(factors, caches)
     t0 = time.perf_counter()
-    x = _svd_ridge_solution(factors, b, lam, caches)
+    x = _svd_ridge_solution(factors, b, lam, None)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
                        iterations=0, sample_count=0, wall_time=wall)
@@ -344,16 +330,56 @@ def _svd_ridge_solution(factors: Sequence[np.ndarray], b: np.ndarray, lam: float
                         caches: Sequence[FactorCache] | None) -> np.ndarray:
     """The solution of :func:`kronmatmul_svd_solve` without checks or loss.
 
-    The caller has validated ``factors``, ``lam`` and ``caches``; ``b`` is
-    checked through its projection.
+    The caller has validated ``factors``, ``lam`` and ``caches`` (the SVDs
+    are read from them when passed); ``b`` is checked through its projection.
     """
     svds = ([compact_svd(a) for a in factors] if caches is None
             else [c.svd for c in caches])
-    t = kron_mat_mul([s.u.T for s in svds], b)
+    with np.errstate(invalid="ignore"):  # a non-finite b raises just below
+        t = kron_mat_mul([s.u.T for s in svds], b)
     _check_finite_reads(t, "(U kron ...)^T b")
     sigma = reduce(np.kron, [s.sigma for s in svds])
     t = t * (sigma / (sigma**2 + lam))
     return kron_mat_mul([s.v for s in svds], t)
+
+
+def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
+                         b: np.ndarray, lam: float,
+                         right: np.ndarray | None = None) -> np.ndarray:
+    """Solve a sketched ridge problem directly: ``(D^T D + lam I)^+ D^T S b``.
+
+    ``D = S K right`` for the row sketch ``S`` and ``K = A1 kron ... kron
+    AN``, with ``right`` (``R x R'``) taken as the identity when omitted.
+    Repeated draws of a row are merged first
+    (:func:`~kronsolve.kron.sparse_diagonal_from_sketch`): one row weighted
+    by the root of its summed squared weights leaves ``D^T D`` and
+    ``D^T S b`` unchanged, so ``D`` holds one row per distinct draw.  Those
+    Kronecker rows come from :func:`~kronsolve.kron.kron_rows` and are
+    weighted in place.  Every column of ``b`` (a vector or a matrix whose
+    rows are the rows of ``K``) is solved at once, with the pseudo-inverse
+    convention, so ``lam = 0`` with a rank-deficient ``D`` does not raise.
+
+    ``b`` is read only at the drawn rows, and a non-finite entry there
+    raises :class:`InvalidInputError`.  ``factors``, ``right`` and ``lam``
+    are the caller's to validate.
+    """
+    row_shape = tuple(a.shape[0] for a in factors)
+    try:
+        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
+    except ValueError as exc:  # a multi-index outside row_shape, or a negative one
+        raise InvalidInputError("sketch index out of range") from exc
+    if sdiag.nnz and sdiag.indices[-1] >= math.prod(row_shape):
+        raise InvalidInputError("sketch index out of range")
+    b_drawn = b[sdiag.indices]
+    _check_finite_reads(b_drawn, "b at a sampled row")
+    weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
+    design = kron_rows(factors, np.stack(np.unravel_index(sdiag.indices, row_shape),
+                                         axis=1))
+    design *= sdiag.values[:, None]
+    if right is not None:
+        design = design @ right
+    gram = design.T @ design + lam * np.eye(design.shape[1])
+    return np.linalg.pinv(gram) @ (design.T @ (weights * b_drawn))
 
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
@@ -364,10 +390,11 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     """Sketch-and-solve baseline: solve the sampled normal equation directly.
 
     Rows of ``K`` are drawn from the exact leverage-score product
-    distribution (``ceil(alpha * 1680 R ln(40R) / eps)`` of them), the
-    sketched matrix is materialized, and
-    ``((SK)^T SK + lam I)^+ (SK)^T S b`` is returned.  ``sketch`` overrides
-    the drawn row sketch (test hook).
+    distribution (``ceil(alpha * 1680 R ln(40R) / eps)`` of them) and
+    :func:`sketched_ridge_solve` returns ``((SK)^T SK + lam I)^+ (SK)^T S b``
+    from one materialized row per distinct draw.  ``sketch`` overrides the
+    drawn row sketch (test hook).  Guarded: refuses when the sketched matrix
+    could hold more than ``max_dense_entries`` entries.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     t0 = time.perf_counter()
@@ -381,37 +408,27 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
         raise SizeGuardError(
             f"sketched matrix would hold {s}x{cols} entries "
             f"(guard: {max_dense_entries})")
-    sk = sketch_rows_of_kron(factors, sketch)
-    if sketch.indices.ndim == 2:
-        flat = np.ravel_multi_index(tuple(sketch.indices.T),
-                                    tuple(a.shape[0] for a in factors))
-    else:
-        flat = sketch.indices
-    sb = sketch.weights * b[flat]
-    _check_finite_reads(sb, "S b")
-    x = np.linalg.pinv(sk.T @ sk + config.lam * np.eye(cols)) @ (sk.T @ sb)
+    x = sketched_ridge_solve(factors, sketch, b, config.lam)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, config.lam),
                        iterations=0, sample_count=s, wall_time=wall)
 
 
 def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
-                              config: RegressionConfig,
-                              caches: Sequence[FactorCache] | None = None,
-                              ) -> SolveReport:
+                              config: RegressionConfig) -> SolveReport:
     """(1+eps)-approximate Kronecker ridge regression in subquadratic time.
 
-    Pipeline: one thin SVD and Gram eigendecomposition per factor
-    (:func:`build_factor_cache`, O(n d^2) each), whose exact statistical
-    leverage scores feed a product-distribution row sampler and whose Gram
-    eigenpairs build the decomposed preconditioner; then
+    Pipeline: one thin SVD and one Gram eigendecomposition per factor
+    (O(n d^2) each), whose exact statistical leverage scores feed a
+    product-distribution row sampler and whose Gram eigenpairs build the
+    decomposed preconditioner; then
     ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` sampled rows solved by
     damped preconditioned Richardson iteration where every operator
-    application exploits sketch sparsity and Kronecker structure.
-
-    ``caches`` (one per factor, e.g. reused across Tucker sweeps) skips the
-    per-factor decompositions, also in the exact SVD solver that runs instead
-    when the sample count reaches the row count and the sketch is pointless.
+    application exploits sketch sparsity and Kronecker structure.  When the
+    sample count reaches the row count the sketch is pointless, and the
+    exact :func:`kronmatmul_svd_solve` runs instead.  This is the regression
+    route only: the fast Tucker block updates solve their small sketched
+    problems directly (:func:`sketched_ridge_solve`).
 
     ``b`` is checked where it is read: a non-finite entry at a sampled row
     raises :class:`InvalidInputError`, and one at a row the sketch did not
@@ -426,8 +443,6 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     if not 0.0 < config.eps <= 0.25:
         raise InvalidInputError(
             f"fast regression requires eps in (0, 1/4], got {config.eps}")
-    if caches is not None:
-        _check_caches(factors, caches)
     lam = config.lam
 
     t0 = time.perf_counter()
@@ -435,16 +450,14 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
                                 math.log(1.0 / config.delta))
     if s >= rows:
         # sketching cannot help: more samples than rows
-        exact = kronmatmul_svd_solve(factors, b, lam, caches=caches)
+        exact = kronmatmul_svd_solve(factors, b, lam)
         wall = time.perf_counter() - t0
         return SolveReport(solution=exact.solution, loss=exact.loss,
                            iterations=0, sample_count=0, wall_time=wall)
 
-    if caches is None:
-        caches = [build_factor_cache(a) for a in factors]
     sampler = build_product_sampler(
-        [ridge_leverage_scores(c.svd, 0.0) for c in caches])
-    precond = build_kron_preconditioner([c.gram for c in caches], lam)
+        [ridge_leverage_scores(compact_svd(a), 0.0) for a in factors])
+    precond = build_kron_preconditioner([factor_gram(a) for a in factors], lam)
 
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))

@@ -8,11 +8,8 @@ which makes
 
     vectorize(G x_1 A1 x_2 ... x_N AN) == (A1 kron ... kron AN) @ vectorize(G)
 
-hold exactly with the factors in natural order.  Matrix-shaped code paths
-that need the classical column-stacking identity
-``colvec(B C A^T) == (A kron B) colvec(C)`` use :func:`stack_columns` /
-:func:`unstack_columns`, which are explicitly column-major.  Modes are
-0-based, like numpy axes.
+hold exactly with the factors in natural order; ``v.reshape(shape)``
+inverts it.  Modes are 0-based, like numpy axes.
 """
 
 from __future__ import annotations
@@ -114,16 +111,6 @@ def vectorize(x) -> np.ndarray:
     return as_tensor(x).reshape(-1)
 
 
-def devectorize(v, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`vectorize` for the given shape."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    size = math.prod(shape)
-    if v.size != size:
-        raise InvalidInputError(
-            f"vector of length {v.size} cannot fill shape {tuple(shape)}")
-    return v.reshape(tuple(shape))
-
-
 def unfold(x, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding: fibers along ``mode`` become columns.
 
@@ -195,18 +182,3 @@ def explicit_kron(factors: Sequence[np.ndarray],
             f"explicit Kronecker product would hold {rows}x{cols} entries "
             f"(guard: {max_entries})")
     return reduce(np.kron, mats)
-
-
-def stack_columns(m) -> np.ndarray:
-    """Column-stacking flatten (column-major), for the vec-trick identities."""
-    return np.asarray(m, dtype=np.float64).reshape(-1, order="F")
-
-
-def unstack_columns(v, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`stack_columns` for a (rows, cols) matrix shape."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    rows, cols = shape
-    if v.size != rows * cols:
-        raise InvalidInputError(
-            f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
-    return v.reshape((rows, cols), order="F")

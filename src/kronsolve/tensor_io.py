@@ -85,33 +85,6 @@ def read_tensor(path) -> np.ndarray:
     return payload.astype(np.float64).reshape(dims)
 
 
-def write_matrix_csv(path, m) -> None:
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([FLOAT_FORMAT % v for v in row])
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless numeric CSV as a float64 matrix."""
-    rows = []
-    with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: non-numeric CSV entry: {exc}")
-    if not rows:
-        raise InvalidInputError(f"{path}: empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InvalidInputError(f"{path}: ragged CSV rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def format_cell(value) -> str:
     if isinstance(value, float):
         return FLOAT_FORMAT % value

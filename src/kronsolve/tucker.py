@@ -6,10 +6,11 @@ both modes share.  Each sweep then updates every factor matrix and then the
 core tensor; both block updates are ridge regression problems against an
 implicit Kronecker design matrix.  ``exact`` mode solves them exactly
 (block coordinate descent, so the regularized loss is non-increasing).
-``fast`` mode draws one leverage-score sketch of the leftover Kronecker rows
-per factor update and solves the small sketched ridge problem for all rows
-of the factor at once (as sketched Tucker-ALS does, Malik & Becker 2018);
-its core update runs the sketched Kronecker regression solver.
+``fast`` mode draws one leverage-score sketch of the design's Kronecker
+rows per block update and solves the small sketched ridge problem directly
+with :func:`~kronsolve.solvers.sketched_ridge_solve`, for all rows of a
+factor at once and for the core alike (as sketched Tucker-ALS does, Malik &
+Becker 2018), so no Tucker step runs Richardson iteration.
 
 The constrained-update workspace (:class:`FactorUpdateWorkspace`,
 :func:`build_factor_workspace`) is the Woodbury-preconditioned per-row
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
-from .kron import SketchedKron, kron_mat_mul, sparse_diagonal_from_sketch
+from .kron import kron_mat_mul
 from .leverage import build_product_sampler, regression_sample_count, \
     ridge_leverage_scores, sample_rows
 from .solvers import (
@@ -41,9 +42,16 @@ from .solvers import (
     build_factor_cache,
     build_kron_preconditioner,
     factor_gram,
-    fast_kronecker_regression,
+    sketched_ridge_solve,
 )
-from .tensor import _unfold, as_tensor, multi_mode_product, pseudo_inverse, unfold
+from .tensor import (
+    _unfold,
+    as_tensor,
+    compact_svd,
+    multi_mode_product,
+    pseudo_inverse,
+    unfold,
+)
 
 # Columns of the range finder's test matrix beyond the target rank R_n.
 RANGE_FINDER_OVERSAMPLING = 5
@@ -180,8 +188,15 @@ def core_update(model: TuckerModel, x, mode: str = "exact",
     """Solve the core regression at fixed factors; returns the new core.
 
     ``exact`` composes the factor SVDs as :func:`kronmatmul_svd_solve` does,
-    without evaluating a loss; ``fast`` runs the sketched solver.  Both
-    reuse the per-factor decompositions in ``caches`` when provided.
+    without evaluating a loss.  ``fast`` draws
+    ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` rows of the factors'
+    Kronecker product from their leverage-score product distribution (seeded
+    by ``config.seed``) and solves the sketched ridge problem directly with
+    :func:`~kronsolve.solvers.sketched_ridge_solve`; when that count reaches
+    the row count it runs the exact update instead.  Both read the
+    per-factor SVDs in ``caches`` (one per factor, checked against the
+    factors) when provided.  When a factor is zero the design is zero, so
+    the ridge core is zero.
     """
     x = _model_tensor(model, x)
     if mode not in ("exact", "fast"):
@@ -193,16 +208,24 @@ def _core_update(model: TuckerModel, x: np.ndarray, mode: str,
                  config: RegressionConfig | None,
                  caches: Sequence[FactorCache] | None) -> np.ndarray:
     """:func:`core_update` for a tensor ``x`` that the caller has validated."""
-    if mode == "exact":
-        factors, b, _, _ = _validated_problem(model.factors, x)
-        if caches is not None:
-            _check_caches(factors, caches)
-        core = _svd_ridge_solution(factors, b, model.lam, caches)
-    else:
-        cfg = (config or RegressionConfig()).with_lam(model.lam)
-        core = fast_kronecker_regression(model.factors, x.reshape(-1), cfg,
-                                         caches=caches).solution
-    return core.reshape(model.core_shape)
+    if caches is not None:
+        _check_caches(model.factors, caches)
+    if not all(np.any(a) for a in model.factors):
+        return np.zeros(model.core_shape)  # a zero factor makes K zero
+    factors, b, rows, cols = _validated_problem(model.factors, x)
+    if mode == "fast":
+        config = config or RegressionConfig()
+        s = regression_sample_count(cols, config.eps, config.alpha,
+                                    math.log(1.0 / config.delta))
+        if s < rows:
+            svds = ([compact_svd(a) for a in factors] if caches is None
+                    else [c.svd for c in caches])
+            sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
+            sketch = sample_rows(sampler, s, config.seed)
+            core = sketched_ridge_solve(factors, sketch, b, model.lam)
+            return core.reshape(model.core_shape)
+    # exact mode, or a sketch that would draw at least every row
+    return _svd_ridge_solution(factors, b, model.lam, caches).reshape(model.core_shape)
 
 
 def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
@@ -278,9 +301,8 @@ class FactorUpdateWorkspace:
         return base - self.base.apply(corr)
 
 
-def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
-                           caches: Sequence[FactorCache] | None = None,
-                           ) -> FactorUpdateWorkspace:
+def build_factor_workspace(model: TuckerModel, n: int, eps: float,
+                           lam: float) -> FactorUpdateWorkspace:
     """Assemble the constrained-update preconditioner for factor ``n``.
 
     No solver calls this (see :class:`FactorUpdateWorkspace`).  The penalty
@@ -299,11 +321,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float, lam: float,
         raise InvalidInputError("core unfolding is identically zero")
     gn_pinv = pseudo_inverse(g_n)
     gnt_pinv = gn_pinv.T
-    others = _other_factors(model, n)
-    if caches is not None:
-        grams = [c.gram for k, c in enumerate(caches) if k != n]
-    else:
-        grams = [factor_gram(a) for a in others]
+    grams = [factor_gram(a) for a in _other_factors(model, n)]
     gram_mats = tuple(g.matrix for g in grams)
     r_rest = g_n.shape[1]
 
@@ -379,17 +397,19 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     mode-``n`` unfolding.  One sketch ``S`` of
     ``ceil(alpha * 1680 R_rest ln(40 R_rest) ln(I_n/delta) / eps)`` rows of
     the leftover Kronecker product is drawn from the leverage-score product
-    distribution (seeded by ``config.seed``).  The sketched design
-    ``D = S K`` (nnz x R_n) takes R_n applies of one :class:`SketchedKron`,
-    and ``(D^T D + lam I)^+ D^T S B^T`` solves every row at once, with the
-    pseudo-inverse convention of :func:`naive_factor_update` (so ``lam = 0``
-    with a rank-deficient core does not raise).  The ``ln(I_n/delta)``
+    distribution (seeded by ``config.seed``), and
+    :func:`~kronsolve.solvers.sketched_ridge_solve` returns
+    ``(D^T D + lam I)^+ D^T S B^T`` with ``D = S K`` (one row per distinct
+    draw, R_n columns) for every row at once, with the pseudo-inverse
+    convention of :func:`naive_factor_update` (so ``lam = 0`` with a
+    rank-deficient core does not raise).  The ``ln(I_n/delta)``
     factor is the per-row union bound of the paper: the one sketch serves
     all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
     together with probability ``1 - delta``.  When the sample count reaches
     the leftover row count, the exact update :func:`naive_factor_update`
     runs instead.  ``caches`` (one per factor of ``model``) supply the other
-    factors' SVDs for the leverage scores.
+    factors' SVDs for the leverage scores.  When the core or another factor
+    is zero, so is ``K``, and every row's solution is zero.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
@@ -406,18 +426,15 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     if s >= i_rest:
         return naive_factor_update(model, x, n)
 
-    if caches is None:
-        caches = [build_factor_cache(a) for a in model.factors]
-    sampler = build_product_sampler(
-        [ridge_leverage_scores(c.svd, 0.0) for k, c in enumerate(caches) if k != n])
-    sketch = sample_rows(sampler, s, config.seed)
-    sdiag = sparse_diagonal_from_sketch(sketch, tuple(a.shape[0] for a in others))
-    op = SketchedKron(others, sdiag)
     g_n = unfold(model.core, n)
-    design = np.column_stack([op.apply(g) for g in g_n])  # nnz x R_n
-    sb = sdiag.values[:, None] * _unfold(x, n)[:, sdiag.indices].T  # nnz x I_n
-    gram = design.T @ design + model.lam * np.eye(g_n.shape[0])
-    return (np.linalg.pinv(gram) @ (design.T @ sb)).T
+    if not (np.any(g_n) and all(np.any(a) for a in others)):
+        return np.zeros_like(model.factors[n])
+    svds = ([compact_svd(a) for a in others] if caches is None
+            else [c.svd for k, c in enumerate(caches) if k != n])
+    sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
+    sketch = sample_rows(sampler, s, config.seed)
+    return sketched_ridge_solve(others, sketch, _unfold(x, n).T, model.lam,
+                                right=g_n.T).T
 
 
 @dataclass
@@ -509,9 +526,10 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     Gram identity (see :class:`AlsReport` for their accuracy), with
     ``||X||^2`` computed once per call, so no step forms the dense
     reconstruction.  Each factor is decomposed once per update into a
-    :class:`FactorCache` that all later block updates read, the exact core
-    updates included; its Gram eigenpairs are only computed when the fast
-    route reads them.  ``x`` is validated once, here, and the exact block
+    :class:`FactorCache` that all later block updates read, the core
+    updates of both modes included.  ``config`` supplies the sampling
+    parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
+    ridge weight.  ``x`` is validated once, here, and the exact block
     updates do not scan it again; a fast factor update checks it once more
     as its own public entry point does, which is negligible against its
     sketched block solve.
@@ -531,7 +549,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
         raise InvalidInputError(f"sweeps must be >= 1, got {sweeps}")
     if solver_mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")
-    config = (config or RegressionConfig()).with_lam(lam)
+    config = config or RegressionConfig()
 
     report = AlsReport()
     x_norm_sq = float(np.sum(x**2))

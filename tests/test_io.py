@@ -4,14 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from kronsolve.errors import InvalidInputError, TensorFormatError
-from kronsolve.tensor_io import (
-    read_matrix_csv,
-    read_tensor,
-    write_matrix_csv,
-    write_results_csv,
-    write_tensor,
-)
+from kronsolve.errors import TensorFormatError
+from kronsolve.tensor_io import read_tensor, write_results_csv, write_tensor
 
 
 class TestTensorFormat:
@@ -76,19 +70,6 @@ class TestTensorFormat:
 
 
 class TestCsv:
-    def test_matrix_roundtrip(self, rng, tmp_path):
-        m = rng.standard_normal((4, 3))
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, m)
-        back = read_matrix_csv(path)
-        np.testing.assert_array_equal(back, m)
-
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(InvalidInputError):
-            read_matrix_csv(path)
-
     def test_results_numeric_roundtrip(self, rng, tmp_path):
         # every emitted numeric parses back exactly (17 significant digits)
         values = list(rng.standard_normal(50)) + [1e-300, 1e300, 1.0 / 3.0]

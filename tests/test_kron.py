@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kronsolve.errors import InvalidInputError
 from kronsolve.kron import (
-    SPARSE_FALLBACK_FRACTION,
     SketchedKron,
     SparseDiagonal,
     balanced_partition,
@@ -223,8 +222,8 @@ class TestSketchedApplies:
         np.testing.assert_allclose(sketched_kron_transpose_apply(facs, sd, bv),
                                    dense.T @ s @ bfull, atol=1e-12)
 
-    def test_dense_fallback_path(self, rng):
-        # nnz above half the rows takes the dense fallback; results must agree
+    def test_most_rows_sketched(self, rng):
+        # 10 of 12 rows kept: the two-group scheme holds at any density
         facs = random_factors(rng, [(4, 2), (3, 2)])
         dense = dense_kron(facs)
         sd = random_sparse_diag(rng, 12, 10)
@@ -287,20 +286,13 @@ def sketched_problem(shapes, seed, distinct, n_repeats):
 def sketched_problems(draw):
     """Factors of order 1-4 and a sketch diagonal with repeated draws.
 
-    The number of distinct rows is drawn on one side of
-    ``SPARSE_FALLBACK_FRACTION`` chosen up front, so both the two-group
-    scheme and the dense fallback are exercised; order 1 (and unit column
-    dimensions) leave one partition group empty.
+    The number of distinct rows ranges from none to all of them; order 1
+    (and unit column dimensions) leave one partition group empty.
     """
     shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
                            min_size=1, max_size=4))
     seed = draw(st.integers(0, 2**32 - 1))
-    n_rows = math.prod(s[0] for s in shapes)
-    sparse_max = int(n_rows * SPARSE_FALLBACK_FRACTION)
-    if draw(st.booleans()) or sparse_max == 0:
-        distinct = draw(st.integers(sparse_max + 1, n_rows))
-    else:
-        distinct = draw(st.integers(0, sparse_max))
+    distinct = draw(st.integers(0, math.prod(s[0] for s in shapes)))
     return sketched_problem(shapes, seed, distinct, draw(st.integers(0, 6)))
 
 
@@ -320,11 +312,6 @@ def first_formulation(op, c, b_values):
     if sd.nnz == 0:
         return np.zeros(0), np.zeros(op.cols)
     scaled = sd.values * b_values
-    if op.dense:
-        full = np.zeros(op.rows)
-        full[sd.indices] = scaled
-        return (sd.values * kron_mat_mul(op.factors, c)[sd.indices],
-                kron_mat_mul([a.T for a in op.factors], full))
     order = op.part.left + op.part.right
     r_left = op.left_rows.shape[1]
     c_mat = c.reshape(op.col_shape).transpose(order).reshape(-1).reshape(r_left, -1).T

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronsolve.solvers as solvers
+import kronsolve.tucker as tucker
 from kronsolve.errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from kronsolve.kron import kron_vec_square, sketch_rows_of_kron
 from kronsolve.leverage import (
@@ -225,6 +226,24 @@ class TestSketchAndSolve:
             hits += rep.loss <= 1.5 * opt.loss
         assert hits >= 34  # 85%
 
+    def test_repeated_draws_match_per_draw_rows(self, rng):
+        # merging repeated draws leaves the sketched normal equation as it is
+        facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3))]
+        b = rng.standard_normal(20)
+        flat = np.array([3, 7, 3, 19, 7, 7, 0, 12])
+        sketch = RowSketch(indices=flat, weights=rng.uniform(0.5, 2.0, flat.size))
+        rep = sketch_and_solve_ridge(facs, b, RegressionConfig(lam=0.1, seed=0),
+                                     sketch=sketch)
+        sk = sketch_rows_of_kron(facs, sketch)
+        want = (np.linalg.pinv(sk.T @ sk + 0.1 * np.eye(6))
+                @ (sk.T @ (sketch.weights * b[flat])))
+        assert np.linalg.norm(rep.solution - want) <= 1e-12 * np.linalg.norm(want)
+        for indices in (np.array([3, 20]), np.array([[0, 1], [5, 0]]),
+                        np.array([[0, 1], [0, -1]])):
+            outside = RowSketch(indices=indices, weights=np.ones(2))
+            with pytest.raises(InvalidInputError):
+                sketch_and_solve_ridge(facs, b, RegressionConfig(lam=0.1), sketch=outside)
+
     def test_sample_count_scales_before_rounding(self, rng):
         # ceil(0.3 * 1680 ln(40) / 0.1) = ceil(18591.95) = 18592; scaling the
         # rounded count instead gives ceil(0.3 * ceil(61973.17)) = 18593
@@ -342,19 +361,17 @@ class TestFastKroneckerRegression:
     def test_operator_released_before_exact_loss(self, monkeypatch):
         # the loss's dense multiply must not run on top of the operator's
         # precomputed gathers
-        import kronsolve.solvers as solvers
-
         ops = []
 
         class Recording(solvers.SketchedKron):
             def __init__(self, *args):
                 super().__init__(*args)
-                ops.append((weakref.ref(self), self.dense))
+                ops.append(weakref.ref(self))
 
         original_loss = solvers.ridge_loss
 
         def checked_loss(*args):
-            assert ops and all(ref() is None for ref, _ in ops)
+            assert ops and all(ref() is None for ref in ops)
             return original_loss(*args)
 
         monkeypatch.setattr(solvers, "SketchedKron", Recording)
@@ -364,7 +381,7 @@ class TestFastKroneckerRegression:
         cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
         rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
         assert rep.iterations > 0
-        assert [dense for _, dense in ops] == [False]
+        assert len(ops) == 1
 
     def test_scale_equivariance(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]
@@ -376,72 +393,55 @@ class TestFastKroneckerRegression:
         np.testing.assert_allclose(r2.solution, 3.0 * r1.solution, rtol=1e-9,
                                    atol=1e-12)
 
-    def test_cached_factor_data(self, rng):
-        facs = [rng.standard_normal((15, 2)), rng.standard_normal((12, 3))]
-        b = rng.standard_normal(180)
-        caches = [build_factor_cache(a) for a in facs]
-        cfg = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, seed=4, alpha=1e-3)
-        rep = fast_kronecker_regression(facs, b, cfg, caches=caches)
-        opt = kronmatmul_svd_solve(facs, b, 1e-2)
-        assert rep.loss <= 1.3 * opt.loss
-        cached_opt = kronmatmul_svd_solve(facs, b, 1e-2, caches=caches)
-        np.testing.assert_array_equal(cached_opt.solution, opt.solution)
-        # Without caches the solver builds the same ones, so both calls give
+    # the Tucker core update, sketched or exact, is the one solve that reads
+    # caches; the next three tests pin its cache handling
+    def test_cached_factor_data(self, rng, count_calls):
+        model = tucker.TuckerModel(core=rng.standard_normal((2, 3)),
+                                   factors=[rng.standard_normal((15, 2)),
+                                            rng.standard_normal((12, 3))], lam=1e-2)
+        x = rng.standard_normal((15, 12))
+        caches = [build_factor_cache(a) for a in model.factors]
+        sketched = count_calls(tucker, "sketched_ridge_solve")
+        # Without caches the update builds the same SVDs, so both calls give
         # the same bits.  alpha=1e-3 asks for more rows than the 180 there
         # are (exact route); at 1e-4 the sketch runs.
-        for alpha in (1e-3, 1e-4):
-            cfg_a = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, seed=4,
-                                     alpha=alpha)
-            cached = fast_kronecker_regression(facs, b, cfg_a, caches=caches)
-            plain = fast_kronecker_regression(facs, b, cfg_a)
-            assert plain.sample_count == cached.sample_count
-            assert plain.iterations == cached.iterations
-            np.testing.assert_array_equal(plain.solution, cached.solution)
-        assert 0 < cached.sample_count < 180
+        for mode, alpha in (("exact", 1.0), ("fast", 1e-3), ("fast", 1e-4)):
+            cfg = RegressionConfig(eps=0.25, delta=0.1, seed=4, alpha=alpha)
+            cached = tucker.core_update(model, x, mode=mode, config=cfg, caches=caches)
+            plain = tucker.core_update(model, x, mode=mode, config=cfg)
+            np.testing.assert_array_equal(plain, cached)
+        assert len(sketched) == 2
 
-    def test_cache_gram_computed_on_first_read(self, rng, count_calls):
-        a = rng.standard_normal((9, 3))
-        grams = count_calls(solvers, "factor_gram")
-        cache = build_factor_cache(a)
-        assert grams == []
-        first = cache.gram
-        assert cache.gram is first and len(grams) == 1
-        want = factor_gram(a)
-        for field in ("v", "eigenvalues", "matrix"):
-            np.testing.assert_array_equal(getattr(first, field), getattr(want, field))
+    def test_exact_fallback_reuses_caches(self, rng, count_calls):
+        model = tucker.TuckerModel(core=rng.standard_normal((3, 3)),
+                                   factors=[rng.standard_normal((20, 3)) for _ in range(2)],
+                                   lam=1e-2)
+        caches = [build_factor_cache(a) for a in model.factors]
+        svds = [count_calls(solvers, "compact_svd"), count_calls(tucker, "compact_svd")]
+        cfg = RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0)
+        core = tucker.core_update(model, rng.standard_normal((20, 20)), mode="fast",
+                                  config=cfg, caches=caches)
+        assert core.shape == (3, 3)
+        assert sum(len(calls) for calls in svds) == 0
 
     def test_mismatched_caches_rejected(self, rng):
-        facs = [rng.standard_normal((40, 2)), rng.standard_normal((12, 3))]
-        b = rng.standard_normal(480)
-        cfg = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, seed=4, alpha=1e-3)
+        model = tucker.TuckerModel(core=rng.standard_normal((2, 3)),
+                                   factors=[rng.standard_normal((40, 2)),
+                                            rng.standard_normal((12, 3))], lam=1e-2)
+        x = rng.standard_normal((40, 12))
+        cfg = RegressionConfig(eps=0.25, delta=0.1, seed=4, alpha=1e-4)
+        wrong = []
         for rows in (25, 50):
-            caches = [build_factor_cache(rng.standard_normal((rows, 2))),
-                      build_factor_cache(facs[1])]
-            with pytest.raises(InvalidInputError):
-                fast_kronecker_regression(facs, b, cfg, caches=caches)
-            with pytest.raises(InvalidInputError):
-                kronmatmul_svd_solve(facs, b, 1e-2, caches=caches)
-        # right rows, wrong column count
-        caches = [build_factor_cache(facs[0]),
-                  build_factor_cache(rng.standard_normal((12, 2)))]
-        with pytest.raises(InvalidInputError):
-            fast_kronecker_regression(facs, b, cfg, caches=caches)
-        with pytest.raises(InvalidInputError):
-            kronmatmul_svd_solve(facs, b, 1e-2, caches=caches)
-        with pytest.raises(InvalidInputError):
-            fast_kronecker_regression(facs, b, cfg, caches=caches[:1])
-        with pytest.raises(InvalidInputError):
-            kronmatmul_svd_solve(facs, b, 1e-2, caches=caches[:1])
-
-    def test_exact_fallback_reuses_caches(self, rng, compact_svd_calls):
-        facs = [rng.standard_normal((20, 3)) for _ in range(2)]
-        b = rng.standard_normal(400)
-        caches = [build_factor_cache(a) for a in facs]
-        before = len(compact_svd_calls)
-        cfg = RegressionConfig(eps=0.25, delta=0.1, lam=1e-2, alpha=1.0, seed=0)
-        rep = fast_kronecker_regression(facs, b, cfg, caches=caches)
-        assert rep.sample_count == 0  # the exact route ran
-        assert len(compact_svd_calls) == before
+            wrong.append([build_factor_cache(rng.standard_normal((rows, 2))),
+                          build_factor_cache(model.factors[1])])
+        # right rows, wrong column count; and one cache short
+        wrong.append([build_factor_cache(model.factors[0]),
+                      build_factor_cache(rng.standard_normal((12, 2)))])
+        wrong.append(wrong[-1][:1])
+        for caches in wrong:
+            for mode in ("exact", "fast"):
+                with pytest.raises(InvalidInputError):
+                    tucker.core_update(model, x, mode=mode, config=cfg, caches=caches)
 
     def test_report_loss_matches_solution(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]
@@ -452,8 +452,10 @@ class TestFastKroneckerRegression:
             ridge_loss(facs, rep.solution, b, 1e-3), abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteTarget:
-    """A NaN or inf in ``b`` raises where a solver reads ``b``."""
+    """A NaN or inf in ``b`` raises where a solver reads ``b``, with no
+    numpy warning before the error."""
 
     FACTORS_SEED = 7
     CFG = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=3, alpha=2e-4)
@@ -497,9 +499,6 @@ class TestNonFiniteTarget:
         b[where] = bad
         with pytest.raises(InvalidInputError):
             kronmatmul_svd_solve(factors, b, 1e-3)
-        with pytest.raises(InvalidInputError):
-            kronmatmul_svd_solve(factors, b, 1e-3,
-                                 caches=[build_factor_cache(a) for a in factors])
         with pytest.raises(InvalidInputError):
             naive_normal_solve(factors, b, 1e-3)
         # alpha 1: more samples than rows, so the fast route runs the exact one

@@ -9,15 +9,12 @@ from kronsolve.errors import (InvalidInputError, NumericalFailureError,
                               SizeGuardError)
 from kronsolve.tensor import (
     compact_svd,
-    devectorize,
     explicit_kron,
     fold,
     multi_mode_product,
     n_mode_product,
     pseudo_inverse,
-    stack_columns,
     unfold,
-    unstack_columns,
     vectorize,
 )
 
@@ -142,7 +139,7 @@ class TestVectorize:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, shape, seed):
         x = np.random.default_rng(seed).standard_normal(tuple(shape))
-        assert np.array_equal(devectorize(vectorize(x), shape), x)
+        assert np.array_equal(vectorize(x).reshape(shape), x)
 
     def test_kron_consistency_elementwise(self, rng):
         # multilinear expansion entry oracle: sum over all core indices
@@ -159,10 +156,6 @@ class TestVectorize:
         np.testing.assert_allclose(expanded, oracle, atol=1e-12)
         np.testing.assert_allclose(
             vectorize(expanded), dense_kron(factors) @ vectorize(g), atol=1e-12)
-
-    def test_devectorize_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            devectorize(np.ones(5), (2, 3))
 
 
 class TestNModeProduct:
@@ -207,17 +200,3 @@ class TestExplicitKron:
         with pytest.raises(SizeGuardError):
             explicit_kron([np.ones((2, 2))] * 4, max_entries=100)
 
-
-class TestColumnStacking:
-    def test_mixed_vec_law(self, rng):
-        # colvec(B C A^T) == (A kron B) colvec(C)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((2, 3))
-        c = rng.standard_normal((3, 4))
-        lhs = stack_columns(b @ c @ a.T)
-        rhs = np.kron(a, b) @ stack_columns(c)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_roundtrip(self, rng):
-        m = rng.standard_normal((4, 2))
-        assert np.array_equal(unstack_columns(stack_columns(m), (4, 2)), m)

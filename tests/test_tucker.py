@@ -55,6 +55,11 @@ def row_ridge_loss(design, y, b, lam):
     return float(np.sum((design @ y - b) ** 2) + lam * np.sum(y**2))
 
 
+# 12^3 with a rank-3 core: at alpha 5e-5 every fast factor row and the fast
+# core update draw a sketch instead of falling back to the exact solve
+LOSS_CFG = RegressionConfig(eps=0.25, delta=0.05, seed=3, alpha=5e-5)
+
+
 class TestModelBasics:
     def test_shape_validation(self, rng):
         with pytest.raises(InvalidInputError):
@@ -425,18 +430,13 @@ def block_problems(draw):
 class TestBlockFactorUpdate:
     """The fast factor update is one sketched ridge solve for all rows."""
 
-    # dense (0.0: every sketch) and two-group (1.0: no sketch) applies of
-    # SketchedKron, on either side of SPARSE_FALLBACK_FRACTION
-    @pytest.mark.parametrize("fraction", [0.0, 1.0])
     @given(problem=block_problems())
     @example(problem=block_problem((2, 3, 2, 2), (3, 1, 2, 2), 1, 0.05, 9, 60) + (1,))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_dense_sketched_ridge(self, fraction, problem):
+    @settings(max_examples=240, deadline=None)
+    def test_matches_dense_sketched_ridge(self, problem):
         model, x, cfg, n = problem
         want, sketch = sketched_block_oracle(model, x, n, cfg)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kron, "SPARSE_FALLBACK_FRACTION", fraction)
-            got = fast_factor_matrix_update(model, x, n, cfg)
+        got = fast_factor_matrix_update(model, x, n, cfg)
         assert got.shape == model.factors[n].shape
         assert_rows_close(got, want, 1e-10)
 
@@ -468,11 +468,12 @@ class TestBlockFactorUpdate:
                                                       math.log(6 / 0.05))
 
     def test_one_sketch_per_update_inside_als(self, count_calls):
+        # every block update of a sweep, the core included, draws one sketch
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         draws = count_calls(tucker, "sample_rows")
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
                    config=LOSS_CFG)
-        assert len(draws) == 2 * 3
+        assert len(draws) == 2 * 4
 
     def test_exact_update_when_the_sketch_covers_the_rows(self, count_calls):
         model, x, _ = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
@@ -481,6 +482,92 @@ class TestBlockFactorUpdate:
         got = fast_factor_matrix_update(model, x, 2, RegressionConfig(lam=0.1))
         assert len(draws) == 0 and len(exact) == 1
         np.testing.assert_array_equal(got, naive_factor_update(model, x, 2))
+
+
+def sketched_core_oracle(model, x, config):
+    """The core update solved densely from the sketch the fast route draws.
+
+    ``S K`` keeps one rescaled row per draw, repeated draws included, and
+    the sketched ridge problem is solved with the pseudo-inverse convention.
+    """
+    cols = math.prod(model.core_shape)
+    s = regression_sample_count(cols, config.eps, config.alpha,
+                                math.log(1.0 / config.delta))
+    sampler = build_product_sampler(
+        [statistical_leverage_scores(a) for a in model.factors])
+    sketch = sample_rows(sampler, s, config.seed)
+    design = sketch_rows_of_kron(model.factors, sketch)
+    flat = np.ravel_multi_index(tuple(sketch.indices.T), x.shape)
+    sb = sketch.weights * x.reshape(-1)[flat]
+    gram = design.T @ design + model.lam * np.eye(cols)
+    return (np.linalg.pinv(gram) @ (design.T @ sb)).reshape(model.core_shape), sketch
+
+
+def core_problem(ranks, extra, lam, seed, target):
+    """A model, a tensor and a config whose core sample count is about
+    ``target`` draws (alpha scaled to it); ``None`` if the exact update runs."""
+    rng = np.random.default_rng(seed)
+    shape = [r + e for r, e in zip(ranks, extra)]
+    model = random_model(rng, shape, ranks, lam=lam)
+    x = rng.standard_normal(shape)
+    cols = math.prod(ranks)
+    failure_log = math.log(1.0 / 0.05)
+    unscaled = regression_sample_count(cols, 0.25, 1.0, failure_log)
+    cfg = RegressionConfig(eps=0.25, delta=0.05, seed=seed,
+                           alpha=min(1.0, target / unscaled))
+    if regression_sample_count(cols, 0.25, cfg.alpha, failure_log) >= math.prod(shape):
+        return None
+    return model, x, cfg
+
+
+@st.composite
+def core_problems(draw):
+    """Orders 1-4, ranks 1-3, and a sample count anywhere below the rows."""
+    order = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
+    extra = draw(st.lists(st.integers(0, 4), min_size=order, max_size=order))
+    rows = math.prod(r + e for r, e in zip(ranks, extra))
+    assume(rows >= 2)
+    target = draw(st.integers(1, rows - 1))
+    # lam >= 0.1 keeps the two solves within 1e-10, as in block_problems
+    lam = draw(st.floats(0.1, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    problem = core_problem(ranks, extra, lam, seed, target)
+    assume(problem is not None)
+    return problem
+
+
+class TestSketchedCoreUpdate:
+    """The fast core update is the same direct sketched ridge solve."""
+
+    @given(problem=core_problems())
+    @example(problem=core_problem((2, 2, 2), (2, 1, 2), 0.3, 5, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_sketched_ridge(self, problem):
+        model, x, cfg = problem
+        want, _ = sketched_core_oracle(model, x, cfg)
+        got = core_update(model, x, mode="fast", config=cfg)
+        assert got.shape == model.core_shape
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
+
+    def test_example_repeats_draws(self):
+        model, x, cfg = core_problem((2, 2, 2), (2, 1, 2), 0.3, 5, 40)
+        _, sketch = sketched_core_oracle(model, x, cfg)
+        distinct = np.unique(sketch.indices, axis=0).shape[0]
+        assert distinct < sketch.sample_count
+
+    def test_fast_als_runs_no_richardson(self, count_calls):
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        unused = [count_calls(module, name) for module in (kron, solvers, tucker)
+                  for name in ("fast_kronecker_regression", "richardson_solve",
+                               "build_kron_preconditioner", "factor_gram",
+                               "ridge_loss", "SketchedKron")
+                  if hasattr(module, name)]
+        solves = count_calls(tucker, "sketched_ridge_solve")
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
+                   config=LOSS_CFG)
+        assert sum(len(calls) for calls in unused) == 0
+        assert len(solves) == 2 * 4
 
 
 class TestRangeFinderStart:
@@ -611,6 +698,16 @@ class TestTuckerAls:
         assert fast.rre <= 2.0 * exact.rre
         assert fast.rre <= 3e-4
 
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("shape,rank,config", [
+        ((5, 4, 3), (2, 2, 2), None), ((12, 12, 12), (3, 3, 3), LOSS_CFG)])
+    def test_zero_tensor_gives_the_zero_model(self, mode, shape, rank, config):
+        model, report = tucker_als(np.zeros(shape), rank, lam=0.1, sweeps=1,
+                                   solver_mode=mode, config=config)
+        assert report.rre == 0.0
+        assert not np.any(reconstruct(model))
+        assert not np.any(model.core)
+
     def test_validation(self, rng):
         x = rng.standard_normal((4, 4))
         with pytest.raises(InvalidInputError):
@@ -657,11 +754,6 @@ def dense_fit(model, x, x_norm_sq, bases):
     err = float(np.sum((reconstruct(model) - x) ** 2))
     reg = float(np.sum(model.core**2)) + sum(float(np.sum(a**2)) for a in model.factors)
     return err, err + model.lam * reg
-
-
-# 12^3 with a rank-3 core: at alpha 5e-5 every fast factor row and the fast
-# core update draw a sketch instead of falling back to the exact solve
-LOSS_CFG = RegressionConfig(eps=0.25, delta=0.05, seed=3, alpha=5e-5)
 
 
 class TestLossRecording:
@@ -737,14 +829,9 @@ class TestLossRecording:
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
                    config=LOSS_CFG)
         assert len(reconstructs) == 0
-        if mode == "exact":
-            # the exact core updates neither evaluate a loss nor read a Gram
-            assert len(ridge_losses) == 0
-            assert sum(len(g) for g in grams) == 0
-        else:
-            # one exact loss per sketched core update, inside the solver's report
-            assert len(ridge_losses) == 2
-            assert sum(len(g) for g in grams) > 0
+        # no core update evaluates a loss or reads a Gram, sketched or exact
+        assert len(ridge_losses) == 0
+        assert sum(len(g) for g in grams) == 0
 
 
 class TestValidateOnce:
