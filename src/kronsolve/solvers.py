@@ -357,7 +357,8 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     Kronecker rows come from :func:`~kronsolve.kron.kron_rows` and are
     weighted in place.  Every column of ``b`` (a vector or a matrix whose
     rows are the rows of ``K``) is solved at once, with the pseudo-inverse
-    convention, so ``lam = 0`` with a rank-deficient ``D`` does not raise.
+    convention, so ``lam = 0`` with a rank-deficient ``D`` does not raise,
+    and refined by one step against ``D``.
 
     ``b`` is read only at the drawn rows, and a non-finite entry there
     raises :class:`InvalidInputError`.  ``factors``, ``right`` and ``lam``
@@ -378,8 +379,14 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     design *= sdiag.values[:, None]
     if right is not None:
         design = design @ right
-    gram = design.T @ design + lam * np.eye(design.shape[1])
-    return np.linalg.pinv(gram) @ (design.T @ (weights * b_drawn))
+    gram_pinv = np.linalg.pinv(design.T @ design + lam * np.eye(design.shape[1]))
+    sb = weights * b_drawn
+    x = gram_pinv @ (design.T @ sb)
+    # the normal equations square D's condition number, so their solution is
+    # only good to about eps (|D|^2 + lam) / lam; one correction from the
+    # residual against D itself brings it back to a few eps
+    x += gram_pinv @ (design.T @ (sb - design @ x) - lam * x)
+    return x
 
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,

@@ -380,8 +380,21 @@ def sketched_block_oracle(model, x, n, config):
     design = sketch_rows_of_kron(others, sketch) @ unfold(model.core, n).T
     flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
     sb = sketch.weights[:, None] * unfold(x, n)[:, flat].T
-    gram = design.T @ design + model.lam * np.eye(design.shape[1])
-    return (np.linalg.pinv(gram) @ (design.T @ sb)).T, sketch
+    return stacked_ridge_lstsq(design, sb, model.lam).T, sketch
+
+
+def stacked_ridge_lstsq(design, sb, lam):
+    """``(D^T D + lam I)^+ D^T sb`` as the minimum-norm least-squares
+    solution of ``[D; sqrt(lam) I] y = [sb; 0]``.
+
+    The SVD of the stacked matrix loses ``cond(D)``, not the ``cond(D)^2``
+    of a solve with ``D^T D + lam I``, which with unit-scale Gaussian factors
+    of order 4 reaches ``3e5`` and so ``1e-10`` on its own.
+    """
+    cols = design.shape[1]
+    stacked = np.vstack([design, math.sqrt(lam) * np.eye(cols)])
+    rhs = np.concatenate([sb, np.zeros((cols,) + sb.shape[1:])])
+    return np.linalg.lstsq(stacked, rhs, rcond=None)[0]
 
 
 def assert_rows_close(got, want, rtol):
@@ -417,9 +430,9 @@ def block_problems(draw):
     i_rest = math.prod(r + e for k, (r, e) in enumerate(zip(ranks, extra)) if k != n)
     assume(i_rest >= 2)
     target = draw(st.integers(1, i_rest - 1))
-    # the two solves differ by roundoff times the condition number of
-    # D^T D + lam I; lam >= 0.1 against unit-scale factors keeps it below
-    # 1e-10 (at lam near 0.02 about 1 problem in 6,000 reached 1.1e-10)
+    # lam >= 0.1 keeps cond(D^T D + lam I) = 1 + |D|^2 / lam within reach
+    # of a 1e-10 match: the refined solve and the stacked-system oracle each
+    # lose about the root of it, not all of it
     lam = draw(st.floats(0.1, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
     problem = block_problem(ranks, extra, n, lam, seed, target)
@@ -430,11 +443,15 @@ def block_problems(draw):
 class TestBlockFactorUpdate:
     """The fast factor update is one sketched ridge solve for all rows."""
 
+    # the target is noise (0.0) or the model's own tensor plus that noise
+    # (1.0), so the sketched residual is large or small next to S b
+    @pytest.mark.parametrize("signal", [0.0, 1.0])
     @given(problem=block_problems())
     @example(problem=block_problem((2, 3, 2, 2), (3, 1, 2, 2), 1, 0.05, 9, 60) + (1,))
-    @settings(max_examples=240, deadline=None)
-    def test_matches_dense_sketched_ridge(self, problem):
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_sketched_ridge(self, signal, problem):
         model, x, cfg, n = problem
+        x = x + signal * reconstruct(model)
         want, sketch = sketched_block_oracle(model, x, n, cfg)
         got = fast_factor_matrix_update(model, x, n, cfg)
         assert got.shape == model.factors[n].shape
@@ -499,8 +516,7 @@ def sketched_core_oracle(model, x, config):
     design = sketch_rows_of_kron(model.factors, sketch)
     flat = np.ravel_multi_index(tuple(sketch.indices.T), x.shape)
     sb = sketch.weights * x.reshape(-1)[flat]
-    gram = design.T @ design + model.lam * np.eye(cols)
-    return (np.linalg.pinv(gram) @ (design.T @ sb)).reshape(model.core_shape), sketch
+    return stacked_ridge_lstsq(design, sb, model.lam).reshape(model.core_shape), sketch
 
 
 def core_problem(ranks, extra, lam, seed, target):
@@ -529,7 +545,7 @@ def core_problems(draw):
     rows = math.prod(r + e for r, e in zip(ranks, extra))
     assume(rows >= 2)
     target = draw(st.integers(1, rows - 1))
-    # lam >= 0.1 keeps the two solves within 1e-10, as in block_problems
+    # lam as in block_problems
     lam = draw(st.floats(0.1, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
     problem = core_problem(ranks, extra, lam, seed, target)
