@@ -13,7 +13,6 @@ from .kron import (
     balanced_partition,
     kron_mat_mul,
     kron_vec_square,
-    sketch_rows_of_kron,
     sketched_kron_apply,
     sketched_kron_transpose_apply,
     sparse_diagonal_from_sketch,
@@ -30,7 +29,6 @@ from .leverage import (
     statistical_leverage_scores,
 )
 from .solvers import (
-    FactorCache,
     KronPreconditioner,
     RegressionConfig,
     SolveReport,

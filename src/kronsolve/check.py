@@ -116,8 +116,8 @@ def run_checks() -> int:
     s = leverage.regression_sample_count(6, cfg.eps, cfg.alpha, np.log(5 / cfg.delta))
     sketch = leverage.sample_rows(leverage.build_product_sampler(
         [leverage.statistical_leverage_scores(a) for a in others]), s, cfg.seed)
-    design = kron.sketch_rows_of_kron(others, sketch) @ gmat.T
     flat = np.ravel_multi_index(tuple(sketch.indices.T), (6, 4))
+    design = sketch.weights[:, None] * kd[flat] @ gmat.T
     sb = sketch.weights[:, None] * tensor.unfold(xb, 0)[:, flat].T
     want = np.linalg.pinv(design.T @ design + 0.1 * np.eye(2)) @ (design.T @ sb)
     got = tucker.fast_factor_matrix_update(model, xb, 0, cfg)
@@ -132,8 +132,8 @@ def run_checks() -> int:
     s = leverage.regression_sample_count(12, cfg.eps, cfg.alpha, np.log(1 / cfg.delta))
     sketch = leverage.sample_rows(leverage.build_product_sampler(
         [leverage.statistical_leverage_scores(a) for a in model.factors]), s, cfg.seed)
-    design = kron.sketch_rows_of_kron(model.factors, sketch)
     flat = np.ravel_multi_index(tuple(sketch.indices.T), xc.shape)
+    design = sketch.weights[:, None] * tensor.explicit_kron(model.factors)[flat]
     want = np.linalg.pinv(design.T @ design + 0.1 * np.eye(12)) @ (
         design.T @ (sketch.weights * xc.reshape(-1)[flat]))
     got = tucker.core_update(model, xc, mode="fast", config=cfg).reshape(-1)
@@ -146,7 +146,8 @@ def run_checks() -> int:
     xhat = tucker.reconstruct(model)
     noise = rng.standard_normal(xhat.shape)
     xt = xhat + 1e-2 * np.linalg.norm(xhat) / np.linalg.norm(noise) * noise
-    err, loss = tucker._fit(model, xt, float(np.sum(xt**2)), tucker._qr_bases(model))
+    err, loss = tucker._fit(model, xt, float(np.sum(xt**2)),
+                            [tensor.compact_svd(f) for f in model.factors])
     dense_err = float(np.sum((xhat - xt) ** 2))
     dense_loss = dense_err + model.lam * (
         float(np.sum(model.core**2)) + sum(float(np.sum(f**2)) for f in model.factors))

@@ -2,10 +2,10 @@
 
 The operator ``K = A1 kron ... kron AN`` is only ever represented by its
 factor list.  ``kron_mat_mul`` peels the rightmost factor off recursively;
-``kron_vec_square`` cycles the reshape-multiply-permute identity for square
-factors; its checks wrap an unchecked kernel that the Kronecker-eigen
-preconditioner calls directly, because its factors are eigenvectors
-computed from checked input.  :class:`SketchedKron` is the row-sparsified ``S K`` for one
+its checks wrap the one unchecked multiply kernel, which the Kronecker-eigen
+preconditioner calls directly (its factors are singular vectors computed
+from checked input) and which ``kron_vec_square`` reuses for square factors.
+:class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the distinct Kronecker rows each group needs, and applies ``S K``,
 ``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The left-group
@@ -68,7 +68,7 @@ def kron_mat_mul(factors: Sequence[np.ndarray], b) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _kron_mat_mul_rec(factors: list[np.ndarray], b: np.ndarray) -> np.ndarray:
+def _kron_mat_mul_rec(factors: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
     if len(factors) == 1:
         return factors[0] @ b
     tail = factors[-1]
@@ -85,10 +85,9 @@ def _kron_mat_mul_rec(factors: list[np.ndarray], b: np.ndarray) -> np.ndarray:
 def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
     """Multiply a Kronecker product of square factors by a vector.
 
-    One factor is applied per round to the fastest-varying mode, then the
-    flat vector is cyclically permuted; after N rounds the index order is
-    back to natural.  Costs ``O(R * sum_n R_n)`` for ``R = prod R_n``.
-    Non-finite factors or a non-finite vector raise :class:`InvalidInputError`.
+    The checked square-factor entry to :func:`kron_mat_mul`'s kernel; costs
+    ``O(R * sum_n R_n)`` for ``R = prod R_n``.  Non-finite factors or a
+    non-finite vector raise :class:`InvalidInputError`.
     """
     factors = check_factors(factors)
     for n, a in enumerate(factors):
@@ -100,18 +99,7 @@ def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
         raise InvalidInputError(f"vector length {c.size} != operator size {size}")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("vector contains non-finite entries")
-    return _kron_vec_square(factors, c)
-
-
-def _kron_vec_square(factors: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
-    """:func:`kron_vec_square` without its checks: square float64 factors and
-    a flat float64 ``c`` of matching length are the caller's promise."""
-    v = c
-    for a in reversed(factors):
-        r_n = a.shape[0]
-        # apply to the fastest mode, then rotate it to the front
-        v = np.ascontiguousarray((v.reshape(-1, r_n) @ a.T).T).reshape(-1)
-    return v
+    return _kron_mat_mul_rec(factors, c[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -217,23 +205,6 @@ def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.nd
         part = a[multi_indices[:, n], :]
         acc = (acc[:, :, None] * part[:, None, :]).reshape(m, -1)
     return acc
-
-
-def sketch_rows_of_kron(factors: Sequence[np.ndarray], sketch: RowSketch) -> np.ndarray:
-    """Materialize the sketched matrix ``S K``: one rescaled row per draw."""
-    factors = check_factors(factors)
-    rows, _ = kron_operator_shape(factors)
-    idx = sketch.indices
-    if idx.ndim == 1:
-        shape = tuple(a.shape[0] for a in factors)
-        if idx.size and (idx.min() < 0 or idx.max() >= rows):
-            raise InvalidInputError("sketch index out of range")
-        idx = np.stack(np.unravel_index(idx, shape), axis=1)
-    else:
-        for n, a in enumerate(factors):
-            if idx[:, n].size and (idx[:, n].min() < 0 or idx[:, n].max() >= a.shape[0]):
-                raise InvalidInputError(f"sketch index out of range in mode {n}")
-    return sketch.weights[:, None] * kron_rows(factors, idx)
 
 
 class SketchedKron:

@@ -13,8 +13,8 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
   updates share.
 * :func:`fast_kronecker_regression` solves the *sketched* problem by damped
   Richardson iteration preconditioned with the eigendecomposition of the
-  *unsketched* normal matrix, so every step costs only sparse Kronecker
-  applies.
+  *unsketched* normal matrix, read off the factor SVDs, so every step costs
+  only sparse Kronecker applies.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from .kron import (
     SketchedKron,
-    _kron_vec_square,
+    _kron_mat_mul_rec,
     check_factors,
     kron_mat_mul,
     kron_operator_shape,
@@ -118,7 +118,12 @@ class FactorGram:
 
 
 def factor_gram(a) -> FactorGram:
-    """Eigendecomposition of ``a.T @ a``."""
+    """Eigendecomposition of ``a.T @ a``.
+
+    Only :func:`~kronsolve.tucker.build_factor_workspace`, which no solver
+    calls, reads it: the regression solver takes the same eigenpairs from
+    the factor SVD.
+    """
     a = as_matrix(a)
     g = a.T @ a
     g = 0.5 * (g + g.T)
@@ -127,26 +132,24 @@ def factor_gram(a) -> FactorGram:
     return FactorGram(v=np.ascontiguousarray(v[:, ::-1]), eigenvalues=w, matrix=g)
 
 
-@dataclass(frozen=True)
-class FactorCache:
-    """The thin SVD of one factor, reused by every solve that reads it."""
+def build_factor_cache(a) -> CompactSvd:
+    """The thin SVD of one factor, reused by every solve that reads it.
 
-    svd: CompactSvd
-
-
-def build_factor_cache(a) -> FactorCache:
-    return FactorCache(svd=compact_svd(a))
+    A name of its own, so that the benchmark's tracer counts the factor
+    decompositions Tucker ALS makes apart from every other SVD.
+    """
+    return compact_svd(a)
 
 
 def _check_caches(factors: Sequence[np.ndarray],
-                  caches: Sequence[FactorCache]) -> None:
+                  caches: Sequence[CompactSvd]) -> None:
     if len(caches) != len(factors):
         raise InvalidInputError("need one cache entry per factor")
-    for n, (a, cache) in enumerate(zip(factors, caches)):
-        if cache.svd.u.shape[0] != a.shape[0] or cache.svd.v.shape[0] != a.shape[1]:
+    for n, (a, svd) in enumerate(zip(factors, caches)):
+        if svd.u.shape[0] != a.shape[0] or svd.v.shape[0] != a.shape[1]:
             raise InvalidInputError(
-                f"cache {n} was built for a {cache.svd.u.shape[0]}x"
-                f"{cache.svd.v.shape[0]} factor, factor {n} is "
+                f"cache {n} was built for a {svd.u.shape[0]}x"
+                f"{svd.v.shape[0]} factor, factor {n} is "
                 f"{a.shape[0]}x{a.shape[1]}")
 
 
@@ -156,10 +159,14 @@ class KronPreconditioner:
 
     ``d_diag`` holds ``(eig_1 kron ... kron eig_N + lam)^+`` entries (zero
     where the eigenvalue product and ``lam`` both vanish), so applying the
-    preconditioner costs one diagonal scaling between two square Kronecker
-    multiplies.  The factors are :class:`FactorGram` eigenvectors, computed
-    from checked input, so :meth:`apply` multiplies through the unchecked
-    kernel of :func:`~kronsolve.kron.kron_vec_square`.
+    preconditioner costs one diagonal scaling between two Kronecker
+    multiplies.  Each ``V`` (``d x r``) has orthonormal columns: the right
+    singular vectors of a factor, whose eigenvalues are the squared singular
+    values, or the square eigenvectors of a :class:`FactorGram`.  With
+    ``r < d`` the operator is the inverse on the span of ``V kron ...``,
+    which holds every ``K^T y``.  The factors are computed from checked
+    input, so :meth:`apply` multiplies through the unchecked kernel of
+    :func:`~kronsolve.kron.kron_mat_mul`.
     """
 
     v_factors: tuple[np.ndarray, ...]
@@ -167,9 +174,9 @@ class KronPreconditioner:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``(V kron ...) D (V kron ...)^T x`` for a flat float64 ``x``."""
-        t = _kron_vec_square([v.T for v in self.v_factors], x)
+        t = _kron_mat_mul_rec([v.T for v in self.v_factors], x[:, None])[:, 0]
         t = t * self.d_diag
-        return _kron_vec_square(self.v_factors, t)
+        return _kron_mat_mul_rec(self.v_factors, t[:, None])[:, 0]
 
 
 def pseudo_reciprocal(d: np.ndarray) -> np.ndarray:
@@ -180,10 +187,14 @@ def pseudo_reciprocal(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_kron_preconditioner(grams: Sequence[FactorGram], lam: float) -> KronPreconditioner:
-    eig = reduce(np.kron, [g.eigenvalues for g in grams])
+def build_kron_preconditioner(v_factors: Sequence[np.ndarray],
+                              eigenvalues: Sequence[np.ndarray],
+                              lam: float) -> KronPreconditioner:
+    """:class:`KronPreconditioner` from the eigenpairs of each ``A_n^T A_n``:
+    the columns of ``v_factors[n]`` and the entries of ``eigenvalues[n]``."""
+    eig = reduce(np.kron, eigenvalues)
     d_diag = pseudo_reciprocal(eig + lam)
-    return KronPreconditioner(v_factors=tuple(g.v for g in grams), d_diag=d_diag)
+    return KronPreconditioner(v_factors=tuple(v_factors), d_diag=d_diag)
 
 
 def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
@@ -191,13 +202,11 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
                      rhs: np.ndarray,
                      damping: float,
                      config: RegressionConfig,
-                     x0: np.ndarray | None = None,
-                     callback: Callable[[np.ndarray], None] | None = None,
                      ) -> tuple[np.ndarray, int]:
     """Damped preconditioned Richardson iteration for normal equations.
 
     Iterates ``x <- x - damping * M^+ (apply_normal(x) - rhs)`` from zero
-    (or ``x0``) until the preconditioned residual drops below
+    until the preconditioned residual drops below
     :data:`RESIDUAL_TOL` relative to the preconditioned right-hand side, or
     the budget ``config.effective_max_iters`` runs out.  Returns the final
     iterate and the number of updates applied.  From zero the first step is
@@ -210,16 +219,14 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
         If the residual grows 10x over 5 consecutive iterations.
     """
     rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != rhs.shape:
-        raise InvalidInputError("x0 must match the right-hand side length")
+    x = np.zeros_like(rhs)
     precond_rhs = apply_precond(rhs)
     scale = float(np.linalg.norm(precond_rhs))
     tol = RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
     history: list[float] = []
     iterations = 0
     for k in range(config.effective_max_iters):
-        if k == 0 and x0 is None:
+        if k == 0:
             step = -precond_rhs  # apply_normal(0) is 0
         else:
             step = apply_precond(apply_normal(x) - rhs)
@@ -237,8 +244,6 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
                     diagnostics={"residual_history": history})
         x = x - damping * step
         iterations += 1
-        if callback is not None:
-            callback(x)
     return x, iterations
 
 
@@ -327,14 +332,13 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
 
 
 def _svd_ridge_solution(factors: Sequence[np.ndarray], b: np.ndarray, lam: float,
-                        caches: Sequence[FactorCache] | None) -> np.ndarray:
+                        caches: Sequence[CompactSvd] | None) -> np.ndarray:
     """The solution of :func:`kronmatmul_svd_solve` without checks or loss.
 
     The caller has validated ``factors``, ``lam`` and ``caches`` (the SVDs
     are read from them when passed); ``b`` is checked through its projection.
     """
-    svds = ([compact_svd(a) for a in factors] if caches is None
-            else [c.svd for c in caches])
+    svds = [compact_svd(a) for a in factors] if caches is None else caches
     with np.errstate(invalid="ignore"):  # a non-finite b raises just below
         t = kron_mat_mul([s.u.T for s in svds], b)
     _check_finite_reads(t, "(U kron ...)^T b")
@@ -425,17 +429,20 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
                               config: RegressionConfig) -> SolveReport:
     """(1+eps)-approximate Kronecker ridge regression in subquadratic time.
 
-    Pipeline: one thin SVD and one Gram eigendecomposition per factor
-    (O(n d^2) each), whose exact statistical leverage scores feed a
-    product-distribution row sampler and whose Gram eigenpairs build the
-    decomposed preconditioner; then
+    Pipeline: one thin SVD per factor (O(n d^2) each), whose exact
+    statistical leverage scores feed a product-distribution row sampler and
+    whose right singular vectors and squared singular values, the eigenpairs
+    of ``A^T A``, build the decomposed preconditioner; then
     ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` sampled rows solved by
     damped preconditioned Richardson iteration where every operator
     application exploits sketch sparsity and Kronecker structure.  When the
     sample count reaches the row count the sketch is pointless, and the
     exact :func:`kronmatmul_svd_solve` runs instead.  This is the regression
     route only: the fast Tucker block updates solve their small sketched
-    problems directly (:func:`sketched_ridge_solve`).
+    problems directly (:func:`sketched_ridge_solve`).  Singular values at or
+    below ``1e-10 * sigma_max`` of their factor are dropped, as in
+    :func:`kronmatmul_svd_solve`, so the preconditioner inverts only the
+    directions the SVD resolves.
 
     ``b`` is checked where it is read: a non-finite entry at a sampled row
     raises :class:`InvalidInputError`, and one at a row the sketch did not
@@ -462,9 +469,10 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
         return SolveReport(solution=exact.solution, loss=exact.loss,
                            iterations=0, sample_count=0, wall_time=wall)
 
-    sampler = build_product_sampler(
-        [ridge_leverage_scores(compact_svd(a), 0.0) for a in factors])
-    precond = build_kron_preconditioner([factor_gram(a) for a in factors], lam)
+    svds = [compact_svd(a) for a in factors]
+    sampler = build_product_sampler([ridge_leverage_scores(svd, 0.0) for svd in svds])
+    precond = build_kron_preconditioner([svd.v for svd in svds],
+                                        [svd.sigma**2 for svd in svds], lam)
 
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))

@@ -33,7 +33,6 @@ from .leverage import build_product_sampler, regression_sample_count, \
     ridge_leverage_scores, sample_rows
 from .solvers import (
     DEFAULT_DENSE_GUARD,
-    FactorCache,
     KronPreconditioner,
     RegressionConfig,
     _check_caches,
@@ -45,6 +44,7 @@ from .solvers import (
     sketched_ridge_solve,
 )
 from .tensor import (
+    CompactSvd,
     _unfold,
     as_tensor,
     compact_svd,
@@ -116,40 +116,44 @@ def _project(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _qr_bases(model: TuckerModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [np.linalg.qr(a) for a in model.factors]
-
-
 def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float,
-         bases: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+         svds: Sequence[CompactSvd]) -> tuple[float, float]:
     """Squared reconstruction error and the regularized loss built on it.
 
-    ``x_norm_sq`` is ``||X||_F^2`` and ``bases`` holds ``np.linalg.qr`` of
-    each factor, so that ALS decomposes only the factor a step changed.
-    The error comes from the Gram identity (Kolda & Bader 2009, SIAM
-    Review, section 4.2)
+    ``x_norm_sq`` is ``||X||_F^2`` and ``svds`` holds the compact SVD of
+    each factor, the same decomposition the block updates read, so that ALS
+    decomposes each factor once per update.  The error comes from the Gram
+    identity (Kolda & Bader 2009, SIAM Review, section 4.2)
 
         ||Xhat - X||^2 = ||X||^2 - 2 <X x_n A_n^T, G> + <G x_n A_n^T A_n, G>,
 
     so no dense reconstruction is formed: the cost is one pass over ``x``
-    plus core-sized work.  It is evaluated in each factor's QR basis
-    ``A_n = Q_n R_n``: with ``Y = X x_n Q_n^T`` and ``H = G x_n R_n`` it reads
-    ``(||X||^2 - ||Y||^2) + ||Y - H||^2``.  The first difference still
-    cancels, which bounds the absolute accuracy of the error to about
-    ulp * ||X||^2 (a few 1e-12 relative at a relative error of 1e-4); it
-    is clamped at 0.  Multiplying out ``A_n^T A_n`` instead loses up to 100x
-    more when the factors and the core differ in scale, as ridge ALS makes
-    them.
+    plus core-sized work.  It is evaluated in each factor's SVD basis
+    ``A_n = U_n (S_n V_n^T)``: with ``Y = X x_n U_n^T`` and
+    ``H = G x_n S_n V_n^T`` it reads ``(||X||^2 - ||Y||^2) + ||Y - H||^2``.
+    The first difference still cancels, which bounds the absolute accuracy
+    of the error to about ulp * ||X||^2 (a few 1e-12 relative at a relative
+    error of 1e-4); it is clamped at 0.  Multiplying out ``A_n^T A_n``
+    instead loses up to 100x more when the factors and the core differ in
+    scale, as ridge ALS makes them.
+
+    The SVD drops singular values at or below ``1e-10 * sigma_max`` of
+    their factor, so the error is that of the model with each ``A_n``
+    replaced by its truncation, which is within ``1e-10 ||A_n||_2`` of it.
+    A factor that is rank-deficient up to roundoff, such as one with a zero
+    column, loses only roundoff, and a zero factor has an empty basis and
+    records the error ``||X||^2``.
     """
-    return _fit_projected(model, _project(x, [q for q, _ in bases]), x_norm_sq,
-                          [r for _, r in bases])
+    return _fit_projected(model, _project(x, [svd.u for svd in svds]), x_norm_sq,
+                          [svd.v * svd.sigma for svd in svds])
 
 
 def _fit_projected(model: TuckerModel, y: np.ndarray, x_norm_sq: float,
-                   rs: Sequence[np.ndarray]) -> tuple[float, float]:
-    """:func:`_fit` from the projection ``Y = X x_1 Q_1^T ... x_N Q_N^T``
-    and the triangular factors ``R_n``, for a caller that holds ``Y``."""
-    h = _project(model.core, [r.T for r in rs])
+                   coords: Sequence[np.ndarray]) -> tuple[float, float]:
+    """:func:`_fit` from the projection ``Y = X x_1 U_1^T ... x_N U_N^T``
+    and each factor's coordinates in its basis, ``V_n S_n`` (``A_n^T U_n``),
+    for a caller that holds ``Y``."""
+    h = _project(model.core, coords)
     err = max(x_norm_sq - float(np.sum(y**2)) + float(np.sum((y - h) ** 2)), 0.0)
     reg = float(np.sum(model.core**2))
     reg += sum(float(np.sum(a**2)) for a in model.factors)
@@ -165,7 +169,7 @@ def relative_error(model: TuckerModel, x) -> float:
     """
     x = _model_tensor(model, x)
     den = float(np.sum(x**2))
-    num, _ = _fit(model, x, den, _qr_bases(model))
+    num, _ = _fit(model, x, den, [compact_svd(a) for a in model.factors])
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -174,8 +178,8 @@ def relative_error(model: TuckerModel, x) -> float:
 def regularized_loss(model: TuckerModel, x) -> float:
     """Squared reconstruction error plus lam times all squared Frobenius norms."""
     x = _model_tensor(model, x)
-    return _fit(model, x, float(np.sum(x**2)), _qr_bases(model))[1]
-
+    return _fit(model, x, float(np.sum(x**2)),
+                [compact_svd(a) for a in model.factors])[1]
 
 
 def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
@@ -184,7 +188,7 @@ def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
 
 def core_update(model: TuckerModel, x, mode: str = "exact",
                 config: RegressionConfig | None = None,
-                caches: Sequence[FactorCache] | None = None) -> np.ndarray:
+                caches: Sequence[CompactSvd] | None = None) -> np.ndarray:
     """Solve the core regression at fixed factors; returns the new core.
 
     ``exact`` composes the factor SVDs as :func:`kronmatmul_svd_solve` does,
@@ -206,7 +210,7 @@ def core_update(model: TuckerModel, x, mode: str = "exact",
 
 def _core_update(model: TuckerModel, x: np.ndarray, mode: str,
                  config: RegressionConfig | None,
-                 caches: Sequence[FactorCache] | None) -> np.ndarray:
+                 caches: Sequence[CompactSvd] | None) -> np.ndarray:
     """:func:`core_update` for a tensor ``x`` that the caller has validated."""
     if caches is not None:
         _check_caches(model.factors, caches)
@@ -218,8 +222,7 @@ def _core_update(model: TuckerModel, x: np.ndarray, mode: str,
         s = regression_sample_count(cols, config.eps, config.alpha,
                                     math.log(1.0 / config.delta))
         if s < rows:
-            svds = ([compact_svd(a) for a in factors] if caches is None
-                    else [c.svd for c in caches])
+            svds = [compact_svd(a) for a in factors] if caches is None else caches
             sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
             sketch = sample_rows(sampler, s, config.seed)
             core = sketched_ridge_solve(factors, sketch, b, model.lam)
@@ -335,7 +338,8 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float,
     norm_sq = _power_iteration(apply_constrained_gram, r_rest)
     w = (1.0 + 12.0 / eps) * norm_sq * PENALTY_SAFETY_MARGIN
 
-    base = build_kron_preconditioner(grams, w)
+    base = build_kron_preconditioner([g.v for g in grams],
+                                     [g.eigenvalues for g in grams], w)
 
     correction_right = lam * gnt_pinv - w * g_n
     # the base preconditioner applied to the columns of G^+
@@ -388,7 +392,7 @@ def _power_iteration(operator, dim: int, seed: int = 0) -> float:
 
 def fast_factor_matrix_update(model: TuckerModel, x, n: int,
                               config: RegressionConfig,
-                              caches: Sequence[FactorCache] | None = None,
+                              caches: Sequence[CompactSvd] | None = None,
                               ) -> np.ndarray:
     """Sketched update of factor ``n``: one sketched ridge solve for all rows.
 
@@ -430,7 +434,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     if not (np.any(g_n) and all(np.any(a) for a in others)):
         return np.zeros_like(model.factors[n])
     svds = ([compact_svd(a) for a in others] if caches is None
-            else [c.svd for k, c in enumerate(caches) if k != n])
+            else [svd for k, svd in enumerate(caches) if k != n])
     sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
     sketch = sample_rows(sampler, s, config.seed)
     return sketched_ridge_solve(others, sketch, _unfold(x, n).T, model.lam,
@@ -484,8 +488,8 @@ def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
     ``I_rest x k`` Gaussian is drawn); ``U_n`` is ``Q`` times the top-``R_n``
     eigenvectors of ``(Q^T T_(n)) (Q^T T_(n))^T``; and ``T <- T x_n U_n^T``,
     whose unfolding is those eigenvectors applied to ``Q^T T_(n)``, so each
-    mode costs two passes over ``T``.  ``Q`` comes from the thin SVD of the
-    sketch, which spans the same range as its QR factor.
+    mode costs two passes over ``T``.  ``Q`` holds the left singular
+    vectors of the sketch's thin SVD, an orthonormal basis of its range.
 
     The factors are orthonormal, so the exact ridge core is the projection
     ``T = X x_1 U_1^T ... x_N U_N^T`` divided by ``1 + lam``.  Returns the
@@ -518,16 +522,18 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     from ``config.seed``, the same in both modes): orthonormal factors and
     their exact ridge core, recorded as the ``init-core`` step.  Its loss
     is read off the projected tensor the start already holds, with the
-    factors as their own QR bases.  Each sweep then updates factors for
-    modes ``0..N-1`` followed by the core, recording the regularized loss
-    after every block update.  In ``exact`` mode every block update is an
-    exact minimizer, so the recorded losses are non-increasing (up to
-    roundoff).  The losses come from the
-    Gram identity (see :class:`AlsReport` for their accuracy), with
+    orthonormal factors as their own bases.  Each sweep then updates
+    factors for modes ``0..N-1`` followed by the core, recording the
+    regularized loss after every block update.  In ``exact`` mode every
+    block update is an exact minimizer, so the recorded losses are
+    non-increasing (up to roundoff).  The losses come from the Gram
+    identity (see :class:`AlsReport` for their accuracy), with
     ``||X||^2`` computed once per call, so no step forms the dense
     reconstruction.  Each factor is decomposed once per update into a
-    :class:`FactorCache` that all later block updates read, the core
-    updates of both modes included.  ``config`` supplies the sampling
+    compact SVD (:func:`~kronsolve.solvers.build_factor_cache`) that all
+    later block updates read, the core updates of both modes included, and
+    that every later loss record reads too, so ALS runs no other
+    factorization of a factor.  ``config`` supplies the sampling
     parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
     ridge weight.  ``x`` is validated once, here, and the exact block
     updates do not scan it again; a fast factor update checks it once more
@@ -555,7 +561,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     x_norm_sq = float(np.sum(x**2))
 
     def record(label: str, seconds: float, fit: tuple[float, float] | None = None):
-        err, loss = _fit(model, x, x_norm_sq, bases) if fit is None else fit
+        err, loss = _fit(model, x, x_norm_sq, caches) if fit is None else fit
         report.step_labels.append(label)
         report.step_losses.append(loss)
         report.step_errors.append(err)
@@ -564,8 +570,8 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     t0 = time.perf_counter()
     model, projected = initial_model(x, core_shape, lam, config.seed)
     seconds = time.perf_counter() - t0
+    # orthonormal factors are their own basis, with identity coordinates
     eyes = [np.eye(r) for r in core_shape]
-    bases = list(zip(model.factors, eyes))  # orthonormal factors are their own Q
     record("init-core", seconds, _fit_projected(model, projected, x_norm_sq, eyes))
     caches = [build_factor_cache(a) for a in model.factors]
 
@@ -582,7 +588,6 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                     model, x, n, step_cfg, caches=caches)
             caches[n] = build_factor_cache(model.factors[n])
             seconds = time.perf_counter() - t0
-            bases[n] = np.linalg.qr(model.factors[n])  # for the loss record only
             record(f"sweep{sweep}-factor{n}", seconds)
         t0 = time.perf_counter()
         step_cfg = _reseed(config, sweep_seeds[-1]) if solver_mode == "fast" else None

@@ -23,6 +23,16 @@ def dense_kron(factors):
     return reduce(np.kron, [np.asarray(a, dtype=np.float64) for a in factors])
 
 
+def sketched_rows(factors, sketch):
+    """``S K`` densely: one rescaled row of ``explicit_kron`` per draw."""
+    from kronsolve.tensor import explicit_kron
+
+    flat = sketch.indices
+    if flat.ndim == 2:
+        flat = np.ravel_multi_index(tuple(flat.T), tuple(a.shape[0] for a in factors))
+    return sketch.weights[:, None] * explicit_kron(factors)[flat]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -204,14 +204,19 @@ def test_richardson_rate():
             def mnorm(v):
                 return math.sqrt(abs(v @ m @ v))
 
+            # iterate k >= 1 is the argument of the k-th normal apply, and
+            # the returned x is iterate ``iters``
             iterates = []
-            richardson_solve(lambda v: ata @ v, lambda v: minv @ v, a.T @ b,
-                             1.0,
-                             RegressionConfig(eps=0.25),
-                             callback=lambda xk: iterates.append(xk.copy()))
+
+            def apply_normal(v):
+                iterates.append(v.copy())
+                return ata @ v
+
+            x, iters = richardson_solve(apply_normal, lambda v: minv @ v,
+                                        a.T @ b, 1.0, RegressionConfig(eps=0.25))
             e0 = mnorm(xstar)
             rate = 1.0 - 1.0 / kappa
-            for k, xk in enumerate(iterates, start=1):
+            for k, xk in [*enumerate(iterates, start=1), (iters, x)]:
                 bound = rate**k * e0 * 1.01 + 1e-12 * e0
                 ok &= mnorm(xk - xstar) <= bound
     elapsed = time.perf_counter() - t0

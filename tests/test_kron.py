@@ -14,7 +14,6 @@ from kronsolve.kron import (
     kron_mat_mul,
     kron_rows,
     kron_vec_square,
-    sketch_rows_of_kron,
     sketched_kron_apply,
     sketched_kron_transpose_apply,
     sparse_diagonal_from_sketch,
@@ -389,28 +388,7 @@ class TestSketchedProperties:
 
 
 class TestSketchRowsOfKron:
-    def test_identity_sample(self):
-        facs = [np.eye(2), np.eye(2)]
-        sketch = RowSketch(indices=np.array([[0, 0]]), weights=np.array([1.0]))
-        np.testing.assert_array_equal(sketch_rows_of_kron(facs, sketch),
-                                      [[1.0, 0.0, 0.0, 0.0]])
-
-    def test_weight_scaling(self, rng):
-        facs = random_factors(rng, [(3, 2), (4, 2)])
-        idx = np.array([[1, 2]])
-        one = sketch_rows_of_kron(facs, RowSketch(indices=idx, weights=np.array([1.0])))
-        two = sketch_rows_of_kron(facs, RowSketch(indices=idx, weights=np.array([2.0])))
-        np.testing.assert_allclose(two, 2.0 * one, atol=1e-12)
-
-    def test_rows_match_dense(self, rng):
-        facs = random_factors(rng, [(3, 2), (4, 2), (2, 3)])
-        dense = dense_kron(facs)
-        shape = tuple(a.shape[0] for a in facs)
-        flat = rng.choice(dense.shape[0], size=6, replace=False)
-        multi = np.stack(np.unravel_index(flat, shape), axis=1)
-        w = rng.standard_normal(6)
-        got = sketch_rows_of_kron(facs, RowSketch(indices=multi, weights=w))
-        np.testing.assert_allclose(got, w[:, None] * dense[flat], atol=1e-12)
+    """The Kronecker rows that every sketched design gathers."""
 
     def test_kron_rows_oracle(self, rng):
         facs = random_factors(rng, [(3, 2), (4, 3)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kronsolve.solvers as solvers
 import kronsolve.tucker as tucker
 from kronsolve.errors import InvalidInputError, NumericalFailureError, SizeGuardError
-from kronsolve.kron import kron_vec_square, sketch_rows_of_kron
+from kronsolve.kron import kron_mat_mul
 from kronsolve.leverage import (
     RowSketch,
     build_product_sampler,
@@ -28,11 +28,19 @@ from kronsolve.solvers import (
     ridge_loss,
     sketch_and_solve_ridge,
 )
-from conftest import dense_kron
+from kronsolve.tensor import compact_svd
+from conftest import dense_kron, sketched_rows
 
 
 def lstsq_solution(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def svd_preconditioner(factors, lam):
+    """The preconditioner the fast solver builds: eigenpairs from each SVD."""
+    svds = [compact_svd(a) for a in factors]
+    return build_kron_preconditioner([s.v for s in svds],
+                                     [s.sigma**2 for s in svds], lam)
 
 
 class TestRichardson:
@@ -46,19 +54,6 @@ class TestRichardson:
         assert iters == 1
         np.testing.assert_allclose(x, lstsq_solution(a, b), atol=1e-10)
 
-    def test_start_at_solution_is_fixed_point(self, rng):
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
-        ata = a.T @ a
-        xstar = lstsq_solution(a, b)
-        moves = []
-        x, iters = richardson_solve(lambda v: ata @ v,
-                                    lambda v: np.linalg.solve(ata, v),
-                                    a.T @ b, 1.0, RegressionConfig(eps=0.25),
-                                    x0=xstar, callback=lambda xk: moves.append(xk))
-        assert iters == 0
-        np.testing.assert_allclose(x, xstar, atol=1e-12)
-
     @pytest.mark.parametrize("kappa", [2.0, 4.0])
     def test_contraction_rate(self, rng, kappa):
         a = rng.standard_normal((8, 3))
@@ -71,13 +66,20 @@ class TestRichardson:
         def mnorm(v):
             return math.sqrt(v @ m @ v)
 
+        # iterate k >= 1 is the argument of the k-th normal apply, and the
+        # returned x is iterate ``iters``
         iterates = []
-        richardson_solve(lambda v: ata @ v, lambda v: minv @ v, a.T @ b, 1.0,
-                         RegressionConfig(eps=0.25),
-                         callback=lambda xk: iterates.append(xk.copy()))
+
+        def apply_normal(v):
+            iterates.append(v.copy())
+            return ata @ v
+
+        x, iters = richardson_solve(apply_normal, lambda v: minv @ v, a.T @ b,
+                                    1.0, RegressionConfig(eps=0.25))
+        assert iters >= len(iterates) > 0
         e0 = mnorm(xstar)
         rate = 1.0 - 1.0 / kappa
-        for k, xk in enumerate(iterates, start=1):
+        for k, xk in [*enumerate(iterates, start=1), (iters, x)]:
             assert mnorm(xk - xstar) <= rate**k * e0 * (1 + 1e-10) + 1e-12
 
     def test_zero_start_skips_the_zero_product(self, rng):
@@ -85,22 +87,24 @@ class TestRichardson:
         b = rng.standard_normal(8)
         ata = a.T @ a
         minv = np.linalg.inv(2.0 * ata)
-        runs = []
-        for x0 in (None, np.zeros(3)):
-            calls = []
+        rhs = a.T @ b
+        cfg = RegressionConfig(eps=0.25)
+        calls = []
 
-            def apply_normal(v):
-                calls.append(v)
-                return ata @ v
+        def apply_normal(v):
+            calls.append(v)
+            return ata @ v
 
-            x, iters = richardson_solve(apply_normal, lambda v: minv @ v,
-                                        a.T @ b, 1.0, RegressionConfig(eps=0.25),
-                                        x0=x0)
-            runs.append((x, iters, len(calls)))
-        (x_none, iters_none, calls_none), (x_zero, iters_zero, calls_zero) = runs
-        np.testing.assert_array_equal(x_none, x_zero)
-        assert iters_none == iters_zero > 1
-        assert calls_none == calls_zero - 1
+        x, iters = richardson_solve(apply_normal, lambda v: minv @ v, rhs, 1.0, cfg)
+        # the contraction 1/2 needs more steps than the budget, which is spent
+        assert iters == cfg.effective_max_iters > 1
+        # the same iteration with the zero product applied gives the same bits
+        want = np.zeros(3)
+        for _ in range(iters):
+            want = want - 1.0 * (minv @ (ata @ want - rhs))
+        np.testing.assert_array_equal(x, want)
+        assert len(calls) == iters - 1
+        assert all(np.any(v) for v in calls)
 
     def test_divergence_detected(self, rng):
         a = rng.standard_normal((6, 3))
@@ -234,7 +238,7 @@ class TestSketchAndSolve:
         sketch = RowSketch(indices=flat, weights=rng.uniform(0.5, 2.0, flat.size))
         rep = sketch_and_solve_ridge(facs, b, RegressionConfig(lam=0.1, seed=0),
                                      sketch=sketch)
-        sk = sketch_rows_of_kron(facs, sketch)
+        sk = sketched_rows(facs, sketch)
         want = (np.linalg.pinv(sk.T @ sk + 0.1 * np.eye(6))
                 @ (sk.T @ (sketch.weights * b[flat])))
         assert np.linalg.norm(rep.solution - want) <= 1e-12 * np.linalg.norm(want)
@@ -257,23 +261,51 @@ class TestPreconditioner:
     def test_dense_construction_agreement(self, rng):
         facs = [rng.standard_normal((6, 2)), rng.standard_normal((5, 3))]
         lam = 0.3
-        grams = [factor_gram(a) for a in facs]
-        pre = build_kron_preconditioner(grams, lam)
         k = dense_kron(facs)
         dense = np.linalg.inv(k.T @ k + lam * np.eye(6))
         x = rng.standard_normal(6)
-        np.testing.assert_allclose(pre.apply(x), dense @ x, atol=1e-10)
+        # from the factor SVDs, as the fast solver builds it, and from the
+        # square Gram eigenpairs, as the Woodbury workspace does
+        grams = [factor_gram(a) for a in facs]
+        for pre in (svd_preconditioner(facs, lam),
+                    build_kron_preconditioner([g.v for g in grams],
+                                              [g.eigenvalues for g in grams], lam)):
+            np.testing.assert_allclose(pre.apply(x), dense @ x, atol=1e-10)
 
     def test_pseudoinverse_convention(self, rng):
         # rank-deficient factor with lam = 0: zero directions stay zero
         a = np.zeros((4, 2))
         a[:, 0] = rng.standard_normal(4)
-        grams = [factor_gram(a)]
-        pre = build_kron_preconditioner(grams, 0.0)
-        k = a
-        dense = np.linalg.pinv(k.T @ k)
+        pre = svd_preconditioner([a], 0.0)
+        assert pre.v_factors[0].shape == (2, 1)
+        dense = np.linalg.pinv(a.T @ a)
         x = rng.standard_normal(2)
         np.testing.assert_allclose(pre.apply(x), dense @ x, atol=1e-10)
+
+    @given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4), st.booleans()),
+                    min_size=1, max_size=3),
+           st.sampled_from([0.0, 1e-3, 0.5, 10.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_svd_preconditioner_is_the_ridge_pseudoinverse(self, shapes, lam, seed):
+        # wide factors, factors with a zero column, lam = 0 and lam > 0: on
+        # every x = K^T y the SVD-built operator is pinv(K^T K + lam I)
+        # nonzero singular values in [0.5, 2] keep pinv's own error near 1e-13
+        rs = np.random.default_rng(seed)
+        facs = []
+        for rows, cols, zero_column in shapes:
+            live = cols - 1 if zero_column and cols > 1 else cols
+            r = min(rows, live)
+            u = np.linalg.qr(rs.standard_normal((rows, r)))[0]
+            v = np.linalg.qr(rs.standard_normal((live, r)))[0]
+            a = (u * rs.uniform(0.5, 2.0, r)) @ v.T
+            facs.append(np.insert(a, rs.integers(live + 1), 0.0, axis=1)
+                        if live < cols else a)
+        pre = svd_preconditioner(facs, lam)
+        k = dense_kron(facs)
+        x = k.T @ rs.standard_normal(k.shape[0])
+        want = np.linalg.pinv(k.T @ k + lam * np.eye(k.shape[1])) @ x
+        got = pre.apply(x)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 4)), min_size=1,
                     max_size=4),
@@ -282,12 +314,10 @@ class TestPreconditioner:
     def test_apply_matches_checked_kernels_bitwise(self, shapes, lam, seed):
         # apply runs the unchecked kernel; the checked public one gives the same bits
         rs = np.random.default_rng(seed)
-        shapes = [(max(i, r), r) for i, r in shapes]
-        pre = build_kron_preconditioner(
-            [factor_gram(rs.standard_normal(s)) for s in shapes], lam)
-        x = rs.standard_normal(pre.d_diag.size)
-        t = kron_vec_square([v.T for v in pre.v_factors], x)
-        want = kron_vec_square(list(pre.v_factors), t * pre.d_diag)
+        pre = svd_preconditioner([rs.standard_normal(s) for s in shapes], lam)
+        x = rs.standard_normal(math.prod(v.shape[0] for v in pre.v_factors))
+        t = kron_mat_mul([v.T for v in pre.v_factors], x)
+        want = kron_mat_mul(list(pre.v_factors), t * pre.d_diag)
         np.testing.assert_array_equal(pre.apply(x), want)
 
     def test_sketched_normal_sandwich(self, rng):
@@ -300,7 +330,7 @@ class TestPreconditioner:
             sampler = build_product_sampler(
                 [statistical_leverage_scores(a) for a in facs])
             sketch = sample_rows(sampler, 3000, seed)
-            sk = sketch_rows_of_kron(facs, sketch)
+            sk = sketched_rows(facs, sketch)
             m = k.T @ k + lam * np.eye(6)
             skn = sk.T @ sk + lam * np.eye(6)
             w, v = np.linalg.eigh(m)
@@ -382,6 +412,19 @@ class TestFastKroneckerRegression:
         rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
         assert rep.iterations > 0
         assert len(ops) == 1
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_one_svd_per_factor(self, count_calls, order):
+        # the sampler and the preconditioner read the same thin SVDs
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(order)]
+        svds = count_calls(solvers, "compact_svd")
+        grams = count_calls(solvers, "factor_gram")
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(20**order), cfg)
+        assert 0 < rep.sample_count < 20**order
+        assert len(svds) == order
+        assert len(grams) == 0
 
     def test_scale_equivariance(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]

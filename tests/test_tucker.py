@@ -14,7 +14,6 @@ import kronsolve.tensor as tensor
 import kronsolve.tucker as tucker
 from kronsolve.errors import InvalidInputError
 from kronsolve.experiments import generate_synth_tucker
-from kronsolve.kron import sketch_rows_of_kron
 from kronsolve.leverage import (
     build_product_sampler,
     regression_sample_count,
@@ -22,7 +21,7 @@ from kronsolve.leverage import (
     statistical_leverage_scores,
 )
 from kronsolve.solvers import RegressionConfig, build_factor_cache, ridge_loss
-from kronsolve.tensor import explicit_kron, unfold, vectorize
+from kronsolve.tensor import compact_svd, explicit_kron, unfold, vectorize
 from kronsolve.tucker import (
     AlsReport,
     TuckerModel,
@@ -36,7 +35,7 @@ from kronsolve.tucker import (
     tucker_als,
 )
 
-from conftest import dense_kron, load_perfbench
+from conftest import dense_kron, load_perfbench, sketched_rows
 
 
 def random_model(rng, shape, rank, lam=0.0):
@@ -49,6 +48,10 @@ def leftover_design(model, n):
     """Dense per-row design matrix of the factor-n update."""
     others = [a for k, a in enumerate(model.factors) if k != n]
     return explicit_kron(others) @ unfold(model.core, n).T
+
+
+def svd_bases(model):
+    return [compact_svd(a) for a in model.factors]
 
 
 def row_ridge_loss(design, y, b, lam):
@@ -377,7 +380,7 @@ def sketched_block_oracle(model, x, n, config):
                                 math.log(model.factors[n].shape[0] / config.delta))
     sampler = build_product_sampler([statistical_leverage_scores(a) for a in others])
     sketch = sample_rows(sampler, s, config.seed)
-    design = sketch_rows_of_kron(others, sketch) @ unfold(model.core, n).T
+    design = sketched_rows(others, sketch) @ unfold(model.core, n).T
     flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
     sb = sketch.weights[:, None] * unfold(x, n)[:, flat].T
     return stacked_ridge_lstsq(design, sb, model.lam).T, sketch
@@ -513,7 +516,7 @@ def sketched_core_oracle(model, x, config):
     sampler = build_product_sampler(
         [statistical_leverage_scores(a) for a in model.factors])
     sketch = sample_rows(sampler, s, config.seed)
-    design = sketch_rows_of_kron(model.factors, sketch)
+    design = sketched_rows(model.factors, sketch)
     flat = np.ravel_multi_index(tuple(sketch.indices.T), x.shape)
     sb = sketch.weights * x.reshape(-1)[flat]
     return stacked_ridge_lstsq(design, sb, model.lam).reshape(model.core_shape), sketch
@@ -601,7 +604,7 @@ class TestRangeFinderStart:
         np.testing.assert_array_equal(model.core, projected / (1.0 + lam))
 
         x_norm_sq = float(np.sum(x**2))
-        want_err, want_loss = tucker._fit(model, x, x_norm_sq, tucker._qr_bases(model))
+        want_err, want_loss = tucker._fit(model, x, x_norm_sq, svd_bases(model))
         _, report = tucker_als(x, rank, lam=lam, sweeps=1,
                                config=RegressionConfig(seed=seed))
         assert report.step_labels[0] == "init-core"
@@ -800,7 +803,7 @@ class TestLossRecording:
         model, _ = tucker_als(x, (4, 4, 4), lam=1e-3, sweeps=3,
                               config=RegressionConfig(seed=seed + 10))
         x_norm_sq = float(np.sum(x**2))
-        err, loss = tucker._fit(model, x, x_norm_sq, tucker._qr_bases(model))
+        err, loss = tucker._fit(model, x, x_norm_sq, svd_bases(model))
         want_err, want_loss = dense_fit(model, x, x_norm_sq, None)
         ulp = np.finfo(float).eps * x_norm_sq
         assert abs(err - want_err) <= 10 * ulp
@@ -811,20 +814,54 @@ class TestLossRecording:
         for _ in range(20):
             model = random_model(rng, (6, 5, 4), (2, 3, 2))
             xhat = reconstruct(model)
-            bases = tucker._qr_bases(model)
+            bases = svd_bases(model)
             assert tucker._fit(model, xhat, float(np.sum(xhat**2)), bases)[0] >= 0.0
             assert relative_error(model, reconstruct(model)) >= 0.0
 
+    @pytest.mark.parametrize("zeroed", [[(0, 1)], [(0, 0), (2, 1)], [(1, None)]])
+    def test_rank_deficient_factors(self, rng, zeroed):
+        # a zero column leaves a factor's SVD basis one direction short and a
+        # zero factor leaves it empty; the record still matches the dense one
+        model = random_model(rng, (7, 6, 5), (2, 3, 2), lam=0.1)
+        for n, col in zeroed:
+            if col is None:
+                model.factors[n][:] = 0.0
+            else:
+                model.factors[n][:, col] = 0.0
+        x = reconstruct(model) + 1e-2 * rng.standard_normal(model.shape)
+        x_norm_sq = float(np.sum(x**2))
+        assert [svd.rank for svd in svd_bases(model)] != [2, 3, 2]
+        err, loss = tucker._fit(model, x, x_norm_sq, svd_bases(model))
+        want_err, want_loss = dense_fit(model, x, x_norm_sq, None)
+        assert err == pytest.approx(want_err, rel=1e-10, abs=0)
+        assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
+        assert relative_error(model, x) == pytest.approx(want_err / x_norm_sq,
+                                                         rel=1e-10, abs=0)
+        assert regularized_loss(model, x) == pytest.approx(want_loss, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_one_decomposition_per_factor_update(self, count_calls, mode):
+        # the loss record reads the SVDs the block updates read, and ALS
+        # decomposes a factor nowhere else
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        qrs = count_calls(np.linalg, "qr")
+        caches = count_calls(tucker, "build_factor_cache")
+        svds = count_calls(tucker, "compact_svd")
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
+                   config=LOSS_CFG)
+        assert len(qrs) == 0
+        assert len(caches) == 3 + 2 * 3
+        assert len(svds) == 0
+
     def test_step_seconds_exclude_the_loss_record(self, monkeypatch, rng):
-        # the QR bases serve only the loss record, so a slow QR must not
-        # show in the block-update times
-        qr = np.linalg.qr
+        # a slow loss record must not show in the block-update times
+        fit = tucker._fit
 
-        def slow_qr(a, *args, **kwargs):
+        def slow_fit(*args):
             time.sleep(0.1)
-            return qr(a, *args, **kwargs)
+            return fit(*args)
 
-        monkeypatch.setattr(np.linalg, "qr", slow_qr)
+        monkeypatch.setattr(tucker, "_fit", slow_fit)
         x = rng.standard_normal((6, 5, 4))
         _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=1, solver_mode="exact")
         assert max(report.step_seconds) < 0.1
