@@ -146,8 +146,7 @@ def run_checks() -> int:
     xhat = tucker.reconstruct(model)
     noise = rng.standard_normal(xhat.shape)
     xt = xhat + 1e-2 * np.linalg.norm(xhat) / np.linalg.norm(noise) * noise
-    err, loss = tucker._fit(model, xt, float(np.sum(xt**2)),
-                            [tensor.compact_svd(f) for f in model.factors])
+    err, loss = tucker._fit(model, xt, float(np.sum(xt**2)))
     dense_err = float(np.sum((xhat - xt) ** 2))
     dense_loss = dense_err + model.lam * (
         float(np.sum(model.core**2)) + sum(float(np.sum(f**2)) for f in model.factors))
@@ -155,6 +154,18 @@ def run_checks() -> int:
           abs(err - dense_err) <= 1e-10 * dense_err
           and abs(loss - dense_loss) <= 1e-10 * dense_loss,
           f"error {err!r} vs {dense_err!r}, loss {loss!r} vs {dense_loss!r}")
+
+    # exact factor update vs every row's minimum-norm least-squares solution
+    # of the stacked [K; sqrt(lam) I], with a zero column in another factor
+    zeroed = [f.copy() for f in model.factors]
+    zeroed[2][:, 1] = 0.0
+    kz = tensor.explicit_kron(zeroed[1:]) @ gmat.T
+    xf = rng.standard_normal((5, 6, 4))
+    want = np.linalg.lstsq(np.vstack([kz, np.sqrt(0.1) * np.eye(2)]), np.vstack(
+        [tensor.unfold(xf, 0).T, np.zeros((2, 5))]), rcond=None)[0].T
+    got = tucker.naive_factor_update(tucker.TuckerModel(model.core, zeroed, 0.1), xf, 0)
+    gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+    check("tucker exact factor update", gap <= 1e-10, f"relative difference {gap!r}")
 
     # tensor file round trip
     with tempfile.TemporaryDirectory() as tmp:

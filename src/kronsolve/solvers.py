@@ -141,18 +141,6 @@ def build_factor_cache(a) -> CompactSvd:
     return compact_svd(a)
 
 
-def _check_caches(factors: Sequence[np.ndarray],
-                  caches: Sequence[CompactSvd]) -> None:
-    if len(caches) != len(factors):
-        raise InvalidInputError("need one cache entry per factor")
-    for n, (a, svd) in enumerate(zip(factors, caches)):
-        if svd.u.shape[0] != a.shape[0] or svd.v.shape[0] != a.shape[1]:
-            raise InvalidInputError(
-                f"cache {n} was built for a {svd.u.shape[0]}x"
-                f"{svd.v.shape[0]} factor, factor {n} is "
-                f"{a.shape[0]}x{a.shape[1]}")
-
-
 @dataclass(frozen=True)
 class KronPreconditioner:
     """Decomposed inverse normal matrix ``(V kron ...) D (V kron ...)^T``.
@@ -325,26 +313,23 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     if lam < 0:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     t0 = time.perf_counter()
-    x = _svd_ridge_solution(factors, b, lam, None)
+    svds = [compact_svd(a) for a in factors]
+    with np.errstate(invalid="ignore"):  # a non-finite b raises just below
+        t = kron_mat_mul([s.u.T for s in svds], b)
+    _check_finite_reads(t, "(U kron ...)^T b")
+    x = _svd_ridge_solution(svds, t, lam)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
                        iterations=0, sample_count=0, wall_time=wall)
 
 
-def _svd_ridge_solution(factors: Sequence[np.ndarray], b: np.ndarray, lam: float,
-                        caches: Sequence[CompactSvd] | None) -> np.ndarray:
-    """The solution of :func:`kronmatmul_svd_solve` without checks or loss.
-
-    The caller has validated ``factors``, ``lam`` and ``caches`` (the SVDs
-    are read from them when passed); ``b`` is checked through its projection.
-    """
-    svds = [compact_svd(a) for a in factors] if caches is None else caches
-    with np.errstate(invalid="ignore"):  # a non-finite b raises just below
-        t = kron_mat_mul([s.u.T for s in svds], b)
-    _check_finite_reads(t, "(U kron ...)^T b")
+def _svd_ridge_solution(svds: Sequence[CompactSvd], t: np.ndarray,
+                        lam: float) -> np.ndarray:
+    """The ridge solution ``(V kron ...) diag(sigma/(sigma^2+lam)) t`` from
+    the factors' compact SVDs and the projection ``t = (U kron ...)^T b``,
+    which the caller has formed and checked; no loss is evaluated."""
     sigma = reduce(np.kron, [s.sigma for s in svds])
-    t = t * (sigma / (sigma**2 + lam))
-    return kron_mat_mul([s.v for s in svds], t)
+    return kron_mat_mul([s.v for s in svds], t * (sigma / (sigma**2 + lam)))
 
 
 def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,

@@ -22,22 +22,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
+from .errors import InvalidInputError, NumericalFailureError
 from .kron import kron_mat_mul
 from .leverage import build_product_sampler, regression_sample_count, \
     ridge_leverage_scores, sample_rows
 from .solvers import (
-    DEFAULT_DENSE_GUARD,
     KronPreconditioner,
     RegressionConfig,
-    _check_caches,
     _svd_ridge_solution,
-    _validated_problem,
     build_factor_cache,
     build_kron_preconditioner,
     factor_gram,
@@ -109,21 +105,28 @@ def _model_tensor(model: TuckerModel, x) -> np.ndarray:
     return x
 
 
-def _project(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """``x x_1 M1^T ... x_N MN^T``: each matrix's rows contract one mode of ``x``."""
-    for m in mats:
-        x = np.tensordot(x, m, axes=([0], [0]))  # contracts the leading mode, appends R_n
+def _project(x: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
+    """``x x_1 M1^T ... x_N MN^T``: each matrix's rows contract one mode of
+    ``x``, and a ``None`` leaves its mode as it is.  Each product acts on a
+    ``(lead, I_n, rest)`` view, so no contraction copies its operand."""
+    for n, m in enumerate(mats):
+        if m is None:
+            continue
+        head, tail = x.shape[:n], x.shape[n + 1:]
+        if tail:
+            x = m.T @ x.reshape(math.prod(head), x.shape[n], math.prod(tail))
+        else:  # one GEMM, not a batch of matrix-vector products
+            x = x.reshape(math.prod(head), x.shape[n]) @ m
+        x = x.reshape(head + (m.shape[1],) + tail)
     return x
 
 
-def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float,
-         svds: Sequence[CompactSvd]) -> tuple[float, float]:
+def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, float]:
     """Squared reconstruction error and the regularized loss built on it.
 
-    ``x_norm_sq`` is ``||X||_F^2`` and ``svds`` holds the compact SVD of
-    each factor, the same decomposition the block updates read, so that ALS
-    decomposes each factor once per update.  The error comes from the Gram
-    identity (Kolda & Bader 2009, SIAM Review, section 4.2)
+    ``x_norm_sq`` is ``||X||_F^2``.  ALS records its losses through
+    :func:`_fit_projected`, from the projection its steps hold.  The error
+    comes from the Gram identity (Kolda & Bader 2009, SIAM Review, 4.2)
 
         ||Xhat - X||^2 = ||X||^2 - 2 <X x_n A_n^T, G> + <G x_n A_n^T A_n, G>,
 
@@ -144,6 +147,7 @@ def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float,
     column, loses only roundoff, and a zero factor has an empty basis and
     records the error ``||X||^2``.
     """
+    svds = [compact_svd(a) for a in model.factors]
     return _fit_projected(model, _project(x, [svd.u for svd in svds]), x_norm_sq,
                           [svd.v * svd.sigma for svd in svds])
 
@@ -152,7 +156,7 @@ def _fit_projected(model: TuckerModel, y: np.ndarray, x_norm_sq: float,
                    coords: Sequence[np.ndarray]) -> tuple[float, float]:
     """:func:`_fit` from the projection ``Y = X x_1 U_1^T ... x_N U_N^T``
     and each factor's coordinates in its basis, ``V_n S_n`` (``A_n^T U_n``),
-    for a caller that holds ``Y``."""
+    for a caller that holds ``Y``: it reads only core-sized arrays."""
     h = _project(model.core, coords)
     err = max(x_norm_sq - float(np.sum(y**2)) + float(np.sum((y - h) ** 2)), 0.0)
     reg = float(np.sum(model.core**2))
@@ -169,7 +173,7 @@ def relative_error(model: TuckerModel, x) -> float:
     """
     x = _model_tensor(model, x)
     den = float(np.sum(x**2))
-    num, _ = _fit(model, x, den, [compact_svd(a) for a in model.factors])
+    num, _ = _fit(model, x, den)
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -178,8 +182,7 @@ def relative_error(model: TuckerModel, x) -> float:
 def regularized_loss(model: TuckerModel, x) -> float:
     """Squared reconstruction error plus lam times all squared Frobenius norms."""
     x = _model_tensor(model, x)
-    return _fit(model, x, float(np.sum(x**2)),
-                [compact_svd(a) for a in model.factors])[1]
+    return _fit(model, x, float(np.sum(x**2)))[1]
 
 
 def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
@@ -187,83 +190,74 @@ def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
 
 
 def core_update(model: TuckerModel, x, mode: str = "exact",
-                config: RegressionConfig | None = None,
-                caches: Sequence[CompactSvd] | None = None) -> np.ndarray:
+                config: RegressionConfig | None = None) -> np.ndarray:
     """Solve the core regression at fixed factors; returns the new core.
 
     ``exact`` composes the factor SVDs as :func:`kronmatmul_svd_solve` does,
-    without evaluating a loss.  ``fast`` draws
+    from the projection ``X x_1 U_1^T ... x_N U_N^T`` of ``x`` onto their
+    left singular vectors, without evaluating a loss.  ``fast`` draws
     ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` rows of the factors'
     Kronecker product from their leverage-score product distribution (seeded
     by ``config.seed``) and solves the sketched ridge problem directly with
     :func:`~kronsolve.solvers.sketched_ridge_solve`; when that count reaches
-    the row count it runs the exact update instead.  Both read the
-    per-factor SVDs in ``caches`` (one per factor, checked against the
-    factors) when provided.  When a factor is zero the design is zero, so
-    the ridge core is zero.
+    the row count it runs the exact update instead.  When a factor is zero
+    the design is zero, so the ridge core is zero.
     """
     x = _model_tensor(model, x)
     if mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown core update mode {mode!r}")
-    return _core_update(model, x, mode, config, caches)
+    svds = [compact_svd(a) for a in model.factors]
+    return _core_update(model, x, _project(x, [svd.u for svd in svds]), mode,
+                        config, svds)
 
 
-def _core_update(model: TuckerModel, x: np.ndarray, mode: str,
+def _core_update(model: TuckerModel, x: np.ndarray, y: np.ndarray, mode: str,
                  config: RegressionConfig | None,
-                 caches: Sequence[CompactSvd] | None) -> np.ndarray:
-    """:func:`core_update` for a tensor ``x`` that the caller has validated."""
-    if caches is not None:
-        _check_caches(model.factors, caches)
+                 svds: Sequence[CompactSvd]) -> np.ndarray:
+    """:func:`core_update` for a validated ``x``, the factors' compact SVDs
+    ``svds``, and ``y``, the projection of ``x`` that the exact solve reads."""
     if not all(np.any(a) for a in model.factors):
         return np.zeros(model.core_shape)  # a zero factor makes K zero
-    factors, b, rows, cols = _validated_problem(model.factors, x)
     if mode == "fast":
         config = config or RegressionConfig()
-        s = regression_sample_count(cols, config.eps, config.alpha,
-                                    math.log(1.0 / config.delta))
-        if s < rows:
-            svds = [compact_svd(a) for a in factors] if caches is None else caches
+        s = regression_sample_count(math.prod(model.core_shape), config.eps,
+                                    config.alpha, math.log(1.0 / config.delta))
+        if s < x.size:
             sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
             sketch = sample_rows(sampler, s, config.seed)
-            core = sketched_ridge_solve(factors, sketch, b, model.lam)
+            core = sketched_ridge_solve(model.factors, sketch, x.reshape(-1), model.lam)
             return core.reshape(model.core_shape)
     # exact mode, or a sketch that would draw at least every row
-    return _svd_ridge_solution(factors, b, model.lam, caches).reshape(model.core_shape)
+    return _svd_ridge_solution(svds, y.reshape(-1), model.lam).reshape(model.core_shape)
 
 
 def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
-    """Exact ridge update of factor ``n``: every row solved via the normal
-    equation ``(KK^T + lam I)^+ K b_i^T`` with ``K = G_(n) (kron of others)^T``.
+    """Exact ridge update of factor ``n``: row ``i`` is
+    ``(K^T K + lam I)^+ K^T b_i`` with ``K = (kron of the other factors)
+    G_(n)^T`` and ``b_i`` row ``i`` of the mode-``n`` unfolding.
 
-    ``KK^T`` is assembled through the factor-Gram Kronecker identity; the
-    per-row right-hand sides use implicit Kronecker multiplies.  Refuses
-    when ``R_rest^2`` exceeds ``DEFAULT_DENSE_GUARD``.
+    With the compact SVDs ``A_k = U_k S_k V_k^T``, ``Z = X x_k U_k^T for
+    every k != n`` (one pass over ``x``) and ``C = G_(n) (kron of V_k S_k for
+    k != n)``, ``K^T K = C C^T`` and ``K^T b_i = C z_i``, so the new factor
+    is ``Z_(n) C^T (C C^T + lam I)^+`` (pseudo-inverse convention) and no
+    ``R_rest x R_rest`` matrix is formed.  As in ``_fit``, the SVDs drop
+    singular values at or below ``1e-10 * sigma_max`` of their factor.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
-    return _naive_factor_update(model, x, n)
+    svds = [compact_svd(a) for a in model.factors]
+    z = _project(x, [None if k == n else svd.u for k, svd in enumerate(svds)])
+    return _ridge_factor(model, z, n, svds)
 
 
-def _naive_factor_update(model: TuckerModel, x: np.ndarray, n: int) -> np.ndarray:
-    """:func:`naive_factor_update` for a tensor ``x`` and mode ``n`` that the
-    caller has validated."""
-    others = _other_factors(model, n)
-    g_n = unfold(model.core, n)
-    r_rest = g_n.shape[1]
-    if r_rest * r_rest > DEFAULT_DENSE_GUARD:
-        raise SizeGuardError(
-            f"Gram Kronecker product would hold {r_rest}x{r_rest} entries "
-            f"(guard: {DEFAULT_DENSE_GUARD})")
-    gram_rest = reduce(np.kron, [a.T @ a for a in others], np.ones((1, 1)))
-    kkt = g_n @ gram_rest @ g_n.T
-    b = _unfold(x, n)
-    # K B^T = G_(n) (kron of others)^T B^T, columns indexed by tensor rows
-    rest_t = [a.T for a in others]
-    kbt = g_n @ (kron_mat_mul(rest_t, b.T) if rest_t else b.T)
-    rn = g_n.shape[0]
-    y = np.linalg.pinv(kkt + model.lam * np.eye(rn)) @ kbt
-    return y.T
+def _ridge_factor(model: TuckerModel, z: np.ndarray, n: int,
+                  svds: Sequence[CompactSvd]) -> np.ndarray:
+    """:func:`naive_factor_update` from ``z`` and the SVDs (``svds[n]`` unread)."""
+    coords = [None if k == n else svd.v * svd.sigma for k, svd in enumerate(svds)]
+    c = _unfold(_project(model.core, coords), n)
+    gram = c @ c.T + model.lam * np.eye(c.shape[0])
+    return (np.linalg.pinv(gram) @ (c @ _unfold(z, n).T)).T
 
 
 @dataclass(frozen=True)
@@ -449,10 +443,11 @@ class AlsReport:
     (regularized losses) come from the Gram identity of ``_fit``, not from a
     dense reconstruction; each error is accurate to about ulp * ||X||^2
     absolute (a few 1e-12 relative at a relative error of 1e-4) and is never
-    negative.  ``step_seconds`` times each block update alone (not the loss
-    recorded after it); the first step, ``init-core``, times the
-    range-finder start that yields the initial factors and core.
-    ``sweep_seconds`` is the sum of one sweep's step times.
+    negative.  No record reads the tensor itself (see :func:`tucker_als`).
+    ``step_seconds`` times each block update alone (not the loss recorded
+    after it); the first step, ``init-core``, times the range-finder start
+    that yields the initial factors and core.  ``sweep_seconds`` is the sum
+    of one sweep's step times.
     """
 
     step_labels: list[str] = field(default_factory=list)
@@ -526,19 +521,21 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     factors for modes ``0..N-1`` followed by the core, recording the
     regularized loss after every block update.  In ``exact`` mode every
     block update is an exact minimizer, so the recorded losses are
-    non-increasing (up to roundoff).  The losses come from the Gram
-    identity (see :class:`AlsReport` for their accuracy), with
-    ``||X||^2`` computed once per call, so no step forms the dense
-    reconstruction.  Each factor is decomposed once per update into a
-    compact SVD (:func:`~kronsolve.solvers.build_factor_cache`) that all
-    later block updates read, the core updates of both modes included, and
-    that every later loss record reads too, so ALS runs no other
-    factorization of a factor.  ``config`` supplies the sampling
-    parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
-    ridge weight.  ``x`` is validated once, here, and the exact block
-    updates do not scan it again; a fast factor update checks it once more
-    as its own public entry point does, which is negligible against its
-    sketched block solve.
+    non-increasing (up to roundoff).
+
+    Each factor is decomposed once per update into a compact SVD
+    ``A_k = U_k S_k V_k^T`` (:func:`~kronsolve.solvers.build_factor_cache`)
+    that every later step reads.  Factor step ``n`` reads the tensor once,
+    as ``Z = X x_k U_k^T for every k != n``: the exact update is read off
+    ``Z``, and a fast step forms it after its timed sketched update.  The
+    loss after the step is recorded from ``Y = Z x_n U_n^T``; the core step
+    changes no factor, so its exact solve and its record read that ``Y``
+    too.  A sweep thus reads the tensor ``N`` times in either mode, besides
+    the fast updates' own sketched reads, and forms no dense reconstruction.
+    ``config`` supplies the sampling parameters and the seed of the
+    ``fast`` mode; ``lam`` alone sets the ridge weight.  ``x`` is validated
+    once, here; a fast factor update checks it once more as its own public
+    entry point does, which is negligible against its sketched block solve.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
@@ -560,8 +557,8 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     report = AlsReport()
     x_norm_sq = float(np.sum(x**2))
 
-    def record(label: str, seconds: float, fit: tuple[float, float] | None = None):
-        err, loss = _fit(model, x, x_norm_sq, caches) if fit is None else fit
+    def record(label: str, seconds: float, y: np.ndarray, coords: list[np.ndarray]):
+        err, loss = _fit_projected(model, y, x_norm_sq, coords)
         report.step_labels.append(label)
         report.step_losses.append(loss)
         report.step_errors.append(err)
@@ -572,27 +569,33 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     seconds = time.perf_counter() - t0
     # orthonormal factors are their own basis, with identity coordinates
     eyes = [np.eye(r) for r in core_shape]
-    record("init-core", seconds, _fit_projected(model, projected, x_norm_sq, eyes))
+    record("init-core", seconds, projected, eyes)
     caches = [build_factor_cache(a) for a in model.factors]
 
     seed_root = np.random.SeedSequence(config.seed)
     for sweep in range(sweeps):
         sweep_seeds = seed_root.spawn(x.ndim + 1)
         for n in range(x.ndim):
+            others = [None if k == n else svd.u for k, svd in enumerate(caches)]
             t0 = time.perf_counter()
             if solver_mode == "exact":
-                model.factors[n] = _naive_factor_update(model, x, n)
+                z = _project(x, others)
+                model.factors[n] = _ridge_factor(model, z, n, caches)
             else:
                 step_cfg = _reseed(config, sweep_seeds[n])
                 model.factors[n] = fast_factor_matrix_update(
                     model, x, n, step_cfg, caches=caches)
             caches[n] = build_factor_cache(model.factors[n])
             seconds = time.perf_counter() - t0
-            record(f"sweep{sweep}-factor{n}", seconds)
+            if solver_mode == "fast":
+                z = _project(x, others)
+            y = _project(z, [caches[n].u if k == n else None for k in range(x.ndim)])
+            coords = [svd.v * svd.sigma for svd in caches]
+            record(f"sweep{sweep}-factor{n}", seconds, y, coords)
         t0 = time.perf_counter()
         step_cfg = _reseed(config, sweep_seeds[-1]) if solver_mode == "fast" else None
-        model.core = _core_update(model, x, solver_mode, step_cfg, caches)
-        record(f"sweep{sweep}-core", time.perf_counter() - t0)
+        model.core = _core_update(model, x, y, solver_mode, step_cfg, caches)
+        record(f"sweep{sweep}-core", time.perf_counter() - t0, y, coords)
         report.sweep_losses.append(report.step_losses[-1])
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq
                                  if x_norm_sq > 0 else 0.0)

@@ -18,7 +18,6 @@ from kronsolve.leverage import (
 )
 from kronsolve.solvers import (
     RegressionConfig,
-    build_factor_cache,
     build_kron_preconditioner,
     factor_gram,
     fast_kronecker_regression,
@@ -436,55 +435,34 @@ class TestFastKroneckerRegression:
         np.testing.assert_allclose(r2.solution, 3.0 * r1.solution, rtol=1e-9,
                                    atol=1e-12)
 
-    # the Tucker core update, sketched or exact, is the one solve that reads
-    # caches; the next three tests pin its cache handling
-    def test_cached_factor_data(self, rng, count_calls):
-        model = tucker.TuckerModel(core=rng.standard_normal((2, 3)),
-                                   factors=[rng.standard_normal((15, 2)),
-                                            rng.standard_normal((12, 3))], lam=1e-2)
-        x = rng.standard_normal((15, 12))
-        caches = [build_factor_cache(a) for a in model.factors]
-        sketched = count_calls(tucker, "sketched_ridge_solve")
-        # Without caches the update builds the same SVDs, so both calls give
-        # the same bits.  alpha=1e-3 asks for more rows than the 180 there
-        # are (exact route); at 1e-4 the sketch runs.
-        for mode, alpha in (("exact", 1.0), ("fast", 1e-3), ("fast", 1e-4)):
-            cfg = RegressionConfig(eps=0.25, delta=0.1, seed=4, alpha=alpha)
-            cached = tucker.core_update(model, x, mode=mode, config=cfg, caches=caches)
-            plain = tucker.core_update(model, x, mode=mode, config=cfg)
-            np.testing.assert_array_equal(plain, cached)
-        assert len(sketched) == 2
-
-    def test_exact_fallback_reuses_caches(self, rng, count_calls):
-        model = tucker.TuckerModel(core=rng.standard_normal((3, 3)),
-                                   factors=[rng.standard_normal((20, 3)) for _ in range(2)],
-                                   lam=1e-2)
-        caches = [build_factor_cache(a) for a in model.factors]
+    def test_exact_fallback_reuses_caches(self, rng, count_calls, monkeypatch):
+        # at alpha 1 every sketch of fast ALS would cover its rows, so each
+        # core step runs the exact solve on the factor SVDs and the tensor
+        # projection ALS already holds, and decomposes nothing itself
+        x = rng.standard_normal((8, 7, 6))
         svds = [count_calls(solvers, "compact_svd"), count_calls(tucker, "compact_svd")]
-        cfg = RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0)
-        core = tucker.core_update(model, rng.standard_normal((20, 20)), mode="fast",
-                                  config=cfg, caches=caches)
-        assert core.shape == (3, 3)
-        assert sum(len(calls) for calls in svds) == 0
+        core_step_svds = []
+        core_step = tucker._core_update
 
-    def test_mismatched_caches_rejected(self, rng):
-        model = tucker.TuckerModel(core=rng.standard_normal((2, 3)),
-                                   factors=[rng.standard_normal((40, 2)),
-                                            rng.standard_normal((12, 3))], lam=1e-2)
-        x = rng.standard_normal((40, 12))
-        cfg = RegressionConfig(eps=0.25, delta=0.1, seed=4, alpha=1e-4)
-        wrong = []
-        for rows in (25, 50):
-            wrong.append([build_factor_cache(rng.standard_normal((rows, 2))),
-                          build_factor_cache(model.factors[1])])
-        # right rows, wrong column count; and one cache short
-        wrong.append([build_factor_cache(model.factors[0]),
-                      build_factor_cache(rng.standard_normal((12, 2)))])
-        wrong.append(wrong[-1][:1])
-        for caches in wrong:
-            for mode in ("exact", "fast"):
-                with pytest.raises(InvalidInputError):
-                    tucker.core_update(model, x, mode=mode, config=cfg, caches=caches)
+        def counted_core_step(*args):
+            before = sum(len(calls) for calls in svds)
+            core = core_step(*args)
+            core_step_svds.append(sum(len(calls) for calls in svds) - before)
+            return core
+
+        monkeypatch.setattr(tucker, "_core_update", counted_core_step)
+        exact_solves = count_calls(tucker, "_svd_ridge_solution")
+        sketches = count_calls(tucker, "sample_rows")
+        cfg = RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0)
+        fast, fast_report = tucker.tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2,
+                                              solver_mode="fast", config=cfg)
+        assert core_step_svds == [0, 0]
+        assert len(exact_solves) == 2 and len(sketches) == 0
+        # every fast step fell back to its exact update, so the run is exact ALS
+        exact, exact_report = tucker.tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2,
+                                                config=cfg)
+        np.testing.assert_array_equal(fast.core, exact.core)
+        assert fast_report.step_losses == exact_report.step_losses
 
     def test_report_loss_matches_solution(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]

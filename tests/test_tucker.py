@@ -20,7 +20,7 @@ from kronsolve.leverage import (
     sample_rows,
     statistical_leverage_scores,
 )
-from kronsolve.solvers import RegressionConfig, build_factor_cache, ridge_loss
+from kronsolve.solvers import RegressionConfig, ridge_loss
 from kronsolve.tensor import compact_svd, explicit_kron, unfold, vectorize
 from kronsolve.tucker import (
     AlsReport,
@@ -147,15 +147,30 @@ class TestCoreUpdate:
             model, _ = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1,
                                   solver_mode="exact",
                                   config=RegressionConfig(seed=seed))
-            caches = [build_factor_cache(a) for a in model.factors]
             cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=seed,
                                    alpha=2e-4)
-            fast = core_update(model, x, mode="fast", config=cfg, caches=caches)
+            fast = core_update(model, x, mode="fast", config=cfg)
             exact = core_update(model, x, mode="exact")
             lf = ridge_loss(model.factors, vectorize(fast), vectorize(x), 1e-3)
             le = ridge_loss(model.factors, vectorize(exact), vectorize(x), 1e-3)
             hits += lf <= (1 + cfg.eps) * le
         assert hits >= 48  # 95 of 100 scaled to 50 fixed seeds
+
+
+def degenerate(model, case):
+    """``model`` with a zero column in factor 1, a zero core slice along
+    mode 0, or as it is (``case`` 'zero column', 'zero core slice', 'plain')."""
+    if case == "zero column":
+        model.factors[1][:, 0] = 0.0
+    elif case == "zero core slice":
+        model.core[1] = 0.0
+    return model
+
+
+# each case with a ridge and without, where the pseudo-inverse convention
+# picks the minimum-norm solution of a rank-deficient design
+DEGENERATE_CASES = [(case, lam) for case in ("plain", "zero column", "zero core slice")
+                    for lam in (0.3, 0.0)]
 
 
 class TestNaiveFactorUpdate:
@@ -168,26 +183,27 @@ class TestNaiveFactorUpdate:
         assert after <= before + 1e-10
 
     def test_per_row_normal_equation(self, rng):
-        model = random_model(rng, (5, 4, 3), (2, 2, 2), lam=0.3)
-        x = rng.standard_normal((5, 4, 3))
-        n = 0
-        new = naive_factor_update(model, x, n)
-        design = leftover_design(model, n)
-        b = unfold(x, n)
-        for i in range(5):
-            grad = design.T @ (design @ new[i] - b[i]) + 0.3 * new[i]
-            assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(b[i]))
+        for case, lam in DEGENERATE_CASES:
+            model = degenerate(random_model(rng, (5, 4, 3), (2, 2, 2), lam=lam), case)
+            x = rng.standard_normal((5, 4, 3))
+            n = 0
+            new = naive_factor_update(model, x, n)
+            design = leftover_design(model, n)
+            b = unfold(x, n)
+            for i in range(5):
+                grad = design.T @ (design @ new[i] - b[i]) + lam * new[i]
+                assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(b[i])), case
 
     def test_order_two_dense_oracle(self, rng):
-        model = random_model(rng, (6, 5), (2, 3), lam=0.05)
-        x = rng.standard_normal((6, 5))
-        new = naive_factor_update(model, x, 0)
-        design = leftover_design(model, 0)  # (5, 2)
-        b = unfold(x, 0)
-        for i in range(6):
-            want = np.linalg.solve(design.T @ design + 0.05 * np.eye(2),
-                                   design.T @ b[i])
-            np.testing.assert_allclose(new[i], want, atol=1e-8)
+        # every row against the stacked [K; sqrt(lam) I] least-squares solution
+        for case, lam in DEGENERATE_CASES:
+            model = degenerate(random_model(rng, (6, 5), (2, 3), lam=lam), case)
+            x = rng.standard_normal((6, 5))
+            new = naive_factor_update(model, x, 0)
+            want = stacked_ridge_lstsq(leftover_design(model, 0), unfold(x, 0).T, lam).T
+            assert_rows_close(new, want, 1e-10)
+            if case == "zero core slice":
+                np.testing.assert_array_equal(new[:, 1], np.zeros(6))
 
 
 class TestFactorWorkspace:
@@ -599,12 +615,12 @@ class TestRangeFinderStart:
         model, projected = tucker.initial_model(x, rank, lam, seed)
         for a, r in zip(model.factors, rank):
             assert np.max(np.abs(a.T @ a - np.eye(r))) <= 1e-12
-        exact = tucker._core_update(model, x, "exact", None, None)
+        exact = core_update(model, x, mode="exact")
         assert np.max(np.abs(model.core - exact)) <= 1e-12 * np.max(np.abs(exact))
         np.testing.assert_array_equal(model.core, projected / (1.0 + lam))
 
         x_norm_sq = float(np.sum(x**2))
-        want_err, want_loss = tucker._fit(model, x, x_norm_sq, svd_bases(model))
+        want_err, want_loss = tucker._fit(model, x, x_norm_sq)
         _, report = tucker_als(x, rank, lam=lam, sweeps=1,
                                config=RegressionConfig(seed=seed))
         assert report.step_labels[0] == "init-core"
@@ -768,7 +784,7 @@ class TestTuckerAls:
 
 
 
-def dense_fit(model, x, x_norm_sq, bases):
+def dense_fit(model, x, x_norm_sq):
     """The dense reconstruction formula that ``tucker._fit`` replaces."""
     err = float(np.sum((reconstruct(model) - x) ** 2))
     reg = float(np.sum(model.core**2)) + sum(float(np.sum(a**2)) for a in model.factors)
@@ -781,7 +797,10 @@ class TestLossRecording:
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         model, report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
                                    solver_mode=mode, config=LOSS_CFG)
-        monkeypatch.setattr(tucker, "_fit", dense_fit)
+        # every record, the start's included, computed densely from x instead
+        monkeypatch.setattr(tucker, "_fit_projected",
+                            lambda model, y, x_norm_sq, coords:
+                            dense_fit(model, x, x_norm_sq))
         dense_model, dense_report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
                                                solver_mode=mode, config=LOSS_CFG)
         np.testing.assert_array_equal(model.core, dense_model.core)
@@ -803,8 +822,8 @@ class TestLossRecording:
         model, _ = tucker_als(x, (4, 4, 4), lam=1e-3, sweeps=3,
                               config=RegressionConfig(seed=seed + 10))
         x_norm_sq = float(np.sum(x**2))
-        err, loss = tucker._fit(model, x, x_norm_sq, svd_bases(model))
-        want_err, want_loss = dense_fit(model, x, x_norm_sq, None)
+        err, loss = tucker._fit(model, x, x_norm_sq)
+        want_err, want_loss = dense_fit(model, x, x_norm_sq)
         ulp = np.finfo(float).eps * x_norm_sq
         assert abs(err - want_err) <= 10 * ulp
         assert abs(loss - want_loss) <= 10 * ulp
@@ -814,8 +833,7 @@ class TestLossRecording:
         for _ in range(20):
             model = random_model(rng, (6, 5, 4), (2, 3, 2))
             xhat = reconstruct(model)
-            bases = svd_bases(model)
-            assert tucker._fit(model, xhat, float(np.sum(xhat**2)), bases)[0] >= 0.0
+            assert tucker._fit(model, xhat, float(np.sum(xhat**2)))[0] >= 0.0
             assert relative_error(model, reconstruct(model)) >= 0.0
 
     @pytest.mark.parametrize("zeroed", [[(0, 1)], [(0, 0), (2, 1)], [(1, None)]])
@@ -831,8 +849,8 @@ class TestLossRecording:
         x = reconstruct(model) + 1e-2 * rng.standard_normal(model.shape)
         x_norm_sq = float(np.sum(x**2))
         assert [svd.rank for svd in svd_bases(model)] != [2, 3, 2]
-        err, loss = tucker._fit(model, x, x_norm_sq, svd_bases(model))
-        want_err, want_loss = dense_fit(model, x, x_norm_sq, None)
+        err, loss = tucker._fit(model, x, x_norm_sq)
+        want_err, want_loss = dense_fit(model, x, x_norm_sq)
         assert err == pytest.approx(want_err, rel=1e-10, abs=0)
         assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
         assert relative_error(model, x) == pytest.approx(want_err / x_norm_sq,
@@ -855,16 +873,36 @@ class TestLossRecording:
 
     def test_step_seconds_exclude_the_loss_record(self, monkeypatch, rng):
         # a slow loss record must not show in the block-update times
-        fit = tucker._fit
+        fit = tucker._fit_projected
+        records = []
 
         def slow_fit(*args):
+            records.append(args)
             time.sleep(0.1)
             return fit(*args)
 
-        monkeypatch.setattr(tucker, "_fit", slow_fit)
+        monkeypatch.setattr(tucker, "_fit_projected", slow_fit)
         x = rng.standard_normal((6, 5, 4))
         _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=1, solver_mode="exact")
+        assert len(records) == len(report.step_seconds) == 1 + 4
         assert max(report.step_seconds) < 0.1
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_one_projection_of_the_tensor_per_factor_step(self, count_calls, mode):
+        # each factor step reads the tensor once; the records and the core
+        # steps read projections of it, and no exact step hands it to the
+        # Kronecker multiply
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        projections = count_calls(tucker, "_project")
+        multiplies = [count_calls(module, "kron_mat_mul") for module in (solvers, tucker)]
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
+                   config=LOSS_CFG)
+        reads = [mats for t, mats in projections if np.size(t) == x.size]
+        assert len(reads) == 2 * 3
+        # step n contracts every mode but n
+        assert [[m is None for m in mats] for mats in reads] == [
+            [k == n for k in range(3)] for _ in range(2) for n in range(3)]
+        assert all(np.size(args[1]) < x.size for calls in multiplies for args in calls)
 
     def test_shape_mismatch_rejected(self, rng):
         model = random_model(rng, (6, 5, 4), (2, 2, 2))
