@@ -1,10 +1,9 @@
 """Fast multiplication with implicit Kronecker products.
 
 The operator ``K = A1 kron ... kron AN`` is only ever represented by its
-factor list.  ``kron_mat_mul`` peels the rightmost factor off recursively;
-its checks wrap the one unchecked multiply kernel, which the Kronecker-eigen
-preconditioner calls directly (its factors are singular vectors computed
-from checked input) and which ``kron_vec_square`` reuses for square factors.
+factor list.  ``kron_mat_mul`` and ``kron_vec_square`` validate their
+arguments and hand the operand to :func:`~kronsolve.tensor._mode_products`
+as a tensor of the column shape, since ``vec(G x_1 A1 ... x_N AN) = K vec(G)``.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the distinct Kronecker rows each group needs, and applies ``S K``,
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .leverage import RowSketch
-from .tensor import as_matrix
+from .tensor import _mode_products, as_matrix
 
 BALANCED_PARTITION_MAX_ORDER = 30
 
@@ -50,42 +49,29 @@ def kron_mat_mul(factors: Sequence[np.ndarray], b) -> np.ndarray:
     """Compute ``(A1 kron ... kron AN) @ b`` without densifying the product.
 
     ``b`` may be a vector of length ``prod(cols)`` or a matrix with that many
-    rows.  The rightmost factor is applied first and the remaining product is
-    handled recursively, costing ``O(K * sum_n J_1..J_n I_n..I_N)`` overall.
+    rows.  One mode product per factor, leading first, costs ``O(K * sum_n
+    I_1..I_n J_n..J_N)`` for ``K`` columns; ``K > 1`` columns enter as a
+    leading mode, so the last factor stays one matrix product.
     """
     factors = check_factors(factors)
     b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if b.ndim != 2:
+    if b.ndim not in (1, 2):
         raise InvalidInputError("b must be a vector or a matrix")
-    _, cols = kron_operator_shape(factors)
+    rows, cols = kron_operator_shape(factors)
     if b.shape[0] != cols:
         raise InvalidInputError(
-            f"b has {b.shape[0]} rows but the operator has {cols} columns")
-    out = _kron_mat_mul_rec(factors, b)
-    return out[:, 0] if squeeze else out
-
-
-def _kron_mat_mul_rec(factors: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
-    if len(factors) == 1:
-        return factors[0] @ b
-    tail = factors[-1]
-    i_n, j_n = tail.shape
-    q = b.shape[0] // j_n
-    k = b.shape[1]
-    # z[q, i, k] = sum_j tail[i, j] * b[(q, j), k]  -- extract rightmost factor
-    z = np.tensordot(b.reshape(q, j_n, k), tail, axes=([1], [1]))  # (q, k, i)
-    z = z.transpose(0, 2, 1).reshape(q, i_n * k)
-    c = _kron_mat_mul_rec(factors[:-1], z)
-    return c.reshape(c.shape[0] * i_n, k)
+            f"operand has {b.shape[0]} rows but the operator has {cols} columns")
+    col_shape = tuple(a.shape[1] for a in factors)
+    if b.ndim == 2 and b.shape[1] != 1:
+        out = _mode_products(b.T.reshape(b.shape[1:] + col_shape), [None] + factors)
+        return out.reshape(b.shape[1], rows).T
+    return _mode_products(b.reshape(col_shape), factors).reshape((rows,) + b.shape[1:])
 
 
 def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
     """Multiply a Kronecker product of square factors by a vector.
 
-    The checked square-factor entry to :func:`kron_mat_mul`'s kernel; costs
+    The checked square-factor entry to the multiply kernel; costs
     ``O(R * sum_n R_n)`` for ``R = prod R_n``.  Non-finite factors or a
     non-finite vector raise :class:`InvalidInputError`.
     """
@@ -94,12 +80,12 @@ def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
         if a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"factor {n} is {a.shape}, expected square")
     c = np.asarray(c, dtype=np.float64).reshape(-1)
-    size = math.prod(a.shape[0] for a in factors)
-    if c.size != size:
-        raise InvalidInputError(f"vector length {c.size} != operator size {size}")
+    shape = tuple(a.shape[0] for a in factors)
+    if c.size != math.prod(shape):
+        raise InvalidInputError(f"vector length {c.size} != operator shape {shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("vector contains non-finite entries")
-    return _kron_mat_mul_rec(factors, c[:, None])[:, 0]
+    return _mode_products(c.reshape(shape), factors).reshape(-1)
 
 
 @dataclass(frozen=True)

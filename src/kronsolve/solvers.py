@@ -30,7 +30,6 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from .kron import (
     SketchedKron,
-    _kron_mat_mul_rec,
     check_factors,
     kron_mat_mul,
     kron_operator_shape,
@@ -45,7 +44,7 @@ from .leverage import (
     sample_rows,
     statistical_leverage_scores,
 )
-from .tensor import CompactSvd, as_matrix, compact_svd
+from .tensor import CompactSvd, _mode_products, as_matrix, compact_svd
 
 DEFAULT_DENSE_GUARD = 10**8
 
@@ -153,8 +152,8 @@ class KronPreconditioner:
     values, or the square eigenvectors of a :class:`FactorGram`.  With
     ``r < d`` the operator is the inverse on the span of ``V kron ...``,
     which holds every ``K^T y``.  The factors are computed from checked
-    input, so :meth:`apply` multiplies through the unchecked kernel of
-    :func:`~kronsolve.kron.kron_mat_mul`.
+    input, so :meth:`apply` skips to the kernel behind
+    :func:`~kronsolve.kron.kron_mat_mul`, :func:`~kronsolve.tensor._mode_products`.
     """
 
     v_factors: tuple[np.ndarray, ...]
@@ -162,9 +161,11 @@ class KronPreconditioner:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``(V kron ...) D (V kron ...)^T x`` for a flat float64 ``x``."""
-        t = _kron_mat_mul_rec([v.T for v in self.v_factors], x[:, None])[:, 0]
+        t = _mode_products(x.reshape([v.shape[0] for v in self.v_factors]),
+                           [v.T for v in self.v_factors]).reshape(-1)
         t = t * self.d_diag
-        return _kron_mat_mul_rec(self.v_factors, t[:, None])[:, 0]
+        return _mode_products(t.reshape([v.shape[1] for v in self.v_factors]),
+                              self.v_factors).reshape(-1)
 
 
 def pseudo_reciprocal(d: np.ndarray) -> np.ndarray:
@@ -236,16 +237,14 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
 
 
 def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
-    """Evaluate ``||K x - b||^2 + lam ||x||^2`` without materializing ``K``."""
-    factors = check_factors(factors)
-    rows, cols = kron_operator_shape(factors)
+    """Evaluate ``||K x - b||^2 + lam ||x||^2`` without materializing ``K``;
+    :func:`~kronsolve.kron.kron_mat_mul` validates the factors and ``x``."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if x.size != cols or b.size != rows:
-        raise InvalidInputError(
-            f"x/b of lengths {x.size}/{b.size} do not match operator "
-            f"{rows}x{cols}")
-    r = kron_mat_mul(factors, x) - b
+    r = kron_mat_mul(factors, x)
+    if b.size != r.size:
+        raise InvalidInputError(f"b has length {b.size}, operator has {r.size} rows")
+    r -= b
     return float(r @ r + lam * (x @ x))
 
 

@@ -9,7 +9,9 @@ which makes
     vectorize(G x_1 A1 x_2 ... x_N AN) == (A1 kron ... kron AN) @ vectorize(G)
 
 hold exactly with the factors in natural order; ``v.reshape(shape)``
-inverts it.  Modes are 0-based, like numpy axes.
+inverts it.  Modes are 0-based, like numpy axes.  Every Kronecker multiply
+and mode product in the package runs the one unchecked kernel
+:func:`_mode_products`, after its public entry point's checks.
 """
 
 from __future__ import annotations
@@ -142,12 +144,25 @@ def fold(m, shape: Sequence[int], mode: int) -> np.ndarray:
     return np.moveaxis(m.reshape((shape[mode],) + rest), 0, mode)
 
 
-def n_mode_product(x, a, mode: int) -> np.ndarray:
-    """Multiply every mode-``mode`` fiber of ``x`` by the matrix ``a``.
+def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
+    """``x x_1 M1 ... x_N MN`` for ``mats[n]`` of shape ``(J_n, x.shape[n])``;
+    a ``None`` leaves its mode as it is.  Modes are contracted leading first,
+    each as one batched ``M_n @ view`` on the ``(lead, I_n, rest)`` view, so
+    no contraction copies its operand; the last mode is one GEMM."""
+    for n, m in enumerate(mats):
+        if m is None:
+            continue
+        head, tail = x.shape[:n], x.shape[n + 1:]
+        if tail:
+            x = m @ x.reshape(math.prod(head), x.shape[n], math.prod(tail))
+        else:
+            x = x.reshape(math.prod(head), x.shape[n]) @ m.T
+        x = x.reshape(head + (m.shape[0],) + tail)
+    return x
 
-    Output shape replaces ``x.shape[mode]`` with ``a.shape[0]``.
-    """
-    x = as_tensor(x)
+
+def _mode_matrix(x: np.ndarray, a, mode: int) -> np.ndarray:
+    """Validate ``a`` as the matrix of a mode-``mode`` product with ``x``."""
     a = as_matrix(a)
     if not 0 <= mode < x.ndim:
         raise InvalidInputError(f"mode {mode} out of range for order-{x.ndim} tensor")
@@ -155,7 +170,17 @@ def n_mode_product(x, a, mode: int) -> np.ndarray:
         raise InvalidInputError(
             f"matrix with {a.shape[1]} columns cannot act on mode of size "
             f"{x.shape[mode]}")
-    return np.moveaxis(np.tensordot(a, x, axes=(1, mode)), 0, mode)
+    return a
+
+
+def n_mode_product(x, a, mode: int) -> np.ndarray:
+    """Multiply every mode-``mode`` fiber of ``x`` by the matrix ``a``.
+
+    Output shape replaces ``x.shape[mode]`` with ``a.shape[0]``.
+    """
+    x = as_tensor(x)
+    a = _mode_matrix(x, a, mode)
+    return _mode_products(x, [a if k == mode else None for k in range(x.ndim)])
 
 
 def multi_mode_product(x, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,9 +189,7 @@ def multi_mode_product(x, factors: Sequence[np.ndarray]) -> np.ndarray:
     if len(factors) != x.ndim:
         raise InvalidInputError(
             f"need {x.ndim} factors for an order-{x.ndim} tensor, got {len(factors)}")
-    for mode, a in enumerate(factors):
-        x = n_mode_product(x, a, mode)
-    return x
+    return _mode_products(x, [_mode_matrix(x, a, n) for n, a in enumerate(factors)])
 
 
 def explicit_kron(factors: Sequence[np.ndarray],

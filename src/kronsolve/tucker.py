@@ -41,6 +41,7 @@ from .solvers import (
 )
 from .tensor import (
     CompactSvd,
+    _mode_products,
     _unfold,
     as_tensor,
     compact_svd,
@@ -105,22 +106,6 @@ def _model_tensor(model: TuckerModel, x) -> np.ndarray:
     return x
 
 
-def _project(x: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
-    """``x x_1 M1^T ... x_N MN^T``: each matrix's rows contract one mode of
-    ``x``, and a ``None`` leaves its mode as it is.  Each product acts on a
-    ``(lead, I_n, rest)`` view, so no contraction copies its operand."""
-    for n, m in enumerate(mats):
-        if m is None:
-            continue
-        head, tail = x.shape[:n], x.shape[n + 1:]
-        if tail:
-            x = m.T @ x.reshape(math.prod(head), x.shape[n], math.prod(tail))
-        else:  # one GEMM, not a batch of matrix-vector products
-            x = x.reshape(math.prod(head), x.shape[n]) @ m
-        x = x.reshape(head + (m.shape[1],) + tail)
-    return x
-
-
 def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, float]:
     """Squared reconstruction error and the regularized loss built on it.
 
@@ -133,7 +118,8 @@ def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, fl
     so no dense reconstruction is formed: the cost is one pass over ``x``
     plus core-sized work.  It is evaluated in each factor's SVD basis
     ``A_n = U_n (S_n V_n^T)``: with ``Y = X x_n U_n^T`` and
-    ``H = G x_n S_n V_n^T`` it reads ``(||X||^2 - ||Y||^2) + ||Y - H||^2``.
+    ``H = G x_n S_n V_n^T`` (one ``_mode_products`` call each) it reads
+    ``(||X||^2 - ||Y||^2) + ||Y - H||^2``.
     The first difference still cancels, which bounds the absolute accuracy
     of the error to about ulp * ||X||^2 (a few 1e-12 relative at a relative
     error of 1e-4); it is clamped at 0.  Multiplying out ``A_n^T A_n``
@@ -148,16 +134,16 @@ def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, fl
     records the error ``||X||^2``.
     """
     svds = [compact_svd(a) for a in model.factors]
-    return _fit_projected(model, _project(x, [svd.u for svd in svds]), x_norm_sq,
-                          [svd.v * svd.sigma for svd in svds])
+    return _fit_projected(model, _mode_products(x, [svd.u.T for svd in svds]),
+                          x_norm_sq, [(svd.v * svd.sigma).T for svd in svds])
 
 
 def _fit_projected(model: TuckerModel, y: np.ndarray, x_norm_sq: float,
                    coords: Sequence[np.ndarray]) -> tuple[float, float]:
     """:func:`_fit` from the projection ``Y = X x_1 U_1^T ... x_N U_N^T``
-    and each factor's coordinates in its basis, ``V_n S_n`` (``A_n^T U_n``),
-    for a caller that holds ``Y``: it reads only core-sized arrays."""
-    h = _project(model.core, coords)
+    and each factor's coordinates in its basis, ``S_n V_n^T`` (``U_n^T
+    A_n``), for a caller that holds ``Y``: it reads only core-sized arrays."""
+    h = _mode_products(model.core, coords)
     err = max(x_norm_sq - float(np.sum(y**2)) + float(np.sum((y - h) ** 2)), 0.0)
     reg = float(np.sum(model.core**2))
     reg += sum(float(np.sum(a**2)) for a in model.factors)
@@ -207,15 +193,16 @@ def core_update(model: TuckerModel, x, mode: str = "exact",
     if mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown core update mode {mode!r}")
     svds = [compact_svd(a) for a in model.factors]
-    return _core_update(model, x, _project(x, [svd.u for svd in svds]), mode,
-                        config, svds)
+    return _core_update(model, x, None, mode, config, svds)
 
 
-def _core_update(model: TuckerModel, x: np.ndarray, y: np.ndarray, mode: str,
-                 config: RegressionConfig | None,
+def _core_update(model: TuckerModel, x: np.ndarray, y: np.ndarray | None,
+                 mode: str, config: RegressionConfig | None,
                  svds: Sequence[CompactSvd]) -> np.ndarray:
     """:func:`core_update` for a validated ``x``, the factors' compact SVDs
-    ``svds``, and ``y``, the projection of ``x`` that the exact solve reads."""
+    ``svds``, and ``y``, the projection ``X x_1 U_1^T ... x_N U_N^T`` that
+    the exact solve reads; with ``y=None`` it is formed only if that solve
+    runs, so a sketched update never projects ``x``."""
     if not all(np.any(a) for a in model.factors):
         return np.zeros(model.core_shape)  # a zero factor makes K zero
     if mode == "fast":
@@ -228,6 +215,8 @@ def _core_update(model: TuckerModel, x: np.ndarray, y: np.ndarray, mode: str,
             core = sketched_ridge_solve(model.factors, sketch, x.reshape(-1), model.lam)
             return core.reshape(model.core_shape)
     # exact mode, or a sketch that would draw at least every row
+    if y is None:
+        y = _mode_products(x, [svd.u.T for svd in svds])
     return _svd_ridge_solution(svds, y.reshape(-1), model.lam).reshape(model.core_shape)
 
 
@@ -247,15 +236,15 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
     svds = [compact_svd(a) for a in model.factors]
-    z = _project(x, [None if k == n else svd.u for k, svd in enumerate(svds)])
+    z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
     return _ridge_factor(model, z, n, svds)
 
 
 def _ridge_factor(model: TuckerModel, z: np.ndarray, n: int,
                   svds: Sequence[CompactSvd]) -> np.ndarray:
     """:func:`naive_factor_update` from ``z`` and the SVDs (``svds[n]`` unread)."""
-    coords = [None if k == n else svd.v * svd.sigma for k, svd in enumerate(svds)]
-    c = _unfold(_project(model.core, coords), n)
+    coords = [None if k == n else (svd.v * svd.sigma).T for k, svd in enumerate(svds)]
+    c = _unfold(_mode_products(model.core, coords), n)
     gram = c @ c.T + model.lam * np.eye(c.shape[0])
     return (np.linalg.pinv(gram) @ (c @ _unfold(z, n).T)).T
 
@@ -576,10 +565,10 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     for sweep in range(sweeps):
         sweep_seeds = seed_root.spawn(x.ndim + 1)
         for n in range(x.ndim):
-            others = [None if k == n else svd.u for k, svd in enumerate(caches)]
+            others = [None if k == n else svd.u.T for k, svd in enumerate(caches)]
             t0 = time.perf_counter()
             if solver_mode == "exact":
-                z = _project(x, others)
+                z = _mode_products(x, others)
                 model.factors[n] = _ridge_factor(model, z, n, caches)
             else:
                 step_cfg = _reseed(config, sweep_seeds[n])
@@ -588,9 +577,10 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
             caches[n] = build_factor_cache(model.factors[n])
             seconds = time.perf_counter() - t0
             if solver_mode == "fast":
-                z = _project(x, others)
-            y = _project(z, [caches[n].u if k == n else None for k in range(x.ndim)])
-            coords = [svd.v * svd.sigma for svd in caches]
+                z = _mode_products(x, others)
+            y = _mode_products(z, [svd.u.T if k == n else None
+                                   for k, svd in enumerate(caches)])
+            coords = [(svd.v * svd.sigma).T for svd in caches]
             record(f"sweep{sweep}-factor{n}", seconds, y, coords)
         t0 = time.perf_counter()
         step_cfg = _reseed(config, sweep_seeds[-1]) if solver_mode == "fast" else None

@@ -66,14 +66,25 @@ class TestKronMatMul:
         [(3, 2), (2, 5)],
         [(2, 3), (4, 2), (3, 2)],
         [(5, 1), (1, 4), (2, 2)],
+        [(2, 3), (1, 1), (3, 2), (2, 2)],
     ])
     def test_dense_oracle(self, rng, shapes):
+        # a vector, one column and three columns each take their own layout
         facs = random_factors(rng, shapes)
         cols = math.prod(s[1] for s in shapes)
-        b = rng.standard_normal((cols, 3))
         dense = dense_kron(facs)
-        got = kron_mat_mul(facs, b)
-        assert np.max(np.abs(got - dense @ b)) <= 1e-10 * max(1, np.max(np.abs(dense @ b)))
+        for b_shape in [(cols,), (cols, 1), (cols, 3)]:
+            b = rng.standard_normal(b_shape)
+            got = kron_mat_mul(facs, b)
+            assert got.shape == (dense.shape[0],) + b_shape[1:]
+            assert np.max(np.abs(got - dense @ b)) <= 1e-10 * max(1, np.max(np.abs(dense @ b)))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_zero_column_factor(self, position):
+        # K has no columns, so K b is the zero vector wherever the empty factor sits
+        facs = [np.ones((2, 2)), np.ones((4, 3))]
+        facs.insert(position, np.ones((3, 0)))
+        np.testing.assert_array_equal(kron_mat_mul(facs, np.zeros(0)), np.zeros(24))
 
 
 class TestKronVecSquare:

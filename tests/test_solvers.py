@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronsolve.kron as kron
 import kronsolve.solvers as solvers
+import kronsolve.tensor as tensor
 import kronsolve.tucker as tucker
 from kronsolve.errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from kronsolve.kron import kron_mat_mul
@@ -139,6 +141,21 @@ class TestRidgeLoss:
         lam = 0.05
         want = np.sum((k @ x - b) ** 2) + lam * x @ x
         assert ridge_loss(facs, x, b, lam) == pytest.approx(want, rel=1e-10)
+
+    def test_validates_each_factor_once(self, count_calls, rng):
+        facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3)),
+                rng.standard_normal((3, 2))]
+        checks = [count_calls(module, "as_matrix") for module in (kron, solvers, tensor)]
+        ridge_loss(facs, rng.standard_normal(12), rng.standard_normal(60), 0.1)
+        shapes = {a.shape for a in facs}
+        assert sum(np.shape(args[0]) in shapes for calls in checks for args in calls) == 3
+
+    def test_length_mismatch(self, rng):
+        facs = [rng.standard_normal((4, 2)), rng.standard_normal((3, 2))]
+        with pytest.raises(InvalidInputError):
+            ridge_loss(facs, np.zeros(5), np.zeros(12), 0.1)
+        with pytest.raises(InvalidInputError):
+            ridge_loss(facs, np.zeros(4), np.zeros(1), 0.1)
 
 
 class TestExactSolvers:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronsolve.tensor as tensor
 from kronsolve.errors import (InvalidInputError, NumericalFailureError,
                               SizeGuardError)
 from kronsolve.tensor import (
@@ -143,19 +144,32 @@ class TestVectorize:
 
     def test_kron_consistency_elementwise(self, rng):
         # multilinear expansion entry oracle: sum over all core indices
-        g = rng.standard_normal((2, 2, 2))
-        factors = [rng.standard_normal((3, 2)) for _ in range(3)]
-        expanded = multi_mode_product(g, factors)
-        oracle = np.zeros((3, 3, 3))
-        for i, j, k in itertools.product(range(3), repeat=3):
-            total = 0.0
-            for r1, r2, r3 in itertools.product(range(2), repeat=3):
-                total += (g[r1, r2, r3] * factors[0][i, r1]
-                          * factors[1][j, r2] * factors[2][k, r3])
-            oracle[i, j, k] = total
-        np.testing.assert_allclose(expanded, oracle, atol=1e-12)
-        np.testing.assert_allclose(
-            vectorize(expanded), dense_kron(factors) @ vectorize(g), atol=1e-12)
+        for core_shape, out_shape in [((2, 2, 2), (3, 3, 3)),
+                                      ((2, 1, 3, 2), (3, 2, 1, 2))]:
+            g = rng.standard_normal(core_shape)
+            factors = [rng.standard_normal((i, r)) for i, r in zip(out_shape, core_shape)]
+            expanded = multi_mode_product(g, factors)
+            oracle = np.zeros(out_shape)
+            for out in itertools.product(*map(range, out_shape)):
+                for idx in itertools.product(*map(range, core_shape)):
+                    oracle[out] += g[idx] * np.prod(
+                        [a[i, r] for a, i, r in zip(factors, out, idx)])
+            np.testing.assert_allclose(expanded, oracle, atol=1e-12)
+            np.testing.assert_allclose(
+                vectorize(expanded), dense_kron(factors) @ vectorize(g), atol=1e-12)
+
+    def test_multi_mode_product_scans_the_tensor_once(self, monkeypatch, rng):
+        x = rng.standard_normal((4, 3, 2, 2))
+        scans = []
+        original = tensor.as_tensor
+
+        def counting(t, *args, **kwargs):
+            scans.append(np.shape(t))
+            return original(t, *args, **kwargs)
+
+        monkeypatch.setattr(tensor, "as_tensor", counting)
+        multi_mode_product(x, [rng.standard_normal((2, i)) for i in x.shape])
+        assert scans == [x.shape]
 
 
 class TestNModeProduct:

@@ -591,6 +591,20 @@ class TestSketchedCoreUpdate:
         distinct = np.unique(sketch.indices, axis=0).shape[0]
         assert distinct < sketch.sample_count
 
+    @pytest.mark.parametrize("alpha,reads", [(1e-5, 0), (1.0, 1)])
+    def test_projects_the_tensor_only_for_the_exact_solve(self, count_calls, rng,
+                                                          alpha, reads):
+        # the sketched solve never reads the projection of X; the fallback,
+        # whose sketch would cover every row, reads it once
+        model = random_model(rng, (8, 7, 6), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((8, 7, 6))
+        cfg = RegressionConfig(eps=0.1, delta=0.01, alpha=alpha)
+        products = count_calls(tucker, "_mode_products")
+        solves = count_calls(tucker, "sketched_ridge_solve")
+        core_update(model, x, mode="fast", config=cfg)
+        assert sum(np.size(t) == x.size for t, _ in products) == reads
+        assert len(solves) == 1 - reads
+
     def test_fast_als_runs_no_richardson(self, count_calls):
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         unused = [count_calls(module, name) for module in (kron, solvers, tucker)
@@ -893,7 +907,7 @@ class TestLossRecording:
         # steps read projections of it, and no exact step hands it to the
         # Kronecker multiply
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
-        projections = count_calls(tucker, "_project")
+        projections = count_calls(tucker, "_mode_products")
         multiplies = [count_calls(module, "kron_mat_mul") for module in (solvers, tucker)]
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
                    config=LOSS_CFG)
