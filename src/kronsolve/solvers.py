@@ -57,6 +57,11 @@ RESIDUAL_TOL = 1e-9
 _DIVERGENCE_WINDOW = 5
 _DIVERGENCE_GROWTH = 10.0
 
+# ridge_loss forms its residual this many entries at a time (at least one
+# row of the first factor): 8 MB blocks keep the block GEMMs wide at d=64
+# while no regression call holds a residual of the full row count.
+_LOSS_BLOCK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class RegressionConfig:
@@ -237,15 +242,35 @@ def richardson_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
 
 
 def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
-    """Evaluate ``||K x - b||^2 + lam ||x||^2`` without materializing ``K``;
-    :func:`~kronsolve.kron.kron_mat_mul` validates the factors and ``x``."""
+    """Evaluate ``||K x - b||^2 + lam ||x||^2`` without materializing ``K``.
+
+    The residual streams through blocks of the first factor's rows: each
+    block is ``A1[lo:hi] kron A2 kron ... kron AN`` applied to ``x`` by the
+    multiply kernel, holds at most :data:`_LOSS_BLOCK_ENTRIES` entries (or
+    one row of ``A1``), and is gone before the next, so no vector of the
+    full row count is formed and ``b`` is read in one pass.  The blocks do
+    the flops of one whole multiply.  A NaN or inf in ``b`` gives a
+    non-finite loss.
+    """
+    factors = check_factors(factors)
+    rows, cols = kron_operator_shape(factors)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    r = kron_mat_mul(factors, x)
-    if b.size != r.size:
-        raise InvalidInputError(f"b has length {b.size}, operator has {r.size} rows")
-    r -= b
-    return float(r @ r + lam * (x @ x))
+    if x.size != cols:
+        raise InvalidInputError(f"x has length {x.size}, operator has {cols} columns")
+    if b.size != rows:
+        raise InvalidInputError(f"b has length {b.size}, operator has {rows} rows")
+    first, rest = factors[0], factors[1:]
+    per_row = math.prod(a.shape[0] for a in rest)  # rows of K per row of A1
+    step = max(1, _LOSS_BLOCK_ENTRIES // max(per_row, 1))
+    x_tensor = x.reshape([a.shape[1] for a in factors])
+    total = 0.0
+    for lo in range(0, first.shape[0], step):
+        hi = min(lo + step, first.shape[0])
+        r = _mode_products(x_tensor, [first[lo:hi]] + rest).reshape(-1)
+        r -= b[lo * per_row:hi * per_row]
+        total += float(np.vdot(r, r))
+    return total + lam * float(x @ x)
 
 
 def _check_finite_reads(values: np.ndarray, what: str) -> None:
@@ -436,6 +461,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     ``wall_time`` covers the solve; the reported loss is evaluated exactly
     afterwards, once the sketched operator and its precomputed gathers have
     been released, so they do not add to the loss's peak memory.
+    :func:`ridge_loss` streams that loss through blocks of rows, so the
+    call never holds a vector of the full row count beyond ``b`` itself.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if not 0.0 < config.eps <= 0.25:

@@ -158,7 +158,7 @@ def relative_error(model: TuckerModel, x) -> float:
     so the ratio is accurate to about 1e-16 absolute, and never negative.
     """
     x = _model_tensor(model, x)
-    den = float(np.sum(x**2))
+    den = float(np.vdot(x, x))
     num, _ = _fit(model, x, den)
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
@@ -168,7 +168,7 @@ def relative_error(model: TuckerModel, x) -> float:
 def regularized_loss(model: TuckerModel, x) -> float:
     """Squared reconstruction error plus lam times all squared Frobenius norms."""
     x = _model_tensor(model, x)
-    return _fit(model, x, float(np.sum(x**2)))[1]
+    return _fit(model, x, float(np.vdot(x, x)))[1]
 
 
 def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
@@ -544,7 +544,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     config = config or RegressionConfig()
 
     report = AlsReport()
-    x_norm_sq = float(np.sum(x**2))
+    x_norm_sq = float(np.vdot(x, x))
 
     def record(label: str, seconds: float, y: np.ndarray, coords: list[np.ndarray]):
         err, loss = _fit_projected(model, y, x_norm_sq, coords)

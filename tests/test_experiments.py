@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import kronsolve.experiments as experiments
 from kronsolve.cli import main as cli_main
 from kronsolve.errors import InvalidInputError
 from kronsolve.experiments import (
@@ -71,6 +72,22 @@ class TestRegressionExperiment:
                 assert row.ratio >= 1.0 - 1e-9
         header = read_csv(out)[0]
         assert header[0] == "solver"
+
+    def test_opt_is_kronmatmul_unless_it_failed(self, monkeypatch):
+        # naive runs first, yet OPT is the reference kronmatmul loss
+        spec = self.make_spec(solvers=("naive", "kronmatmul", "fast"))
+        for row in run_regression_experiment(spec):
+            if row.solver == "kronmatmul":
+                assert row.ratio == 1.0
+
+        def failing(*args, **kwargs):
+            raise InvalidInputError("kronmatmul refused")
+
+        monkeypatch.setattr(experiments, "kronmatmul_svd_solve", failing)
+        rows = {r.solver: r for r in run_regression_experiment(
+            self.make_spec(seeds=(0,), solvers=("kronmatmul", "naive", "fast")))}
+        assert rows["kronmatmul"].status.startswith("error:")
+        assert rows["naive"].ratio == 1.0 and rows["fast"].ratio >= 1.0 - 1e-9
 
     def test_determinism_modulo_walltime(self, tmp_path):
         spec = self.make_spec()

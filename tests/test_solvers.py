@@ -157,6 +157,50 @@ class TestRidgeLoss:
         with pytest.raises(InvalidInputError):
             ridge_loss(facs, np.zeros(4), np.zeros(1), 0.1)
 
+    # (factor shapes, block entries): the first block bound of each order
+    # leaves an uneven last block, the second one row of A1 per block
+    STREAM_CASES = [
+        ([(7, 3)], 2), ([(7, 3)], 1),
+        ([(5, 2), (4, 3)], 8), ([(5, 2), (4, 3)], 3),
+        ([(5, 2), (4, 3), (3, 2)], 24), ([(5, 2), (4, 3), (3, 2)], 5),
+    ]
+
+    @pytest.mark.parametrize("shapes, block", STREAM_CASES)
+    def test_streamed_blocks_match_dense(self, monkeypatch, rng, shapes, block):
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_ENTRIES", block)
+        facs = [rng.standard_normal(shape) for shape in shapes]
+        k = dense_kron(facs)
+        x = rng.standard_normal(k.shape[1])
+        b = rng.standard_normal(k.shape[0])
+        want = np.sum((k @ x - b) ** 2) + 0.05 * x @ x
+        assert ridge_loss(facs, x, b, 0.05) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b_in_a_later_block(self, monkeypatch, rng, bad):
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_ENTRIES", 8)
+        facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3))]
+        b = rng.standard_normal(20)
+        b[17] = bad  # the third block of two A1 rows
+        assert not math.isfinite(ridge_loss(facs, rng.standard_normal(6), b, 0.1))
+
+    @pytest.mark.parametrize("block", [24, 12])
+    def test_no_block_holds_more_than_the_bound(self, monkeypatch, rng, block):
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_ENTRIES", block)
+        sizes = []
+        kernel = solvers._mode_products
+
+        def recording(x, mats):
+            out = kernel(x, mats)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(solvers, "_mode_products", recording)
+        facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3)),
+                rng.standard_normal((3, 2))]
+        ridge_loss(facs, rng.standard_normal(12), rng.standard_normal(60), 0.1)
+        assert len(sizes) > 1 and sum(sizes) == 60
+        assert max(sizes) <= block
+
 
 class TestExactSolvers:
     def test_identity_unregularized(self, rng):
@@ -526,6 +570,20 @@ class TestNonFiniteTarget:
         factors, b = self.problem()
         drawn, clean = self.drawn_rows(count_calls, factors, b)
         b[np.setdiff1d(np.arange(b.size), drawn)[0]] = bad
+        rep = fast_kronecker_regression(factors, b, self.CFG)
+        np.testing.assert_array_equal(rep.solution, clean.solution)
+        assert not math.isfinite(rep.loss)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fast_undrawn_entry_in_a_later_loss_block(self, count_calls, monkeypatch,
+                                                      bad):
+        # two rows of A1, 40 rows of K, per loss block
+        monkeypatch.setattr(solvers, "_LOSS_BLOCK_ENTRIES", 40)
+        factors, b = self.problem()
+        drawn, clean = self.drawn_rows(count_calls, factors, b)
+        row = np.setdiff1d(np.arange(b.size), drawn)[-1]
+        assert row >= 40
+        b[row] = bad
         rep = fast_kronecker_regression(factors, b, self.CFG)
         np.testing.assert_array_equal(rep.solution, clean.solution)
         assert not math.isfinite(rep.loss)
