@@ -151,18 +151,14 @@ def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
                               alpha=spec.alpha, seed=seed)
     rows = spec.n**spec.order
     try:
+        if solver in ("naive", "kronmatmul") and guard is not None and rows > guard:
+            raise KronsolveError(f"instance has {rows} rows (guard {guard}); use force")
         if solver == "naive":
-            if guard is not None and rows > guard:
-                raise KronsolveError(
-                    f"instance has {rows} rows (guard {guard}); use force")
             report = _median_run(
                 lambda: naive_normal_solve(factors, b, spec.lam,
                                            max_dense_entries=guard),
                 spec.repeats)
         elif solver == "kronmatmul":
-            if guard is not None and rows > guard:
-                raise KronsolveError(
-                    f"instance has {rows} rows (guard {guard}); use force")
             report = _median_run(
                 lambda: kronmatmul_svd_solve(factors, b, spec.lam), spec.repeats)
         elif solver == "sketch-solve":

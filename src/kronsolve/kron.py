@@ -6,14 +6,13 @@ arguments and hand the operand to :func:`~kronsolve.tensor._mode_products`
 as a tensor of the column shape, since ``vec(G x_1 A1 ... x_N AN) = K vec(G)``.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
-keeps the distinct Kronecker rows each group needs, and applies ``S K``,
-``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The left-group
-row of every nonzero, the flat scatter index of the transpose and the
-column permutation into and out of the group order are also built once
-(about nnz x left-group columns floats plus nnz x right-group columns
-int64), so an apply gathers only the right-group side and a
-transpose scatters with one ``np.bincount``.  The ``sketched_*`` functions
-are one-shot wrappers around it.
+keeps the narrow left group's row at every nonzero and the distinct rows of
+the wide right group, and applies ``S K``, ``K^T S`` and ``K^T S^2 K``
+touching only the nonzero rows.  The transpose mirrors the apply: it sums
+into one bin per distinct right row with one ``np.bincount`` (an index of
+nnz x left-group columns int64, built once) and finishes with one multiply
+against the distinct right rows.  The ``sketched_*`` functions are one-shot
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -197,16 +196,16 @@ class SketchedKron:
     """The row-sparsified operator ``S K`` for one sparse diagonal ``S``.
 
     Everything that depends only on the factors and the sketch is derived
-    once: the factors are validated, the nonzero rows are split by
-    :func:`balanced_partition` into a left and a right column group, and the
-    distinct Kronecker rows of each group are formed together with every
-    nonzero row's position among them.  Three structures that every call
-    would otherwise rebuild are kept as well: ``left_gather``, the
-    left-group row of each nonzero (nnz x left-group columns floats),
-    ``scatter``, the flat (left row, right column) bin of each entry the
-    transpose accumulates (nnz x right-group columns int64), and the column
-    mode order of the two groups with its inverse permutation.  Each later
-    apply is then a gather plus small dense multiplies.
+    once: the factors are validated and split by :func:`balanced_partition`
+    into a left and a right column group, the left group never the wider.
+    ``left_gather`` holds the left-group Kronecker row of every nonzero
+    (nnz x left-group columns; one all-ones column when the left group is
+    empty), ``right_rows`` the distinct right-group rows and ``right_pos``
+    each nonzero's position among them.  ``scatter`` is the flat (distinct
+    right row, left column) bin of each entry the transpose accumulates
+    (nnz x left-group columns int64), and the column mode order of the two
+    groups is kept with its inverse permutation.  Each later apply is then
+    a gather plus small dense multiplies.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
@@ -219,27 +218,23 @@ class SketchedKron:
             return
         row_shape = tuple(a.shape[0] for a in self.factors)
         self.col_shape = tuple(a.shape[1] for a in self.factors)
+        # ties go to the empty left set, so the right group is never empty
         self.part = balanced_partition(self.col_shape)
-        multi = np.unravel_index(s_diag.indices, row_shape)
-        self.left_rows, self.left_pos = self._group_rows(self.part.left, multi, row_shape)
-        self.right_rows, self.right_pos = self._group_rows(self.part.right, multi, row_shape)
-        self.left_gather = self.left_rows[self.left_pos]
+        multi = np.stack(np.unravel_index(s_diag.indices, row_shape), axis=1)
+        left, right = list(self.part.left), list(self.part.right)
+        self.left_gather = kron_rows([self.factors[i] for i in left], multi[:, left])
+        right_dims = tuple(row_shape[i] for i in right)
+        unique, self.right_pos = np.unique(
+            np.ravel_multi_index(tuple(multi[:, right].T), right_dims),
+            return_inverse=True)
+        distinct = np.stack(np.unravel_index(unique, right_dims), axis=1)
+        self.right_rows = kron_rows([self.factors[i] for i in right], distinct)
         # column modes in (left group, right group) order, and back
         self.group_order = self.part.left + self.part.right
         self.grouped_shape = tuple(self.col_shape[i] for i in self.group_order)
         self.ungroup = tuple(int(i) for i in np.argsort(self.group_order))
-        r_right = self.right_rows.shape[1]
-        self.scatter = (self.left_pos[:, None] * r_right + np.arange(r_right)).reshape(-1)
-
-    def _group_rows(self, positions, multi, row_shape):
-        """Distinct Kronecker rows of one factor group, and each nonzero's position."""
-        if not positions:
-            return np.ones((1, 1)), np.zeros(self.s_diag.nnz, dtype=np.intp)
-        dims = tuple(row_shape[i] for i in positions)
-        flat = np.ravel_multi_index(tuple(multi[i] for i in positions), dims)
-        unique, pos = np.unique(flat, return_inverse=True)
-        distinct = np.stack(np.unravel_index(unique, dims), axis=1)
-        return kron_rows([self.factors[i] for i in positions], distinct), pos
+        r_left = self.left_gather.shape[1]
+        self.scatter = (self.right_pos[:, None] * r_left + np.arange(r_left)).reshape(-1)
 
     def apply(self, c) -> np.ndarray:
         """Entries of ``S K c`` at the nonzero rows of ``S``.
@@ -255,7 +250,7 @@ class SketchedKron:
                 f"vector length {c.size} != operator columns {self.cols}")
         if self.s_diag.nnz == 0:
             return np.zeros(0)
-        r_left = self.left_rows.shape[1]
+        r_left = self.left_gather.shape[1]
         grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(-1)
         c_mat = grouped.reshape(r_left, -1).T
         y = self.right_rows @ c_mat  # (distinct right rows) x (left cols)
@@ -265,11 +260,12 @@ class SketchedKron:
     def transpose_apply(self, b_values) -> np.ndarray:
         """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
 
-        ``S b`` is scattered into a sparse matricization over the factor
-        split, and one rectangular multiply against the distinct left-group
-        rows finishes the contraction.  ``np.bincount`` adds each bin's terms
-        in nonzero order, as ``np.add.at`` would, so the sums are the same
-        to the bit.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
+        The mirror of :meth:`apply`: each nonzero's left-group row, scaled
+        by its entry of ``S b``, is summed into the bin of its distinct
+        right row, and one multiply against the distinct right rows
+        finishes the contraction.  ``np.bincount`` adds each bin's terms in
+        nonzero order, as ``np.add.at`` would, so the sums are the same to
+        the bit.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
         """
         b_values = np.asarray(b_values, dtype=np.float64).reshape(-1)
         if b_values.size != self.s_diag.nnz:
@@ -277,12 +273,11 @@ class SketchedKron:
         if self.s_diag.nnz == 0:
             return np.zeros(self.cols)
         scaled = self.s_diag.values * b_values
-        # columns of (right kron)^T @ B_S at the occupied left-group indices
-        shape = (self.left_rows.shape[0], self.right_rows.shape[1])
-        terms = scaled[:, None] * self.right_rows[self.right_pos]
+        shape = (self.right_rows.shape[0], self.left_gather.shape[1])
+        terms = scaled[:, None] * self.left_gather
         w = np.bincount(self.scatter, weights=terms.reshape(-1),
                         minlength=shape[0] * shape[1]).reshape(shape)
-        m = w.T @ self.left_rows  # (right cols) x (left cols): the rectangular multiply
+        m = self.right_rows.T @ w  # (right cols) x (left cols)
         # (left slow, right fast) grouped order, permuted back to natural order
         return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
 

@@ -285,6 +285,22 @@ def _check_finite_reads(values: np.ndarray, what: str) -> None:
         raise InvalidInputError(f"b contains non-finite entries ({what} is not finite)")
 
 
+def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
+    """The merged draws of ``sketch`` as a sparse diagonal, and ``b`` at its rows.
+
+    A draw outside ``row_shape`` or a non-finite read raises ``InvalidInputError``.
+    """
+    try:
+        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
+    except ValueError as exc:  # a multi-index outside row_shape, or a negative one
+        raise InvalidInputError("sketch index out of range") from exc
+    if sdiag.nnz and sdiag.indices[-1] >= math.prod(row_shape):
+        raise InvalidInputError("sketch index out of range")
+    b_drawn = b[sdiag.indices]
+    _check_finite_reads(b_drawn, "b at a sampled row")
+    return sdiag, b_drawn
+
+
 def _validated_problem(factors, b):
     factors = check_factors(factors)
     rows, cols = kron_operator_shape(factors)
@@ -378,14 +394,7 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     are the caller's to validate.
     """
     row_shape = tuple(a.shape[0] for a in factors)
-    try:
-        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-    except ValueError as exc:  # a multi-index outside row_shape, or a negative one
-        raise InvalidInputError("sketch index out of range") from exc
-    if sdiag.nnz and sdiag.indices[-1] >= math.prod(row_shape):
-        raise InvalidInputError("sketch index out of range")
-    b_drawn = b[sdiag.indices]
-    _check_finite_reads(b_drawn, "b at a sampled row")
+    sdiag, b_drawn = _drawn_rows(sketch, row_shape, b)
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
     design = kron_rows(factors, np.stack(np.unravel_index(sdiag.indices, row_shape),
                                          axis=1))
@@ -459,8 +468,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     checks its projection of ``b`` instead.
 
     ``wall_time`` covers the solve; the reported loss is evaluated exactly
-    afterwards, once the sketched operator and its precomputed gathers have
-    been released, so they do not add to the loss's peak memory.
+    afterwards, once the sketched operator and its nnz x left-group-columns
+    gather and scatter index are gone, so they add nothing to the loss's peak.
     :func:`ridge_loss` streams that loss through blocks of rows, so the
     call never holds a vector of the full row count beyond ``b`` itself.
     """
@@ -488,10 +497,7 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
     sketch = sample_rows(sampler, s, seed)
-    row_shape = tuple(a.shape[0] for a in factors)
-    sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-    b_drawn = b[sdiag.indices]
-    _check_finite_reads(b_drawn, "b at a sampled row")
+    sdiag, b_drawn = _drawn_rows(sketch, tuple(a.shape[0] for a in factors), b)
     op = SketchedKron(factors, sdiag)
     rhs = op.transpose_apply(sdiag.values * b_drawn)
     x, iters = richardson_solve(lambda v: op.normal(v) + lam * v, precond.apply,

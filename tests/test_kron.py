@@ -262,6 +262,20 @@ class TestSketchedApplies:
         rhs = c @ sketched_kron_transpose_apply(facs, sd, b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
+    def test_holds_no_nonzero_by_right_group_array(self, rng):
+        # order 3 with column dims 3 | 9, and 100 of 240 rows drawn: at most
+        # 30 distinct right-group rows, so right rows repeat
+        facs = random_factors(rng, [(8, 3), (6, 3), (5, 3)])
+        sd = random_sparse_diag(rng, 240, 100)
+        op = SketchedKron(facs, sd)
+        assert (op.part.left_product, op.part.right_product) == (3, 9)
+        n_right_distinct = op.right_rows.shape[0]
+        assert n_right_distinct < sd.nnz
+        bound = max(sd.nnz * 3, n_right_distinct * 9)
+        sizes = {name: value.size for name, value in vars(op).items()
+                 if isinstance(value, np.ndarray)}
+        assert max(sizes.values()) <= bound, (sizes, bound)
+
     def test_index_out_of_range(self, rng):
         facs = random_factors(rng, [(2, 2), (2, 2)])
         sd = SparseDiagonal(indices=np.array([5]), values=np.array([1.0]))
@@ -314,22 +328,22 @@ def sketched_oracle(factors, sd):
 def first_formulation(op, c, b_values):
     """``op.apply(c)`` and ``op.transpose_apply(b_values)`` as first written.
 
-    Both gathers are rebuilt on every call and the transpose scatters with
-    ``np.add.at``; the operator's precomputed kernels must match this to the
-    bit.
+    The transpose scatters the scaled left-group rows into the distinct
+    right-row bins with ``np.add.at``; the operator's ``np.bincount`` over
+    its precomputed scatter index must match this to the bit.
     """
     sd = op.s_diag
     if sd.nnz == 0:
         return np.zeros(0), np.zeros(op.cols)
     scaled = sd.values * b_values
     order = op.part.left + op.part.right
-    r_left = op.left_rows.shape[1]
+    r_left = op.left_gather.shape[1]
     c_mat = c.reshape(op.col_shape).transpose(order).reshape(-1).reshape(r_left, -1).T
     y = op.right_rows @ c_mat
-    vals = np.einsum("tj,tj->t", y[op.right_pos], op.left_rows[op.left_pos])
-    w = np.zeros((op.left_rows.shape[0], op.right_rows.shape[1]))
-    np.add.at(w, op.left_pos, scaled[:, None] * op.right_rows[op.right_pos])
-    grouped = (w.T @ op.left_rows).T.reshape(-1)
+    vals = np.einsum("tj,tj->t", y[op.right_pos], op.left_gather)
+    w = np.zeros((op.right_rows.shape[0], r_left))
+    np.add.at(w, op.right_pos, scaled[:, None] * op.left_gather)
+    grouped = (op.right_rows.T @ w).T.reshape(-1)
     grouped_shape = tuple(op.col_shape[i] for i in order)
     natural = grouped.reshape(grouped_shape).transpose(
         tuple(np.argsort(np.asarray(order)))).reshape(-1)
