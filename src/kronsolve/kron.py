@@ -162,18 +162,13 @@ def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> 
 
     Repeated draws of the same row accumulate: the diagonal entry at row j is
     ``sqrt(count_j / (p_j s))``, so applying the diagonal twice reproduces
-    ``S^T S`` exactly.
+    ``S^T S`` exactly.  One sort (``np.unique``) merges the draws, and
+    ``np.bincount`` adds each row's squared weights in draw order.
     """
     idx = sketch.indices
-    if idx.ndim == 2:
-        flat = np.ravel_multi_index(tuple(idx.T), tuple(row_shape))
-    else:
-        flat = idx
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    w2 = sketch.weights[order] ** 2
-    unique, start = np.unique(flat, return_index=True)
-    sums = np.add.reduceat(w2, start)
+    flat = np.ravel_multi_index(tuple(idx.T), tuple(row_shape)) if idx.ndim == 2 else idx
+    unique, inverse = np.unique(flat, return_inverse=True)
+    sums = np.bincount(inverse, weights=sketch.weights**2, minlength=unique.size)
     return SparseDiagonal(indices=unique, values=np.sqrt(sums))
 
 

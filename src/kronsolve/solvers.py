@@ -286,19 +286,20 @@ def _check_finite_reads(values: np.ndarray, what: str) -> None:
 
 
 def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
-    """The merged draws of ``sketch`` as a sparse diagonal, and ``b`` at its rows.
+    """The merged draws of ``sketch``, their multi-indices, and ``b`` there.
 
-    A draw outside ``row_shape`` or a non-finite read raises ``InvalidInputError``.
+    ``b``'s leading axes are ``row_shape``, so ``b[multi]`` reads it at the
+    draws alone.  A draw outside ``row_shape`` or a non-finite read raises
+    ``InvalidInputError``.
     """
     try:
         sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-    except ValueError as exc:  # a multi-index outside row_shape, or a negative one
+        multi = np.unravel_index(sdiag.indices, row_shape)
+    except ValueError as exc:
         raise InvalidInputError("sketch index out of range") from exc
-    if sdiag.nnz and sdiag.indices[-1] >= math.prod(row_shape):
-        raise InvalidInputError("sketch index out of range")
-    b_drawn = b[sdiag.indices]
+    b_drawn = b[multi]
     _check_finite_reads(b_drawn, "b at a sampled row")
-    return sdiag, b_drawn
+    return sdiag, multi, b_drawn
 
 
 def _validated_problem(factors, b):
@@ -384,8 +385,9 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     by the root of its summed squared weights leaves ``D^T D`` and
     ``D^T S b`` unchanged, so ``D`` holds one row per distinct draw.  Those
     Kronecker rows come from :func:`~kronsolve.kron.kron_rows` and are
-    weighted in place.  Every column of ``b`` (a vector or a matrix whose
-    rows are the rows of ``K``) is solved at once, with the pseudo-inverse
+    weighted in place.  ``b``'s leading axes are ``K``'s row shape, so a
+    caller passes the tensor it holds, and a trailing axis holds more
+    right-hand sides.  All are solved at once, with the pseudo-inverse
     convention, so ``lam = 0`` with a rank-deficient ``D`` does not raise,
     and refined by one step against ``D``.
 
@@ -393,11 +395,9 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     raises :class:`InvalidInputError`.  ``factors``, ``right`` and ``lam``
     are the caller's to validate.
     """
-    row_shape = tuple(a.shape[0] for a in factors)
-    sdiag, b_drawn = _drawn_rows(sketch, row_shape, b)
+    sdiag, multi, b_drawn = _drawn_rows(sketch, tuple(a.shape[0] for a in factors), b)
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
-    design = kron_rows(factors, np.stack(np.unravel_index(sdiag.indices, row_shape),
-                                         axis=1))
+    design = kron_rows(factors, np.stack(multi, axis=1))
     design *= sdiag.values[:, None]
     if right is not None:
         design = design @ right
@@ -437,7 +437,8 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
         raise SizeGuardError(
             f"sketched matrix would hold {s}x{cols} entries "
             f"(guard: {max_dense_entries})")
-    x = sketched_ridge_solve(factors, sketch, b, config.lam)
+    x = sketched_ridge_solve(factors, sketch, b.reshape([a.shape[0] for a in factors]),
+                             config.lam)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss=ridge_loss(factors, x, b, config.lam),
                        iterations=0, sample_count=s, wall_time=wall)
@@ -497,7 +498,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
     sketch = sample_rows(sampler, s, seed)
-    sdiag, b_drawn = _drawn_rows(sketch, tuple(a.shape[0] for a in factors), b)
+    row_shape = tuple(a.shape[0] for a in factors)
+    sdiag, _, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
     op = SketchedKron(factors, sdiag)
     rhs = op.transpose_apply(sdiag.values * b_drawn)
     x, iters = richardson_solve(lambda v: op.normal(v) + lam * v, precond.apply,

@@ -212,7 +212,7 @@ def _core_update(model: TuckerModel, x: np.ndarray, y: np.ndarray | None,
         if s < x.size:
             sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
             sketch = sample_rows(sampler, s, config.seed)
-            core = sketched_ridge_solve(model.factors, sketch, x.reshape(-1), model.lam)
+            core = sketched_ridge_solve(model.factors, sketch, x, model.lam)
             return core.reshape(model.core_shape)
     # exact mode, or a sketch that would draw at least every row
     if y is None:
@@ -235,13 +235,13 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
-    svds = [compact_svd(a) for a in model.factors]
-    z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
+    svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
+    z = _mode_products(x, [None if svd is None else svd.u.T for svd in svds])
     return _ridge_factor(model, z, n, svds)
 
 
 def _ridge_factor(model: TuckerModel, z: np.ndarray, n: int,
-                  svds: Sequence[CompactSvd]) -> np.ndarray:
+                  svds: Sequence[CompactSvd | None]) -> np.ndarray:
     """:func:`naive_factor_update` from ``z`` and the SVDs (``svds[n]`` unread)."""
     coords = [None if k == n else (svd.v * svd.sigma).T for k, svd in enumerate(svds)]
     c = _unfold(_mode_products(model.core, coords), n)
@@ -389,7 +389,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     ``(D^T D + lam I)^+ D^T S B^T`` with ``D = S K`` (one row per distinct
     draw, R_n columns) for every row at once, with the pseudo-inverse
     convention of :func:`naive_factor_update` (so ``lam = 0`` with a
-    rank-deficient core does not raise).  The ``ln(I_n/delta)``
+    rank-deficient core does not raise), reading ``B^T`` only at the sampled
+    fibres of ``np.moveaxis(x, n, -1)``, a view of X.  The ``ln(I_n/delta)``
     factor is the per-row union bound of the paper: the one sketch serves
     all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
     together with probability ``1 - delta``.  When the sample count reaches
@@ -420,7 +421,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
             else [svd for k, svd in enumerate(caches) if k != n])
     sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
     sketch = sample_rows(sampler, s, config.seed)
-    return sketched_ridge_solve(others, sketch, _unfold(x, n).T, model.lam,
+    return sketched_ridge_solve(others, sketch, np.moveaxis(x, n, -1), model.lam,
                                 right=g_n.T).T
 
 

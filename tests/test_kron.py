@@ -172,6 +172,21 @@ class TestSparseDiagonal:
         # squared diagonal reproduces S^T S: sum of squared weights per row
         np.testing.assert_allclose(sd.values**2, [9.0, 2.0], atol=1e-12)
 
+        # a multi-index sketch drawing one row 12 times: each row's entry
+        # squared is the sum of its squared weights, added in draw order
+        rng = np.random.default_rng(3)
+        row_shape = (3, 4)
+        multi = np.array([[1, 2]] * 12 + [[0, 0], [2, 3], [0, 0], [1, 1]])
+        order = rng.permutation(multi.shape[0])
+        sketch = RowSketch(indices=multi[order],
+                           weights=rng.uniform(0.1, 3.0, multi.shape[0]))
+        sd = sparse_diagonal_from_sketch(sketch, row_shape)
+        flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
+        want = np.zeros(math.prod(row_shape))
+        np.add.at(want, flat, sketch.weights**2)
+        np.testing.assert_array_equal(sd.indices, [0, 5, 6, 11])
+        np.testing.assert_allclose(sd.values**2, want[sd.indices], rtol=1e-14, atol=0)
+
 
 class TestSketchedApplies:
     def test_full_diagonal_equals_dense(self, rng):

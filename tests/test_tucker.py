@@ -205,6 +205,14 @@ class TestNaiveFactorUpdate:
             if case == "zero core slice":
                 np.testing.assert_array_equal(new[:, 1], np.zeros(6))
 
+    def test_decomposes_only_the_factors_it_reads(self, count_calls, rng):
+        model = random_model(rng, (5, 4, 3), (2, 2, 2), lam=0.1)
+        svds = count_calls(tucker, "compact_svd")
+        naive_factor_update(model, rng.standard_normal((5, 4, 3)), 1)
+        # factor 1 is the one solved for, so its SVD would go unread
+        assert len(svds) == 2
+        assert all(args[0] is model.factors[k] for args, k in zip(svds, (0, 2)))
+
 
 class TestFactorWorkspace:
     def test_projector_algebra(self, rng):
@@ -510,6 +518,17 @@ class TestBlockFactorUpdate:
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
                    config=LOSS_CFG)
         assert len(draws) == 2 * 4
+
+    def test_sketched_solves_read_the_tensor_in_place(self, count_calls):
+        # every sketched solve of a sweep, the core's included, reads b at its
+        # draws from X itself: the middle mode's unfolding of a 12 x 11 x 10
+        # tensor cannot be a view, so a solve handed it would read a copy
+        x = generate_synth_tucker((12, 11, 10), (3, 3, 3), 0.01, seed=4)
+        reads = count_calls(solvers, "_drawn_rows")
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1, solver_mode="fast",
+                   config=RegressionConfig(eps=0.25, delta=0.05, seed=3, alpha=1e-5))
+        assert len(reads) == 4
+        assert all(np.shares_memory(b, x) for _, _, b in reads)
 
     def test_exact_update_when_the_sketch_covers_the_rows(self, count_calls):
         model, x, _ = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
