@@ -125,21 +125,22 @@ def run_checks() -> int:
           s < 24 and np.allclose(got, want.T, rtol=1e-10, atol=0),
           f"{s} draws, largest difference {np.max(np.abs(got - want.T))!r}")
 
-    # sketched core update vs the dense sketched ridge solution from the
-    # same sketch (one rescaled row per draw)
+    # a fast sweep's core is the exact ridge core at the factors it ends with,
+    # from factor updates that each draw fewer rows than they have
     xc = rng.standard_normal((5, 6, 4))
+    ranks = (2, 3, 2)
     cfg = solvers.RegressionConfig(eps=0.25, delta=0.05, alpha=1e-5, seed=8)
-    s = leverage.regression_sample_count(12, cfg.eps, cfg.alpha, np.log(1 / cfg.delta))
-    sketch = leverage.sample_rows(leverage.build_product_sampler(
-        [leverage.statistical_leverage_scores(a) for a in model.factors]), s, cfg.seed)
-    flat = np.ravel_multi_index(tuple(sketch.indices.T), xc.shape)
-    design = sketch.weights[:, None] * tensor.explicit_kron(model.factors)[flat]
-    want = np.linalg.pinv(design.T @ design + 0.1 * np.eye(12)) @ (
-        design.T @ (sketch.weights * xc.reshape(-1)[flat]))
-    got = tucker.core_update(model, xc, mode="fast", config=cfg).reshape(-1)
-    check("tucker sketched core update",
-          s < xc.size and np.allclose(got, want, rtol=1e-10, atol=0),
-          f"{s} draws, largest difference {np.max(np.abs(got - want))!r}")
+    sketched = all(
+        leverage.regression_sample_count(
+            int(np.prod(ranks)) // ranks[n], cfg.eps, cfg.alpha,
+            np.log(xc.shape[n] / cfg.delta)) < xc.size // xc.shape[n]
+        for n in range(3))
+    fitted, _ = tucker.tucker_als(xc, ranks, lam=0.1, sweeps=1, solver_mode="fast",
+                                  config=cfg)
+    want = tucker.core_update(fitted, xc)
+    gap = np.linalg.norm(fitted.core - want) / np.linalg.norm(want)
+    check("tucker fast sweep core is the exact ridge core",
+          sketched and gap <= 1e-12, f"sketched {sketched}, relative difference {gap!r}")
 
     # Tucker loss from the Gram identity vs the dense reconstruction, with
     # the error at 1e-4 of ||X||^2 so that the identity's terms cancel

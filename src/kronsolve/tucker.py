@@ -7,10 +7,12 @@ core tensor; both block updates are ridge regression problems against an
 implicit Kronecker design matrix.  ``exact`` mode solves them exactly
 (block coordinate descent, so the regularized loss is non-increasing).
 ``fast`` mode draws one leverage-score sketch of the design's Kronecker
-rows per block update and solves the small sketched ridge problem directly
-with :func:`~kronsolve.solvers.sketched_ridge_solve`, for all rows of a
-factor at once and for the core alike (as sketched Tucker-ALS does, Malik &
-Becker 2018), so no Tucker step runs Richardson iteration.
+rows per factor update and solves the small sketched ridge problem for all
+rows of the factor at once, directly with
+:func:`~kronsolve.solvers.sketched_ridge_solve` (as sketched Tucker-ALS
+does, Malik & Becker 2018), so no Tucker step runs Richardson iteration.
+A fast sweep projects the tensor once, after its last factor update, and
+reads the exact ridge core and the sweep's losses off that projection.
 
 The constrained-update workspace (:class:`FactorUpdateWorkspace`,
 :func:`build_factor_workspace`) is the Woodbury-preconditioned per-row
@@ -175,52 +177,31 @@ def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
     return [a for k, a in enumerate(model.factors) if k != n]
 
 
-def core_update(model: TuckerModel, x, mode: str = "exact",
-                config: RegressionConfig | None = None) -> np.ndarray:
-    """Solve the core regression at fixed factors; returns the new core.
+def core_update(model: TuckerModel, x) -> np.ndarray:
+    """Solve the core regression exactly at fixed factors; returns the new core.
 
-    ``exact`` composes the factor SVDs as :func:`kronmatmul_svd_solve` does,
-    from the projection ``X x_1 U_1^T ... x_N U_N^T`` of ``x`` onto their
-    left singular vectors, without evaluating a loss.  ``fast`` draws
-    ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` rows of the factors'
-    Kronecker product from their leverage-score product distribution (seeded
-    by ``config.seed``) and solves the sketched ridge problem directly with
-    :func:`~kronsolve.solvers.sketched_ridge_solve`; when that count reaches
-    the row count it runs the exact update instead.  When a factor is zero
-    the design is zero, so the ridge core is zero.
+    Composes the factor SVDs as :func:`kronmatmul_svd_solve` does, from the
+    projection ``X x_1 U_1^T ... x_N U_N^T`` of ``x`` onto their left
+    singular vectors, without evaluating a loss.  Both ALS modes solve the
+    core this way.  When a factor is zero the design is zero, so the ridge
+    core is zero.
     """
     x = _model_tensor(model, x)
-    if mode not in ("exact", "fast"):
-        raise InvalidInputError(f"unknown core update mode {mode!r}")
     svds = [compact_svd(a) for a in model.factors]
-    return _core_update(model, x, None, mode, config, svds)
+    return _core_update(model, _mode_products(x, [svd.u.T for svd in svds]), svds)
 
 
-def _core_update(model: TuckerModel, x: np.ndarray, y: np.ndarray | None,
-                 mode: str, config: RegressionConfig | None,
+def _core_update(model: TuckerModel, y: np.ndarray,
                  svds: Sequence[CompactSvd]) -> np.ndarray:
-    """:func:`core_update` for a validated ``x``, the factors' compact SVDs
-    ``svds``, and ``y``, the projection ``X x_1 U_1^T ... x_N U_N^T`` that
-    the exact solve reads; with ``y=None`` it is formed only if that solve
-    runs, so a sketched update never projects ``x``."""
+    """:func:`core_update` from the factors' compact SVDs ``svds`` and the
+    projection ``y = X x_1 U_1^T ... x_N U_N^T`` onto their bases."""
     if not all(np.any(a) for a in model.factors):
         return np.zeros(model.core_shape)  # a zero factor makes K zero
-    if mode == "fast":
-        config = config or RegressionConfig()
-        s = regression_sample_count(math.prod(model.core_shape), config.eps,
-                                    config.alpha, math.log(1.0 / config.delta))
-        if s < x.size:
-            sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
-            sketch = sample_rows(sampler, s, config.seed)
-            core = sketched_ridge_solve(model.factors, sketch, x, model.lam)
-            return core.reshape(model.core_shape)
-    # exact mode, or a sketch that would draw at least every row
-    if y is None:
-        y = _mode_products(x, [svd.u.T for svd in svds])
     return _svd_ridge_solution(svds, y.reshape(-1), model.lam).reshape(model.core_shape)
 
 
-def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
+def naive_factor_update(model: TuckerModel, x, n: int,
+                        caches: Sequence[CompactSvd] | None = None) -> np.ndarray:
     """Exact ridge update of factor ``n``: row ``i`` is
     ``(K^T K + lam I)^+ K^T b_i`` with ``K = (kron of the other factors)
     G_(n)^T`` and ``b_i`` row ``i`` of the mode-``n`` unfolding.
@@ -231,12 +212,15 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     is ``Z_(n) C^T (C C^T + lam I)^+`` (pseudo-inverse convention) and no
     ``R_rest x R_rest`` matrix is formed.  As in ``_fit``, the SVDs drop
     singular values at or below ``1e-10 * sigma_max`` of their factor.
+    ``caches`` (one per factor of ``model``, as ALS holds them) supply the
+    other factors' SVDs; without them those N-1 factors are decomposed here.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
-    svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
-    z = _mode_products(x, [None if svd is None else svd.u.T for svd in svds])
+    svds = ([None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
+            if caches is None else caches)
+    z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
     return _ridge_factor(model, z, n, svds)
 
 
@@ -396,8 +380,9 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     together with probability ``1 - delta``.  When the sample count reaches
     the leftover row count, the exact update :func:`naive_factor_update`
     runs instead.  ``caches`` (one per factor of ``model``) supply the other
-    factors' SVDs for the leverage scores.  When the core or another factor
-    is zero, so is ``K``, and every row's solution is zero.
+    factors' SVDs for the leverage scores, or for that exact update.  When
+    the core or another factor is zero, so is ``K``, and every row's
+    solution is zero.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
@@ -412,7 +397,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     s = regression_sample_count(r_rest, config.eps, config.alpha,
                                 math.log(i_n / config.delta))
     if s >= i_rest:
-        return naive_factor_update(model, x, n)
+        return naive_factor_update(model, x, n, caches)
 
     g_n = unfold(model.core, n)
     if not (np.any(g_n) and all(np.any(a) for a in others)):
@@ -434,10 +419,14 @@ class AlsReport:
     dense reconstruction; each error is accurate to about ulp * ||X||^2
     absolute (a few 1e-12 relative at a relative error of 1e-4) and is never
     negative.  No record reads the tensor itself (see :func:`tucker_als`).
-    ``step_seconds`` times each block update alone (not the loss recorded
-    after it); the first step, ``init-core``, times the range-finder start
-    that yields the initial factors and core.  ``sweep_seconds`` is the sum
-    of one sweep's step times.
+    ``step_seconds`` times each step alone (not the loss recorded after it);
+    the first step, ``init-core``, times the range-finder start that yields
+    the initial factors and core.  An exact sweep records one step per
+    factor update (``sweep{k}-factor{n}``) and one for the core
+    (``sweep{k}-core``).  A fast sweep records two: ``sweep{k}-factors``
+    times its N sketched factor updates, and ``sweep{k}-core`` times the
+    projection of the tensor and the exact core solve.  ``sweep_seconds``
+    is the sum of one sweep's step times.
     """
 
     step_labels: list[str] = field(default_factory=list)
@@ -508,24 +497,27 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     their exact ridge core, recorded as the ``init-core`` step.  Its loss
     is read off the projected tensor the start already holds, with the
     orthonormal factors as their own bases.  Each sweep then updates
-    factors for modes ``0..N-1`` followed by the core, recording the
-    regularized loss after every block update.  In ``exact`` mode every
-    block update is an exact minimizer, so the recorded losses are
-    non-increasing (up to roundoff).
+    factors for modes ``0..N-1`` followed by the core, and the core is the
+    exact ridge core in both modes.
 
     Each factor is decomposed once per update into a compact SVD
     ``A_k = U_k S_k V_k^T`` (:func:`~kronsolve.solvers.build_factor_cache`)
-    that every later step reads.  Factor step ``n`` reads the tensor once,
-    as ``Z = X x_k U_k^T for every k != n``: the exact update is read off
-    ``Z``, and a fast step forms it after its timed sketched update.  The
-    loss after the step is recorded from ``Y = Z x_n U_n^T``; the core step
-    changes no factor, so its exact solve and its record read that ``Y``
-    too.  A sweep thus reads the tensor ``N`` times in either mode, besides
-    the fast updates' own sketched reads, and forms no dense reconstruction.
-    ``config`` supplies the sampling parameters and the seed of the
-    ``fast`` mode; ``lam`` alone sets the ridge weight.  ``x`` is validated
-    once, here; a fast factor update checks it once more as its own public
-    entry point does, which is negligible against its sketched block solve.
+    that every later step reads.  In ``exact`` mode factor step ``n`` reads
+    the tensor once, as ``Z = X x_k U_k^T for every k != n``, and reads its
+    exact update off ``Z``; the loss after the step is recorded from
+    ``Y = Z x_n U_n^T``, and the core step, which changes no factor, solves
+    and records from that ``Y`` too.  Every block update is an exact
+    minimizer, so the recorded losses are non-increasing (up to roundoff),
+    and a sweep reads the tensor ``N`` times.  In ``fast`` mode the ``N``
+    sketched factor updates read the tensor only at their sampled fibres
+    (see :func:`fast_factor_matrix_update`); then one projection ``Z``
+    (every mode but the last), then ``Y``, gives the sweep's record after
+    its factor updates, the exact core and the record after it.  So a fast
+    sweep reads the tensor in full once, besides any exact fallback.  No
+    mode forms a dense reconstruction.  ``config`` supplies the sampling
+    parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
+    ridge weight.  ``x`` is validated once, here; a fast factor update
+    checks it once more as its own public entry point does.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
@@ -561,36 +553,47 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     eyes = [np.eye(r) for r in core_shape]
     record("init-core", seconds, projected, eyes)
     caches = [build_factor_cache(a) for a in model.factors]
+    steps = x.ndim + 1 if solver_mode == "exact" else 2
 
     seed_root = np.random.SeedSequence(config.seed)
+    last = x.ndim - 1
     for sweep in range(sweeps):
-        sweep_seeds = seed_root.spawn(x.ndim + 1)
-        for n in range(x.ndim):
-            others = [None if k == n else svd.u.T for k, svd in enumerate(caches)]
-            t0 = time.perf_counter()
-            if solver_mode == "exact":
+        if solver_mode == "exact":
+            for n in range(x.ndim):
+                others = [None if k == n else svd.u.T for k, svd in enumerate(caches)]
+                t0 = time.perf_counter()
                 z = _mode_products(x, others)
                 model.factors[n] = _ridge_factor(model, z, n, caches)
-            else:
-                step_cfg = _reseed(config, sweep_seeds[n])
+                caches[n] = build_factor_cache(model.factors[n])
+                seconds = time.perf_counter() - t0
+                y = _mode_products(z, [svd.u.T if k == n else None
+                                       for k, svd in enumerate(caches)])
+                coords = [(svd.v * svd.sigma).T for svd in caches]
+                record(f"sweep{sweep}-factor{n}", seconds, y, coords)
+            t0 = time.perf_counter()
+        else:
+            t0 = time.perf_counter()
+            for n, seed_seq in enumerate(seed_root.spawn(x.ndim)):
                 model.factors[n] = fast_factor_matrix_update(
-                    model, x, n, step_cfg, caches=caches)
-            caches[n] = build_factor_cache(model.factors[n])
-            seconds = time.perf_counter() - t0
-            if solver_mode == "fast":
-                z = _mode_products(x, others)
-            y = _mode_products(z, [svd.u.T if k == n else None
+                    model, x, n, _reseed(config, seed_seq), caches=caches)
+                caches[n] = build_factor_cache(model.factors[n])
+            factor_seconds = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            z = _mode_products(x, [None if k == last else svd.u.T
+                                   for k, svd in enumerate(caches)])
+            y = _mode_products(z, [svd.u.T if k == last else None
                                    for k, svd in enumerate(caches)])
             coords = [(svd.v * svd.sigma).T for svd in caches]
-            record(f"sweep{sweep}-factor{n}", seconds, y, coords)
-        t0 = time.perf_counter()
-        step_cfg = _reseed(config, sweep_seeds[-1]) if solver_mode == "fast" else None
-        model.core = _core_update(model, x, y, solver_mode, step_cfg, caches)
-        record(f"sweep{sweep}-core", time.perf_counter() - t0, y, coords)
+        core = _core_update(model, y, caches)
+        seconds = time.perf_counter() - t0
+        if solver_mode == "fast":
+            record(f"sweep{sweep}-factors", factor_seconds, y, coords)
+        model.core = core
+        record(f"sweep{sweep}-core", seconds, y, coords)
         report.sweep_losses.append(report.step_losses[-1])
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq
                                  if x_norm_sq > 0 else 0.0)
-        report.sweep_seconds.append(sum(report.step_seconds[-(x.ndim + 1):]))
+        report.sweep_seconds.append(sum(report.step_seconds[-steps:]))
     report.rre = report.sweep_rres[-1]
     return model, report
 

@@ -498,8 +498,9 @@ class TestFastKroneckerRegression:
 
     def test_exact_fallback_reuses_caches(self, rng, count_calls, monkeypatch):
         # at alpha 1 every sketch of fast ALS would cover its rows, so each
-        # core step runs the exact solve on the factor SVDs and the tensor
-        # projection ALS already holds, and decomposes nothing itself
+        # factor step runs the exact update; each core step runs the exact
+        # solve on the factor SVDs and the tensor projection ALS already
+        # holds, and decomposes nothing itself
         x = rng.standard_normal((8, 7, 6))
         svds = [count_calls(solvers, "compact_svd"), count_calls(tucker, "compact_svd")]
         core_step_svds = []
@@ -519,11 +520,15 @@ class TestFastKroneckerRegression:
                                               solver_mode="fast", config=cfg)
         assert core_step_svds == [0, 0]
         assert len(exact_solves) == 2 and len(sketches) == 0
-        # every fast step fell back to its exact update, so the run is exact ALS
+        # every fast step fell back to its exact update, so the run is exact
+        # ALS; a fast sweep records fewer steps, so the sweeps are compared
         exact, exact_report = tucker.tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2,
                                                 config=cfg)
         np.testing.assert_array_equal(fast.core, exact.core)
-        assert fast_report.step_losses == exact_report.step_losses
+        for a, b in zip(fast.factors, exact.factors):
+            np.testing.assert_array_equal(a, b)
+        assert fast_report.sweep_losses == exact_report.sweep_losses
+        assert fast_report.rre == exact_report.rre
 
     def test_report_loss_matches_solution(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]

@@ -20,8 +20,8 @@ from kronsolve.leverage import (
     sample_rows,
     statistical_leverage_scores,
 )
-from kronsolve.solvers import RegressionConfig, ridge_loss
-from kronsolve.tensor import compact_svd, explicit_kron, unfold, vectorize
+from kronsolve.solvers import RegressionConfig
+from kronsolve.tensor import compact_svd, explicit_kron, unfold
 from kronsolve.tucker import (
     AlsReport,
     TuckerModel,
@@ -58,8 +58,8 @@ def row_ridge_loss(design, y, b, lam):
     return float(np.sum((design @ y - b) ** 2) + lam * np.sum(y**2))
 
 
-# 12^3 with a rank-3 core: at alpha 5e-5 every fast factor row and the fast
-# core update draw a sketch instead of falling back to the exact solve
+# 12^3 with a rank-3 core: at alpha 5e-5 every fast factor update draws a
+# sketch instead of falling back to the exact solve
 LOSS_CFG = RegressionConfig(eps=0.25, delta=0.05, seed=3, alpha=5e-5)
 
 
@@ -126,7 +126,7 @@ class TestCoreUpdate:
         qs = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(3)]
         model = TuckerModel(core=np.zeros((4, 4, 4)), factors=qs)
         x = rng.standard_normal((4, 4, 4))
-        core = core_update(model, x, mode="exact")
+        core = core_update(model, x)
         from kronsolve.tensor import multi_mode_product
         want = multi_mode_product(x, [q.T for q in qs])
         np.testing.assert_allclose(core, want, atol=1e-10)
@@ -134,27 +134,22 @@ class TestCoreUpdate:
     def test_huge_lambda_shrinks(self, rng):
         model = random_model(rng, (5, 4), (2, 2), lam=0.0)
         x = rng.standard_normal((5, 4))
-        plain = core_update(model, x, mode="exact")
+        plain = core_update(model, x)
         model.lam = 1e12
-        tiny = core_update(model, x, mode="exact")
+        tiny = core_update(model, x)
         assert np.linalg.norm(tiny) <= 1e-9 * np.linalg.norm(plain)
 
     def test_fast_matches_exact_quality(self, rng):
-        hits = 0
-        for seed in range(50):
+        # a fast sweep solves the core exactly, at the factors it ends with
+        for seed in range(10):
             rs = np.random.default_rng(seed + 300)
             x = rs.standard_normal((10, 10, 10))
-            model, _ = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1,
-                                  solver_mode="exact",
-                                  config=RegressionConfig(seed=seed))
             cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=seed,
                                    alpha=2e-4)
-            fast = core_update(model, x, mode="fast", config=cfg)
-            exact = core_update(model, x, mode="exact")
-            lf = ridge_loss(model.factors, vectorize(fast), vectorize(x), 1e-3)
-            le = ridge_loss(model.factors, vectorize(exact), vectorize(x), 1e-3)
-            hits += lf <= (1 + cfg.eps) * le
-        assert hits >= 48  # 95 of 100 scaled to 50 fixed seeds
+            model, _ = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1,
+                                  solver_mode="fast", config=cfg)
+            exact = core_update(model, x)
+            assert np.linalg.norm(model.core - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def degenerate(model, case):
@@ -388,6 +383,19 @@ class TestFastFactorUpdate:
             fast_factor_matrix_update(model, rng.standard_normal((5, 4, 3)), 0,
                                       RegressionConfig(eps=0.35, seed=0))
 
+    def test_fallback_inside_als_decomposes_nothing(self, count_calls, rng):
+        # at alpha 1 every sketch would cover its rows, so each fast factor
+        # step runs the exact update on the SVDs that ALS caches: the only
+        # decompositions are the N caches of the start and one per update
+        x = rng.standard_normal((8, 7, 6))
+        svds = [count_calls(module, "compact_svd") for module in (solvers, tucker)]
+        fallbacks = count_calls(tucker, "naive_factor_update")
+        draws = count_calls(tucker, "sample_rows")
+        tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2, solver_mode="fast",
+                   config=RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0))
+        assert [len(calls) for calls in svds] == [3 + 3 * 2, 0]
+        assert len(fallbacks) == 3 * 2 and len(draws) == 0
+
 
 def sketched_block_oracle(model, x, n, config):
     """Every row of the factor-``n`` update solved densely from the same sketch.
@@ -512,22 +520,22 @@ class TestBlockFactorUpdate:
                                                       math.log(6 / 0.05))
 
     def test_one_sketch_per_update_inside_als(self, count_calls):
-        # every block update of a sweep, the core included, draws one sketch
+        # every factor update of a sweep draws one sketch, and the core none
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         draws = count_calls(tucker, "sample_rows")
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
                    config=LOSS_CFG)
-        assert len(draws) == 2 * 4
+        assert len(draws) == 2 * 3
 
     def test_sketched_solves_read_the_tensor_in_place(self, count_calls):
-        # every sketched solve of a sweep, the core's included, reads b at its
-        # draws from X itself: the middle mode's unfolding of a 12 x 11 x 10
-        # tensor cannot be a view, so a solve handed it would read a copy
+        # every sketched solve of a sweep reads b at its draws from X itself:
+        # the middle mode's unfolding of a 12 x 11 x 10 tensor cannot be a
+        # view, so a solve handed it would read a copy
         x = generate_synth_tucker((12, 11, 10), (3, 3, 3), 0.01, seed=4)
         reads = count_calls(solvers, "_drawn_rows")
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1, solver_mode="fast",
                    config=RegressionConfig(eps=0.25, delta=0.05, seed=3, alpha=1e-5))
-        assert len(reads) == 4
+        assert len(reads) == 3
         assert all(np.shares_memory(b, x) for _, _, b in reads)
 
     def test_exact_update_when_the_sketch_covers_the_rows(self, count_calls):
@@ -539,90 +547,24 @@ class TestBlockFactorUpdate:
         np.testing.assert_array_equal(got, naive_factor_update(model, x, 2))
 
 
-def sketched_core_oracle(model, x, config):
-    """The core update solved densely from the sketch the fast route draws.
-
-    ``S K`` keeps one rescaled row per draw, repeated draws included, and
-    the sketched ridge problem is solved with the pseudo-inverse convention.
-    """
-    cols = math.prod(model.core_shape)
-    s = regression_sample_count(cols, config.eps, config.alpha,
-                                math.log(1.0 / config.delta))
-    sampler = build_product_sampler(
-        [statistical_leverage_scores(a) for a in model.factors])
-    sketch = sample_rows(sampler, s, config.seed)
-    design = sketched_rows(model.factors, sketch)
-    flat = np.ravel_multi_index(tuple(sketch.indices.T), x.shape)
-    sb = sketch.weights * x.reshape(-1)[flat]
-    return stacked_ridge_lstsq(design, sb, model.lam).reshape(model.core_shape), sketch
-
-
-def core_problem(ranks, extra, lam, seed, target):
-    """A model, a tensor and a config whose core sample count is about
-    ``target`` draws (alpha scaled to it); ``None`` if the exact update runs."""
-    rng = np.random.default_rng(seed)
-    shape = [r + e for r, e in zip(ranks, extra)]
-    model = random_model(rng, shape, ranks, lam=lam)
-    x = rng.standard_normal(shape)
-    cols = math.prod(ranks)
-    failure_log = math.log(1.0 / 0.05)
-    unscaled = regression_sample_count(cols, 0.25, 1.0, failure_log)
-    cfg = RegressionConfig(eps=0.25, delta=0.05, seed=seed,
-                           alpha=min(1.0, target / unscaled))
-    if regression_sample_count(cols, 0.25, cfg.alpha, failure_log) >= math.prod(shape):
-        return None
-    return model, x, cfg
-
-
-@st.composite
-def core_problems(draw):
-    """Orders 1-4, ranks 1-3, and a sample count anywhere below the rows."""
-    order = draw(st.integers(1, 4))
-    ranks = draw(st.lists(st.integers(1, 3), min_size=order, max_size=order))
-    extra = draw(st.lists(st.integers(0, 4), min_size=order, max_size=order))
-    rows = math.prod(r + e for r, e in zip(ranks, extra))
-    assume(rows >= 2)
-    target = draw(st.integers(1, rows - 1))
-    # lam as in block_problems
-    lam = draw(st.floats(0.1, 1.0))
-    seed = draw(st.integers(0, 2**32 - 1))
-    problem = core_problem(ranks, extra, lam, seed, target)
-    assume(problem is not None)
-    return problem
-
-
 class TestSketchedCoreUpdate:
-    """The fast core update is the same direct sketched ridge solve."""
+    """Fast ALS has no sketched core update: each sweep projects the tensor
+    once and solves the exact ridge core on that projection."""
 
-    @given(problem=core_problems())
-    @example(problem=core_problem((2, 2, 2), (2, 1, 2), 0.3, 5, 40))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_dense_sketched_ridge(self, problem):
-        model, x, cfg = problem
-        want, _ = sketched_core_oracle(model, x, cfg)
-        got = core_update(model, x, mode="fast", config=cfg)
-        assert got.shape == model.core_shape
-        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
-
-    def test_example_repeats_draws(self):
-        model, x, cfg = core_problem((2, 2, 2), (2, 1, 2), 0.3, 5, 40)
-        _, sketch = sketched_core_oracle(model, x, cfg)
-        distinct = np.unique(sketch.indices, axis=0).shape[0]
-        assert distinct < sketch.sample_count
-
-    @pytest.mark.parametrize("alpha,reads", [(1e-5, 0), (1.0, 1)])
-    def test_projects_the_tensor_only_for_the_exact_solve(self, count_calls, rng,
-                                                          alpha, reads):
-        # the sketched solve never reads the projection of X; the fallback,
-        # whose sketch would cover every row, reads it once
-        model = random_model(rng, (8, 7, 6), (2, 2, 2), lam=0.1)
-        x = rng.standard_normal((8, 7, 6))
-        cfg = RegressionConfig(eps=0.1, delta=0.01, alpha=alpha)
-        products = count_calls(tucker, "_mode_products")
-        solves = count_calls(tucker, "sketched_ridge_solve")
-        core_update(model, x, mode="fast", config=cfg)
-        assert sum(np.size(t) == x.size for t, _ in products) == reads
-        assert len(solves) == 1 - reads
+    def test_fast_sweep_solves_the_exact_core(self, count_calls):
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        samplers = count_calls(tucker, "build_product_sampler")
+        exact_solves = count_calls(tucker, "_svd_ridge_solution")
+        model, report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
+                                   solver_mode="fast", config=LOSS_CFG)
+        # every sketch is drawn over the N-1 factors of a factor update
+        assert len(samplers) == 2 * 3
+        assert all(len(args[0]) == 2 for args in samplers)
+        assert len(exact_solves) == 2
+        exact = core_update(model, x)
+        assert np.linalg.norm(model.core - exact) <= 1e-12 * np.linalg.norm(exact)
+        assert report.sweep_losses[-1] == pytest.approx(
+            regularized_loss(model, x), rel=1e-10, abs=0)
 
     def test_fast_als_runs_no_richardson(self, count_calls):
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
@@ -635,7 +577,7 @@ class TestSketchedCoreUpdate:
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
                    config=LOSS_CFG)
         assert sum(len(calls) for calls in unused) == 0
-        assert len(solves) == 2 * 4
+        assert len(solves) == 2 * 3
 
 
 class TestRangeFinderStart:
@@ -648,7 +590,7 @@ class TestRangeFinderStart:
         model, projected = tucker.initial_model(x, rank, lam, seed)
         for a, r in zip(model.factors, rank):
             assert np.max(np.abs(a.T @ a - np.eye(r))) <= 1e-12
-        exact = core_update(model, x, mode="exact")
+        exact = core_update(model, x)
         assert np.max(np.abs(model.core - exact)) <= 1e-12 * np.max(np.abs(exact))
         np.testing.assert_array_equal(model.core, projected / (1.0 + lam))
 
@@ -761,8 +703,8 @@ class TestTuckerAls:
                              solver_mode="fast",
                              config=RegressionConfig(eps=0.25, delta=0.05,
                                                      seed=0, alpha=7e-5))
-        # with ~300 of 400 rows per factor row-solve and ~700 of 8000 for the
-        # core, recovery still lands at the noise floor
+        # with ~300 of 400 rows per factor update, recovery still lands at
+        # the noise floor
         assert fast.rre <= 2.0 * exact.rre
         assert fast.rre <= 3e-4
 
@@ -792,6 +734,22 @@ class TestTuckerAls:
         # the exact core updates read them
         assert len(compact_svd_calls) == 3 * (2 + 1)
 
+    def test_fast_report_records_two_steps_per_sweep(self):
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        model, report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
+                                   solver_mode="fast", config=LOSS_CFG)
+        assert report.step_labels == ["init-core", "sweep0-factors", "sweep0-core",
+                                      "sweep1-factors", "sweep1-core"]
+        # a one-sweep run ends at the core the second sweep starts from; the
+        # factors record holds the new factors with that core
+        first, _ = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=1,
+                              solver_mode="fast", config=LOSS_CFG)
+        old_core = TuckerModel(core=first.core, factors=model.factors, lam=1e-3)
+        x_norm_sq = float(np.sum(x**2))
+        want = [dense_fit(m, x, x_norm_sq)[1] for m in (old_core, model)]
+        np.testing.assert_allclose(report.step_losses[-2:], want, rtol=1e-10, atol=0)
+        assert report.sweep_losses == report.step_losses[2::2]
+
     def test_report_structure(self, rng):
         x = rng.standard_normal((5, 4, 3))
         _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=2,
@@ -810,7 +768,9 @@ class TestTuckerAls:
         cfg = RegressionConfig(eps=0.25, delta=0.05, seed=0, alpha=5e-5)
         _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=3,
                                solver_mode=mode, config=cfg)
-        steps = x.ndim + 1  # every factor, then the core
+        # exact: every factor, then the core; fast: the factors, then the core
+        steps = x.ndim + 1 if mode == "exact" else 2
+        assert len(report.step_seconds) == 1 + 3 * steps
         for k, seconds in enumerate(report.sweep_seconds):
             first = 1 + k * steps  # step 0 is the initial core solve
             assert seconds == sum(report.step_seconds[first:first + steps])
@@ -922,7 +882,8 @@ class TestLossRecording:
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_one_projection_of_the_tensor_per_factor_step(self, count_calls, mode):
-        # each factor step reads the tensor once; the records and the core
+        # each exact factor step reads the tensor once, and a fast sweep reads
+        # it once after its sketched factor updates; the records and the core
         # steps read projections of it, and no exact step hands it to the
         # Kronecker multiply
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
@@ -931,10 +892,11 @@ class TestLossRecording:
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
                    config=LOSS_CFG)
         reads = [mats for t, mats in projections if np.size(t) == x.size]
-        assert len(reads) == 2 * 3
-        # step n contracts every mode but n
+        # exact step n contracts every mode but n; a fast sweep every mode
+        # but the last
+        modes = range(3) if mode == "exact" else [2]
         assert [[m is None for m in mats] for mats in reads] == [
-            [k == n for k in range(3)] for _ in range(2) for n in range(3)]
+            [k == n for k in range(3)] for _ in range(2) for n in modes]
         assert all(np.size(args[1]) < x.size for calls in multiplies for args in calls)
 
     def test_shape_mismatch_rejected(self, rng):
@@ -986,7 +948,7 @@ class TestValidateOnce:
         x = rng.standard_normal((6, 5, 4))
         x[0, 0, 0] = np.inf
         with pytest.raises(InvalidInputError):
-            core_update(model, x, mode="exact")
+            core_update(model, x)
         with pytest.raises(InvalidInputError):
             naive_factor_update(model, x, 1)
         with pytest.raises(InvalidInputError):
