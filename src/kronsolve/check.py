@@ -156,6 +156,14 @@ def run_checks() -> int:
           and abs(loss - dense_loss) <= 1e-10 * dense_loss,
           f"error {err!r} vs {dense_err!r}, loss {loss!r} vs {dense_loss!r}")
 
+    # regression loss read off (U kron ...)^T b and ||b||^2 vs the dense
+    # residual of the same solution
+    resid = reduce(np.kron, sf) @ r2.solution - bb
+    dense_loss = float(resid @ resid) + 1e-3 * float(r2.solution @ r2.solution)
+    check("regression loss identity",
+          abs(r2.loss - dense_loss) <= 1e-10 * dense_loss,
+          f"loss {r2.loss!r} vs {dense_loss!r}")
+
     # exact factor update vs every row's minimum-norm least-squares solution
     # of the stacked [K; sqrt(lam) I], with a zero column in another factor
     zeroed = [f.copy() for f in model.factors]

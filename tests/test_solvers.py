@@ -449,29 +449,31 @@ class TestFastKroneckerRegression:
         assert hits >= 95
 
     def test_operator_released_before_exact_loss(self, monkeypatch):
-        # the loss's dense multiply must not run on top of the operator's
+        # the loss's projection of b must not run on top of the operator's
         # precomputed gathers
-        ops = []
+        ops, projections = [], []
 
         class Recording(solvers.SketchedKron):
             def __init__(self, *args):
                 super().__init__(*args)
                 ops.append(weakref.ref(self))
 
-        original_loss = solvers.ridge_loss
+        original_multiply = solvers.kron_mat_mul
 
-        def checked_loss(*args):
-            assert ops and all(ref() is None for ref in ops)
-            return original_loss(*args)
+        def checked_multiply(factors, operand):
+            if np.size(operand) == 400:  # b, not a solver-sized vector
+                assert ops and all(ref() is None for ref in ops)
+                projections.append(operand)
+            return original_multiply(factors, operand)
 
         monkeypatch.setattr(solvers, "SketchedKron", Recording)
-        monkeypatch.setattr(solvers, "ridge_loss", checked_loss)
+        monkeypatch.setattr(solvers, "kron_mat_mul", checked_multiply)
         rs = np.random.default_rng(7)
         facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
         cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
         rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
         assert rep.iterations > 0
-        assert len(ops) == 1
+        assert len(ops) == 1 and len(projections) == 1
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_one_svd_per_factor(self, count_calls, order):
@@ -539,6 +541,77 @@ class TestFastKroneckerRegression:
             ridge_loss(facs, rep.solution, b, 1e-3), abs=1e-10)
 
 
+def dense_ridge_loss(factors, x, b, lam):
+    r = dense_kron(factors) @ x - b
+    return float(r @ r) + lam * float(x @ x)
+
+
+class TestReportedLoss:
+    """The two SVD routes read their loss off ``(U kron ...)^T b`` and
+    ``||b||^2``; it must be the dense ridge loss of the reported solution."""
+
+    CFG = dict(eps=0.25, delta=0.05, seed=4, alpha=1e-4)
+
+    @staticmethod
+    def instance(rs, shapes, zero_column):
+        facs = [rs.standard_normal(shape) for shape in shapes]
+        if zero_column:
+            facs[-1][:, 0] = 0.0  # a dropped singular value
+        return facs, rs.standard_normal(math.prod(a.shape[0] for a in facs))
+
+    def solve_both(self, facs, b, lam):
+        fast = fast_kronecker_regression(facs, b, RegressionConfig(lam=lam, **self.CFG))
+        assert 0 < fast.sample_count < b.size  # the sketched route ran
+        return kronmatmul_svd_solve(facs, b, lam), fast
+
+    @pytest.mark.parametrize("shapes", [[(20, 3), (15, 2)], [(8, 2), (7, 3), (6, 2)]])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_matches_dense_loss(self, shapes, lam, zero_column):
+        rs = np.random.default_rng(len(shapes) + 10 * zero_column)
+        facs, b = self.instance(rs, shapes, zero_column)
+        for rep in self.solve_both(facs, b, lam):
+            want = dense_ridge_loss(facs, rep.solution, b, lam)
+            assert rep.loss == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("shapes", [[(20, 3), (15, 2)], [(8, 2), (7, 3), (6, 2)]])
+    def test_near_exact_fit(self, shapes):
+        # ||b||^2 - ||t||^2 cancels almost to zero: the loss stays at or above
+        # zero and within a few ulp of ||b||^2 of the dense loss
+        rs = np.random.default_rng(3)
+        facs = [rs.standard_normal(shape) for shape in shapes]
+        k = dense_kron(facs)
+        b = k @ rs.standard_normal(k.shape[1]) + 1e-9 * rs.standard_normal(k.shape[0])
+        for rep in self.solve_both(facs, b, 0.0):
+            assert rep.loss >= 0.0
+            want = dense_ridge_loss(facs, rep.solution, b, 0.0)
+            assert abs(rep.loss - want) <= 1e-13 * float(b @ b)
+
+    @pytest.mark.parametrize("route", ["exact", "fast"])
+    def test_one_kronecker_pass_over_b(self, monkeypatch, count_calls, route):
+        # the loss reuses or forms the one projection of b; no multiply
+        # forms a residual of the full row count
+        loss_calls = count_calls(solvers, "ridge_loss")
+        sizes = []
+        for module in (kron, solvers):
+            kernel = module._mode_products
+
+            def recording(x, mats, kernel=kernel):
+                out = kernel(x, mats)
+                sizes.append(max(x.size, out.size))
+                return out
+
+            monkeypatch.setattr(module, "_mode_products", recording)
+        facs, b = self.instance(np.random.default_rng(5), [(20, 3), (15, 2)], False)
+        if route == "exact":
+            kronmatmul_svd_solve(facs, b, 1e-3)
+        else:
+            rep = fast_kronecker_regression(facs, b, RegressionConfig(lam=1e-3, **self.CFG))
+            assert 0 < rep.sample_count < b.size
+        assert len(loss_calls) == 0
+        assert sizes.count(b.size) == 1 and max(sizes) == b.size
+
+
 @pytest.mark.filterwarnings("error")
 class TestNonFiniteTarget:
     """A NaN or inf in ``b`` raises where a solver reads ``b``, with no
@@ -580,14 +653,12 @@ class TestNonFiniteTarget:
         assert not math.isfinite(rep.loss)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_fast_undrawn_entry_in_a_later_loss_block(self, count_calls, monkeypatch,
-                                                      bad):
-        # two rows of A1, 40 rows of K, per loss block
-        monkeypatch.setattr(solvers, "_LOSS_BLOCK_ENTRIES", 40)
+    def test_fast_undrawn_entry_in_the_last_rows(self, count_calls, bad):
+        # the last undrawn row lies in the last row of A1
         factors, b = self.problem()
         drawn, clean = self.drawn_rows(count_calls, factors, b)
         row = np.setdiff1d(np.arange(b.size), drawn)[-1]
-        assert row >= 40
+        assert row >= b.size - 20
         b[row] = bad
         rep = fast_kronecker_regression(factors, b, self.CFG)
         np.testing.assert_array_equal(rep.solution, clean.solution)
