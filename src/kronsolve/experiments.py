@@ -139,8 +139,7 @@ def _median_run(fn: Callable[[], SolveReport], repeats: int) -> SolveReport:
     median = reports[len(reports) // 2]
     if repeats % 2 == 0:
         wall = statistics.median(r.wall_time for r in reports)
-        median = SolveReport(median.solution, median.loss, median.iterations,
-                             median.sample_count, wall)
+        median = replace(median, wall_time=wall)
     return median
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -396,12 +396,14 @@ def _projected_ridge_loss(svds: Sequence[CompactSvd], t: np.ndarray,
     ``t = (U kron ...)^T b`` and ``||b||^2``; it reads only ``R``-sized arrays.
 
     With ``K = (U kron ...) (S V^T kron ...)`` the loss is
-    ``(||b||^2 - ||t||^2) + ||t - (S V^T kron ...) x||^2 + lam ||x||^2``, the
-    regression twin of :func:`~kronsolve.tucker._fit_projected`.  The first
-    difference cancels, which bounds the absolute accuracy to about
-    ulp * ||b||^2; it is clamped at 0.  The SVDs drop singular values at or
-    below ``1e-10 * sigma_max`` of their factor, which moves the loss by no
-    more than that truncation moves ``K x``.  A NaN or inf in ``t`` or
+    ``(||b||^2 - ||t||^2) + ||t - (S V^T kron ...) x||^2 + lam ||x||^2``;
+    :func:`~kronsolve.tucker._fit_projected` reads the Tucker error off it
+    at lam 0.  The first difference cancels, which bounds the absolute
+    accuracy to about ulp * ||b||^2; it is clamped at 0.  Multiplying out
+    ``A^T A`` instead loses up to 100x more when the factors and ``x``
+    differ in scale, as ridge ALS leaves them.  The SVDs drop singular
+    values at or below ``1e-10 * sigma_max`` of their factor, which moves
+    the loss by no more than that truncation moves ``K x``.  A NaN or inf in ``t`` or
     ``b_norm_sq`` gives a non-finite loss.
     """
     coords = [(s.v * s.sigma).T for s in svds]
@@ -527,9 +529,7 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     if s >= rows:
         # sketching cannot help: more samples than rows
         exact = kronmatmul_svd_solve(factors, b, lam)
-        wall = time.perf_counter() - t0
-        return SolveReport(solution=exact.solution, loss=exact.loss,
-                           iterations=0, sample_count=0, wall_time=wall)
+        return replace(exact, wall_time=time.perf_counter() - t0)
 
     svds = [compact_svd(a) for a in factors]
     sampler = build_product_sampler([ridge_leverage_scores(svd, 0.0) for svd in svds])

@@ -29,12 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .kron import kron_mat_mul
+from .kron import kron_mat_mul, kron_rows
 from .leverage import build_product_sampler, regression_sample_count, \
     ridge_leverage_scores, sample_rows
 from .solvers import (
     KronPreconditioner,
     RegressionConfig,
+    _projected_ridge_loss,
     _svd_ridge_solution,
     build_factor_cache,
     build_kron_preconditioner,
@@ -113,40 +114,29 @@ def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, fl
 
     ``x_norm_sq`` is ``||X||_F^2``.  ALS records its losses through
     :func:`_fit_projected`, from the projection its steps hold.  The error
-    comes from the Gram identity (Kolda & Bader 2009, SIAM Review, 4.2)
-
-        ||Xhat - X||^2 = ||X||^2 - 2 <X x_n A_n^T, G> + <G x_n A_n^T A_n, G>,
-
-    so no dense reconstruction is formed: the cost is one pass over ``x``
-    plus core-sized work.  It is evaluated in each factor's SVD basis
-    ``A_n = U_n (S_n V_n^T)``: with ``Y = X x_n U_n^T`` and
-    ``H = G x_n S_n V_n^T`` (one ``_mode_products`` call each) it reads
-    ``(||X||^2 - ||Y||^2) + ||Y - H||^2``.
-    The first difference still cancels, which bounds the absolute accuracy
-    of the error to about ulp * ||X||^2 (a few 1e-12 relative at a relative
-    error of 1e-4); it is clamped at 0.  Multiplying out ``A_n^T A_n``
-    instead loses up to 100x more when the factors and the core differ in
-    scale, as ridge ALS makes them.
-
-    The SVD drops singular values at or below ``1e-10 * sigma_max`` of
-    their factor, so the error is that of the model with each ``A_n``
-    replaced by its truncation, which is within ``1e-10 ||A_n||_2`` of it.
-    A factor that is rank-deficient up to roundoff, such as one with a zero
-    column, loses only roundoff, and a zero factor has an empty basis and
-    records the error ``||X||^2``.
+    is the ridge loss at lam 0 of the core regression, whose design is the
+    Kronecker product of the factors: it is read off each factor's compact
+    SVD ``A_n = U_n S_n V_n^T`` and ``Y = X x_n U_n^T`` (one
+    ``_mode_products`` call) by
+    :func:`~kronsolve.solvers._projected_ridge_loss`, which states the
+    identity and its accuracy (about ulp * ||X||^2 absolute).  No dense
+    reconstruction is formed: the cost is one pass over ``x`` plus
+    core-sized work.  A factor that is rank-deficient up to roundoff, such
+    as one with a zero column, loses only roundoff, and a zero factor has
+    an empty basis and records the error ``||X||^2``.
     """
     svds = [compact_svd(a) for a in model.factors]
     return _fit_projected(model, _mode_products(x, [svd.u.T for svd in svds]),
-                          x_norm_sq, [(svd.v * svd.sigma).T for svd in svds])
+                          x_norm_sq, svds)
 
 
 def _fit_projected(model: TuckerModel, y: np.ndarray, x_norm_sq: float,
-                   coords: Sequence[np.ndarray]) -> tuple[float, float]:
+                   svds: Sequence[CompactSvd]) -> tuple[float, float]:
     """:func:`_fit` from the projection ``Y = X x_1 U_1^T ... x_N U_N^T``
-    and each factor's coordinates in its basis, ``S_n V_n^T`` (``U_n^T
-    A_n``), for a caller that holds ``Y``: it reads only core-sized arrays."""
-    h = _mode_products(model.core, coords)
-    err = max(x_norm_sq - float(np.sum(y**2)) + float(np.sum((y - h) ** 2)), 0.0)
+    onto the bases ``svds`` of the factors, for a caller that holds ``Y``:
+    it reads only core-sized arrays."""
+    err = _projected_ridge_loss(svds, y.reshape(-1), x_norm_sq,
+                                model.core.reshape(-1), 0.0)
     reg = float(np.sum(model.core**2))
     reg += sum(float(np.sum(a**2)) for a in model.factors)
     return err, err + model.lam * reg
@@ -183,8 +173,8 @@ def core_update(model: TuckerModel, x) -> np.ndarray:
     Composes the factor SVDs as :func:`kronmatmul_svd_solve` does, from the
     projection ``X x_1 U_1^T ... x_N U_N^T`` of ``x`` onto their left
     singular vectors, without evaluating a loss.  Both ALS modes solve the
-    core this way.  When a factor is zero the design is zero, so the ridge
-    core is zero.
+    core this way.  A zero factor has an empty basis, so the ridge core is
+    zero.
     """
     x = _model_tensor(model, x)
     svds = [compact_svd(a) for a in model.factors]
@@ -195,8 +185,6 @@ def _core_update(model: TuckerModel, y: np.ndarray,
                  svds: Sequence[CompactSvd]) -> np.ndarray:
     """:func:`core_update` from the factors' compact SVDs ``svds`` and the
     projection ``y = X x_1 U_1^T ... x_N U_N^T`` onto their bases."""
-    if not all(np.any(a) for a in model.factors):
-        return np.zeros(model.core_shape)  # a zero factor makes K zero
     return _svd_ridge_solution(svds, y.reshape(-1), model.lam).reshape(model.core_shape)
 
 
@@ -418,7 +406,10 @@ class AlsReport:
     (regularized losses) come from the Gram identity of ``_fit``, not from a
     dense reconstruction; each error is accurate to about ulp * ||X||^2
     absolute (a few 1e-12 relative at a relative error of 1e-4) and is never
-    negative.  No record reads the tensor itself (see :func:`tucker_als`).
+    negative.  No record reads the tensor itself: each reads the projection
+    onto the bases ALS holds, the start's orthonormal factors as their own
+    and, after a factor update, that factor's compact SVD; ALS decomposes a
+    factor only after updating it (see :func:`tucker_als`).
     ``step_seconds`` times each step alone (not the loss recorded after it);
     the first step, ``init-core``, times the range-finder start that yields
     the initial factors and core.  An exact sweep records one step per
@@ -443,14 +434,6 @@ class AlsReport:
         return float(np.mean(self.sweep_seconds)) if self.sweep_seconds else math.nan
 
 
-def _khatri_rao(mats: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Column-wise Kronecker product of ``k``-column matrices, first one slowest."""
-    out = np.ones((1, k))
-    for m in mats:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, k)
-    return out
-
-
 def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
                   seed) -> tuple[TuckerModel, np.ndarray]:
     """The ALS start: a sequentially truncated randomized HOSVD of ``x``.
@@ -459,11 +442,13 @@ def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
     before ``n``: ``Q`` is an orthonormal basis of ``T_(n) Omega``, where
     ``Omega`` is the Khatri-Rao product of one seeded Gaussian matrix per
     other mode with ``R_n + RANGE_FINDER_OVERSAMPLING`` columns (so no
-    ``I_rest x k`` Gaussian is drawn); ``U_n`` is ``Q`` times the top-``R_n``
-    eigenvectors of ``(Q^T T_(n)) (Q^T T_(n))^T``; and ``T <- T x_n U_n^T``,
-    whose unfolding is those eigenvectors applied to ``Q^T T_(n)``, so each
-    mode costs two passes over ``T``.  ``Q`` holds the left singular
-    vectors of the sketch's thin SVD, an orthonormal basis of its range.
+    ``I_rest x k`` Gaussian is drawn): its column ``j`` is the Kronecker row
+    of the transposed Gaussians at ``(j, ..., j)``.  ``U_n`` is ``Q`` times
+    the top-``R_n`` eigenvectors of ``(Q^T T_(n)) (Q^T T_(n))^T``, and
+    ``T <- T x_n U_n^T``, whose unfolding is those eigenvectors applied to
+    ``Q^T T_(n)``, so each mode costs two passes over ``T``.  ``Q`` holds
+    the left singular vectors of the sketch's thin SVD, an orthonormal
+    basis of its range.
 
     The factors are orthonormal, so the exact ridge core is the projection
     ``T = X x_1 U_1^T ... x_N U_N^T`` divided by ``1 + lam``.  Returns the
@@ -476,8 +461,9 @@ def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
         k = min(r_n + RANGE_FINDER_OVERSAMPLING, t.shape[n])
         rest = t.shape[:n] + t.shape[n + 1:]
         t_n = _unfold(t, n)
-        omega = _khatri_rao([rng.standard_normal((d, k)) for d in rest], k)
-        q = np.linalg.svd(t_n @ omega, full_matrices=False)[0]
+        gaussians = [rng.standard_normal((d, k)).T for d in rest]
+        omega = kron_rows(gaussians, np.repeat(np.arange(k)[:, None], len(rest), 1))
+        q = np.linalg.svd(t_n @ omega.T, full_matrices=False)[0]
         sketch = q.T @ t_n
         _, v = np.linalg.eigh(sketch @ sketch.T)
         top = v[:, ::-1][:, :r_n]  # eigh sorts ascending
@@ -494,25 +480,26 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
 
     The start is the range-finder HOSVD of :func:`initial_model` (seeded
     from ``config.seed``, the same in both modes): orthonormal factors and
-    their exact ridge core, recorded as the ``init-core`` step.  Its loss
-    is read off the projected tensor the start already holds, with the
-    orthonormal factors as their own bases.  Each sweep then updates
-    factors for modes ``0..N-1`` followed by the core, and the core is the
-    exact ridge core in both modes.
+    their exact ridge core, recorded as the ``init-core`` step.  Each
+    sweep then updates factors for modes ``0..N-1`` followed by the core,
+    and the core is the exact ridge core in both modes.
 
-    Each factor is decomposed once per update into a compact SVD
-    ``A_k = U_k S_k V_k^T`` (:func:`~kronsolve.solvers.build_factor_cache`)
-    that every later step reads.  In ``exact`` mode factor step ``n`` reads
-    the tensor once, as ``Z = X x_k U_k^T for every k != n``, and reads its
-    exact update off ``Z``; the loss after the step is recorded from
-    ``Y = Z x_n U_n^T``, and the core step, which changes no factor, solves
-    and records from that ``Y`` too.  Every block update is an exact
+    ALS holds one basis per factor, ``A_k = U_k S_k V_k^T``, that every
+    step reads.  The start's orthonormal factors serve as their own bases
+    (``U_k = A_k``, ``S_k = V_k = I``), so the start's loss is read off the
+    projected tensor it already holds and no start factor is decomposed.
+    ALS decomposes a factor only after updating it, into a compact SVD
+    (:func:`~kronsolve.solvers.build_factor_cache`).  In ``exact`` mode
+    factor step ``n`` reads the tensor once, as ``Z = X x_k U_k^T for every
+    k != n``, and reads its exact update off ``Z``; the loss after the step
+    is recorded from ``Y = Z x_n U_n^T``, and the core step, which changes
+    no factor, solves and records from that ``Y`` too.  Every block update is an exact
     minimizer, so the recorded losses are non-increasing (up to roundoff),
     and a sweep reads the tensor ``N`` times.  In ``fast`` mode the ``N``
     sketched factor updates read the tensor only at their sampled fibres
-    (see :func:`fast_factor_matrix_update`); then one projection ``Z``
-    (every mode but the last), then ``Y``, gives the sweep's record after
-    its factor updates, the exact core and the record after it.  So a fast
+    (see :func:`fast_factor_matrix_update`); then one projection
+    ``Y = X x_1 U_1^T ... x_N U_N^T`` gives the sweep's record after its
+    factor updates, the exact core and the record after it.  So a fast
     sweep reads the tensor in full once, besides any exact fallback.  No
     mode forms a dense reconstruction.  ``config`` supplies the sampling
     parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
@@ -539,8 +526,8 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     report = AlsReport()
     x_norm_sq = float(np.vdot(x, x))
 
-    def record(label: str, seconds: float, y: np.ndarray, coords: list[np.ndarray]):
-        err, loss = _fit_projected(model, y, x_norm_sq, coords)
+    def record(label: str, seconds: float, y: np.ndarray):
+        err, loss = _fit_projected(model, y, x_norm_sq, caches)
         report.step_labels.append(label)
         report.step_losses.append(loss)
         report.step_errors.append(err)
@@ -549,14 +536,13 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     t0 = time.perf_counter()
     model, projected = initial_model(x, core_shape, lam, config.seed)
     seconds = time.perf_counter() - t0
-    # orthonormal factors are their own basis, with identity coordinates
-    eyes = [np.eye(r) for r in core_shape]
-    record("init-core", seconds, projected, eyes)
-    caches = [build_factor_cache(a) for a in model.factors]
+    # orthonormal factors are their own bases, with identity coordinates
+    caches = [CompactSvd(u=a, sigma=np.ones(r), v=np.eye(r))
+              for a, r in zip(model.factors, core_shape)]
+    record("init-core", seconds, projected)
     steps = x.ndim + 1 if solver_mode == "exact" else 2
 
     seed_root = np.random.SeedSequence(config.seed)
-    last = x.ndim - 1
     for sweep in range(sweeps):
         if solver_mode == "exact":
             for n in range(x.ndim):
@@ -568,8 +554,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                 seconds = time.perf_counter() - t0
                 y = _mode_products(z, [svd.u.T if k == n else None
                                        for k, svd in enumerate(caches)])
-                coords = [(svd.v * svd.sigma).T for svd in caches]
-                record(f"sweep{sweep}-factor{n}", seconds, y, coords)
+                record(f"sweep{sweep}-factor{n}", seconds, y)
             t0 = time.perf_counter()
         else:
             t0 = time.perf_counter()
@@ -579,17 +564,13 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                 caches[n] = build_factor_cache(model.factors[n])
             factor_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            z = _mode_products(x, [None if k == last else svd.u.T
-                                   for k, svd in enumerate(caches)])
-            y = _mode_products(z, [svd.u.T if k == last else None
-                                   for k, svd in enumerate(caches)])
-            coords = [(svd.v * svd.sigma).T for svd in caches]
+            y = _mode_products(x, [svd.u.T for svd in caches])
         core = _core_update(model, y, caches)
         seconds = time.perf_counter() - t0
         if solver_mode == "fast":
-            record(f"sweep{sweep}-factors", factor_seconds, y, coords)
+            record(f"sweep{sweep}-factors", factor_seconds, y)
         model.core = core
-        record(f"sweep{sweep}-core", seconds, y, coords)
+        record(f"sweep{sweep}-core", seconds, y)
         report.sweep_losses.append(report.step_losses[-1])
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq
                                  if x_norm_sq > 0 else 0.0)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import kronsolve.experiments as experiments
 from kronsolve.cli import main as cli_main
 from kronsolve.errors import InvalidInputError
+from kronsolve.solvers import SolveReport
 from kronsolve.experiments import (
     ExperimentSpec,
     generate_synth_regression,
@@ -114,6 +116,26 @@ class TestRegressionExperiment:
         by = {r.solver: r for r in rows}
         assert by["naive"].status.startswith("error:")
         assert by["fast"].status == "ok"
+
+    def test_median_of_even_repeats(self):
+        # the report of the upper middle run by wall time, with the median
+        # wall time; every other field is that run's
+        walls = iter([0.4, 0.1, 0.3, 0.2])
+
+        def run():
+            wall = next(walls)
+            return SolveReport(solution=np.full(3, wall), loss=10 * wall,
+                               iterations=round(10 * wall),
+                               sample_count=round(100 * wall), wall_time=wall)
+
+        median = experiments._median_run(run, 4)
+        middle = SolveReport(solution=np.full(3, 0.3), loss=3.0, iterations=3,
+                             sample_count=30, wall_time=0.3)
+        assert median.wall_time == pytest.approx(0.25)
+        for f in dataclasses.fields(middle):
+            if f.name != "wall_time":
+                np.testing.assert_array_equal(getattr(median, f.name),
+                                              getattr(middle, f.name), err_msg=f.name)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):

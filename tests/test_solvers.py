@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -363,6 +364,13 @@ class TestPreconditioner:
         pre = svd_preconditioner(facs, lam)
         k = dense_kron(facs)
         x = k.T @ rs.standard_normal(k.shape[0])
+        # the product leaves roundoff in x outside the row space of K, which
+        # pinv scales by up to 1/lam and the operator drops (2e-14 of x grew
+        # to 1.3e-10 of the result at lam 1e-3), so x is projected onto that
+        # row space, taken from a dense SVD of K
+        _, s_k, vt_k = np.linalg.svd(k, full_matrices=False)
+        row_space = vt_k[s_k > 1e-10 * s_k[0]]
+        x = row_space.T @ (row_space @ x)
         want = np.linalg.pinv(k.T @ k + lam * np.eye(k.shape[1])) @ x
         got = pre.apply(x)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -432,6 +440,19 @@ class TestFastKroneckerRegression:
         opt = kronmatmul_svd_solve(facs, b, 1e-3)
         assert rep.sample_count == 0
         assert rep.loss <= (1 + cfg.eps) * opt.loss + 1e-12
+
+    def test_exact_fallback_report_is_kronmatmuls(self):
+        # when the sketch would cover every row, the report is the exact
+        # solver's in every field but the wall time, which covers the call
+        rs = np.random.default_rng(0)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        b = rs.standard_normal(400)
+        rep = fast_kronecker_regression(facs, b, RegressionConfig(lam=1e-3, seed=0))
+        exact = kronmatmul_svd_solve(facs, b, 1e-3)
+        for f in dataclasses.fields(exact):
+            if f.name != "wall_time":
+                np.testing.assert_array_equal(getattr(rep, f.name),
+                                              getattr(exact, f.name), err_msg=f.name)
 
     def test_approximation_contract_sketched(self):
         # alpha scaled down so the sketch is real (about 214 of 400 rows)

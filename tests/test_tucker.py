@@ -131,6 +131,15 @@ class TestCoreUpdate:
         want = multi_mode_product(x, [q.T for q in qs])
         np.testing.assert_allclose(core, want, atol=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_zero_factor_gives_the_zero_core(self, rng, lam):
+        # a zero factor has an empty basis, and the SVD route solves nothing
+        model = random_model(rng, (6, 5, 4), (2, 3, 2), lam=lam)
+        model.factors[1][:] = 0.0
+        core = core_update(model, rng.standard_normal(model.shape))
+        assert core.shape == model.core_shape
+        np.testing.assert_array_equal(core, np.zeros(model.core_shape))
+
     def test_huge_lambda_shrinks(self, rng):
         model = random_model(rng, (5, 4), (2, 2), lam=0.0)
         x = rng.standard_normal((5, 4))
@@ -385,15 +394,16 @@ class TestFastFactorUpdate:
 
     def test_fallback_inside_als_decomposes_nothing(self, count_calls, rng):
         # at alpha 1 every sketch would cover its rows, so each fast factor
-        # step runs the exact update on the SVDs that ALS caches: the only
-        # decompositions are the N caches of the start and one per update
+        # step runs the exact update on the bases that ALS holds: the only
+        # decompositions are one per update (the start's orthonormal factors
+        # are their own bases)
         x = rng.standard_normal((8, 7, 6))
         svds = [count_calls(module, "compact_svd") for module in (solvers, tucker)]
         fallbacks = count_calls(tucker, "naive_factor_update")
         draws = count_calls(tucker, "sample_rows")
         tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2, solver_mode="fast",
                    config=RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0))
-        assert [len(calls) for calls in svds] == [3 + 3 * 2, 0]
+        assert [len(calls) for calls in svds] == [3 * 2, 0]
         assert len(fallbacks) == 3 * 2 and len(draws) == 0
 
 
@@ -730,9 +740,9 @@ class TestTuckerAls:
     def test_exact_mode_decomposes_each_factor_once(self, rng, compact_svd_calls):
         x = rng.standard_normal((6, 5, 4))
         tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode="exact")
-        # one cache per factor at the start and after each factor update;
-        # the exact core updates read them
-        assert len(compact_svd_calls) == 3 * (2 + 1)
+        # one cache per factor update, none at the orthonormal start; the
+        # exact core updates read them
+        assert len(compact_svd_calls) == 3 * 2
 
     def test_fast_report_records_two_steps_per_sweep(self):
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
@@ -852,8 +862,8 @@ class TestLossRecording:
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_one_decomposition_per_factor_update(self, count_calls, mode):
-        # the loss record reads the SVDs the block updates read, and ALS
-        # decomposes a factor nowhere else
+        # the loss record reads the bases the block updates read, and ALS
+        # decomposes a factor only after updating it
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         qrs = count_calls(np.linalg, "qr")
         caches = count_calls(tucker, "build_factor_cache")
@@ -861,8 +871,32 @@ class TestLossRecording:
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
                    config=LOSS_CFG)
         assert len(qrs) == 0
-        assert len(caches) == 3 + 2 * 3
+        assert len(caches) == 2 * 3
         assert len(svds) == 0
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_factor_cached_only_after_its_update(self, monkeypatch, mode):
+        # every build_factor_cache call decomposes the factor the update just
+        # before it returned; the start's factors are never decomposed
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        events = []
+        update = "_ridge_factor" if mode == "exact" else "fast_factor_matrix_update"
+        original_update, original_cache = getattr(tucker, update), tucker.build_factor_cache
+
+        def logged_update(*args, **kwargs):
+            events.append(("update", original_update(*args, **kwargs)))
+            return events[-1][1]
+
+        def logged_cache(a):
+            events.append(("cache", a))
+            return original_cache(a)
+
+        monkeypatch.setattr(tucker, update, logged_update)
+        monkeypatch.setattr(tucker, "build_factor_cache", logged_cache)
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
+                   config=LOSS_CFG)
+        assert [kind for kind, _ in events] == ["update", "cache"] * (2 * 3)
+        assert all(events[k][1] is events[k + 1][1] for k in range(0, len(events), 2))
 
     def test_step_seconds_exclude_the_loss_record(self, monkeypatch, rng):
         # a slow loss record must not show in the block-update times
@@ -883,9 +917,10 @@ class TestLossRecording:
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_one_projection_of_the_tensor_per_factor_step(self, count_calls, mode):
         # each exact factor step reads the tensor once, and a fast sweep reads
-        # it once after its sketched factor updates; the records and the core
-        # steps read projections of it, and no exact step hands it to the
-        # Kronecker multiply
+        # it once after its sketched factor updates, in one call that
+        # contracts every mode; the records and the core steps read
+        # projections of it, and no exact step hands it to the Kronecker
+        # multiply
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         projections = count_calls(tucker, "_mode_products")
         multiplies = [count_calls(module, "kron_mat_mul") for module in (solvers, tucker)]
@@ -893,8 +928,7 @@ class TestLossRecording:
                    config=LOSS_CFG)
         reads = [mats for t, mats in projections if np.size(t) == x.size]
         # exact step n contracts every mode but n; a fast sweep every mode
-        # but the last
-        modes = range(3) if mode == "exact" else [2]
+        modes = range(3) if mode == "exact" else [None]
         assert [[m is None for m in mats] for mats in reads] == [
             [k == n for k in range(3)] for _ in range(2) for n in modes]
         assert all(np.size(args[1]) < x.size for calls in multiplies for args in calls)
