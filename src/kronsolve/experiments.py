@@ -133,14 +133,10 @@ def generate_synth_tucker(shape: Sequence[int], rank: Sequence[int],
 
 
 def _median_run(fn: Callable[[], SolveReport], repeats: int) -> SolveReport:
-    """Run ``fn`` repeatedly and keep the median-wall-time report."""
-    reports = [fn() for _ in range(repeats)]
-    reports.sort(key=lambda r: r.wall_time)
-    median = reports[len(reports) // 2]
-    if repeats % 2 == 0:
-        wall = statistics.median(r.wall_time for r in reports)
-        median = replace(median, wall_time=wall)
-    return median
+    """Run ``fn`` repeatedly; keep the middle report, at the median wall time."""
+    reports = sorted((fn() for _ in range(repeats)), key=lambda r: r.wall_time)
+    return replace(reports[len(reports) // 2],
+                   wall_time=statistics.median(r.wall_time for r in reports))
 
 
 def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:

@@ -49,8 +49,9 @@ def kron_mat_mul(factors: Sequence[np.ndarray], b) -> np.ndarray:
 
     ``b`` may be a vector of length ``prod(cols)`` or a matrix with that many
     rows.  One mode product per factor, leading first, costs ``O(K * sum_n
-    I_1..I_n J_n..J_N)`` for ``K`` columns; ``K > 1`` columns enter as a
-    leading mode, so the last factor stays one matrix product.
+    I_1..I_n J_n..J_N)`` for ``K`` columns; the columns enter as a leading
+    mode (``K = 1`` for one right-hand side, none for a vector), so the last
+    factor stays one matrix product.
     """
     factors = check_factors(factors)
     b = np.asarray(b, dtype=np.float64)
@@ -60,11 +61,10 @@ def kron_mat_mul(factors: Sequence[np.ndarray], b) -> np.ndarray:
     if b.shape[0] != cols:
         raise InvalidInputError(
             f"operand has {b.shape[0]} rows but the operator has {cols} columns")
-    col_shape = tuple(a.shape[1] for a in factors)
-    if b.ndim == 2 and b.shape[1] != 1:
-        out = _mode_products(b.T.reshape(b.shape[1:] + col_shape), [None] + factors)
-        return out.reshape(b.shape[1], rows).T
-    return _mode_products(b.reshape(col_shape), factors).reshape((rows,) + b.shape[1:])
+    lead = b.shape[1:]
+    out = _mode_products(b.T.reshape(lead + tuple(a.shape[1] for a in factors)),
+                         [None] * len(lead) + factors)
+    return out.reshape(lead + (rows,)).T
 
 
 def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
@@ -143,7 +143,7 @@ class SparseDiagonal:
         val = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if idx.size != val.size:
             raise InvalidInputError("indices and values must have equal length")
-        if idx.size and np.any(np.diff(idx) <= 0):
+        if np.any(np.diff(idx) <= 0):
             raise InvalidInputError("indices must be strictly increasing")
         if idx.size and idx[0] < 0:
             raise InvalidInputError("indices must be nonnegative")
@@ -175,15 +175,15 @@ def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> 
 def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.ndarray:
     """Rows of the Kronecker product at the given multi-indices.
 
-    ``multi_indices`` has shape (m, N); the result is (m, prod cols).  An
-    empty factor list yields a single all-ones column.
+    ``multi_indices`` has shape (m, N); the result is (m, prod cols), also
+    for m = 0.  An empty factor list yields a single all-ones column.
     """
     multi_indices = np.atleast_2d(np.asarray(multi_indices, dtype=np.intp))
     m = multi_indices.shape[0]
     acc = np.ones((m, 1))
     for n, a in enumerate(factors):
         part = a[multi_indices[:, n], :]
-        acc = (acc[:, :, None] * part[:, None, :]).reshape(m, -1)
+        acc = (acc[:, :, None] * part[:, None, :]).reshape(m, acc.shape[1] * a.shape[1])
     return acc
 
 
@@ -200,7 +200,8 @@ class SketchedKron:
     right row, left column) bin of each entry the transpose accumulates
     (nnz x left-group columns int64), and the column mode order of the two
     groups is kept with its inverse permutation.  Each later apply is then
-    a gather plus small dense multiplies.
+    a gather plus small dense multiplies.  An empty diagonal takes the same
+    path, with zero-row arrays, and its applies return zeros.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
@@ -209,8 +210,6 @@ class SketchedKron:
         self.rows, self.cols = kron_operator_shape(self.factors)
         if s_diag.nnz and s_diag.indices[-1] >= self.rows:
             raise InvalidInputError("sparse diagonal index out of range")
-        if s_diag.nnz == 0:
-            return
         row_shape = tuple(a.shape[0] for a in self.factors)
         self.col_shape = tuple(a.shape[1] for a in self.factors)
         # ties go to the empty left set, so the right group is never empty
@@ -243,8 +242,6 @@ class SketchedKron:
         if c.size != self.cols:
             raise InvalidInputError(
                 f"vector length {c.size} != operator columns {self.cols}")
-        if self.s_diag.nnz == 0:
-            return np.zeros(0)
         r_left = self.left_gather.shape[1]
         grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(-1)
         c_mat = grouped.reshape(r_left, -1).T
@@ -265,8 +262,6 @@ class SketchedKron:
         b_values = np.asarray(b_values, dtype=np.float64).reshape(-1)
         if b_values.size != self.s_diag.nnz:
             raise InvalidInputError("b_values must align with the sparse diagonal")
-        if self.s_diag.nnz == 0:
-            return np.zeros(self.cols)
         scaled = self.s_diag.values * b_values
         shape = (self.right_rows.shape[0], self.left_gather.shape[1])
         terms = scaled[:, None] * self.left_gather

@@ -56,8 +56,6 @@ def ridge_leverage_scores(svd: CompactSvd, lam: float) -> LeverageScores:
     """
     if lam < 0:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
-    if svd.rank == 0:
-        return LeverageScores(np.zeros(svd.u.shape[0]), lam, 1.0)
     s2 = svd.sigma**2
     weights = s2 / (s2 + lam)
     scores = (svd.u**2) @ weights

@@ -93,18 +93,14 @@ def compact_svd(a) -> CompactSvd:
             f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix: {exc}",
             diagnostics={"shape": a.shape},
         ) from exc
-    if s.size == 0 or s[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
+    # s[:1] is empty for an empty matrix, so the rank is 0 there too
+    r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]))
     return CompactSvd(u=u[:, :r].copy(), sigma=s[:r].copy(), v=vt[:r].T.copy())
 
 
 def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose inverse via the compact SVD: ``v @ diag(1/sigma) @ u.T``."""
     svd = compact_svd(a)
-    if svd.rank == 0:
-        return np.zeros((svd.v.shape[0], svd.u.shape[0]))
     return (svd.v / svd.sigma) @ svd.u.T
 
 

@@ -86,9 +86,7 @@ def read_tensor(path) -> np.ndarray:
 
 
 def format_cell(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FORMAT % value
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return FLOAT_FORMAT % float(value)
     return str(value)
 

@@ -365,14 +365,14 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     fibres of ``np.moveaxis(x, n, -1)``, a view of X.  The ``ln(I_n/delta)``
     factor is the per-row union bound of the paper: the one sketch serves
     all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
-    together with probability ``1 - delta``.  When the sample count reaches
-    the leftover row count, the exact update :func:`naive_factor_update`
-    runs instead.  ``caches`` (one per factor of ``model``) supply the other
-    factors' SVDs for the leverage scores, or for that exact update.  When
-    the core or another factor is zero, so is ``K``, and every row's
-    solution is zero.
+    together with probability ``1 - delta``.  The route is picked first:
+    when the sample count reaches the leftover row count, the exact update
+    :func:`naive_factor_update` runs instead, and its check of ``x`` is the
+    call's one scan of X.  ``caches`` (one per factor of ``model``) supply
+    the other factors' SVDs for the leverage scores, or for that exact
+    update.  When the core or another factor is zero, so is ``K``, and
+    every row's solution is zero.
     """
-    x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
     if not 0.0 < config.eps < 1.0 / 3.0:
@@ -387,6 +387,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     if s >= i_rest:
         return naive_factor_update(model, x, n, caches)
 
+    x = _model_tensor(model, x)
     g_n = unfold(model.core, n)
     if not (np.any(g_n) and all(np.any(a) for a in others)):
         return np.zeros_like(model.factors[n])

@@ -137,6 +137,18 @@ class TestRegressionExperiment:
                 np.testing.assert_array_equal(getattr(median, f.name),
                                               getattr(middle, f.name), err_msg=f.name)
 
+    def test_median_of_odd_repeats(self):
+        # the middle run's report by wall time, every field as it ran
+        reports = [SolveReport(solution=np.full(3, wall), loss=10 * wall,
+                               iterations=round(10 * wall),
+                               sample_count=round(100 * wall), wall_time=wall)
+                   for wall in (0.3, 0.1, 0.2)]
+        runs = iter(reports)
+        median = experiments._median_run(lambda: next(runs), 3)
+        for f in dataclasses.fields(SolveReport):
+            np.testing.assert_array_equal(getattr(median, f.name),
+                                          getattr(reports[2], f.name), err_msg=f.name)
+
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             self.make_spec(solvers=("bogus",))

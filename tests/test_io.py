@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kronsolve.errors import TensorFormatError
-from kronsolve.tensor_io import read_tensor, write_results_csv, write_tensor
+from kronsolve.tensor_io import (format_cell, read_tensor, write_results_csv,
+                                 write_tensor)
 
 
 class TestTensorFormat:
@@ -81,6 +82,11 @@ class TestCsv:
         parsed = [float(r[0]) for r in rows[1:]]
         for got, want in zip(parsed, values):
             assert got == want  # 17 digits round-trip float64 exactly
+
+    def test_float32_cell_has_17_digits(self):
+        text = format_cell(np.float32(0.1))
+        assert text == "0.10000000149011612"
+        assert float(text) == float(np.float32(0.1))
 
     def test_header_and_separator(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -78,6 +78,10 @@ class TestKronMatMul:
             got = kron_mat_mul(facs, b)
             assert got.shape == (dense.shape[0],) + b_shape[1:]
             assert np.max(np.abs(got - dense @ b)) <= 1e-10 * max(1, np.max(np.abs(dense @ b)))
+        # one column is the vector's products, to the bit
+        v = rng.standard_normal(cols)
+        np.testing.assert_array_equal(kron_mat_mul(facs, v[:, None]),
+                                      kron_mat_mul(facs, v)[:, None])
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_zero_column_factor(self, position):
@@ -209,6 +213,10 @@ class TestSketchedApplies:
         assert sketched_kron_apply(facs, sd, rng.standard_normal(4)).size == 0
         out = sketched_kron_transpose_apply(facs, sd, np.array([]))
         np.testing.assert_array_equal(out, np.zeros(4))
+        op = SketchedKron(facs, sd)
+        np.testing.assert_array_equal(op.apply(rng.standard_normal(4)), np.zeros(0))
+        np.testing.assert_array_equal(op.transpose_apply(np.zeros(0)), np.zeros(4))
+        np.testing.assert_array_equal(op.normal(rng.standard_normal(4)), np.zeros(4))
 
     def test_single_row_oracle(self, rng):
         facs = random_factors(rng, [(4, 2), (3, 3)])
@@ -437,3 +445,8 @@ class TestSketchRowsOfKron:
         flat = np.arange(12)
         multi = np.stack(np.unravel_index(flat, shape), axis=1)
         np.testing.assert_allclose(kron_rows(facs, multi), dense, atol=1e-12)
+
+    def test_kron_rows_of_no_rows(self, rng):
+        facs = random_factors(rng, [(3, 2), (4, 3)])
+        out = kron_rows(facs, np.zeros((0, 2), dtype=np.intp))
+        assert out.shape == (0, 6)

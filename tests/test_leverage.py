@@ -55,6 +55,11 @@ class TestRidgeLeverageScores:
             np.testing.assert_allclose(ls.scores, dense_ridge_scores(a, lam),
                                        atol=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_rank_zero(self, lam):
+        ls = ridge_leverage_scores(compact_svd(np.zeros((4, 2))), lam)
+        np.testing.assert_array_equal(ls.scores, np.zeros(4))
+
     def test_negative_lambda_rejected(self, rng):
         with pytest.raises(InvalidInputError):
             ridge_leverage_scores(compact_svd(rng.standard_normal((4, 2))), -1.0)

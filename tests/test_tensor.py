@@ -54,6 +54,12 @@ class TestCompactSvd:
         svd = compact_svd(np.zeros((3, 2)))
         assert svd.rank == 0
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        svd = compact_svd(np.zeros(shape))
+        assert svd.rank == 0
+        assert svd.u.shape == (shape[0], 0) and svd.v.shape == (shape[1], 0)
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
             compact_svd([[np.nan, 0.0], [0.0, 1.0]])
@@ -74,6 +80,9 @@ class TestPseudoInverse:
     def test_diagonal(self):
         p = pseudo_inverse([[2.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(p, [[0.5, 0.0], [0.0, 0.0]], atol=1e-12)
+
+    def test_zero_matrix(self):
+        np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
 
     def test_left_inverse_full_rank(self, rng):
         a = rng.standard_normal((5, 3))

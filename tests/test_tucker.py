@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -977,15 +978,47 @@ class TestValidateOnce:
         with pytest.raises(InvalidInputError):
             tucker_als(x, (2, 2, 2), sweeps=1, solver_mode=mode, config=LOSS_CFG)
 
-    def test_nan_tensor_rejected_by_each_step(self, rng):
+    @staticmethod
+    def count_scans(count_calls, size):
+        calls = [count_calls(module, "as_tensor") for module in (tucker, tensor)]
+        return lambda: sum(np.size(args[0]) == size for c in calls for args in c)
+
+    def test_fallback_step_scans_the_tensor_once(self, count_calls, rng):
+        # at alpha 1 the sample count reaches the 42 leftover rows, so the
+        # step picks the exact update before it reads x, and only that
+        # update checks x
+        model = random_model(rng, (8, 7, 6), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((8, 7, 6))
+        scans = self.count_scans(count_calls, x.size)
+        got = fast_factor_matrix_update(model, x, 1, RegressionConfig(alpha=1.0))
+        assert scans() == 1
+        np.testing.assert_array_equal(got, naive_factor_update(model, x, 1))
+
+    def test_fast_als_at_alpha_one_scans_once_per_step(self, count_calls, rng):
+        # one check in tucker_als and one per fallback factor step
+        x = rng.standard_normal((8, 7, 6))
+        scans = self.count_scans(count_calls, x.size)
+        tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=1, solver_mode="fast",
+                   config=RegressionConfig(alpha=1.0))
+        assert scans() == 1 + 3
+
+    def test_nan_tensor_rejected_by_each_step(self, count_calls, rng):
         model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
         x = rng.standard_normal((6, 5, 4))
+        finite = x.copy()
         x[0, 0, 0] = np.inf
         with pytest.raises(InvalidInputError):
             core_update(model, x)
         with pytest.raises(InvalidInputError):
             naive_factor_update(model, x, 1)
-        with pytest.raises(InvalidInputError):
-            fast_factor_matrix_update(model, x, 1, LOSS_CFG)
+        # LOSS_CFG draws at least the 24 leftover rows, so it takes the
+        # exact route; alpha 1e-6 draws one row and takes the sketched one
+        fallbacks = count_calls(tucker, "naive_factor_update")
+        for config, exact in ((LOSS_CFG, 1), (replace(LOSS_CFG, alpha=1e-6), 0)):
+            fast_factor_matrix_update(model, finite, 1, config)
+            assert len(fallbacks) == exact
+            with pytest.raises(InvalidInputError):
+                fast_factor_matrix_update(model, x, 1, config)
+            fallbacks.clear()
         with pytest.raises(InvalidInputError):
             relative_error(model, x)
