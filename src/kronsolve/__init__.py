@@ -1,4 +1,11 @@
-"""Subquadratic Kronecker ridge regression and sketched Tucker ALS."""
+"""Subquadratic Kronecker ridge regression and sketched Tucker ALS.
+
+The names below are the package's API and its one input boundary: each
+function checks what it is given.  The sketch kernels behind the solvers
+(``kron.SketchedKron``, ``leverage.ProductSampler``, ``leverage.sample_rows``
+and the like) stay importable from their modules, but they take the checked
+input of the entry that calls them and check nothing again.
+"""
 
 from .errors import (
     InvalidInputError,
@@ -7,51 +14,24 @@ from .errors import (
     SizeGuardError,
     TensorFormatError,
 )
-from .kron import (
-    SketchedKron,
-    SparseDiagonal,
-    balanced_partition,
-    kron_mat_mul,
-    kron_vec_square,
-    sketched_kron_apply,
-    sketched_kron_transpose_apply,
-    sparse_diagonal_from_sketch,
-)
+from .kron import kron_mat_mul, kron_vec_square
 from .leverage import (
     LeverageScores,
-    ProductSampler,
-    RowSketch,
     approx_leverage_scores_jl,
-    build_product_sampler,
     ridge_leverage_scores,
-    sample_rows,
     spectral_approx_rows,
     statistical_leverage_scores,
 )
 from .solvers import (
-    KronPreconditioner,
     RegressionConfig,
     SolveReport,
-    build_factor_cache,
-    build_kron_preconditioner,
     fast_kronecker_regression,
     kronmatmul_svd_solve,
     naive_normal_solve,
-    richardson_solve,
     ridge_loss,
     sketch_and_solve_ridge,
 )
-from .tensor import (
-    CompactSvd,
-    compact_svd,
-    explicit_kron,
-    fold,
-    multi_mode_product,
-    n_mode_product,
-    pseudo_inverse,
-    unfold,
-    vectorize,
-)
+from .tensor import CompactSvd, compact_svd, multi_mode_product, unfold
 from .tensor_io import read_tensor, write_results_csv, write_tensor
 from .tucker import (
     AlsReport,

@@ -27,13 +27,13 @@ def run_checks() -> int:
             failures += 1
             print(f"FAIL {name}{': ' + detail if detail else ''}")
 
-    # vectorization vs explicit Kronecker expansion
+    # row-major flattening of a multi-mode product vs explicit Kronecker expansion
     g = rng.standard_normal((2, 3, 2))
     facs = [rng.standard_normal((3, 2)), rng.standard_normal((4, 3)),
             rng.standard_normal((2, 2))]
-    lhs = tensor.vectorize(tensor.multi_mode_product(g, facs))
-    rhs = tensor.explicit_kron(facs) @ tensor.vectorize(g)
-    check("vectorize/kron consistency", np.allclose(lhs, rhs, atol=1e-12))
+    lhs = tensor.multi_mode_product(g, facs).reshape(-1)
+    rhs = tensor.explicit_kron(facs) @ g.reshape(-1)
+    check("multi_mode_product/kron consistency", np.allclose(lhs, rhs, atol=1e-12))
 
     # implicit multiplies vs dense
     dense = reduce(np.kron, facs)

@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--repeats", type=int, default=1,
                      help="timing repetitions per cell (median reported)")
     reg.add_argument("--force", action="store_true",
-                     help="disable the exact-solver size guards")
+                     help="disable the dense-matrix size guards of naive "
+                          "and sketch-solve")
     reg.add_argument("--out", required=True, help="output CSV path")
 
     tuck = sub.add_parser("tucker", help="L2-regularized Tucker ALS")

@@ -144,10 +144,7 @@ def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
     guard = None if spec.force else DEFAULT_DENSE_GUARD
     config = RegressionConfig(eps=spec.eps, delta=spec.delta, lam=spec.lam,
                               alpha=spec.alpha, seed=seed)
-    rows = spec.n**spec.order
     try:
-        if solver in ("naive", "kronmatmul") and guard is not None and rows > guard:
-            raise KronsolveError(f"instance has {rows} rows (guard {guard}); use force")
         if solver == "naive":
             report = _median_run(
                 lambda: naive_normal_solve(factors, b, spec.lam,

@@ -1,9 +1,17 @@
 """Fast multiplication with implicit Kronecker products.
 
 The operator ``K = A1 kron ... kron AN`` is only ever represented by its
-factor list.  ``kron_mat_mul`` and ``kron_vec_square`` validate their
-arguments and hand the operand to :func:`~kronsolve.tensor._mode_products`
-as a tensor of the column shape, since ``vec(G x_1 A1 ... x_N AN) = K vec(G)``.
+factor list.  ``kron_mat_mul`` and ``kron_vec_square`` are the package's
+public multiplies: they validate their arguments and hand the operand to
+:func:`~kronsolve.tensor._mode_products` as a tensor of the column shape,
+since ``vec(G x_1 A1 ... x_N AN) = K vec(G)``.
+
+Everything else here is a kernel that takes checked input: the solvers
+validate the factors at their public entry and draw every sketch
+themselves, so :class:`SparseDiagonal`, :func:`sparse_diagonal_from_sketch`,
+:class:`SketchedKron` and its ``sketched_*`` wrappers trust their arguments
+(finite float64 factors, a multi-index sketch inside the row shape, vectors
+of the operator's lengths) and check nothing again.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the narrow left group's row at every nonzero and the distinct rows of
@@ -133,24 +141,12 @@ def balanced_partition(col_dims: Sequence[int]) -> FactorPartition:
 
 @dataclass(frozen=True)
 class SparseDiagonal:
-    """Sparse diagonal over the Kronecker rows: sorted unique flat indices."""
+    """Sparse diagonal over the Kronecker rows: strictly increasing flat
+    int64 ``indices`` inside the row count and finite float64 ``values`` of
+    the same length (not checked)."""
 
     indices: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1)
-        val = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if idx.size != val.size:
-            raise InvalidInputError("indices and values must have equal length")
-        if np.any(np.diff(idx) <= 0):
-            raise InvalidInputError("indices must be strictly increasing")
-        if idx.size and idx[0] < 0:
-            raise InvalidInputError("indices must be nonnegative")
-        if not np.all(np.isfinite(val)):
-            raise InvalidInputError("values must be finite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
 
     @property
     def nnz(self) -> int:
@@ -163,10 +159,10 @@ def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> 
     Repeated draws of the same row accumulate: the diagonal entry at row j is
     ``sqrt(count_j / (p_j s))``, so applying the diagonal twice reproduces
     ``S^T S`` exactly.  One sort (``np.unique``) merges the draws, and
-    ``np.bincount`` adds each row's squared weights in draw order.
+    ``np.bincount`` adds each row's squared weights in draw order.  The
+    sketch holds multi-indices, shape ``(s, N)``, inside ``row_shape``.
     """
-    idx = sketch.indices
-    flat = np.ravel_multi_index(tuple(idx.T), tuple(row_shape)) if idx.ndim == 2 else idx
+    flat = np.ravel_multi_index(tuple(sketch.indices.T), tuple(row_shape))
     unique, inverse = np.unique(flat, return_inverse=True)
     sums = np.bincount(inverse, weights=sketch.weights**2, minlength=unique.size)
     return SparseDiagonal(indices=unique, values=np.sqrt(sums))
@@ -191,8 +187,9 @@ class SketchedKron:
     """The row-sparsified operator ``S K`` for one sparse diagonal ``S``.
 
     Everything that depends only on the factors and the sketch is derived
-    once: the factors are validated and split by :func:`balanced_partition`
-    into a left and a right column group, the left group never the wider.
+    once: the factors, which the caller has checked, are split by
+    :func:`balanced_partition` into a left and a right column group, the
+    left group never the wider.
     ``left_gather`` holds the left-group Kronecker row of every nonzero
     (nnz x left-group columns; one all-ones column when the left group is
     empty), ``right_rows`` the distinct right-group rows and ``right_pos``
@@ -205,11 +202,9 @@ class SketchedKron:
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
-        self.factors = check_factors(factors)
+        self.factors = list(factors)
         self.s_diag = s_diag
         self.rows, self.cols = kron_operator_shape(self.factors)
-        if s_diag.nnz and s_diag.indices[-1] >= self.rows:
-            raise InvalidInputError("sparse diagonal index out of range")
         row_shape = tuple(a.shape[0] for a in self.factors)
         self.col_shape = tuple(a.shape[1] for a in self.factors)
         # ties go to the empty left set, so the right group is never empty
@@ -238,10 +233,6 @@ class SketchedKron:
         columns.  Returns values aligned with ``s_diag.indices`` (already
         scaled by ``s_diag.values``).
         """
-        c = np.asarray(c, dtype=np.float64).reshape(-1)
-        if c.size != self.cols:
-            raise InvalidInputError(
-                f"vector length {c.size} != operator columns {self.cols}")
         r_left = self.left_gather.shape[1]
         grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(-1)
         c_mat = grouped.reshape(r_left, -1).T
@@ -259,9 +250,6 @@ class SketchedKron:
         nonzero order, as ``np.add.at`` would, so the sums are the same to
         the bit.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
         """
-        b_values = np.asarray(b_values, dtype=np.float64).reshape(-1)
-        if b_values.size != self.s_diag.nnz:
-            raise InvalidInputError("b_values must align with the sparse diagonal")
         scaled = self.s_diag.values * b_values
         shape = (self.right_rows.shape[0], self.left_gather.shape[1])
         terms = scaled[:, None] * self.left_gather

@@ -6,6 +6,12 @@ Row importance of a matrix ``A`` is measured by its ridge leverage scores
 approximate regression solutions.  For a Kronecker product the statistical
 score of row ``(i_1, ..., i_N)`` factorizes as the product of per-factor
 scores, so sampling reduces to one categorical draw per factor.
+
+The score functions check their input.  :class:`ProductSampler`,
+:func:`build_product_sampler` and :func:`sample_rows` are kernels that take
+checked input: scores computed from factors a solver has validated (each
+vector nonnegative, finite and not all zero) and a sample count of at
+least one, and they check neither again.
 """
 
 from __future__ import annotations
@@ -153,19 +159,7 @@ class ProductSampler:
     """
 
     def __init__(self, per_factor_scores: Sequence[LeverageScores]):
-        if len(per_factor_scores) == 0:
-            raise InvalidInputError("need at least one score vector")
-        probs = []
-        for n, ls in enumerate(per_factor_scores):
-            scores = np.asarray(ls.scores, dtype=np.float64)
-            if scores.ndim != 1 or scores.size == 0:
-                raise InvalidInputError(f"score vector {n} must be a nonempty vector")
-            if np.any(scores < 0) or not np.all(np.isfinite(scores)):
-                raise InvalidInputError(f"score vector {n} must be nonnegative finite")
-            total = scores.sum()
-            if total <= 0.0:
-                raise InvalidInputError(f"score vector {n} sums to zero")
-            probs.append(scores / total)
+        probs = [ls.scores / ls.scores.sum() for ls in per_factor_scores]
         self.per_factor_probabilities = probs
         self.per_factor_cdf = [np.cumsum(p) for p in probs]
 
@@ -203,20 +197,13 @@ def sample_rows(sampler, s: int, seed) -> RowSketch:
     vector over flat row indices.  A row drawn with probability ``p_j`` gets
     weight ``1 / sqrt(p_j * s)``.
     """
-    if s < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {s}")
     rng = np.random.default_rng(seed)
     if isinstance(sampler, ProductSampler):
         indices = sampler.sample(s, rng)
         probs = sampler.probabilities(indices)
     else:
-        p = np.asarray(sampler, dtype=np.float64).reshape(-1)
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise InvalidInputError("probabilities must be nonnegative finite")
-        total = p.sum()
-        if total <= 0.0:
-            raise InvalidInputError("probability vector sums to zero")
-        p = p / total
+        p = np.asarray(sampler, dtype=np.float64)
+        p = p / p.sum()
         indices = rng.choice(p.size, size=s, replace=True, p=p)
         probs = p[indices]
     weights = 1.0 / np.sqrt(probs * s)

@@ -16,6 +16,16 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
   *unsketched* normal matrix, read off the factor SVDs, so every step costs
   only sparse Kronecker applies.
 
+The four routes and :func:`ridge_loss` are the public entries: each checks
+its factors (2-d and finite; a solve also refuses an identically zero
+factor) and the lengths of its vectors, and :class:`RegressionConfig`
+checks its parameters.  :func:`sketched_ridge_solve`,
+:func:`richardson_solve`, :class:`KronPreconditioner` and the private
+helpers are kernels that take checked input and check it no more; they
+hand it on to the sketch kernels of :mod:`~kronsolve.kron` and
+:mod:`~kronsolve.leverage` unchecked too.  A route checks ``b`` where it
+reads it (:func:`_check_finite_reads`).
+
 Every route reports the ridge loss of its solution.
 :func:`kronmatmul_svd_solve` and :func:`fast_kronecker_regression` hold the
 factor SVDs and read it off the projection ``t = (U1 kron ... kron UN)^T b``
@@ -303,14 +313,10 @@ def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
     """The merged draws of ``sketch``, their multi-indices, and ``b`` there.
 
     ``b``'s leading axes are ``row_shape``, so ``b[multi]`` reads it at the
-    draws alone.  A draw outside ``row_shape`` or a non-finite read raises
-    ``InvalidInputError``.
+    draws alone.  A non-finite read raises ``InvalidInputError``.
     """
-    try:
-        sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-        multi = np.unravel_index(sdiag.indices, row_shape)
-    except ValueError as exc:
-        raise InvalidInputError("sketch index out of range") from exc
+    sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
+    multi = np.unravel_index(sdiag.indices, row_shape)
     b_drawn = b[multi]
     _check_finite_reads(b_drawn, "b at a sampled row")
     return sdiag, multi, b_drawn
@@ -434,7 +440,8 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
 
     ``b`` is read only at the drawn rows, and a non-finite entry there
     raises :class:`InvalidInputError`.  ``factors``, ``right`` and ``lam``
-    are the caller's to validate.
+    are the caller's to validate, and ``sketch`` holds multi-indices inside
+    ``K``'s row shape.
     """
     sdiag, multi, b_drawn = _drawn_rows(sketch, tuple(a.shape[0] for a in factors), b)
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
@@ -454,7 +461,6 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
                            config: RegressionConfig,
-                           sketch=None,
                            max_dense_entries: int | None = DEFAULT_DENSE_GUARD,
                            ) -> SolveReport:
     """Sketch-and-solve baseline: solve the sampled normal equation directly.
@@ -462,22 +468,18 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     Rows of ``K`` are drawn from the exact leverage-score product
     distribution (``ceil(alpha * 1680 R ln(40R) / eps)`` of them) and
     :func:`sketched_ridge_solve` returns ``((SK)^T SK + lam I)^+ (SK)^T S b``
-    from one materialized row per distinct draw.  ``sketch`` overrides the
-    drawn row sketch (test hook).  Guarded: refuses when the sketched matrix
-    could hold more than ``max_dense_entries`` entries.
+    from one materialized row per distinct draw.  Guarded: refuses when the
+    sketched matrix could hold more than ``max_dense_entries`` entries.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
-    t0 = time.perf_counter()
-    if sketch is None:
-        sampler = build_product_sampler(
-            [statistical_leverage_scores(a) for a in factors])
-        s = regression_sample_count(cols, config.eps, config.alpha)
-        sketch = sample_rows(sampler, s, config.seed)
-    s = sketch.sample_count
+    s = regression_sample_count(cols, config.eps, config.alpha)
     if max_dense_entries is not None and max(s * cols, cols * cols) > max_dense_entries:
         raise SizeGuardError(
             f"sketched matrix would hold {s}x{cols} entries "
             f"(guard: {max_dense_entries})")
+    t0 = time.perf_counter()
+    sampler = build_product_sampler([statistical_leverage_scores(a) for a in factors])
+    sketch = sample_rows(sampler, s, config.seed)
     x = sketched_ridge_solve(factors, sketch, b.reshape([a.shape[0] for a in factors]),
                              config.lam)
     wall = time.perf_counter() - t0

@@ -3,10 +3,10 @@
 Conventions
 -----------
 Tensors are plain ``numpy.ndarray`` values in C (row-major) memory order.
-:func:`vectorize` flattens lexicographically by index ``(i_1, ..., i_N)``,
+``x.reshape(-1)`` flattens lexicographically by index ``(i_1, ..., i_N)``,
 which makes
 
-    vectorize(G x_1 A1 x_2 ... x_N AN) == (A1 kron ... kron AN) @ vectorize(G)
+    (G x_1 A1 x_2 ... x_N AN).reshape(-1) == (A1 kron ... kron AN) @ G.reshape(-1)
 
 hold exactly with the factors in natural order; ``v.reshape(shape)``
 inverts it.  Modes are 0-based, like numpy axes.  Every Kronecker multiply
@@ -104,17 +104,11 @@ def pseudo_inverse(a) -> np.ndarray:
     return (svd.v / svd.sigma) @ svd.u.T
 
 
-def vectorize(x) -> np.ndarray:
-    """Flatten a tensor lexicographically by index (row-major)."""
-    return as_tensor(x).reshape(-1)
-
-
 def unfold(x, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding: fibers along ``mode`` become columns.
 
     The result has shape ``(I_mode, prod of the other dims)`` with columns
-    ordered lexicographically by the remaining indices.  Exact inverse of
-    :func:`fold`.
+    ordered lexicographically by the remaining indices.
     """
     x = as_tensor(x)
     if not 0 <= mode < x.ndim:
@@ -125,19 +119,6 @@ def unfold(x, mode: int) -> np.ndarray:
 def _unfold(x: np.ndarray, mode: int) -> np.ndarray:
     """:func:`unfold` of an already validated float64 tensor (no finiteness scan)."""
     return np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1)
-
-
-def fold(m, shape: Sequence[int], mode: int) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of ``shape`` from ``m``."""
-    m = np.asarray(m, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
-        raise InvalidInputError(f"mode {mode} out of range for shape {shape}")
-    rest = shape[:mode] + shape[mode + 1:]
-    if m.shape != (shape[mode], math.prod(rest)):
-        raise InvalidInputError(
-            f"matrix of shape {m.shape} does not unfold to {shape} at mode {mode}")
-    return np.moveaxis(m.reshape((shape[mode],) + rest), 0, mode)
 
 
 def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
@@ -157,47 +138,31 @@ def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarr
     return x
 
 
-def _mode_matrix(x: np.ndarray, a, mode: int) -> np.ndarray:
-    """Validate ``a`` as the matrix of a mode-``mode`` product with ``x``."""
-    a = as_matrix(a)
-    if not 0 <= mode < x.ndim:
-        raise InvalidInputError(f"mode {mode} out of range for order-{x.ndim} tensor")
-    if a.shape[1] != x.shape[mode]:
-        raise InvalidInputError(
-            f"matrix with {a.shape[1]} columns cannot act on mode of size "
-            f"{x.shape[mode]}")
-    return a
-
-
-def n_mode_product(x, a, mode: int) -> np.ndarray:
-    """Multiply every mode-``mode`` fiber of ``x`` by the matrix ``a``.
-
-    Output shape replaces ``x.shape[mode]`` with ``a.shape[0]``.
-    """
-    x = as_tensor(x)
-    a = _mode_matrix(x, a, mode)
-    return _mode_products(x, [a if k == mode else None for k in range(x.ndim)])
-
-
 def multi_mode_product(x, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Apply one matrix per mode: ``x x_1 A1 x_2 ... x_N AN``."""
     x = as_tensor(x)
     if len(factors) != x.ndim:
         raise InvalidInputError(
             f"need {x.ndim} factors for an order-{x.ndim} tensor, got {len(factors)}")
-    return _mode_products(x, [_mode_matrix(x, a, n) for n, a in enumerate(factors)])
+    mats = [as_matrix(a) for a in factors]
+    for n, a in enumerate(mats):
+        if a.shape[1] != x.shape[n]:
+            raise InvalidInputError(
+                f"matrix with {a.shape[1]} columns cannot act on mode of size "
+                f"{x.shape[n]}")
+    return _mode_products(x, mats)
 
 
-def explicit_kron(factors: Sequence[np.ndarray],
-                  max_entries: int = EXPLICIT_KRON_MAX_ENTRIES) -> np.ndarray:
-    """Densify ``A1 kron ... kron AN``.  Test-oracle path, size-guarded."""
+def explicit_kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Densify ``A1 kron ... kron AN``.  Test-oracle path, refused above
+    :data:`EXPLICIT_KRON_MAX_ENTRIES` entries."""
     if len(factors) == 0:
         raise InvalidInputError("need at least one factor")
     mats = [as_matrix(a, f"factor {n}") for n, a in enumerate(factors)]
     rows = math.prod(a.shape[0] for a in mats)
     cols = math.prod(a.shape[1] for a in mats)
-    if rows * cols > max_entries:
+    if rows * cols > EXPLICIT_KRON_MAX_ENTRIES:
         raise SizeGuardError(
             f"explicit Kronecker product would hold {rows}x{cols} entries "
-            f"(guard: {max_entries})")
+            f"(guard: {EXPLICIT_KRON_MAX_ENTRIES})")
     return reduce(np.kron, mats)

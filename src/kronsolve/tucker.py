@@ -370,8 +370,9 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     :func:`naive_factor_update` runs instead, and its check of ``x`` is the
     call's one scan of X.  ``caches`` (one per factor of ``model``) supply
     the other factors' SVDs for the leverage scores, or for that exact
-    update.  When the core or another factor is zero, so is ``K``, and
-    every row's solution is zero.
+    update; on the sketched route, caches whose leverage scores are not
+    finite and positive raise :class:`InvalidInputError`.  When the core or
+    another factor is zero, so is ``K``, and every row's solution is zero.
     """
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
@@ -393,7 +394,13 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
         return np.zeros_like(model.factors[n])
     svds = ([compact_svd(a) for a in others] if caches is None
             else [svd for k, svd in enumerate(caches) if k != n])
-    sampler = build_product_sampler([ridge_leverage_scores(v, 0.0) for v in svds])
+    scores = [ridge_leverage_scores(v, 0.0) for v in svds]
+    # the sampler takes these as given: a finite positive sum of nonnegative
+    # scores rules out what NaN, inf or zero bases in a caller's caches give
+    if not all(0.0 < ls.scores.sum() < math.inf for ls in scores):
+        raise InvalidInputError(
+            "factor caches give leverage scores that are not finite and positive")
+    sampler = build_product_sampler(scores)
     sketch = sample_rows(sampler, s, config.seed)
     return sketched_ridge_solve(others, sketch, np.moveaxis(x, n, -1), model.lam,
                                 right=g_n.T).T

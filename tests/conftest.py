@@ -27,9 +27,7 @@ def sketched_rows(factors, sketch):
     """``S K`` densely: one rescaled row of ``explicit_kron`` per draw."""
     from kronsolve.tensor import explicit_kron
 
-    flat = sketch.indices
-    if flat.ndim == 2:
-        flat = np.ravel_multi_index(tuple(flat.T), tuple(a.shape[0] for a in factors))
+    flat = np.ravel_multi_index(tuple(sketch.indices.T), tuple(a.shape[0] for a in factors))
     return sketch.weights[:, None] * explicit_kron(factors)[flat]
 
 

@@ -117,6 +117,16 @@ class TestRegressionExperiment:
         assert by["naive"].status.startswith("error:")
         assert by["fast"].status == "ok"
 
+    def test_exact_cells_run_above_the_guard_in_rows(self, monkeypatch):
+        # 144 rows against a guard of 100: neither exact solver forms a
+        # rows-sized array, and naive's (prod d)^2 = 16 stays under the guard
+        monkeypatch.setattr(experiments, "DEFAULT_DENSE_GUARD", 100)
+        spec = self.make_spec(n=12, d=2, order=2, seeds=(0,),
+                              solvers=("naive", "kronmatmul"))
+        rows = run_regression_experiment(spec)
+        assert [(r.solver, r.status) for r in rows] == [("naive", "ok"),
+                                                        ("kronmatmul", "ok")]
+
     def test_median_of_even_repeats(self):
         # the report of the upper middle run by wall time, with the median
         # wall time; every other field is that run's

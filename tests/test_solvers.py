@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronsolve
 import kronsolve.kron as kron
 import kronsolve.solvers as solvers
 import kronsolve.tensor as tensor
@@ -267,11 +268,11 @@ class TestSketchAndSolve:
         facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 2))]
         b = rng.standard_normal(20)
         lam = 1e-2
-        full = RowSketch(indices=np.arange(20), weights=np.ones(20))
-        rep = sketch_and_solve_ridge(facs, b, RegressionConfig(lam=lam, seed=0),
-                                     sketch=full)
+        every_row = np.stack(np.unravel_index(np.arange(20), (5, 4)), axis=1)
+        full = RowSketch(indices=every_row, weights=np.ones(20))
+        x = solvers.sketched_ridge_solve(facs, full, b.reshape(5, 4), lam)
         exact = kronmatmul_svd_solve(facs, b, lam)
-        np.testing.assert_allclose(rep.solution, exact.solution, atol=1e-8)
+        np.testing.assert_allclose(x, exact.solution, atol=1e-8)
 
     def test_zero_target(self, rng):
         facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 2))]
@@ -296,18 +297,13 @@ class TestSketchAndSolve:
         facs = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3))]
         b = rng.standard_normal(20)
         flat = np.array([3, 7, 3, 19, 7, 7, 0, 12])
-        sketch = RowSketch(indices=flat, weights=rng.uniform(0.5, 2.0, flat.size))
-        rep = sketch_and_solve_ridge(facs, b, RegressionConfig(lam=0.1, seed=0),
-                                     sketch=sketch)
+        multi = np.stack(np.unravel_index(flat, (5, 4)), axis=1)
+        sketch = RowSketch(indices=multi, weights=rng.uniform(0.5, 2.0, flat.size))
+        x = solvers.sketched_ridge_solve(facs, sketch, b.reshape(5, 4), 0.1)
         sk = sketched_rows(facs, sketch)
         want = (np.linalg.pinv(sk.T @ sk + 0.1 * np.eye(6))
                 @ (sk.T @ (sketch.weights * b[flat])))
-        assert np.linalg.norm(rep.solution - want) <= 1e-12 * np.linalg.norm(want)
-        for indices in (np.array([3, 20]), np.array([[0, 1], [5, 0]]),
-                        np.array([[0, 1], [0, -1]])):
-            outside = RowSketch(indices=indices, weights=np.ones(2))
-            with pytest.raises(InvalidInputError):
-                sketch_and_solve_ridge(facs, b, RegressionConfig(lam=0.1), sketch=outside)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_sample_count_scales_before_rounding(self, rng):
         # ceil(0.3 * 1680 ln(40) / 0.1) = ceil(18591.95) = 18592; scaling the
@@ -699,13 +695,54 @@ class TestNonFiniteTarget:
             fast_kronecker_regression(factors, b, RegressionConfig(lam=1e-3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_sketch_and_solve_rejects_a_drawn_entry(self, bad):
+    def test_sketch_and_solve_rejects_a_drawn_entry(self, count_calls, bad):
+        # the solver's own seeded sketch; one of its draws is made non-finite
         factors, b = self.problem()
-        sketch = RowSketch(indices=np.array([[0, 1], [5, 2], [5, 2], [19, 19]]),
-                           weights=np.ones(4))
-        b[5 * 20 + 2] = bad
+        calls = count_calls(solvers, "sparse_diagonal_from_sketch")
+        sketch_and_solve_ridge(factors, b, self.CFG)
+        (sketch, row_shape), = calls
+        b[np.ravel_multi_index(tuple(sketch.indices[0]), row_shape)] = bad
         with pytest.raises(InvalidInputError):
-            sketch_and_solve_ridge(factors, b, self.CFG, sketch=sketch)
+            sketch_and_solve_ridge(factors, b, self.CFG)
+
+
+class TestPublicBoundary:
+    """The package's regression entries are the one place a factor is
+    checked: the sketch kernels behind them take it as given."""
+
+    CFG = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-3)
+    ENTRIES = {
+        "naive_normal_solve": lambda f, b: kronsolve.naive_normal_solve(f, b, 1e-3),
+        "kronmatmul_svd_solve": lambda f, b: kronsolve.kronmatmul_svd_solve(f, b, 1e-3),
+        "sketch_and_solve_ridge":
+            lambda f, b: kronsolve.sketch_and_solve_ridge(f, b, TestPublicBoundary.CFG),
+        "fast_kronecker_regression":
+            lambda f, b: kronsolve.fast_kronecker_regression(f, b, TestPublicBoundary.CFG),
+        "ridge_loss": lambda f, b: kronsolve.ridge_loss(f, np.ones(6), b, 1e-3),
+        "kron_mat_mul": lambda f, b: kronsolve.kron_mat_mul(f, np.ones(6)),
+    }
+
+    @staticmethod
+    def bad_factor(kind):
+        a = np.random.default_rng(1).standard_normal((4, 3))
+        if kind == "ndim":
+            return a.reshape(4, 3, 1)
+        a[1, 2] = {"nan": np.nan, "inf": np.inf}[kind]
+        return a
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "ndim"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_entry_rejects_a_bad_factor(self, entry, kind):
+        good = np.random.default_rng(0).standard_normal((5, 2))
+        with pytest.raises(InvalidInputError):
+            self.ENTRIES[entry]([good, self.bad_factor(kind)], np.ones(20))
+
+    @pytest.mark.parametrize("entry", sorted(set(ENTRIES) - {"kron_mat_mul"}))
+    def test_entry_rejects_b_of_the_wrong_length(self, entry):
+        rng = np.random.default_rng(0)
+        factors = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3))]
+        with pytest.raises(InvalidInputError):
+            self.ENTRIES[entry](factors, np.ones(19))
 
 
 class TestConfig:

@@ -956,6 +956,18 @@ class TestLossRecording:
 
 
 class TestValidateOnce:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sketched_step_rejects_non_finite_caches(self, rng, bad):
+        # the product sampler takes the scores of the caller's caches as given
+        model = random_model(rng, (30, 30, 30), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((30, 30, 30))
+        config = replace(LOSS_CFG, alpha=1e-6)
+        caches = [compact_svd(a) for a in model.factors]
+        fast_factor_matrix_update(model, x, 0, config, caches=caches)
+        caches[1].u[3, 1] = bad
+        with pytest.raises(InvalidInputError):
+            fast_factor_matrix_update(model, x, 0, config, caches=caches)
+
     def test_als_scans_the_tensor_once(self, monkeypatch, rng):
         x = rng.standard_normal((7, 6, 5))
         scans = []
