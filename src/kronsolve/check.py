@@ -82,16 +82,16 @@ def run_checks() -> int:
     check("leverage product law",
           np.allclose(joint, full.normalized(), atol=1e-9))
 
-    # Richardson with the exact normal matrix converges in one step
+    # PCG with the exact normal matrix as preconditioner converges in one step
     a = rng.standard_normal((8, 3))
     ata = a.T @ a
     inv = np.linalg.inv(ata)
-    x, iters = solvers.richardson_solve(
-        lambda v: ata @ v, lambda v: inv @ v, a.T @ bb[:8], 1.0,
-        solvers.RegressionConfig(eps=0.25))
+    x, iters = solvers.pcg_solve(
+        lambda v: ata @ v, lambda v: inv @ v, a.T @ bb[:8],
+        solvers.RegressionConfig(eps=0.25), float(bb[:8] @ bb[:8]))
     xstar = np.linalg.lstsq(a, bb[:8], rcond=None)[0]
-    check("richardson exact preconditioner",
-          iters <= 1 and np.allclose(x, xstar, atol=1e-8))
+    check("pcg exact preconditioner",
+          iters == 1 and np.allclose(x, xstar, atol=1e-8))
 
     # Woodbury-corrected preconditioner vs dense pseudoinverse
     model = tucker.TuckerModel(

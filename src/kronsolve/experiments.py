@@ -4,14 +4,14 @@ The synthetic regression task draws all factor entries i.i.d. from a normal
 distribution with mean 1 and variance 0.001 and fits the all-ones response;
 the Tucker task decomposes either a tensor file or a generated noisy
 low-rank tensor.  Each run emits one CSV row per (solver, seed) cell with
-loss, ratio against the exact optimum, sampled row count, and wall time.
+loss, ratio against OPT, sampled rows, wall time, iterations and convergence.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ REGRESSION_SOLVERS = ("naive", "kronmatmul", "sketch-solve", "fast")
 EXACT_SOLVERS = ("kronmatmul", "naive")
 
 RESULT_HEADER = ("solver", "n", "d", "order", "seed", "loss", "ratio",
-                 "rows_sampled", "wall_time", "status")
+                 "rows_sampled", "wall_time", "iterations", "converged", "status")
 
 TUCKER_HEADER = ("sweep", "loss", "rre", "sweep_seconds")
 
@@ -97,11 +97,12 @@ class ResultRow:
     ratio: float
     rows_sampled: int
     wall_time: float
+    iterations: int = 0
+    converged: bool = False
     status: str = "ok"
 
     def as_csv(self) -> tuple:
-        return (self.solver, self.n, self.d, self.order, self.seed, self.loss,
-                self.ratio, self.rows_sampled, self.wall_time, self.status)
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def generate_synth_regression(n: int, d: int, order: int, seed,
@@ -171,8 +172,8 @@ def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
                          status=f"error: {exc}")
     return ResultRow(solver=solver, n=spec.n, d=spec.d, order=spec.order,
                      seed=seed, loss=report.loss, ratio=math.nan,
-                     rows_sampled=report.sample_count,
-                     wall_time=report.wall_time)
+                     rows_sampled=report.sample_count, wall_time=report.wall_time,
+                     iterations=report.iterations, converged=report.converged)
 
 
 def run_regression_experiment(spec: ExperimentSpec,

@@ -10,7 +10,7 @@ implicit Kronecker design matrix.  ``exact`` mode solves them exactly
 rows per factor update and solves the small sketched ridge problem for all
 rows of the factor at once, directly with
 :func:`~kronsolve.solvers.sketched_ridge_solve` (as sketched Tucker-ALS
-does, Malik & Becker 2018), so no Tucker step runs Richardson iteration.
+does, Malik & Becker 2018), so no Tucker step runs conjugate gradients.
 A fast sweep projects the tensor once, after its last factor update, and
 reads the exact ridge core and the sweep's losses off that projection.
 
@@ -370,8 +370,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     :func:`naive_factor_update` runs instead, and its check of ``x`` is the
     call's one scan of X.  ``caches`` (one per factor of ``model``) supply
     the other factors' SVDs for the leverage scores, or for that exact
-    update; on the sketched route, caches whose leverage scores are not
-    finite and positive raise :class:`InvalidInputError`.  When the core or
+    update; a non-finite entry in them (on either route) or, on the sketched
+    route, a zero basis raises :class:`InvalidInputError`.  When the core or
     another factor is zero, so is ``K``, and every row's solution is zero.
     """
     if not 0 <= n < len(model.factors):
@@ -380,6 +380,10 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
         raise InvalidInputError(
             f"factor updates require eps in (0, 1/3), got {config.eps}")
     others = _other_factors(model, n)
+    if caches is not None and not all(
+            np.all(np.isfinite(part)) for k, svd in enumerate(caches) if k != n
+            for part in (svd.u, svd.sigma, svd.v)):
+        raise InvalidInputError("factor caches contain non-finite entries")
     i_n = model.factors[n].shape[0]
     r_rest = math.prod(a.shape[1] for a in others)
     i_rest = math.prod(a.shape[0] for a in others)
@@ -395,11 +399,9 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     svds = ([compact_svd(a) for a in others] if caches is None
             else [svd for k, svd in enumerate(caches) if k != n])
     scores = [ridge_leverage_scores(v, 0.0) for v in svds]
-    # the sampler takes these as given: a finite positive sum of nonnegative
-    # scores rules out what NaN, inf or zero bases in a caller's caches give
-    if not all(0.0 < ls.scores.sum() < math.inf for ls in scores):
-        raise InvalidInputError(
-            "factor caches give leverage scores that are not finite and positive")
+    # the sampler takes these as given; a zero basis in a cache sums to zero
+    if not all(ls.scores.sum() > 0.0 for ls in scores):
+        raise InvalidInputError("factor caches give leverage scores without a positive sum")
     sampler = build_product_sampler(scores)
     sketch = sample_rows(sampler, s, config.seed)
     return sketched_ridge_solve(others, sketch, np.moveaxis(x, n, -1), model.lam,

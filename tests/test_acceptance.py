@@ -32,7 +32,7 @@ from kronsolve.solvers import (
     fast_kronecker_regression,
     kronmatmul_svd_solve,
     naive_normal_solve,
-    richardson_solve,
+    pcg_solve,
     sketch_and_solve_ridge,
 )
 from kronsolve.tensor import unfold
@@ -188,7 +188,7 @@ def test_exact_solver_agreement():
                   f"worst rel dev {worst:.2e} over 50 instances")
 
 
-def test_richardson_rate():
+def test_pcg_rate():
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     ok = True
@@ -196,32 +196,34 @@ def test_richardson_rate():
         a = rng.standard_normal((8, 3))
         b = rng.standard_normal(8)
         ata = a.T @ a
-        xstar = np.linalg.lstsq(a, b, rcond=None)[0]
+        ata_inv = np.linalg.inv(ata)
+        w, q = np.linalg.eigh(ata)
+        inv_root = (q / np.sqrt(w)) @ q.T
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rhs = a.T @ b
+        e0 = math.sqrt(rhs @ ata_inv @ rhs)
         for kappa in (1.0, 2.0, 4.0):
-            m = kappa * ata
-            minv = np.linalg.inv(m)
+            # M A has condition number kappa: its eigenvalues are 1..kappa
+            m = inv_root @ ((basis * np.linspace(1.0, kappa, 3)) @ basis.T) @ inv_root
+            # iterate k's error is A^{-1} r_k, and r_k is the argument of
+            # the k-th preconditioner apply
+            residuals = []
 
-            def mnorm(v):
-                return math.sqrt(abs(v @ m @ v))
+            def apply_precond(r):
+                residuals.append(r.copy())
+                return m @ r
 
-            # iterate k >= 1 is the argument of the k-th normal apply, and
-            # the returned x is iterate ``iters``
-            iterates = []
-
-            def apply_normal(v):
-                iterates.append(v.copy())
-                return ata @ v
-
-            x, iters = richardson_solve(apply_normal, lambda v: minv @ v,
-                                        a.T @ b, 1.0, RegressionConfig(eps=0.25))
-            e0 = mnorm(xstar)
-            rate = 1.0 - 1.0 / kappa
-            for k, xk in [*enumerate(iterates, start=1), (iters, x)]:
-                bound = rate**k * e0 * 1.01 + 1e-12 * e0
-                ok &= mnorm(xk - xstar) <= bound
+            x, iters = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
+                                 RegressionConfig(eps=0.01), float(b @ b))
+            errors = [math.sqrt(abs(r @ ata_inv @ r)) for r in residuals]
+            errors.append(math.sqrt(abs((x - ata_inv @ rhs) @ ata @ (x - ata_inv @ rhs))))
+            rate = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
+            for k, err in zip([*range(len(residuals)), iters], errors):
+                ok &= err <= 2 * rate**k * e0 * 1.01 + 1e-12 * e0
     elapsed = time.perf_counter() - t0
-    assert report("richardson-rate", ok, elapsed, 5,
-                  "M-norm error within (1-1/kappa)^k for kappa in {1,2,4}")
+    assert report("pcg-rate", ok, elapsed, 5,
+                  "A-norm error within 2((sqrt(kappa)-1)/(sqrt(kappa)+1))^k "
+                  "for kappa in {1,2,4}")
 
 
 def test_woodbury_correctness():

@@ -75,6 +75,19 @@ class TestRegressionExperiment:
         header = read_csv(out)[0]
         assert header[0] == "solver"
 
+    def test_csv_reports_iterations_and_convergence(self, tmp_path):
+        # 64^2 rows against about 800 draws: the fast cell runs PCG
+        out = tmp_path / "r.csv"
+        spec = self.make_spec(n=64, alpha=1e-4, seeds=(0,),
+                              solvers=("kronmatmul", "fast"))
+        run_regression_experiment(spec, out_path=out)
+        with open(out, newline="") as fh:
+            rows = {row["solver"]: row for row in csv.DictReader(fh)}
+        exact, fast = rows["kronmatmul"], rows["fast"]
+        assert (exact["iterations"], exact["converged"]) == ("0", "True")
+        assert int(fast["rows_sampled"]) > 0
+        assert int(fast["iterations"]) > 0 and fast["converged"] == "True"
+
     def test_opt_is_kronmatmul_unless_it_failed(self, monkeypatch):
         # naive runs first, yet OPT is the reference kronmatmul loss
         spec = self.make_spec(solvers=("naive", "kronmatmul", "fast"))

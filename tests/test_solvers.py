@@ -27,7 +27,7 @@ from kronsolve.solvers import (
     fast_kronecker_regression,
     kronmatmul_svd_solve,
     naive_normal_solve,
-    richardson_solve,
+    pcg_solve,
     ridge_loss,
     sketch_and_solve_ridge,
 )
@@ -46,79 +46,176 @@ def svd_preconditioner(factors, lam):
                                      [s.sigma**2 for s in svds], lam)
 
 
-class TestRichardson:
+def energy_norm_preconditioner(ata, kappa, rng):
+    """``M`` with ``M ata`` of condition number exactly ``kappa``:
+    ``ata^{-1/2} H ata^{-1/2}`` for an ``H`` with eigenvalues spread over
+    ``[1, kappa]`` in a random basis."""
+    w, q = np.linalg.eigh(ata)
+    inv_root = (q / np.sqrt(w)) @ q.T
+    basis, _ = np.linalg.qr(rng.standard_normal(ata.shape))
+    h = (basis * np.linspace(1.0, kappa, ata.shape[0])) @ basis.T
+    return inv_root @ h @ inv_root
+
+
+def recording(m):
+    """``v -> m @ v`` and the list of copies of its arguments: as PCG's
+    preconditioner, the k-th is the residual ``r_k`` of iterate ``k``."""
+    args = []
+
+    def apply(v):
+        args.append(v.copy())
+        return m @ v
+
+    return apply, args
+
+
+class TestPcg:
     def test_exact_preconditioner_converges_in_one_step(self, rng):
         a = rng.standard_normal((8, 3))
         b = rng.standard_normal(8)
         ata = a.T @ a
         inv = np.linalg.inv(ata)
-        x, iters = richardson_solve(lambda v: ata @ v, lambda v: inv @ v,
-                                    a.T @ b, 1.0, RegressionConfig(eps=0.25))
+        x, iters = pcg_solve(lambda v: ata @ v, lambda v: inv @ v, a.T @ b,
+                             RegressionConfig(eps=0.25), float(b @ b))
         assert iters == 1
         np.testing.assert_allclose(x, lstsq_solution(a, b), atol=1e-10)
 
     @pytest.mark.parametrize("kappa", [2.0, 4.0])
-    def test_contraction_rate(self, rng, kappa):
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
+    def test_energy_error_bound(self, rng, kappa):
+        # ||x_k - x*||_A <= 2 ((sqrt(kappa) - 1) / (sqrt(kappa) + 1))^k ||x*||_A
+        # for kappa the condition number of M A; iterate k's error is
+        # A^{-1} r_k, and r_k is the argument of the k-th preconditioner apply
+        a = rng.standard_normal((40, 10))
+        b = rng.standard_normal(40)
         ata = a.T @ a
-        m = kappa * ata
-        minv = np.linalg.inv(m)
-        xstar = lstsq_solution(a, b)
-
-        def mnorm(v):
-            return math.sqrt(v @ m @ v)
-
-        # iterate k >= 1 is the argument of the k-th normal apply, and the
-        # returned x is iterate ``iters``
-        iterates = []
-
-        def apply_normal(v):
-            iterates.append(v.copy())
-            return ata @ v
-
-        x, iters = richardson_solve(apply_normal, lambda v: minv @ v, a.T @ b,
-                                    1.0, RegressionConfig(eps=0.25))
-        assert iters >= len(iterates) > 0
-        e0 = mnorm(xstar)
-        rate = 1.0 - 1.0 / kappa
-        for k, xk in [*enumerate(iterates, start=1), (iters, x)]:
-            assert mnorm(xk - xstar) <= rate**k * e0 * (1 + 1e-10) + 1e-12
-
-    def test_zero_start_skips_the_zero_product(self, rng):
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
-        ata = a.T @ a
-        minv = np.linalg.inv(2.0 * ata)
+        ata_inv = np.linalg.inv(ata)
+        apply_precond, residuals = recording(energy_norm_preconditioner(ata, kappa, rng))
         rhs = a.T @ b
+        x, iters = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
+                             RegressionConfig(eps=0.01), float(b @ b))
+        assert iters >= 3
+        rate = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
+        e0 = math.sqrt(rhs @ ata_inv @ rhs)
+        xstar = ata_inv @ rhs
+        errors = [math.sqrt(r @ ata_inv @ r) for r in residuals]
+        errors.append(math.sqrt((x - xstar) @ ata @ (x - xstar)))
+        steps = [*range(len(residuals)), iters]
+        for k, err in zip(steps, errors):
+            assert err <= 2 * rate**k * e0 * (1 + 1e-10) + 1e-12 * e0, (k, err)
+
+    def test_stops_on_the_loss_rule(self, rng):
+        # the stop is the first step that lowers the loss ||a x - b||^2 by at
+        # most eps^2 / 10 of the loss left after it; iterate k's residual
+        # r_k is the argument of the k-th preconditioner apply, and
+        # x_k = A^{-1} (rhs - r_k).  Most of b lies in a's range, so the
+        # loss left is far below ||b||^2, and the stop comes well before
+        # CG's 40 steps to the exact solution
+        a = rng.standard_normal((200, 40))
+        b = a @ rng.standard_normal(40) + 0.1 * rng.standard_normal(200)
+        ata = a.T @ a
+        apply_precond, residuals = recording(energy_norm_preconditioner(ata, 20.0, rng))
+        rhs = a.T @ b
+        eps = 0.1
+        x, iters = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
+                             RegressionConfig(eps=eps), float(b @ b))
+        iterates = [np.linalg.solve(ata, rhs - r) for r in residuals[:iters]] + [x]
+        losses = [float((a @ v - b) @ (a @ v - b)) for v in iterates]
+        stops = [losses[k - 1] - losses[k] <= eps**2 / 10 * losses[k]
+                 for k in range(1, len(losses))]
+        assert iters > 2 and stops == [False] * (iters - 1) + [True]
+
+    def test_one_normal_apply_per_iteration(self, rng):
+        a = rng.standard_normal((30, 6))
+        b = rng.standard_normal(30)
+        ata = a.T @ a
+        apply_normal, normals = recording(ata)
+        apply_precond, preconds = recording(energy_norm_preconditioner(ata, 8.0, rng))
+        x, iters = pcg_solve(apply_normal, apply_precond, a.T @ b,
+                             RegressionConfig(eps=0.01), float(b @ b))
+        assert iters > 1
+        assert len(normals) == iters
+        # one apply per step, plus the start's; the last step skips its own
+        # when the loss stops the iteration
+        assert iters <= len(preconds) <= iters + 1
+
+    def test_consistent_system_runs_to_the_floor(self, rng):
+        # b in a's range leaves no loss to stop on, so PCG runs until r^T z
+        # falls to RESIDUAL_TOL^2 of its start
+        a = rng.standard_normal((200, 40))
+        x_true = rng.standard_normal(40)
+        b = a @ x_true
+        ata = a.T @ a
+        m = energy_norm_preconditioner(ata, 2.0, rng)
+        cfg = RegressionConfig(eps=0.1)
+        x, iters = pcg_solve(lambda v: ata @ v, lambda v: m @ v, a.T @ b, cfg,
+                             float(b @ b))
+        assert iters < cfg.effective_max_iters
+        assert np.linalg.norm(x - x_true) <= 1e-8 * np.linalg.norm(x_true)
+
+    def test_stops_at_the_cap(self):
+        # a consistent system (b_norm_sq is the loss at zero, so the optimum
+        # is 0) whose 100 eigendirections, spread over six decades with no
+        # preconditioning, each hold 1 of the loss: every step still lowers
+        # the loss left by more than eps^2 / 10, and the floor is far off
+        d = np.logspace(0, 6, 100)
+        rhs = np.sqrt(d)
         cfg = RegressionConfig(eps=0.25)
-        calls = []
+        x, iters = pcg_solve(lambda v: d * v, lambda v: v, rhs, cfg,
+                             float(rhs @ (rhs / d)))
+        assert iters == cfg.effective_max_iters
 
-        def apply_normal(v):
-            calls.append(v)
-            return ata @ v
+    def test_zero_rhs_gives_zeros(self):
+        apply_normal, calls = recording(np.eye(4))
+        x, iters = pcg_solve(apply_normal, lambda v: v, np.zeros(4),
+                             RegressionConfig(eps=0.25), 1.0)
+        assert iters == 0 and not calls
+        np.testing.assert_array_equal(x, np.zeros(4))
 
-        x, iters = richardson_solve(apply_normal, lambda v: minv @ v, rhs, 1.0, cfg)
-        # the contraction 1/2 needs more steps than the budget, which is spent
-        assert iters == cfg.effective_max_iters > 1
-        # the same iteration with the zero product applied gives the same bits
-        want = np.zeros(3)
-        for _ in range(iters):
-            want = want - 1.0 * (minv @ (ata @ want - rhs))
-        np.testing.assert_array_equal(x, want)
-        assert len(calls) == iters - 1
-        assert all(np.any(v) for v in calls)
-
-    def test_divergence_detected(self, rng):
+    def test_negated_preconditioner_raises(self, rng):
         a = rng.standard_normal((6, 3))
         ata = a.T @ a
-        # a negated preconditioner pushes the iterate away from the solution
+        # a stop that only compared r^T z with its tolerance would return the
+        # zero start here
         bad = -np.linalg.inv(ata)
         with pytest.raises(NumericalFailureError) as err:
-            richardson_solve(lambda v: ata @ v, lambda v: bad @ v,
-                             rng.standard_normal(3), 1.0,
-                             RegressionConfig(eps=0.25))
-        assert "residual_history" in err.value.diagnostics
+            pcg_solve(lambda v: ata @ v, lambda v: bad @ v,
+                      rng.standard_normal(3), RegressionConfig(eps=0.25), 1.0)
+        assert err.value.iterations == 0
+        assert err.value.diagnostics["rz"] < 0
+
+    def test_indefinite_operator_raises(self, rng):
+        with pytest.raises(NumericalFailureError) as err:
+            pcg_solve(lambda v: -v, lambda v: v, rng.standard_normal(3),
+                      RegressionConfig(eps=0.25), 1.0)
+        assert err.value.diagnostics["pq"] < 0
+
+    @pytest.mark.parametrize("eps,lam", [(0.25, 1e-3), (0.1, 0.0), (0.05, 1e-2)])
+    def test_sketched_loss_near_the_direct_solve(self, rng, eps, lam):
+        # the fast route's operator, preconditioner and ||S b||^2 on a small
+        # order-2 sketch: PCG's sketched loss is within (1 + eps^2) of the
+        # direct solve's on the same sketch
+        facs = [rng.normal(1.0, 0.1, (30, 3)), rng.normal(1.0, 0.1, (25, 4))]
+        b = rng.standard_normal((30, 25))
+        scores = [statistical_leverage_scores(a) for a in facs]
+        sketch = sample_rows(build_product_sampler(scores), 150, 0)
+        sdiag = kron.sparse_diagonal_from_sketch(sketch, b.shape)
+        op = kron.SketchedKron(facs, sdiag)
+        sb = sdiag.values * b[np.unravel_index(sdiag.indices, b.shape)]
+        x, iters = pcg_solve(lambda v: op.normal(v) + lam * v,
+                             svd_preconditioner(facs, lam).apply,
+                             op.transpose_apply(sb), RegressionConfig(eps=eps),
+                             float(sb @ sb))
+        direct = solvers.sketched_ridge_solve(facs, sketch, b, lam)
+        # the oracle keeps every draw as its own row of explicit_kron
+        design = sketched_rows(facs, sketch)
+        target = sketch.weights * b[tuple(sketch.indices.T)]
+
+        def sketched_loss(v):
+            r = design @ v - target
+            return float(r @ r) + lam * float(v @ v)
+
+        assert 0 < iters < RegressionConfig(eps=eps).effective_max_iters
+        assert sketched_loss(x) <= (1 + eps**2) * sketched_loss(direct)
 
 
 class TestRidgeLoss:
@@ -450,6 +547,33 @@ class TestFastKroneckerRegression:
                 np.testing.assert_array_equal(getattr(rep, f.name),
                                               getattr(exact, f.name), err_msg=f.name)
 
+    @pytest.mark.parametrize("alpha", [2e-4, 1.0])
+    def test_report_says_how_the_solve_ended(self, alpha):
+        # the sketched route reports PCG's applies and that it stopped before
+        # its cap; the exact fallback (alpha 1) reports none and converged
+        rs = np.random.default_rng(0)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=alpha)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
+        sketched = alpha < 1.0
+        assert (rep.sample_count > 0) == sketched
+        assert (rep.iterations > 0) == sketched
+        assert rep.iterations < cfg.effective_max_iters
+        assert rep.converged is True
+
+    def test_report_says_when_pcg_ran_out_of_iterations(self, monkeypatch):
+        real = solvers.pcg_solve
+
+        def capped(*args):
+            return real(*args)[0], args[3].effective_max_iters
+
+        monkeypatch.setattr(solvers, "pcg_solve", capped)
+        rs = np.random.default_rng(0)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.25, lam=1e-3, seed=0, alpha=2e-4)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
+        assert rep.iterations == cfg.effective_max_iters and rep.converged is False
+
     def test_approximation_contract_sketched(self):
         # alpha scaled down so the sketch is real (about 214 of 400 rows)
         hits = 0
@@ -746,9 +870,8 @@ class TestPublicBoundary:
 
 
 class TestConfig:
-    def test_default_damping_and_iters(self):
+    def test_default_iteration_cap(self):
         cfg = RegressionConfig(eps=0.25)
-        assert cfg.effective_damping == pytest.approx(0.5)
         assert cfg.effective_max_iters == 8 * math.ceil(math.log(4.0))
 
     def test_range_validation(self):

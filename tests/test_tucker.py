@@ -580,7 +580,7 @@ class TestSketchedCoreUpdate:
     def test_fast_als_runs_no_richardson(self, count_calls):
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         unused = [count_calls(module, name) for module in (kron, solvers, tucker)
-                  for name in ("fast_kronecker_regression", "richardson_solve",
+                  for name in ("fast_kronecker_regression", "pcg_solve", "richardson_solve",
                                "build_kron_preconditioner", "factor_gram",
                                "ridge_loss", "SketchedKron")
                   if hasattr(module, name)]
@@ -965,6 +965,21 @@ class TestValidateOnce:
         caches = [compact_svd(a) for a in model.factors]
         fast_factor_matrix_update(model, x, 0, config, caches=caches)
         caches[1].u[3, 1] = bad
+        with pytest.raises(InvalidInputError):
+            fast_factor_matrix_update(model, x, 0, config, caches=caches)
+
+    @pytest.mark.parametrize("part", ["u", "sigma", "v"])
+    def test_fallback_step_rejects_non_finite_caches(self, rng, count_calls, part):
+        # at alpha 1 the step runs the exact update on the caller's caches,
+        # which would turn a NaN there into a NaN factor
+        model = random_model(rng, (30, 30, 30), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((30, 30, 30))
+        config = replace(LOSS_CFG, alpha=1.0)
+        caches = [compact_svd(a) for a in model.factors]
+        fallbacks = count_calls(tucker, "naive_factor_update")
+        fast_factor_matrix_update(model, x, 0, config, caches=caches)
+        assert len(fallbacks) == 1
+        getattr(caches[1], part)[0] = np.nan
         with pytest.raises(InvalidInputError):
             fast_factor_matrix_update(model, x, 0, config, caches=caches)
 
