@@ -60,7 +60,7 @@ def ridge_leverage_scores(svd: CompactSvd, lam: float) -> LeverageScores:
     ``l_i = sum_k sigma_k^2 / (sigma_k^2 + lam) * u_ik^2``; with ``lam = 0``
     these are the statistical leverage scores and sum to the rank.
     """
-    if lam < 0:
+    if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     s2 = svd.sigma**2
     weights = s2 / (s2 + lam)

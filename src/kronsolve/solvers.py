@@ -95,7 +95,7 @@ class RegressionConfig:
             raise InvalidInputError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError(f"delta must be in (0, 1), got {self.delta}")
-        if self.lam < 0.0:
+        if not 0.0 <= self.lam < math.inf:
             raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
@@ -280,6 +280,8 @@ def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
         raise InvalidInputError(f"x has length {x.size}, operator has {cols} columns")
     if b.size != rows:
         raise InvalidInputError(f"b has length {b.size}, operator has {rows} rows")
+    if not 0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     first, rest = factors[0], factors[1:]
     per_row = math.prod(a.shape[0] for a in rest)  # rows of K per row of A1
     step = max(1, _LOSS_BLOCK_ENTRIES // max(per_row, 1))
@@ -340,7 +342,7 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
     Guarded: refuses when ``(prod R_n)^2`` exceeds ``max_dense_entries``.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
-    if lam < 0:
+    if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     if max_dense_entries is not None and cols * cols > max_dense_entries:
         raise SizeGuardError(
@@ -369,7 +371,7 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     the call reads ``b`` in one Kronecker multiply and one dot product.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
-    if lam < 0:
+    if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     t0 = time.perf_counter()
     svds = [compact_svd(a) for a in factors]

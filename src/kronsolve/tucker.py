@@ -84,7 +84,7 @@ class TuckerModel:
                 raise InvalidInputError(
                     f"factor {n} is {a.shape}; ranks above the dimension are "
                     f"not supported")
-        if self.lam < 0:
+        if not 0 <= self.lam < math.inf:
             raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
 
     @property
@@ -103,10 +103,35 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
 
 def _model_tensor(model: TuckerModel, x) -> np.ndarray:
     """Validate ``x`` (finite, the model's shape) and return it as float64."""
-    x = as_tensor(x)
+    return _model_shaped(model, as_tensor(x))
+
+
+def _model_shaped(model: TuckerModel, x) -> np.ndarray:
+    """``x`` as float64, checked against the model's shape but not scanned."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != model.shape:
         raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
     return x
+
+
+def _check_caches(model: TuckerModel, n: int, caches: Sequence[CompactSvd]) -> None:
+    """Reject caller caches that do not fit the factors other than ``n``.
+
+    Each cache must be finite, with ``u`` holding one row per row of its
+    factor and ``v`` one row per column, as :func:`build_factor_cache` gives.
+    """
+    if len(caches) != len(model.factors):
+        raise InvalidInputError(
+            f"got {len(caches)} factor caches for {len(model.factors)} factors")
+    for k, (a, svd) in enumerate(zip(model.factors, caches)):
+        if k == n:
+            continue
+        if svd.u.shape[0] != a.shape[0] or svd.v.shape[0] != a.shape[1]:
+            raise InvalidInputError(
+                f"factor cache {k} has u of {svd.u.shape[0]} and v of "
+                f"{svd.v.shape[0]} rows for a factor of shape {a.shape}")
+        if not all(np.all(np.isfinite(part)) for part in (svd.u, svd.sigma, svd.v)):
+            raise InvalidInputError("factor caches contain non-finite entries")
 
 
 def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, float]:
@@ -202,12 +227,17 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     singular values at or below ``1e-10 * sigma_max`` of their factor.
     ``caches`` (one per factor of ``model``, as ALS holds them) supply the
     other factors' SVDs; without them those N-1 factors are decomposed here.
+    A cache that is not finite, or whose ``u`` or ``v`` does not match its
+    factor's rows or columns, raises :class:`InvalidInputError`.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
-    svds = ([None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
-            if caches is None else caches)
+    if caches is None:
+        svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
+    else:
+        _check_caches(model, n, caches)
+        svds = caches
     z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
     return _ridge_factor(model, z, n, svds)
 
@@ -274,6 +304,8 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float,
         raise InvalidInputError("factor updates need an order >= 2 model")
     if not 0.0 < eps < 1.0 / 3.0:
         raise InvalidInputError(f"eps must be in (0, 1/3), got {eps}")
+    if not 0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     g_n = unfold(model.core, n)
     if not np.any(g_n):
         raise InvalidInputError("core unfolding is identically zero")
@@ -368,11 +400,17 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     together with probability ``1 - delta``.  The route is picked first:
     when the sample count reaches the leftover row count, the exact update
     :func:`naive_factor_update` runs instead, and its check of ``x`` is the
-    call's one scan of X.  ``caches`` (one per factor of ``model``) supply
-    the other factors' SVDs for the leverage scores, or for that exact
-    update; a non-finite entry in them (on either route) or, on the sketched
-    route, a zero basis raises :class:`InvalidInputError`.  When the core or
-    another factor is zero, so is ``K``, and every row's solution is zero.
+    call's one scan of X.  The sketched route checks ``x`` where it reads
+    it, as the regression routes check ``b``: its shape is checked, but it
+    is not scanned, and a non-finite entry on a drawn fibre raises
+    :class:`InvalidInputError` while one on a fibre the sketch did not draw
+    cannot change the result.  ``caches`` (one per factor of ``model``)
+    supply the other factors' SVDs for the leverage scores, or for that
+    exact update; on either route a cache that is not finite or whose ``u``
+    or ``v`` does not match its factor's rows or columns, or on the
+    sketched route a zero basis, raises :class:`InvalidInputError`.  When
+    the core or another factor is zero, so is ``K``, and every row's
+    solution is zero.
     """
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
@@ -380,10 +418,6 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
         raise InvalidInputError(
             f"factor updates require eps in (0, 1/3), got {config.eps}")
     others = _other_factors(model, n)
-    if caches is not None and not all(
-            np.all(np.isfinite(part)) for k, svd in enumerate(caches) if k != n
-            for part in (svd.u, svd.sigma, svd.v)):
-        raise InvalidInputError("factor caches contain non-finite entries")
     i_n = model.factors[n].shape[0]
     r_rest = math.prod(a.shape[1] for a in others)
     i_rest = math.prod(a.shape[0] for a in others)
@@ -392,7 +426,9 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     if s >= i_rest:
         return naive_factor_update(model, x, n, caches)
 
-    x = _model_tensor(model, x)
+    if caches is not None:
+        _check_caches(model, n, caches)
+    x = _model_shaped(model, x)
     g_n = unfold(model.core, n)
     if not (np.any(g_n) and all(np.any(a) for a in others)):
         return np.zeros_like(model.factors[n])
@@ -513,8 +549,9 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     sweep reads the tensor in full once, besides any exact fallback.  No
     mode forms a dense reconstruction.  ``config`` supplies the sampling
     parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
-    ridge weight.  ``x`` is validated once, here; a fast factor update
-    checks it once more as its own public entry point does.
+    ridge weight.  ``x`` is scanned for non-finite entries once, here; a
+    sketched factor update checks only the fibres it draws, and an exact
+    fallback step scans ``x`` again, as :func:`naive_factor_update` does.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
@@ -529,6 +566,8 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
             f"core shape {core_shape} must be componentwise in [1, {x.shape}]")
     if sweeps < 1:
         raise InvalidInputError(f"sweeps must be >= 1, got {sweeps}")
+    if not 0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     if solver_mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")
     config = config or RegressionConfig()

@@ -868,6 +868,35 @@ class TestPublicBoundary:
         with pytest.raises(InvalidInputError):
             self.ENTRIES[entry](factors, np.ones(19))
 
+    # every entry that takes a ridge weight, called on a 5 x 4 x 3 problem
+    LAM_ENTRIES = {
+        "RegressionConfig": lambda f, b, x, lam: RegressionConfig(lam=lam),
+        "naive_normal_solve": lambda f, b, x, lam: kronsolve.naive_normal_solve(f, b, lam),
+        "kronmatmul_svd_solve":
+            lambda f, b, x, lam: kronsolve.kronmatmul_svd_solve(f, b, lam),
+        "fast_kronecker_regression": lambda f, b, x, lam: kronsolve.fast_kronecker_regression(
+            f, b, dataclasses.replace(TestPublicBoundary.CFG, lam=lam)),
+        "ridge_loss": lambda f, b, x, lam: kronsolve.ridge_loss(f, np.ones(6), b, lam),
+        "ridge_leverage_scores":
+            lambda f, b, x, lam: kronsolve.ridge_leverage_scores(compact_svd(f[0]), lam),
+        "TuckerModel": lambda f, b, x, lam: tucker.TuckerModel(
+            core=np.ones((2, 2, 2)), factors=[np.ones((5, 2))] * 3, lam=lam),
+        "build_factor_workspace": lambda f, b, x, lam: kronsolve.build_factor_workspace(
+            tucker.TuckerModel(core=np.ones((2, 2, 2)), factors=[np.eye(5, 2)] * 3),
+            0, 0.25, lam),
+        "tucker_als": lambda f, b, x, lam: kronsolve.tucker_als(x, (2, 2, 2), lam=lam,
+                                                                sweeps=1),
+    }
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("entry", sorted(LAM_ENTRIES))
+    def test_entry_rejects_a_bad_lambda(self, entry, lam):
+        rng = np.random.default_rng(0)
+        factors = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3))]
+        x = rng.standard_normal((5, 4, 3))
+        with pytest.raises(InvalidInputError, match="lambda"):
+            self.LAM_ENTRIES[entry](factors, np.ones(20), x, lam)
+
 
 class TestConfig:
     def test_default_iteration_cap(self):

@@ -983,7 +983,11 @@ class TestValidateOnce:
         with pytest.raises(InvalidInputError):
             fast_factor_matrix_update(model, x, 0, config, caches=caches)
 
-    def test_als_scans_the_tensor_once(self, monkeypatch, rng):
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_als_scans_the_tensor_once(self, monkeypatch, count_calls, rng, mode):
+        # at alpha 1e-6 every fast factor step sketches, and a sketched step
+        # checks only the fibres it draws, so tucker_als's entry check is
+        # the one scan in both modes
         x = rng.standard_normal((7, 6, 5))
         scans = []
         original = tensor.as_tensor
@@ -995,8 +999,11 @@ class TestValidateOnce:
 
         monkeypatch.setattr(tucker, "as_tensor", counting)
         monkeypatch.setattr(tensor, "as_tensor", counting)
-        tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode="exact")
+        fallbacks = count_calls(tucker, "naive_factor_update")
+        tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode=mode,
+                   config=replace(LOSS_CFG, alpha=1e-6))
         assert len(scans) == 1
+        assert not fallbacks
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_nan_tensor_rejected(self, rng, mode):
@@ -1039,13 +1046,56 @@ class TestValidateOnce:
         with pytest.raises(InvalidInputError):
             naive_factor_update(model, x, 1)
         # LOSS_CFG draws at least the 24 leftover rows, so it takes the
-        # exact route; alpha 1e-6 draws one row and takes the sketched one
+        # exact route, which scans all of x
         fallbacks = count_calls(tucker, "naive_factor_update")
-        for config, exact in ((LOSS_CFG, 1), (replace(LOSS_CFG, alpha=1e-6), 0)):
-            fast_factor_matrix_update(model, finite, 1, config)
-            assert len(fallbacks) == exact
-            with pytest.raises(InvalidInputError):
-                fast_factor_matrix_update(model, x, 1, config)
-            fallbacks.clear()
+        fast_factor_matrix_update(model, finite, 1, LOSS_CFG)
+        assert len(fallbacks) == 1
+        with pytest.raises(InvalidInputError):
+            fast_factor_matrix_update(model, x, 1, LOSS_CFG)
         with pytest.raises(InvalidInputError):
             relative_error(model, x)
+
+    def test_sketched_step_checks_the_fibres_it_draws(self, count_calls, rng):
+        # alpha 1e-6 draws one row and takes the sketched route, which reads
+        # x only at the drawn mode-1 fibres x[i, :, k]
+        model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
+        finite = rng.standard_normal((6, 5, 4))
+        config = replace(LOSS_CFG, alpha=1e-6)
+        draws = count_calls(tucker, "sample_rows")
+        want = fast_factor_matrix_update(model, finite, 1, config)
+        (sampler, s, seed), = draws
+        drawn = {tuple(ij) for ij in sample_rows(sampler, s, seed).indices}
+        undrawn = next(ij for ij in itertools.product(range(6), range(4))
+                       if ij not in drawn)
+        x = finite.copy()
+        i, k = next(iter(drawn))
+        x[i, 3, k] = np.nan
+        with pytest.raises(InvalidInputError):
+            fast_factor_matrix_update(model, x, 1, config)
+        x = finite.copy()
+        i, k = undrawn
+        x[i, 3, k] = np.inf
+        np.testing.assert_array_equal(fast_factor_matrix_update(model, x, 1, config), want)
+        with pytest.raises(InvalidInputError):
+            fast_factor_matrix_update(model, finite[:, :, :3], 1, config)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1.0])
+    @pytest.mark.parametrize("bad", ["nan", "u rows", "v rows", "count"])
+    def test_both_steps_reject_a_bad_cache(self, rng, alpha, bad):
+        # at alpha 1e-6 the fast step sketches, at alpha 1 it falls back
+        model = random_model(rng, (10, 9, 8), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((10, 9, 8))
+        caches = [compact_svd(a) for a in model.factors]
+        if bad == "nan":
+            caches[0].u[3, 1] = np.nan
+        elif bad == "u rows":
+            caches[0] = replace(caches[0], u=caches[0].u[:7])
+        elif bad == "v rows":
+            caches[0] = replace(caches[0], v=caches[0].v[:1])
+        else:
+            caches = caches[:2]
+        config = replace(LOSS_CFG, alpha=alpha)
+        with pytest.raises(InvalidInputError, match="cache"):
+            fast_factor_matrix_update(model, x, 1, config, caches=caches)
+        with pytest.raises(InvalidInputError, match="cache"):
+            naive_factor_update(model, x, 1, caches=caches)
