@@ -4,7 +4,8 @@ The synthetic regression task draws all factor entries i.i.d. from a normal
 distribution with mean 1 and variance 0.001 and fits the all-ones response;
 the Tucker task decomposes either a tensor file or a generated noisy
 low-rank tensor.  Each run emits one CSV row per (solver, seed) cell with
-loss, ratio against OPT, sampled rows, wall time, iterations and convergence.
+loss, ratio against OPT, sampled and distinct rows, wall time, iterations
+and convergence.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ REGRESSION_SOLVERS = ("naive", "kronmatmul", "sketch-solve", "fast")
 EXACT_SOLVERS = ("kronmatmul", "naive")
 
 RESULT_HEADER = ("solver", "n", "d", "order", "seed", "loss", "ratio",
-                 "rows_sampled", "wall_time", "iterations", "converged", "status")
+                 "rows_sampled", "distinct_rows", "wall_time", "iterations",
+                 "converged", "status")
 
 TUCKER_HEADER = ("sweep", "loss", "rre", "sweep_seconds")
 
@@ -96,6 +98,7 @@ class ResultRow:
     loss: float
     ratio: float
     rows_sampled: int
+    distinct_rows: int
     wall_time: float
     iterations: int = 0
     converged: bool = False
@@ -134,7 +137,9 @@ def generate_synth_tucker(shape: Sequence[int], rank: Sequence[int],
 
 
 def _median_run(fn: Callable[[], SolveReport], repeats: int) -> SolveReport:
-    """Run ``fn`` repeatedly; keep the middle report, at the median wall time."""
+    """Run ``fn`` repeatedly; keep the middle report, at the median wall time.
+
+    No loss is read here, so only the kept report's is ever evaluated."""
     reports = sorted((fn() for _ in range(repeats)), key=lambda r: r.wall_time)
     return replace(reports[len(reports) // 2],
                    wall_time=statistics.median(r.wall_time for r in reports))
@@ -165,14 +170,16 @@ def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
                 spec.repeats)
         else:
             raise InvalidInputError(f"unknown solver {solver!r}")
+        loss = report.loss  # evaluated here, so a failing loss is the cell's error
     except (KronsolveError, np.linalg.LinAlgError) as exc:
         return ResultRow(solver=solver, n=spec.n, d=spec.d, order=spec.order,
                          seed=seed, loss=math.nan, ratio=math.nan,
-                         rows_sampled=0, wall_time=math.nan,
+                         rows_sampled=0, distinct_rows=0, wall_time=math.nan,
                          status=f"error: {exc}")
     return ResultRow(solver=solver, n=spec.n, d=spec.d, order=spec.order,
-                     seed=seed, loss=report.loss, ratio=math.nan,
-                     rows_sampled=report.sample_count, wall_time=report.wall_time,
+                     seed=seed, loss=loss, ratio=math.nan,
+                     rows_sampled=report.sample_count,
+                     distinct_rows=report.distinct_rows, wall_time=report.wall_time,
                      iterations=report.iterations, converged=report.converged)
 
 

@@ -10,8 +10,9 @@ Everything else here is a kernel that takes checked input: the solvers
 validate the factors at their public entry and draw every sketch
 themselves, so :class:`SparseDiagonal`, :func:`sparse_diagonal_from_sketch`,
 :class:`SketchedKron` and its ``sketched_*`` wrappers trust their arguments
-(finite float64 factors, a multi-index sketch inside the row shape, vectors
-of the operator's lengths) and check nothing again.
+(finite float64 factors, a multi-index sketch inside the row shape, the
+multi-indices of a diagonal's rows, vectors of the operator's lengths) and
+check nothing again.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the narrow left group's row at every nonzero and the distinct rows of
@@ -199,9 +200,14 @@ class SketchedKron:
     groups is kept with its inverse permutation.  Each later apply is then
     a gather plus small dense multiplies.  An empty diagonal takes the same
     path, with zero-row arrays, and its applies return zeros.
+
+    ``multi`` holds the ``(nnz, N)`` multi-indices of ``s_diag.indices``,
+    which the caller has already unravelled to read ``b`` at the draws
+    (:func:`diagonal_multi_indices` forms them from the diagonal alone).
     """
 
-    def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
+    def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal,
+                 multi: np.ndarray):
         self.factors = list(factors)
         self.s_diag = s_diag
         self.rows, self.cols = kron_operator_shape(self.factors)
@@ -209,7 +215,6 @@ class SketchedKron:
         self.col_shape = tuple(a.shape[1] for a in self.factors)
         # ties go to the empty left set, so the right group is never empty
         self.part = balanced_partition(self.col_shape)
-        multi = np.stack(np.unravel_index(s_diag.indices, row_shape), axis=1)
         left, right = list(self.part.left), list(self.part.right)
         self.left_gather = kron_rows([self.factors[i] for i in left], multi[:, left])
         right_dims = tuple(row_shape[i] for i in right)
@@ -264,13 +269,21 @@ class SketchedKron:
         return self.transpose_apply(self.apply(x))
 
 
+def diagonal_multi_indices(factors: Sequence[np.ndarray],
+                           s_diag: SparseDiagonal) -> np.ndarray:
+    """The ``(nnz, N)`` multi-indices of ``s_diag.indices`` in ``K``'s row shape."""
+    row_shape = tuple(a.shape[0] for a in factors)
+    return np.stack(np.unravel_index(s_diag.indices, row_shape), axis=1)
+
+
 def sketched_kron_apply(factors: Sequence[np.ndarray], s_diag: SparseDiagonal,
                         c) -> np.ndarray:
     """Entries of ``S K c`` at the nonzero rows of ``S``; see :class:`SketchedKron`."""
-    return SketchedKron(factors, s_diag).apply(c)
+    return SketchedKron(factors, s_diag, diagonal_multi_indices(factors, s_diag)).apply(c)
 
 
 def sketched_kron_transpose_apply(factors: Sequence[np.ndarray],
                                   s_diag: SparseDiagonal, b_values) -> np.ndarray:
     """``K^T S b`` from the entries of ``b`` at nonzero rows; see :class:`SketchedKron`."""
-    return SketchedKron(factors, s_diag).transpose_apply(b_values)
+    return SketchedKron(factors, s_diag, diagonal_multi_indices(factors, s_diag)
+                        ).transpose_apply(b_values)

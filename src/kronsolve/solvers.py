@@ -26,11 +26,13 @@ hand it on to the sketch kernels of :mod:`~kronsolve.kron` and
 :mod:`~kronsolve.leverage` unchecked too.  A route checks ``b`` where it
 reads it (:func:`_check_finite_reads`).
 
-Every route reports the ridge loss of its solution.
-:func:`kronmatmul_svd_solve` and :func:`fast_kronecker_regression` hold the
-factor SVDs and read it off the projection ``t = (U1 kron ... kron UN)^T b``
-and ``||b||^2`` (:func:`_projected_ridge_loss`), so each call passes over
-``b`` in one Kronecker multiply plus one dot product; the other two call
+Every route reports the ridge loss of its solution, evaluated the first
+time :attr:`SolveReport.loss` is read and not inside the call.
+:func:`kronmatmul_svd_solve` and :func:`fast_kronecker_regression` read it
+off the factor SVDs, the projection ``t = (U1 kron ... kron UN)^T b`` and
+``||b||^2`` (:func:`_projected_ridge_loss`): the exact route reuses the
+``t`` its solve formed, and the fast route forms ``t`` at that read, so a
+fast call never passes over all of ``b``.  The other two call
 :func:`ridge_loss`, the direct evaluator.
 """
 
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,20 +111,37 @@ class RegressionConfig:
 class SolveReport:
     """Solution vector plus bookkeeping for benchmark tables.
 
-    ``loss`` is the exact ridge loss ``||K x - b||^2 + lam ||x||^2`` of
-    ``solution``, evaluated after ``wall_time`` stops: directly by
-    :func:`ridge_loss`, or, in :func:`kronmatmul_svd_solve` and
+    :attr:`loss` is the exact ridge loss ``||K x - b||^2 + lam ||x||^2`` of
+    ``solution``.  The call that returns the report does not evaluate it:
+    ``loss_fn`` does, the first time :attr:`loss` is read, directly by
+    :func:`ridge_loss` or, in :func:`kronmatmul_svd_solve` and
     :func:`fast_kronecker_regression`, from the projection of ``b`` onto the
-    factors' left singular vectors, to about ulp * ||b||^2 absolute.
-    ``converged`` is False only when :func:`pcg_solve` stopped at its cap.
+    factors' left singular vectors, to about ulp * ||b||^2 absolute.  The
+    route keeps a reference to ``b``, not a copy, so the loss is taken
+    against ``b`` as it stands at that first read.  ``wall_time`` never
+    covers it.  ``sample_count`` is the rows drawn and ``distinct_rows``
+    the rows left once repeated draws are merged; both are 0 where no
+    sketch ran.  ``converged`` is False only when :func:`pcg_solve` stopped
+    at its cap.
     """
 
     solution: np.ndarray
-    loss: float
+    loss_fn: Callable[[], float] = field(repr=False)
     iterations: int
     sample_count: int
     wall_time: float
     converged: bool = True
+    distinct_rows: int = 0
+
+    @property
+    def loss(self) -> float:
+        """The ridge loss of ``solution``: ``loss_fn()`` at the first read,
+        its cached value after.  The first read replaces ``loss_fn`` by a
+        constant, so the report stops holding what the route's function
+        held (the factor SVDs, ``b``)."""
+        value = self.loss_fn()
+        object.__setattr__(self, "loss_fn", partial(float, value))
+        return value
 
 
 @dataclass(frozen=True)
@@ -308,16 +327,17 @@ def _check_finite_reads(values: np.ndarray, what: str) -> None:
 
 
 def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
-    """The merged draws of ``sketch``, their multi-indices, and ``b`` there.
+    """The merged draws of ``sketch``, their ``(nnz, N)`` multi-indices, and
+    ``b`` there.
 
-    ``b``'s leading axes are ``row_shape``, so ``b[multi]`` reads it at the
-    draws alone.  A non-finite read raises ``InvalidInputError``.
+    ``b``'s leading axes are ``row_shape``, so it is read at the draws
+    alone.  A non-finite read raises ``InvalidInputError``.
     """
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
     multi = np.unravel_index(sdiag.indices, row_shape)
     b_drawn = b[multi]
     _check_finite_reads(b_drawn, "b at a sampled row")
-    return sdiag, multi, b_drawn
+    return sdiag, np.stack(multi, axis=1), b_drawn
 
 
 def _validated_problem(factors, b):
@@ -355,7 +375,7 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
     _check_finite_reads(ktb, "K^T b")
     x = np.linalg.pinv(gram + lam * np.eye(cols)) @ ktb
     wall = time.perf_counter() - t0
-    return SolveReport(solution=x, loss=ridge_loss(factors, x, b, lam),
+    return SolveReport(solution=x, loss_fn=partial(ridge_loss, factors, x, b, lam),
                        iterations=0, sample_count=0, wall_time=wall)
 
 
@@ -367,8 +387,9 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     :func:`naive_normal_solve` for every ``lam >= 0``.  A non-finite ``b``
     raises :class:`InvalidInputError`; it is caught in the projection
     ``t = (U kron ...)^T b``, not by a scan of ``b``.  The reported loss is
-    read off that ``t`` and ``||b||^2`` (:func:`_projected_ridge_loss`), so
-    the call reads ``b`` in one Kronecker multiply and one dot product.
+    read off that ``t`` and ``||b||^2`` (:func:`_projected_ridge_loss`) when
+    it is first read, against ``b`` as it stands then, so the call reads
+    ``b`` in one Kronecker multiply and the first read in one dot product.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if not 0 <= lam < math.inf:
@@ -380,9 +401,8 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     _check_finite_reads(t, "(U kron ...)^T b")
     x = _svd_ridge_solution(svds, t, lam)
     wall = time.perf_counter() - t0
-    loss = _projected_ridge_loss(svds, t, float(np.vdot(b, b)), x, lam)
-    return SolveReport(solution=x, loss=loss, iterations=0, sample_count=0,
-                       wall_time=wall)
+    return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam, t),
+                       iterations=0, sample_count=0, wall_time=wall)
 
 
 def _svd_ridge_solution(svds: Sequence[CompactSvd], t: np.ndarray,
@@ -418,6 +438,19 @@ def _projected_ridge_loss(svds: Sequence[CompactSvd], t: np.ndarray,
     return outside + float(np.vdot(d, d)) + lam * float(x @ x)
 
 
+def _loss_off_bases(svds: Sequence[CompactSvd], b: np.ndarray, x: np.ndarray,
+                    lam: float, t: np.ndarray | None = None) -> float:
+    """:func:`_projected_ridge_loss` against ``b`` as it stands at the call:
+    ``||b||^2`` is taken here, and so is ``t = (U kron ...)^T b`` unless the
+    solve formed it.  The reports of the two SVD routes evaluate their loss
+    through it when it is first read."""
+    # an undrawn non-finite entry of b reaches t as a NaN or inf, not an error
+    with np.errstate(invalid="ignore"):
+        if t is None:
+            t = kron_mat_mul([svd.u.T for svd in svds], b)
+        return _projected_ridge_loss(svds, t, float(np.vdot(b, b)), x, lam)
+
+
 def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
                          b: np.ndarray, lam: float,
                          right: np.ndarray | None = None) -> np.ndarray:
@@ -443,7 +476,7 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     """
     sdiag, multi, b_drawn = _drawn_rows(sketch, tuple(a.shape[0] for a in factors), b)
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
-    design = kron_rows(factors, np.stack(multi, axis=1))
+    design = kron_rows(factors, multi)
     design *= sdiag.values[:, None]
     if right is not None:
         design = design @ right
@@ -467,7 +500,9 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     distribution (``ceil(alpha * 1680 R ln(40R) / eps)`` of them) and
     :func:`sketched_ridge_solve` returns ``((SK)^T SK + lam I)^+ (SK)^T S b``
     from one materialized row per distinct draw.  Guarded: refuses when the
-    sketched matrix could hold more than ``max_dense_entries`` entries.
+    sketched matrix could hold more than ``max_dense_entries`` entries.  The
+    loss is :func:`ridge_loss`'s, evaluated when it is first read, against
+    ``b`` as it stands then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     s = regression_sample_count(cols, config.eps, config.alpha)
@@ -481,8 +516,9 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     x = sketched_ridge_solve(factors, sketch, b.reshape([a.shape[0] for a in factors]),
                              config.lam)
     wall = time.perf_counter() - t0
-    return SolveReport(solution=x, loss=ridge_loss(factors, x, b, config.lam),
-                       iterations=0, sample_count=s, wall_time=wall)
+    return SolveReport(solution=x, loss_fn=partial(ridge_loss, factors, x, b, config.lam),
+                       iterations=0, sample_count=s, wall_time=wall,
+                       distinct_rows=np.unique(sketch.indices, axis=0).shape[0])
 
 
 def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
@@ -509,13 +545,13 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     draw shows up as a non-finite (NaN or inf) loss.  The exact fallback
     checks its projection of ``b`` instead.
 
-    ``wall_time`` covers the solve; the reported loss is evaluated exactly
-    afterwards, once the sketched operator and its nnz x left-group-columns
-    gather and scatter index are gone, so they add nothing to the loss's peak.
-    It is read off the projection ``t = (U kron ...)^T b``, formed by one
-    Kronecker multiply, and ``||b||^2`` (:func:`_projected_ridge_loss`), so
-    the loss reduces ``b`` to an ``R``-sized vector and the call never holds
-    a vector of the full row count beyond ``b`` itself.
+    ``wall_time`` covers the call, which does not evaluate the loss: the
+    report evaluates it exactly when :attr:`SolveReport.loss` is first read,
+    against ``b`` as it stands then.  It is read off the projection
+    ``t = (U kron ...)^T b``, formed at that read by one Kronecker multiply,
+    and ``||b||^2`` (:func:`_projected_ridge_loss`), so the loss reduces
+    ``b`` to an ``R``-sized vector and never holds a vector of the full row
+    count beyond ``b`` itself.  The sketched operator is gone by then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if not 0.0 < config.eps <= 0.25:
@@ -540,16 +576,13 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
     sketch = sample_rows(sampler, s, seed)
     row_shape = tuple(a.shape[0] for a in factors)
-    sdiag, _, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
-    op = SketchedKron(factors, sdiag)
+    sdiag, multi, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
+    op = SketchedKron(factors, sdiag, multi)
     sb = sdiag.values * b_drawn
     x, iters = pcg_solve(lambda v: op.normal(v) + lam * v, precond.apply,
                          op.transpose_apply(sb), config, float(sb @ sb))
     wall = time.perf_counter() - t0
-    del op
-    # an undrawn non-finite entry of b reaches t as a NaN or inf, not an error
-    with np.errstate(invalid="ignore"):
-        t = kron_mat_mul([svd.u.T for svd in svds], b)
-        loss = _projected_ridge_loss(svds, t, float(np.vdot(b, b)), x, lam)
-    return SolveReport(solution=x, loss=loss, iterations=iters, sample_count=s,
-                       wall_time=wall, converged=iters < config.effective_max_iters)
+    return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam),
+                       iterations=iters, sample_count=s, wall_time=wall,
+                       converged=iters < config.effective_max_iters,
+                       distinct_rows=sdiag.nnz)

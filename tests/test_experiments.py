@@ -1,12 +1,14 @@
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import kronsolve.experiments as experiments
+import kronsolve.solvers as solvers
 from kronsolve.cli import main as cli_main
-from kronsolve.errors import InvalidInputError
+from kronsolve.errors import InvalidInputError, NumericalFailureError
 from kronsolve.solvers import SolveReport
 from kronsolve.experiments import (
     ExperimentSpec,
@@ -85,7 +87,8 @@ class TestRegressionExperiment:
             rows = {row["solver"]: row for row in csv.DictReader(fh)}
         exact, fast = rows["kronmatmul"], rows["fast"]
         assert (exact["iterations"], exact["converged"]) == ("0", "True")
-        assert int(fast["rows_sampled"]) > 0
+        assert (exact["rows_sampled"], exact["distinct_rows"]) == ("0", "0")
+        assert 0 < int(fast["distinct_rows"]) <= int(fast["rows_sampled"])
         assert int(fast["iterations"]) > 0 and fast["converged"] == "True"
 
     def test_opt_is_kronmatmul_unless_it_failed(self, monkeypatch):
@@ -140,37 +143,75 @@ class TestRegressionExperiment:
         assert [(r.solver, r.status) for r in rows] == [("naive", "ok"),
                                                         ("kronmatmul", "ok")]
 
+    @staticmethod
+    def timed_report(wall, evaluated):
+        """A report whose every field derives from ``wall``; reading its
+        loss appends ``wall`` to ``evaluated``."""
+
+        def loss():
+            evaluated.append(wall)
+            return 10 * wall
+
+        return SolveReport(solution=np.full(3, wall), loss_fn=loss,
+                           iterations=round(10 * wall), sample_count=round(100 * wall),
+                           wall_time=wall, distinct_rows=round(50 * wall))
+
+    @staticmethod
+    def assert_same_report(got, want, skip=()):
+        """Every field but ``skip`` and the loss function equal, and the
+        loss read from each equal too."""
+        for f in dataclasses.fields(SolveReport):
+            if f.name not in skip + ("loss_fn",):
+                np.testing.assert_array_equal(getattr(got, f.name),
+                                              getattr(want, f.name), err_msg=f.name)
+        assert got.loss == want.loss
+
     def test_median_of_even_repeats(self):
         # the report of the upper middle run by wall time, with the median
-        # wall time; every other field is that run's
+        # wall time; every other field is that run's, and no run's loss is
+        # evaluated until the kept report's is read
+        evaluated = []
         walls = iter([0.4, 0.1, 0.3, 0.2])
-
-        def run():
-            wall = next(walls)
-            return SolveReport(solution=np.full(3, wall), loss=10 * wall,
-                               iterations=round(10 * wall),
-                               sample_count=round(100 * wall), wall_time=wall)
-
-        median = experiments._median_run(run, 4)
-        middle = SolveReport(solution=np.full(3, 0.3), loss=3.0, iterations=3,
-                             sample_count=30, wall_time=0.3)
+        median = experiments._median_run(
+            lambda: self.timed_report(next(walls), evaluated), 4)
+        assert evaluated == []
         assert median.wall_time == pytest.approx(0.25)
-        for f in dataclasses.fields(middle):
-            if f.name != "wall_time":
-                np.testing.assert_array_equal(getattr(median, f.name),
-                                              getattr(middle, f.name), err_msg=f.name)
+        self.assert_same_report(median, self.timed_report(0.3, []), skip=("wall_time",))
+        assert evaluated == [0.3]
 
     def test_median_of_odd_repeats(self):
         # the middle run's report by wall time, every field as it ran
-        reports = [SolveReport(solution=np.full(3, wall), loss=10 * wall,
-                               iterations=round(10 * wall),
-                               sample_count=round(100 * wall), wall_time=wall)
-                   for wall in (0.3, 0.1, 0.2)]
+        evaluated = []
+        reports = [self.timed_report(wall, evaluated) for wall in (0.3, 0.1, 0.2)]
         runs = iter(reports)
         median = experiments._median_run(lambda: next(runs), 3)
-        for f in dataclasses.fields(SolveReport):
-            np.testing.assert_array_equal(getattr(median, f.name),
-                                          getattr(reports[2], f.name), err_msg=f.name)
+        assert evaluated == []
+        self.assert_same_report(median, reports[2])
+        assert evaluated == [0.2, 0.2]  # read once from each of the two reports
+
+    def test_repeats_evaluate_one_loss_per_cell(self, count_calls, tmp_path):
+        # three solves per cell, and only the kept report's loss is read
+        losses = [count_calls(solvers, "ridge_loss"),
+                  count_calls(solvers, "_projected_ridge_loss")]
+        solves = count_calls(experiments, "kronmatmul_svd_solve")
+        out = tmp_path / "reg.csv"
+        rc = cli_main(["synth-regression", "--n", "32", "--d", "4", "--seeds", "0,1",
+                       "--alpha", "0.001", "--solvers", "naive,kronmatmul,fast",
+                       "--repeats", "3", "--out", str(out)])
+        assert rc == 0 and len(read_csv(out)) == 1 + 6
+        assert len(solves) == 2 * 3
+        assert [len(calls) for calls in losses] == [2, 4]
+
+    def test_a_failing_loss_is_the_cells_error(self, monkeypatch):
+        def failing(*args):
+            raise NumericalFailureError("loss failed")
+
+        monkeypatch.setattr(solvers, "_projected_ridge_loss", failing)
+        rows = {r.solver: r for r in run_regression_experiment(
+            self.make_spec(seeds=(0,), solvers=("naive", "kronmatmul")))}
+        assert rows["kronmatmul"].status == "error: loss failed"
+        assert math.isnan(rows["kronmatmul"].loss)
+        assert rows["naive"].status == "ok" and rows["naive"].ratio == 1.0
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):

@@ -11,6 +11,7 @@ from kronsolve.kron import (
     SketchedKron,
     SparseDiagonal,
     balanced_partition,
+    diagonal_multi_indices,
     kron_mat_mul,
     kron_rows,
     kron_vec_square,
@@ -205,7 +206,7 @@ class TestSketchedApplies:
         assert sketched_kron_apply(facs, sd, rng.standard_normal(4)).size == 0
         out = sketched_kron_transpose_apply(facs, sd, np.array([]))
         np.testing.assert_array_equal(out, np.zeros(4))
-        op = SketchedKron(facs, sd)
+        op = SketchedKron(facs, sd, diagonal_multi_indices(facs, sd))
         np.testing.assert_array_equal(op.apply(rng.standard_normal(4)), np.zeros(0))
         np.testing.assert_array_equal(op.transpose_apply(np.zeros(0)), np.zeros(4))
         np.testing.assert_array_equal(op.normal(rng.standard_normal(4)), np.zeros(4))
@@ -282,7 +283,7 @@ class TestSketchedApplies:
         # 30 distinct right-group rows, so right rows repeat
         facs = random_factors(rng, [(8, 3), (6, 3), (5, 3)])
         sd = random_sparse_diag(rng, 240, 100)
-        op = SketchedKron(facs, sd)
+        op = SketchedKron(facs, sd, diagonal_multi_indices(facs, sd))
         assert (op.part.left_product, op.part.right_product) == (3, 9)
         n_right_distinct = op.right_rows.shape[0]
         assert n_right_distinct < sd.nnz
@@ -370,7 +371,7 @@ class TestSketchedProperties:
     @settings(max_examples=150, deadline=None)
     def test_kernels_bitwise_match_first_formulation(self, problem):
         factors, sd, c, b_values = problem
-        op = SketchedKron(factors, sd)
+        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
         apply_ref, transpose_ref = first_formulation(op, c, b_values)
         np.testing.assert_array_equal(op.apply(c), apply_ref)
         np.testing.assert_array_equal(op.transpose_apply(b_values), transpose_ref)
@@ -398,15 +399,16 @@ class TestSketchedProperties:
         factors, sd, c, _ = problem
         sk = sketched_oracle(factors, sd)
         expected = sk.T @ (sk @ c)
+        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
         np.testing.assert_allclose(
-            SketchedKron(factors, sd).normal(c), expected, rtol=1e-9,
+            op.normal(c), expected, rtol=1e-9,
             atol=1e-9 * max(1.0, np.abs(expected).max(initial=0.0)))
 
     @given(sketched_problems(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_operator_reuse_is_bitwise_the_wrappers(self, problem, seed):
         factors, sd, _, _ = problem
-        op = SketchedKron(factors, sd)
+        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
         rng = np.random.default_rng(seed)
         for _ in range(3):
             c = rng.standard_normal(op.cols)

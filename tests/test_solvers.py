@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestPcg:
         scores = [statistical_leverage_scores(a) for a in facs]
         sketch = sample_rows(build_product_sampler(scores), 150, 0)
         sdiag = kron.sparse_diagonal_from_sketch(sketch, b.shape)
-        op = kron.SketchedKron(facs, sdiag)
+        op = kron.SketchedKron(facs, sdiag, kron.diagonal_multi_indices(facs, sdiag))
         sb = sdiag.values * b[np.unravel_index(sdiag.indices, b.shape)]
         x, iters = pcg_solve(lambda v: op.normal(v) + lam * v,
                              svd_preconditioner(facs, lam).apply,
@@ -409,6 +410,7 @@ class TestSketchAndSolve:
         cfg = RegressionConfig(eps=0.1, lam=1e-2, alpha=0.3, seed=0)
         rep = sketch_and_solve_ridge(facs, rng.standard_normal(20), cfg)
         assert rep.sample_count == 18592
+        assert 0 < rep.distinct_rows <= 20  # the draws merge onto K's 20 rows
 
 
 class TestPreconditioner:
@@ -536,16 +538,38 @@ class TestFastKroneckerRegression:
 
     def test_exact_fallback_report_is_kronmatmuls(self):
         # when the sketch would cover every row, the report is the exact
-        # solver's in every field but the wall time, which covers the call
+        # solver's in every field but the wall time, which covers the call,
+        # and the loss function, whose value is the same
         rs = np.random.default_rng(0)
         facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
         b = rs.standard_normal(400)
         rep = fast_kronecker_regression(facs, b, RegressionConfig(lam=1e-3, seed=0))
         exact = kronmatmul_svd_solve(facs, b, 1e-3)
         for f in dataclasses.fields(exact):
-            if f.name != "wall_time":
+            if f.name not in ("wall_time", "loss_fn"):
                 np.testing.assert_array_equal(getattr(rep, f.name),
                                               getattr(exact, f.name), err_msg=f.name)
+        assert rep.loss == exact.loss
+
+    def test_exact_fallback_reports_no_sketch(self):
+        # alpha 1: the sketch would cover every row, so nothing is drawn,
+        # merged or iterated
+        rs = np.random.default_rng(0)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400),
+                                        RegressionConfig(lam=1e-3, seed=0, alpha=1.0))
+        assert rep.sample_count == rep.iterations == rep.distinct_rows == 0
+
+    def test_report_counts_the_merged_draws(self, count_calls):
+        # distinct_rows is the nonzero count of the merged sketch
+        calls = count_calls(solvers, "sparse_diagonal_from_sketch")
+        rs = np.random.default_rng(0)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=2e-4)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
+        (sketch, row_shape), = calls
+        flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
+        assert 0 < rep.distinct_rows == np.unique(flat).size < rep.sample_count
 
     @pytest.mark.parametrize("alpha", [2e-4, 1.0])
     def test_report_says_how_the_solve_ended(self, alpha):
@@ -590,8 +614,8 @@ class TestFastKroneckerRegression:
         assert hits >= 95
 
     def test_operator_released_before_exact_loss(self, monkeypatch):
-        # the loss's projection of b must not run on top of the operator's
-        # precomputed gathers
+        # the loss's projection of b runs when the loss is first read, after
+        # the call has returned and freed the operator's precomputed gathers
         ops, projections = [], []
 
         class Recording(solvers.SketchedKron):
@@ -614,7 +638,32 @@ class TestFastKroneckerRegression:
         cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
         rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
         assert rep.iterations > 0
-        assert len(ops) == 1 and len(projections) == 1
+        assert len(ops) == 1 and len(projections) == 0
+        assert math.isfinite(rep.loss)
+        assert len(projections) == 1
+
+    def test_draws_are_unravelled_once(self, monkeypatch):
+        # the operator takes the multi-indices that reading b at the draws
+        # formed, rather than unravelling the merged draws again
+        diagonals, unravelled = [], []
+        merge, unravel = solvers.sparse_diagonal_from_sketch, np.unravel_index
+
+        def merging(*args):
+            diagonals.append(merge(*args))
+            return diagonals[-1]
+
+        def unravelling(indices, shape):
+            unravelled.append(indices)
+            return unravel(indices, shape)
+
+        monkeypatch.setattr(solvers, "sparse_diagonal_from_sketch", merging)
+        monkeypatch.setattr(np, "unravel_index", unravelling)
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
+        assert rep.iterations > 0 and len(diagonals) == 1
+        assert sum(indices is diagonals[0].indices for indices in unravelled) == 1
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_one_svd_per_factor(self, count_calls, order):
@@ -730,8 +779,9 @@ class TestReportedLoss:
 
     @pytest.mark.parametrize("route", ["exact", "fast"])
     def test_one_kronecker_pass_over_b(self, monkeypatch, count_calls, route):
-        # the loss reuses or forms the one projection of b; no multiply
-        # forms a residual of the full row count
+        # the exact solve forms the one projection of b and the loss reuses
+        # it; the fast call forms none, and its first loss read forms it.
+        # No multiply forms a residual of the full row count
         loss_calls = count_calls(solvers, "ridge_loss")
         sizes = []
         for module in (kron, solvers):
@@ -745,12 +795,107 @@ class TestReportedLoss:
             monkeypatch.setattr(module, "_mode_products", recording)
         facs, b = self.instance(np.random.default_rng(5), [(20, 3), (15, 2)], False)
         if route == "exact":
-            kronmatmul_svd_solve(facs, b, 1e-3)
+            rep = kronmatmul_svd_solve(facs, b, 1e-3)
         else:
             rep = fast_kronecker_regression(facs, b, RegressionConfig(lam=1e-3, **self.CFG))
             assert 0 < rep.sample_count < b.size
+        in_call = sizes.count(b.size)
+        rep.loss
         assert len(loss_calls) == 0
-        assert sizes.count(b.size) == 1 and max(sizes) == b.size
+        assert (in_call, sizes.count(b.size) - in_call) == ((1, 0) if route == "exact"
+                                                            else (0, 1))
+        assert max(sizes) == b.size
+
+
+class TestLazyLoss:
+    """No route evaluates its loss inside the call: the first read of
+    ``loss`` does, once, to the bit of the eager formula, and then lets go
+    of what the evaluation read."""
+
+    CFG = dict(eps=0.25, delta=0.05, lam=1e-3, seed=0)
+    ROUTES = {
+        "naive": lambda f, b: naive_normal_solve(f, b, 1e-3),
+        "kronmatmul": lambda f, b: kronmatmul_svd_solve(f, b, 1e-3),
+        "sketch-solve": lambda f, b: sketch_and_solve_ridge(
+            f, b, RegressionConfig(alpha=2e-4, **TestLazyLoss.CFG)),
+        "fast": lambda f, b: fast_kronecker_regression(
+            f, b, RegressionConfig(alpha=2e-4, **TestLazyLoss.CFG)),
+        "fast-fallback": lambda f, b: fast_kronecker_regression(
+            f, b, RegressionConfig(alpha=1.0, **TestLazyLoss.CFG)),
+    }
+    # the multiplies by all of b the solve itself makes: K^T b, or the
+    # projection (U kron ...)^T b that the exact routes' loss reuses
+    SOLVE_PASSES = {"naive": 1, "kronmatmul": 1, "sketch-solve": 0, "fast": 0,
+                    "fast-fallback": 1}
+
+    @staticmethod
+    def eager_loss(route, factors, x, b):
+        """The loss as each route evaluated it inside the call before."""
+        if route in ("naive", "sketch-solve"):
+            return ridge_loss(factors, x, b, 1e-3)
+        svds = [compact_svd(a) for a in factors]
+        t = kron_mat_mul([s.u.T for s in svds], b)
+        return solvers._projected_ridge_loss(svds, t, float(np.vdot(b, b)), x, 1e-3)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_loss_is_evaluated_at_the_first_read(self, monkeypatch, route):
+        # counted, not recorded: a record of the arguments would keep the SVDs
+        losses = []
+        for name in ("ridge_loss", "_projected_ridge_loss"):
+            def counting(*args, evaluate=getattr(solvers, name)):
+                losses.append(name)
+                return evaluate(*args)
+
+            monkeypatch.setattr(solvers, name, counting)
+        operand_sizes = []
+        for module in (kron, solvers):
+            kernel = module._mode_products
+
+            def recording(x, mats, kernel=kernel):
+                operand_sizes.append(x.size)
+                return kernel(x, mats)
+
+            monkeypatch.setattr(module, "_mode_products", recording)
+        bases = []
+        decompose = solvers.compact_svd
+
+        def recording_svd(a):
+            svd = decompose(a)
+            bases.append(weakref.ref(svd.u))
+            return svd
+
+        monkeypatch.setattr(solvers, "compact_svd", recording_svd)
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]
+        b = rs.standard_normal(400)
+
+        rep = self.ROUTES[route](facs, b)
+        assert (rep.sample_count > 0) == (route in ("sketch-solve", "fast"))
+        assert losses == []
+        assert operand_sizes.count(b.size) == self.SOLVE_PASSES[route]
+        assert (len(bases) > 0) == (route in ("kronmatmul", "fast", "fast-fallback"))
+        assert all(ref() is not None for ref in bases)  # the loss function holds them
+        function = weakref.ref(rep.loss_fn)
+
+        first = rep.loss
+        assert len(losses) == 1
+        assert operand_sizes.count(b.size) == self.SOLVE_PASSES[route] + (route == "fast")
+        assert rep.loss == first
+        assert len(losses) == 1
+        assert function() is None
+        assert all(ref() is None for ref in bases)
+
+        eager = self.eager_loss(route, facs, rep.solution, b)
+        assert np.float64(first).tobytes() == np.float64(eager).tobytes()
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_report_pickles_before_its_loss_is_read(self, route):
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]
+        rep = self.ROUTES[route](facs, rs.standard_normal(400))
+        copy = pickle.loads(pickle.dumps(rep))
+        assert copy.loss == rep.loss
+        assert pickle.loads(pickle.dumps(rep)).loss == rep.loss
 
 
 @pytest.mark.filterwarnings("error")
