@@ -15,13 +15,14 @@ multi-indices of a diagonal's rows, vectors of the operator's lengths) and
 check nothing again.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups,
-keeps the narrow left group's row at every nonzero and the distinct rows of
-the wide right group, and applies ``S K``, ``K^T S`` and ``K^T S^2 K``
-touching only the nonzero rows.  The transpose mirrors the apply: it sums
-into one bin per distinct right row with one ``np.bincount`` (an index of
-nnz x left-group columns int64, built once) and finishes with one multiply
-against the distinct right rows.  The ``sketched_*`` functions are one-shot
-wrappers around it.
+keeps the narrow left group's entries at the nonzeros one left column at a
+time (a left-group columns x nnz float array) and the distinct rows of the
+wide right group, and applies ``S K``, ``K^T S`` and ``K^T S^2 K``
+touching only the nonzero rows.  The apply adds one gather per left
+column; the transpose mirrors it with one ``np.bincount`` per left column
+into the bins of the distinct right rows and finishes with one multiply
+against those rows.  The ``sketched_*`` functions are one-shot wrappers
+around it.
 """
 
 from __future__ import annotations
@@ -184,6 +185,29 @@ def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.nd
     return acc
 
 
+def _kron_columns(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.ndarray:
+    """:func:`kron_rows` transposed: a C-contiguous ``(prod cols, m)`` array
+    whose column ``t`` is the Kronecker row at ``multi_indices[t]``.
+
+    Each factor contributes the gather ``np.take(A.T, idx, axis=1)``, one
+    row per factor column; each further factor multiplies into a new array
+    of the product's size, so a single factor's gather is the result
+    itself, with no all-ones seed and no copy.  No factors yield one
+    all-ones row.
+    """
+    m = multi_indices.shape[0]
+    if not factors:
+        return np.ones((1, m))
+    acc = np.take(factors[0].T, multi_indices[:, 0], axis=1)
+    for n, a in enumerate(factors[1:], start=1):
+        part = np.take(a.T, multi_indices[:, n], axis=1)
+        out = np.empty((acc.shape[0] * part.shape[0], m))
+        np.multiply(acc[:, None, :], part[None, :, :],
+                    out=out.reshape(acc.shape[0], part.shape[0], m))
+        acc = out
+    return acc
+
+
 class SketchedKron:
     """The row-sparsified operator ``S K`` for one sparse diagonal ``S``.
 
@@ -191,15 +215,15 @@ class SketchedKron:
     once: the factors, which the caller has checked, are split by
     :func:`balanced_partition` into a left and a right column group, the
     left group never the wider.
-    ``left_gather`` holds the left-group Kronecker row of every nonzero
-    (nnz x left-group columns; one all-ones column when the left group is
-    empty), ``right_rows`` the distinct right-group rows and ``right_pos``
-    each nonzero's position among them.  ``scatter`` is the flat (distinct
-    right row, left column) bin of each entry the transpose accumulates
-    (nnz x left-group columns int64), and the column mode order of the two
-    groups is kept with its inverse permutation.  Each later apply is then
-    a gather plus small dense multiplies.  An empty diagonal takes the same
-    path, with zero-row arrays, and its applies return zeros.
+    ``left_columns`` holds the left-group Kronecker rows of the nonzeros
+    one left column at a time (left-group columns x nnz, C-contiguous; one
+    all-ones row when the left group is empty), ``right_rows`` the distinct
+    right-group rows and ``right_pos`` each nonzero's position among them,
+    and the column mode order of the two groups is kept with its inverse
+    permutation.  Each later apply is then a loop over the left columns,
+    each step one gather or one ``np.bincount`` over contiguous nnz-long
+    rows, plus one dense multiply.  An empty diagonal takes the same path,
+    with zero-length rows, and its applies return zeros.
 
     ``multi`` holds the ``(nnz, N)`` multi-indices of ``s_diag.indices``,
     which the caller has already unravelled to read ``b`` at the draws
@@ -216,7 +240,7 @@ class SketchedKron:
         # ties go to the empty left set, so the right group is never empty
         self.part = balanced_partition(self.col_shape)
         left, right = list(self.part.left), list(self.part.right)
-        self.left_gather = kron_rows([self.factors[i] for i in left], multi[:, left])
+        self.left_columns = _kron_columns([self.factors[i] for i in left], multi[:, left])
         right_dims = tuple(row_shape[i] for i in right)
         unique, self.right_pos = np.unique(
             np.ravel_multi_index(tuple(multi[:, right].T), right_dims),
@@ -227,40 +251,48 @@ class SketchedKron:
         self.group_order = self.part.left + self.part.right
         self.grouped_shape = tuple(self.col_shape[i] for i in self.group_order)
         self.ungroup = tuple(int(i) for i in np.argsort(self.group_order))
-        r_left = self.left_gather.shape[1]
-        self.scatter = (self.right_pos[:, None] * r_left + np.arange(r_left)).reshape(-1)
 
     def apply(self, c) -> np.ndarray:
         """Entries of ``S K c`` at the nonzero rows of ``S``.
 
         The right group acts on the matricized ``c`` at its distinct rows,
-        and each output entry contracts one left-group row with one of those
-        columns.  Returns values aligned with ``s_diag.indices`` (already
-        scaled by ``s_diag.values``).
+        one row of ``y_t`` per left column; each output entry then sums, over
+        the left columns in order, that column's row of ``y_t`` at the
+        entry's right row times its left-group entry.  Returns values
+        aligned with ``s_diag.indices`` (already scaled by
+        ``s_diag.values``).
         """
-        r_left = self.left_gather.shape[1]
-        grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(-1)
-        c_mat = grouped.reshape(r_left, -1).T
-        y = self.right_rows @ c_mat  # (distinct right rows) x (left cols)
-        vals = np.einsum("tj,tj->t", y[self.right_pos], self.left_gather)
-        return self.s_diag.values * vals
+        r_left = self.left_columns.shape[0]
+        grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(r_left, -1)
+        y_t = grouped @ self.right_rows.T  # (left cols) x (distinct right rows)
+        vals = np.zeros(self.s_diag.nnz)
+        term = np.empty_like(vals)
+        for y_j, column in zip(y_t, self.left_columns):
+            # every position is in range, and "clip" spares take's buffered copy
+            y_j.take(self.right_pos, out=term, mode="clip")
+            term *= column
+            vals += term
+        vals *= self.s_diag.values
+        return vals
 
     def transpose_apply(self, b_values) -> np.ndarray:
         """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
 
-        The mirror of :meth:`apply`: each nonzero's left-group row, scaled
-        by its entry of ``S b``, is summed into the bin of its distinct
-        right row, and one multiply against the distinct right rows
+        The mirror of :meth:`apply`: for each left column, the nonzeros'
+        entries of that column, scaled by their entries of ``S b``, are
+        summed into the bins of their distinct right rows by one
+        ``np.bincount``, and one multiply against the distinct right rows
         finishes the contraction.  ``np.bincount`` adds each bin's terms in
         nonzero order, as ``np.add.at`` would, so the sums are the same to
         the bit.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
         """
         scaled = self.s_diag.values * b_values
-        shape = (self.right_rows.shape[0], self.left_gather.shape[1])
-        terms = scaled[:, None] * self.left_gather
-        w = np.bincount(self.scatter, weights=terms.reshape(-1),
-                        minlength=shape[0] * shape[1]).reshape(shape)
-        m = self.right_rows.T @ w  # (right cols) x (left cols)
+        n_right = self.right_rows.shape[0]
+        w_t = np.empty((self.left_columns.shape[0], n_right))
+        for w_j, column in zip(w_t, self.left_columns):
+            w_j[:] = np.bincount(self.right_pos, weights=column * scaled, minlength=n_right)
+        # the multiply takes w as (distinct right rows) x (left cols), C-ordered
+        m = self.right_rows.T @ np.ascontiguousarray(w_t.T)  # (right cols) x (left cols)
         # (left slow, right fast) grouped order, permuted back to natural order
         return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
 

@@ -49,6 +49,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 from .kron import (
     SketchedKron,
+    SparseDiagonal,
     check_factors,
     kron_mat_mul,
     kron_operator_shape,
@@ -474,7 +475,15 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
     are the caller's to validate, and ``sketch`` holds multi-indices inside
     ``K``'s row shape.
     """
-    sdiag, multi, b_drawn = _drawn_rows(sketch, tuple(a.shape[0] for a in factors), b)
+    row_shape = tuple(a.shape[0] for a in factors)
+    return _solve_drawn_rows(factors, *_drawn_rows(sketch, row_shape, b), lam, right)
+
+
+def _solve_drawn_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
+                      multi: np.ndarray, b_drawn: np.ndarray, lam: float,
+                      right: np.ndarray | None = None) -> np.ndarray:
+    """:func:`sketched_ridge_solve` from the merged draws that
+    :func:`_drawn_rows` returns."""
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
     design = kron_rows(factors, multi)
     design *= sdiag.values[:, None]
@@ -513,12 +522,13 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     t0 = time.perf_counter()
     sampler = build_product_sampler([statistical_leverage_scores(a) for a in factors])
     sketch = sample_rows(sampler, s, config.seed)
-    x = sketched_ridge_solve(factors, sketch, b.reshape([a.shape[0] for a in factors]),
-                             config.lam)
+    row_shape = tuple(a.shape[0] for a in factors)
+    sdiag, multi, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
+    x = _solve_drawn_rows(factors, sdiag, multi, b_drawn, config.lam)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(ridge_loss, factors, x, b, config.lam),
                        iterations=0, sample_count=s, wall_time=wall,
-                       distinct_rows=np.unique(sketch.indices, axis=0).shape[0])
+                       distinct_rows=sdiag.nnz)
 
 
 def fast_kronecker_regression(factors: Sequence[np.ndarray], b,

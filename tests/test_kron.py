@@ -288,9 +288,16 @@ class TestSketchedApplies:
         n_right_distinct = op.right_rows.shape[0]
         assert n_right_distinct < sd.nnz
         bound = max(sd.nnz * 3, n_right_distinct * 9)
-        sizes = {name: value.size for name, value in vars(op).items()
-                 if isinstance(value, np.ndarray)}
+        arrays = {name: value for name, value in vars(op).items()
+                  if isinstance(value, np.ndarray)}
+        sizes = {name: value.size for name, value in arrays.items()}
         assert max(sizes.values()) <= bound, (sizes, bound)
+        # one float array of nnz x left columns, and no index array that large
+        assert [name for name, size in sizes.items() if size >= sd.nnz * 3] == [
+            "left_columns"], sizes
+        assert op.left_columns.shape == (3, sd.nnz)
+        assert op.left_columns.dtype == np.float64
+        assert op.left_columns.flags.c_contiguous
 
 
 def sketched_problem(shapes, seed, distinct, n_repeats):
@@ -335,24 +342,31 @@ def sketched_oracle(factors, sd):
     return sd.values[:, None] * explicit_kron(factors)[sd.indices]
 
 
-def first_formulation(op, c, b_values):
-    """``op.apply(c)`` and ``op.transpose_apply(b_values)`` as first written.
+def sequential_formulation(op, factors, c, b_values):
+    """``op.apply(c)`` and ``op.transpose_apply(b_values)`` from the
+    left-group Kronecker rows that :func:`kron_rows` forms.
 
-    The transpose scatters the scaled left-group rows into the distinct
-    right-row bins with ``np.add.at``; the operator's ``np.bincount`` over
-    its precomputed scatter index must match this to the bit.
+    The apply adds, one left column after another, that column's row of
+    ``c_grouped @ right_rows.T`` at each nonzero's right row times its
+    left-group entry.  The transpose scatters the scaled left-group rows
+    into the distinct right-row bins with ``np.add.at``; the operator's
+    per-column ``np.bincount`` must match this to the bit.
     """
     sd = op.s_diag
     if sd.nnz == 0:
         return np.zeros(0), np.zeros(op.cols)
-    scaled = sd.values * b_values
     order = op.part.left + op.part.right
-    r_left = op.left_gather.shape[1]
-    c_mat = c.reshape(op.col_shape).transpose(order).reshape(-1).reshape(r_left, -1).T
-    y = op.right_rows @ c_mat
-    vals = np.einsum("tj,tj->t", y[op.right_pos], op.left_gather)
+    multi = diagonal_multi_indices(factors, sd)
+    left = kron_rows([factors[i] for i in op.part.left], multi[:, list(op.part.left)])
+    r_left = left.shape[1]
+    c_grouped = c.reshape(op.col_shape).transpose(order).reshape(r_left, -1)
+    y_t = c_grouped @ op.right_rows.T
+    vals = np.zeros(sd.nnz)
+    for j in range(r_left):
+        vals = vals + y_t[j, op.right_pos] * left[:, j]
+    scaled = sd.values * b_values
     w = np.zeros((op.right_rows.shape[0], r_left))
-    np.add.at(w, op.right_pos, scaled[:, None] * op.left_gather)
+    np.add.at(w, op.right_pos, scaled[:, None] * left)
     grouped = (op.right_rows.T @ w).T.reshape(-1)
     grouped_shape = tuple(op.col_shape[i] for i in order)
     natural = grouped.reshape(grouped_shape).transpose(
@@ -372,7 +386,7 @@ class TestSketchedProperties:
     def test_kernels_bitwise_match_first_formulation(self, problem):
         factors, sd, c, b_values = problem
         op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
-        apply_ref, transpose_ref = first_formulation(op, c, b_values)
+        apply_ref, transpose_ref = sequential_formulation(op, factors, c, b_values)
         np.testing.assert_array_equal(op.apply(c), apply_ref)
         np.testing.assert_array_equal(op.transpose_apply(b_values), transpose_ref)
 

@@ -6,6 +6,7 @@ import pytest
 
 from kronsolve.errors import InvalidInputError, NumericalFailureError
 from kronsolve.leverage import (
+    LeverageScores,
     approx_leverage_scores_jl,
     build_product_sampler,
     regression_sample_count,
@@ -214,6 +215,48 @@ class TestProductSampler:
         freq = np.bincount(flat, minlength=12) / 100_000
         se = np.sqrt(joint * (1 - joint) / 100_000)
         assert np.all(np.abs(freq - joint) <= 3 * se + 1e-12)
+
+    @staticmethod
+    def plain_draws(sampler, uniforms):
+        """The draws of an unsorted ``np.searchsorted`` per factor."""
+        return np.stack([np.clip(np.searchsorted(cdf, u, side="right"), 0, cdf.size - 1)
+                         for cdf, u in zip(sampler.per_factor_cdf, uniforms)], axis=1)
+
+    @pytest.mark.parametrize("seed,sizes,s", [
+        (0, (5,), 1), (1, (4, 3), 50), (2, (60, 60, 60), 2000),
+        (3, (4096, 4096), 38_049), (4, (1, 7, 2, 3), 500),
+    ])
+    def test_sorted_lookup_draws_plain_searchsorted(self, seed, sizes, s):
+        rng = np.random.default_rng(seed)
+        sampler = build_product_sampler([
+            statistical_leverage_scores(rng.standard_normal((n, 1))) for n in sizes])
+        reference_rng = np.random.default_rng(seed)
+        uniforms = [reference_rng.random(s) for _ in sizes]
+        draws = sampler.sample(s, np.random.default_rng(seed))
+        np.testing.assert_array_equal(draws, self.plain_draws(sampler, uniforms))
+
+    def test_uniform_on_a_cdf_entry_draws_plain_searchsorted(self):
+        # uniforms equal to CDF entries (the final 1.0 too), repeated and in
+        # descending order: the sorted lookup breaks ties as side="right" does
+        sampler = build_product_sampler([
+            LeverageScores(np.array([1.0, 2.0, 3.0, 4.0]), 0.0),
+            LeverageScores(np.array([0.5, 0.0, 0.25, 0.25]), 0.0)])
+        uniforms = [np.concatenate([cdf[::-1], cdf, [0.0, 0.5, cdf[1], 0.0]])
+                    for cdf in sampler.per_factor_cdf]
+
+        class Replay:
+            """A generator stand-in that hands out the given uniforms."""
+
+            def __init__(self, arrays):
+                self.arrays = list(arrays)
+
+            def random(self, size):
+                out = self.arrays.pop(0)
+                assert out.size == size
+                return out.copy()
+
+        draws = sampler.sample(uniforms[0].size, Replay(uniforms))
+        np.testing.assert_array_equal(draws, self.plain_draws(sampler, uniforms))
 
 
 class TestSampleRows:

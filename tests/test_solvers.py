@@ -412,6 +412,23 @@ class TestSketchAndSolve:
         assert rep.sample_count == 18592
         assert 0 < rep.distinct_rows <= 20  # the draws merge onto K's 20 rows
 
+    def test_draws_merge_once_per_call(self, count_calls):
+        # distinct_rows is read off the merge the solve makes, not a second
+        # np.unique over the draws
+        merges = count_calls(solvers, "sparse_diagonal_from_sketch")
+        draws = count_calls(solvers, "sample_rows")
+        uniques = count_calls(np, "unique")
+        rs = np.random.default_rng(3)
+        facs = [rs.standard_normal((6, 2)), rs.standard_normal((5, 2))]
+        cfg = RegressionConfig(eps=0.25, lam=1e-2, alpha=0.02, seed=1)
+        for call in range(1, 3):
+            rep = sketch_and_solve_ridge(facs, rs.standard_normal(30), cfg)
+            assert len(merges) == len(uniques) == call
+        (_, s, _), _ = draws
+        sketch = solvers.sample_rows(*draws[0])
+        assert rep.sample_count == s
+        assert 0 < rep.distinct_rows == np.unique(sketch.indices, axis=0).shape[0] < s
+
 
 class TestPreconditioner:
     def test_dense_construction_agreement(self, rng):
