@@ -86,7 +86,7 @@ def run_checks() -> int:
     a = rng.standard_normal((8, 3))
     ata = a.T @ a
     inv = np.linalg.inv(ata)
-    x, iters = solvers.pcg_solve(
+    x, iters, _ = solvers.pcg_solve(
         lambda v: ata @ v, lambda v: inv @ v, a.T @ bb[:8],
         solvers.RegressionConfig(eps=0.25), float(bb[:8] @ bb[:8]))
     xstar = np.linalg.lstsq(a, bb[:8], rcond=None)[0]
@@ -183,6 +183,23 @@ def run_checks() -> int:
         tensor_io.write_tensor(path, xt)
         back = tensor_io.read_tensor(path)
         check("tensor file roundtrip", np.array_equal(back, xt))
+
+    # a tall factor's CholeskyQR2 SVD vs LAPACK's, at condition number 1e5
+    q = np.linalg.qr(rng.standard_normal((2048, 32)))[0]
+    w = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+    tall = (q * np.logspace(0, -5, 32)) @ w.T
+    svd = tensor._cholesky_qr2_svd(tall)
+    if svd is None:
+        check("tall compact SVD", False, "CholeskyQR2 handed the factor to LAPACK")
+    else:
+        want = np.linalg.svd(tall, compute_uv=False)
+        gaps = (np.max(np.abs(svd.sigma - want)) / want[0],
+                np.max(np.abs(svd.u.T @ svd.u - np.eye(32))),
+                np.max(np.abs(svd.v.T @ svd.v - np.eye(32))),
+                np.linalg.norm(svd.reconstruct() - tall) / np.linalg.norm(tall))
+        check("tall compact SVD", max(gaps) <= 1e-12,
+              "sigma, u and v orthogonality, reconstruction: "
+              + ", ".join(f"{g:.2e}" for g in gaps))
 
     if failures:
         print(f"{failures} check(s) failed")

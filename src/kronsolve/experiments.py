@@ -4,8 +4,8 @@ The synthetic regression task draws all factor entries i.i.d. from a normal
 distribution with mean 1 and variance 0.001 and fits the all-ones response;
 the Tucker task decomposes either a tensor file or a generated noisy
 low-rank tensor.  Each run emits one CSV row per (solver, seed) cell with
-loss, ratio against OPT, sampled and distinct rows, wall time, iterations
-and convergence.
+loss, ratio against OPT, sampled and distinct rows, wall time, iterations,
+convergence and PCG's final relative residual.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ EXACT_SOLVERS = ("kronmatmul", "naive")
 
 RESULT_HEADER = ("solver", "n", "d", "order", "seed", "loss", "ratio",
                  "rows_sampled", "distinct_rows", "wall_time", "iterations",
-                 "converged", "status")
+                 "converged", "residual", "status")
 
 TUCKER_HEADER = ("sweep", "loss", "rre", "sweep_seconds")
 
@@ -102,6 +102,7 @@ class ResultRow:
     wall_time: float
     iterations: int = 0
     converged: bool = False
+    residual: float = 0.0
     status: str = "ok"
 
     def as_csv(self) -> tuple:
@@ -180,7 +181,8 @@ def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
                      seed=seed, loss=loss, ratio=math.nan,
                      rows_sampled=report.sample_count,
                      distinct_rows=report.distinct_rows, wall_time=report.wall_time,
-                     iterations=report.iterations, converged=report.converged)
+                     iterations=report.iterations, converged=report.converged,
+                     residual=report.residual)
 
 
 def run_regression_experiment(spec: ExperimentSpec,

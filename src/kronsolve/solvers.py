@@ -123,7 +123,8 @@ class SolveReport:
     covers it.  ``sample_count`` is the rows drawn and ``distinct_rows``
     the rows left once repeated draws are merged; both are 0 where no
     sketch ran.  ``converged`` is False only when :func:`pcg_solve` stopped
-    at its cap.
+    at its cap, and ``residual`` is its final relative residual
+    ``sqrt(r^T z / r_0^T z_0)``, 0 where PCG did not run.
     """
 
     solution: np.ndarray
@@ -133,6 +134,7 @@ class SolveReport:
     wall_time: float
     converged: bool = True
     distinct_rows: int = 0
+    residual: float = 0.0
 
     @property
     def loss(self) -> float:
@@ -230,10 +232,12 @@ def build_kron_preconditioner(v_factors: Sequence[np.ndarray],
 
 def pcg_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
               apply_precond: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
-              config: RegressionConfig, b_norm_sq: float) -> tuple[np.ndarray, int]:
+              config: RegressionConfig, b_norm_sq: float,
+              ) -> tuple[np.ndarray, int, float]:
     """Preconditioned conjugate gradients (Saad 2003, Alg. 9.1) from zero for
-    sketched normal equations ``N x = rhs``; returns the iterate and the
-    number of iterations, each of which makes one ``apply_normal``.
+    sketched normal equations ``N x = rhs``; returns the iterate, the number
+    of iterations, each of which makes one ``apply_normal``, and the final
+    relative residual ``sqrt(r^T z / r_0^T z_0)`` (0 for a zero ``rhs``).
 
     Step ``k`` lowers the sketched loss ``x^T N x - 2 rhs^T x + b_norm_sq``
     (``b_norm_sq = ||S b||^2``) by ``alpha_k r_k^T z_k``.  The iteration
@@ -248,7 +252,7 @@ def pcg_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
     x = np.zeros_like(rhs)
     r = rhs.copy()
     z = apply_precond(r)
-    rz = float(r @ z)
+    rz = rz_start = float(r @ z)
     floor = RESIDUAL_TOL**2 * rz
     remaining = b_norm_sq
     p = z
@@ -266,14 +270,18 @@ def pcg_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
         r -= alpha * q
         iterations += 1
         remaining -= alpha * rz
-        if (alpha * rz <= config.eps**2 / 10 * remaining
-                or iterations == config.effective_max_iters):
-            break
         z = apply_precond(r)
         rz_next = float(r @ z)
+        if (alpha * rz <= config.eps**2 / 10 * remaining
+                or iterations == config.effective_max_iters):
+            rz = rz_next
+            break
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return x, iterations
+    # a step that stops the iteration does not check r^T z, which an
+    # indefinite preconditioner can leave negative
+    residual = math.sqrt(max(rz, 0.0) / rz_start) if rz_start > 0.0 else 0.0
+    return x, iterations, residual
 
 
 # The benchmark traces the inner solver under this binding; it goes when a
@@ -589,10 +597,10 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     sdiag, multi, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
     op = SketchedKron(factors, sdiag, multi)
     sb = sdiag.values * b_drawn
-    x, iters = pcg_solve(lambda v: op.normal(v) + lam * v, precond.apply,
-                         op.transpose_apply(sb), config, float(sb @ sb))
+    x, iters, residual = pcg_solve(lambda v: op.normal(v) + lam * v, precond.apply,
+                                   op.transpose_apply(sb), config, float(sb @ sb))
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam),
                        iterations=iters, sample_count=s, wall_time=wall,
                        converged=iters < config.effective_max_iters,
-                       distinct_rows=sdiag.nnz)
+                       distinct_rows=sdiag.nnz, residual=residual)

@@ -12,6 +12,14 @@ hold exactly with the factors in natural order; ``v.reshape(shape)``
 inverts it.  Modes are 0-based, like numpy axes.  Every Kronecker multiply
 and mode product in the package runs the one unchecked kernel
 :func:`_mode_products`, after its public entry point's checks.
+
+Every factor decomposition in the package is a :func:`compact_svd`.  A tall
+``m x n`` factor (``m >= 4 n`` and ``m n^2 >= 2^17``) goes through
+CholeskyQR2 and one ``n x n`` SVD, a few GEMMs, whose singular values match
+LAPACK's to about ``1e-15 sigma_max`` and whose singular vectors are
+orthonormal to a few ulp.  Every other factor, and a tall one with
+``sigma_min <= 1e-6 sigma_max``, goes through LAPACK's ``np.linalg.svd``,
+backward stable at any condition number.
 """
 
 from __future__ import annotations
@@ -26,6 +34,15 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError, SizeGuardError
 
 DEFAULT_RANK_TOL = 1e-10
+
+# CholeskyQR2's domain in compact_svd.  The size rule is measured (1 BLAS
+# thread): it loses to LAPACK at 60x4, 300x4, 256x8 and 256x16 and wins at
+# 1024x16, 4096x8 and 4096x64.  The conditioning rule keeps a 100x margin
+# to sigma_min / sigma_max = 1e-8, where the first Gram matrix stops being
+# numerically positive definite.
+_CHOLQR_MIN_ASPECT = 4
+_CHOLQR_MIN_WORK = 1 << 17
+_CHOLQR_MIN_SIGMA_RATIO = 1e-6
 
 # Guard for densifying a Kronecker product (test-oracle path only).
 EXPLICIT_KRON_MAX_ENTRIES = 10**7
@@ -43,12 +60,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
     """Validate and return ``x`` as an order >= 1 float64 array."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 1:
-        x = x.reshape(1)
+    x = _float_tensor(x)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
+
+
+def _float_tensor(x) -> np.ndarray:
+    """``x`` as an order >= 1 float64 array, not scanned for finiteness."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.reshape(1) if x.ndim < 1 else x
 
 
 @dataclass(frozen=True)
@@ -74,9 +95,23 @@ class CompactSvd:
 def compact_svd(a) -> CompactSvd:
     """Compact SVD of ``a``; drops singular values <= DEFAULT_RANK_TOL * sigma_max.
 
+    A tall ``m x n`` factor, with ``m >= 4 n`` and ``m n^2 >= 2^17``, is
+    decomposed by CholeskyQR2 (Fukaya et al. 2014): ``a = Q R`` from two
+    Cholesky passes over ``n x n`` Gram matrices, then ``R = Ur S V^T`` by
+    one small SVD, so ``u = Q Ur``.  That is four GEMM-like passes over
+    ``a``, 3-4x faster than LAPACK's Householder SVD at 4096 x 64.  While
+    ``sigma_min > 1e-6 sigma_max`` its singular values match LAPACK's to
+    about ``1e-15 sigma_max`` and ``u`` and ``v`` are orthonormal to a few
+    ulp (Yamamoto et al. 2015 bound both up to a condition number of about
+    ``1e8``).  Every other factor, and a tall one whose Cholesky passes or
+    small SVD fail or whose small SVD shows ``sigma_min <= 1e-6 sigma_max``,
+    is decomposed by ``np.linalg.svd``, so rank-deficient and
+    ill-conditioned factors get LAPACK's result, and only they can meet
+    the rank cut.
+
     Parameters
     ----------
-    a : array_like, shape (n, d)
+    a : array_like, shape (m, n)
 
     Raises
     ------
@@ -86,6 +121,11 @@ def compact_svd(a) -> CompactSvd:
         If the underlying LAPACK solver does not converge.
     """
     a = as_matrix(a)
+    m, n = a.shape
+    if m >= _CHOLQR_MIN_ASPECT * n and m * n * n >= _CHOLQR_MIN_WORK:
+        svd = _cholesky_qr2_svd(a)
+        if svd is not None:
+            return svd
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -96,6 +136,25 @@ def compact_svd(a) -> CompactSvd:
     # s[:1] is empty for an empty matrix, so the rank is 0 there too
     r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[:1]))
     return CompactSvd(u=u[:, :r].copy(), sigma=s[:r].copy(), v=vt[:r].T.copy())
+
+
+def _cholesky_qr2_svd(a: np.ndarray) -> CompactSvd | None:
+    """:func:`compact_svd` of a tall checked ``a`` by CholeskyQR2 and an SVD
+    of its ``R``, or None where that may be inaccurate: a LAPACK call fails
+    (a Gram matrix is not numerically positive definite, or overflowed), or
+    ``R``'s ``sigma_min <= _CHOLQR_MIN_SIGMA_RATIO * sigma_max``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r1 = np.linalg.cholesky(a.T @ a).T
+            q1 = a @ np.linalg.inv(r1)
+            r2 = np.linalg.cholesky(q1.T @ q1).T
+            ur, s, vt = np.linalg.svd(r2 @ r1)
+        except np.linalg.LinAlgError:
+            return None
+    # written so that a NaN in s fails it too
+    if not s[-1] > _CHOLQR_MIN_SIGMA_RATIO * s[0]:
+        return None
+    return CompactSvd(u=q1 @ (np.linalg.inv(r2) @ ur), sigma=s, v=vt.T.copy())
 
 
 def pseudo_inverse(a) -> np.ndarray:

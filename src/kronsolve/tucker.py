@@ -44,6 +44,7 @@ from .solvers import (
 )
 from .tensor import (
     CompactSvd,
+    _float_tensor,
     _mode_products,
     _unfold,
     as_tensor,
@@ -549,14 +550,20 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     sweep reads the tensor in full once, besides any exact fallback.  No
     mode forms a dense reconstruction.  ``config`` supplies the sampling
     parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
-    ridge weight.  ``x`` is scanned for non-finite entries once, here; a
-    sketched factor update checks only the fibres it draws, and an exact
-    fallback step scans ``x`` again, as :func:`naive_factor_update` does.
+    ridge weight.  ``x`` is checked through ``||X||_F^2``, which ALS needs
+    anyway: a finite norm means finite entries, and ``x`` is scanned for a
+    non-finite entry only when the norm is not finite, so that a finite
+    tensor whose norm overflows passes.  A sketched factor update checks
+    only the fibres it draws, and an exact fallback step scans ``x``, as
+    :func:`naive_factor_update` does.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
     """
-    x = as_tensor(x)
+    x = _float_tensor(x)
+    x_norm_sq = float(np.vdot(x, x))
+    if not math.isfinite(x_norm_sq):
+        as_tensor(x)  # raises on a non-finite entry; a norm that overflows passes
     core_shape = tuple(int(r) for r in core_shape)
     if len(core_shape) != x.ndim:
         raise InvalidInputError(
@@ -573,7 +580,6 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     config = config or RegressionConfig()
 
     report = AlsReport()
-    x_norm_sq = float(np.vdot(x, x))
 
     def record(label: str, seconds: float, y: np.ndarray):
         err, loss = _fit_projected(model, y, x_norm_sq, caches)

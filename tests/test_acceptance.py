@@ -213,8 +213,8 @@ def test_pcg_rate():
                 residuals.append(r.copy())
                 return m @ r
 
-            x, iters = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
-                                 RegressionConfig(eps=0.01), float(b @ b))
+            x, iters, _ = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
+                                    RegressionConfig(eps=0.01), float(b @ b))
             errors = [math.sqrt(abs(r @ ata_inv @ r)) for r in residuals]
             errors.append(math.sqrt(abs((x - ata_inv @ rhs) @ ata @ (x - ata_inv @ rhs))))
             rate = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)

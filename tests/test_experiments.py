@@ -90,6 +90,7 @@ class TestRegressionExperiment:
         assert (exact["rows_sampled"], exact["distinct_rows"]) == ("0", "0")
         assert 0 < int(fast["distinct_rows"]) <= int(fast["rows_sampled"])
         assert int(fast["iterations"]) > 0 and fast["converged"] == "True"
+        assert float(exact["residual"]) == 0.0 and 0.0 < float(fast["residual"]) < 1.0
 
     def test_opt_is_kronmatmul_unless_it_failed(self, monkeypatch):
         # naive runs first, yet OPT is the reference kronmatmul loss

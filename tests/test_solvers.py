@@ -76,8 +76,8 @@ class TestPcg:
         b = rng.standard_normal(8)
         ata = a.T @ a
         inv = np.linalg.inv(ata)
-        x, iters = pcg_solve(lambda v: ata @ v, lambda v: inv @ v, a.T @ b,
-                             RegressionConfig(eps=0.25), float(b @ b))
+        x, iters, _ = pcg_solve(lambda v: ata @ v, lambda v: inv @ v, a.T @ b,
+                                RegressionConfig(eps=0.25), float(b @ b))
         assert iters == 1
         np.testing.assert_allclose(x, lstsq_solution(a, b), atol=1e-10)
 
@@ -92,8 +92,8 @@ class TestPcg:
         ata_inv = np.linalg.inv(ata)
         apply_precond, residuals = recording(energy_norm_preconditioner(ata, kappa, rng))
         rhs = a.T @ b
-        x, iters = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
-                             RegressionConfig(eps=0.01), float(b @ b))
+        x, iters, _ = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
+                                RegressionConfig(eps=0.01), float(b @ b))
         assert iters >= 3
         rate = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
         e0 = math.sqrt(rhs @ ata_inv @ rhs)
@@ -117,8 +117,8 @@ class TestPcg:
         apply_precond, residuals = recording(energy_norm_preconditioner(ata, 20.0, rng))
         rhs = a.T @ b
         eps = 0.1
-        x, iters = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
-                             RegressionConfig(eps=eps), float(b @ b))
+        x, iters, _ = pcg_solve(lambda v: ata @ v, apply_precond, rhs,
+                                RegressionConfig(eps=eps), float(b @ b))
         iterates = [np.linalg.solve(ata, rhs - r) for r in residuals[:iters]] + [x]
         losses = [float((a @ v - b) @ (a @ v - b)) for v in iterates]
         stops = [losses[k - 1] - losses[k] <= eps**2 / 10 * losses[k]
@@ -131,13 +131,35 @@ class TestPcg:
         ata = a.T @ a
         apply_normal, normals = recording(ata)
         apply_precond, preconds = recording(energy_norm_preconditioner(ata, 8.0, rng))
-        x, iters = pcg_solve(apply_normal, apply_precond, a.T @ b,
-                             RegressionConfig(eps=0.01), float(b @ b))
+        x, iters, _ = pcg_solve(apply_normal, apply_precond, a.T @ b,
+                                RegressionConfig(eps=0.01), float(b @ b))
         assert iters > 1
         assert len(normals) == iters
-        # one apply per step, plus the start's; the last step skips its own
-        # when the loss stops the iteration
-        assert iters <= len(preconds) <= iters + 1
+        # one apply per step, plus the start's; the last step's gives the
+        # final residual
+        assert len(preconds) == iters + 1
+
+    @pytest.mark.parametrize("b_in_range", [False, True])
+    def test_returns_the_final_relative_residual(self, rng, b_in_range):
+        # sqrt(r^T M r / r_0^T M r_0) at the iterate returned: recomputed
+        # where the loss rule stopped the iteration, and at most
+        # RESIDUAL_TOL where the floor did (b in a's range)
+        a = rng.standard_normal((60, 12))
+        b = a @ rng.standard_normal(12)
+        if not b_in_range:
+            b += rng.standard_normal(60)
+        ata = a.T @ a
+        m = energy_norm_preconditioner(ata, 4.0, rng)
+        rhs = a.T @ b
+        x, iters, residual = pcg_solve(lambda v: ata @ v, lambda v: m @ v, rhs,
+                                       RegressionConfig(eps=0.1), float(b @ b))
+        assert iters > 0 and 0.0 < residual < 1.0
+        if b_in_range:
+            assert residual <= solvers.RESIDUAL_TOL
+        else:
+            r = rhs - ata @ x
+            want = math.sqrt((r @ m @ r) / (rhs @ m @ rhs))
+            assert residual == pytest.approx(want, rel=1e-9)
 
     def test_consistent_system_runs_to_the_floor(self, rng):
         # b in a's range leaves no loss to stop on, so PCG runs until r^T z
@@ -148,8 +170,8 @@ class TestPcg:
         ata = a.T @ a
         m = energy_norm_preconditioner(ata, 2.0, rng)
         cfg = RegressionConfig(eps=0.1)
-        x, iters = pcg_solve(lambda v: ata @ v, lambda v: m @ v, a.T @ b, cfg,
-                             float(b @ b))
+        x, iters, _ = pcg_solve(lambda v: ata @ v, lambda v: m @ v, a.T @ b, cfg,
+                                float(b @ b))
         assert iters < cfg.effective_max_iters
         assert np.linalg.norm(x - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
@@ -161,15 +183,15 @@ class TestPcg:
         d = np.logspace(0, 6, 100)
         rhs = np.sqrt(d)
         cfg = RegressionConfig(eps=0.25)
-        x, iters = pcg_solve(lambda v: d * v, lambda v: v, rhs, cfg,
-                             float(rhs @ (rhs / d)))
+        x, iters, _ = pcg_solve(lambda v: d * v, lambda v: v, rhs, cfg,
+                                float(rhs @ (rhs / d)))
         assert iters == cfg.effective_max_iters
 
     def test_zero_rhs_gives_zeros(self):
         apply_normal, calls = recording(np.eye(4))
-        x, iters = pcg_solve(apply_normal, lambda v: v, np.zeros(4),
-                             RegressionConfig(eps=0.25), 1.0)
-        assert iters == 0 and not calls
+        x, iters, residual = pcg_solve(apply_normal, lambda v: v, np.zeros(4),
+                                       RegressionConfig(eps=0.25), 1.0)
+        assert iters == 0 and not calls and residual == 0.0
         np.testing.assert_array_equal(x, np.zeros(4))
 
     def test_negated_preconditioner_raises(self, rng):
@@ -202,10 +224,10 @@ class TestPcg:
         sdiag = kron.sparse_diagonal_from_sketch(sketch, b.shape)
         op = kron.SketchedKron(facs, sdiag, kron.diagonal_multi_indices(facs, sdiag))
         sb = sdiag.values * b[np.unravel_index(sdiag.indices, b.shape)]
-        x, iters = pcg_solve(lambda v: op.normal(v) + lam * v,
-                             svd_preconditioner(facs, lam).apply,
-                             op.transpose_apply(sb), RegressionConfig(eps=eps),
-                             float(sb @ sb))
+        x, iters, _ = pcg_solve(lambda v: op.normal(v) + lam * v,
+                                svd_preconditioner(facs, lam).apply,
+                                op.transpose_apply(sb), RegressionConfig(eps=eps),
+                                float(sb @ sb))
         direct = solvers.sketched_ridge_solve(facs, sketch, b, lam)
         # the oracle keeps every draw as its own row of explicit_kron
         design = sketched_rows(facs, sketch)
@@ -338,6 +360,7 @@ class TestExactSolvers:
         r2 = kronmatmul_svd_solve(facs, b, lam)
         np.testing.assert_allclose(r1.solution, r2.solution, atol=1e-8)
         assert r1.loss == pytest.approx(r2.loss, rel=1e-8)
+        assert r1.residual == r2.residual == 0.0
 
     def test_unregularized_residual_orthogonality(self, rng):
         facs = [rng.standard_normal((8, 3)), rng.standard_normal((6, 2))]
@@ -601,12 +624,14 @@ class TestFastKroneckerRegression:
         assert (rep.iterations > 0) == sketched
         assert rep.iterations < cfg.effective_max_iters
         assert rep.converged is True
+        assert (0.0 < rep.residual < 1.0) if sketched else rep.residual == 0.0
 
     def test_report_says_when_pcg_ran_out_of_iterations(self, monkeypatch):
         real = solvers.pcg_solve
 
         def capped(*args):
-            return real(*args)[0], args[3].effective_max_iters
+            x, _, residual = real(*args)
+            return x, args[3].effective_max_iters, residual
 
         monkeypatch.setattr(solvers, "pcg_solve", capped)
         rs = np.random.default_rng(0)

@@ -59,13 +59,68 @@ class TestCompactSvd:
         with pytest.raises(InvalidInputError):
             compact_svd([[np.nan, 0.0], [0.0, 1.0]])
 
-    def test_lapack_failure_maps_to_numerical_error(self, monkeypatch):
-        def boom(*args, **kwargs):
+    def test_lapack_failure_maps_to_numerical_error(self, monkeypatch, rng):
+        # a tall factor's small SVD of R fails first and hands the factor to
+        # LAPACK, whose failure raises
+        calls = []
+
+        def boom(a, *args, **kwargs):
+            calls.append(np.shape(a))
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", boom)
-        with pytest.raises(NumericalFailureError):
-            compact_svd(np.eye(3))
+        for a in [np.eye(3), rng.standard_normal((4096, 64))]:
+            with pytest.raises(NumericalFailureError):
+                compact_svd(a)
+        assert calls == [(3, 3), (64, 64), (4096, 64)]
+
+    @staticmethod
+    def conditioned(rng, shape, kappa, scale=3.0):
+        """A random ``shape`` matrix with singular values log-spaced from
+        ``scale`` down to ``scale / kappa``."""
+        m, n = shape
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (u * (scale * np.logspace(0, -np.log10(kappa), n))) @ v.T
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("shape", [(4096, 64), (4096, 8), (2048, 16)])
+    def test_tall_factor_matches_lapack(self, rng, shape, kappa):
+        a = self.conditioned(rng, shape, kappa)
+        want = np.linalg.svd(a, compute_uv=False)
+        svd = compact_svd(a)
+        n = shape[1]
+        assert svd.rank == n
+        assert np.max(np.abs(svd.sigma - want)) <= 1e-12 * want[0]
+        assert np.max(np.abs(svd.u.T @ svd.u - np.eye(n))) <= 1e-12
+        assert np.max(np.abs(svd.v.T @ svd.v - np.eye(n))) <= 1e-12
+        assert np.linalg.norm(svd.reconstruct() - a) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("case", ["kappa 1e9", "zero column", "duplicated columns",
+                                      "entries near overflow"])
+    def test_tall_factor_falls_back_to_lapack(self, rng, case):
+        a = self.conditioned(rng, (4096, 64), 1e9 if case == "kappa 1e9" else 1e2)
+        if case == "zero column":
+            a[:, 7] = 0.0
+        elif case == "duplicated columns":
+            a[:, 7] = a[:, 40]
+        elif case == "entries near overflow":
+            a *= 1e160
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        r = int(np.count_nonzero(s > tensor.DEFAULT_RANK_TOL * s[0]))
+        svd = compact_svd(a)
+        assert svd.rank == r == (63 if "column" in case else 64)
+        np.testing.assert_array_equal(svd.sigma, s[:r])
+        np.testing.assert_array_equal(svd.u, u[:, :r])
+        np.testing.assert_array_equal(svd.v, vt[:r].T)
+
+    def test_only_tall_factors_take_cholesky_qr(self, count_calls, rng):
+        calls = count_calls(np.linalg, "cholesky")
+        for shape in [(60, 4), (256, 8)]:
+            compact_svd(rng.standard_normal(shape))
+        assert not calls
+        compact_svd(rng.standard_normal((4096, 64)))
+        assert len(calls) == 2
 
 
 class TestPseudoInverse:

@@ -984,10 +984,10 @@ class TestValidateOnce:
             fast_factor_matrix_update(model, x, 0, config, caches=caches)
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_als_scans_the_tensor_once(self, monkeypatch, count_calls, rng, mode):
+    def test_als_never_scans_a_finite_tensor(self, monkeypatch, count_calls, rng, mode):
         # at alpha 1e-6 every fast factor step sketches, and a sketched step
-        # checks only the fibres it draws, so tucker_als's entry check is
-        # the one scan in both modes
+        # checks only the fibres it draws; tucker_als reads its entry check
+        # off ||X||^2, so a finite tensor is never scanned in either mode
         x = rng.standard_normal((7, 6, 5))
         scans = []
         original = tensor.as_tensor
@@ -1002,8 +1002,25 @@ class TestValidateOnce:
         fallbacks = count_calls(tucker, "naive_factor_update")
         tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode=mode,
                    config=replace(LOSS_CFG, alpha=1e-6))
-        assert len(scans) == 1
+        assert not scans
         assert not fallbacks
+
+    def test_finite_tensor_whose_norm_overflows_passes(self, monkeypatch, count_calls,
+                                                       rng):
+        # ||X||^2 overflows, so the entry check scans X once, finds every
+        # entry finite and goes on to the start
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        x = 1e160 * rng.standard_normal((6, 5, 4))
+        scans = self.count_scans(count_calls, x.size)
+        monkeypatch.setattr(tucker, "initial_model", start)
+        with pytest.raises(Started):
+            tucker_als(x, (2, 2, 2), sweeps=1, config=LOSS_CFG)
+        assert scans() == 1
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_nan_tensor_rejected(self, rng, mode):
@@ -1029,12 +1046,13 @@ class TestValidateOnce:
         np.testing.assert_array_equal(got, naive_factor_update(model, x, 1))
 
     def test_fast_als_at_alpha_one_scans_once_per_step(self, count_calls, rng):
-        # one check in tucker_als and one per fallback factor step
+        # one check per fallback factor step; tucker_als reads its own off
+        # ||X||^2 and scans nothing
         x = rng.standard_normal((8, 7, 6))
         scans = self.count_scans(count_calls, x.size)
         tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=1, solver_mode="fast",
                    config=RegressionConfig(alpha=1.0))
-        assert scans() == 1 + 3
+        assert scans() == 3
 
     def test_nan_tensor_rejected_by_each_step(self, count_calls, rng):
         model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
