@@ -17,12 +17,14 @@ check nothing again.
 sketch: built once, it splits the factors into two column-balanced groups,
 keeps the narrow left group's entries at the nonzeros one left column at a
 time (a left-group columns x nnz float array) and the distinct rows of the
-wide right group, and applies ``S K``, ``K^T S`` and ``K^T S^2 K``
-touching only the nonzero rows.  The apply adds one gather per left
-column; the transpose mirrors it with one ``np.bincount`` per left column
-into the bins of the distinct right rows and finishes with one multiply
-against those rows.  The ``sketched_*`` functions are one-shot wrappers
-around it.
+wide right group, both from :func:`kron_rows`, and applies ``S K``,
+``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The apply
+adds one gather per left column; the transpose mirrors it with one
+``np.bincount`` per left column into the bins of the distinct right rows
+and finishes with one multiply against those rows.  The ``sketched_*``
+functions are one-shot wrappers around it.  Every Kronecker row comes
+from :func:`kron_rows`: it returns the transpose view of a column-major
+array, so the left columns are its result transposed back, with no copy.
 """
 
 from __future__ import annotations
@@ -174,30 +176,16 @@ def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.nd
     """Rows of the Kronecker product at the given multi-indices.
 
     ``multi_indices`` has shape (m, N); the result is (m, prod cols), also
-    for m = 0.  An empty factor list yields a single all-ones column.
+    for m = 0: the transpose view of a C-contiguous (prod cols, m) array.
+    Each factor contributes the gather ``np.take(A.T, idx, axis=1)``, one
+    row per factor column, and each further factor multiplies into a new
+    array of the product's size, so a single factor's gather is the result
+    itself, with no copy.  An empty factor list yields one all-ones column.
     """
     multi_indices = np.atleast_2d(np.asarray(multi_indices, dtype=np.intp))
     m = multi_indices.shape[0]
-    acc = np.ones((m, 1))
-    for n, a in enumerate(factors):
-        part = a[multi_indices[:, n], :]
-        acc = (acc[:, :, None] * part[:, None, :]).reshape(m, acc.shape[1] * a.shape[1])
-    return acc
-
-
-def _kron_columns(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.ndarray:
-    """:func:`kron_rows` transposed: a C-contiguous ``(prod cols, m)`` array
-    whose column ``t`` is the Kronecker row at ``multi_indices[t]``.
-
-    Each factor contributes the gather ``np.take(A.T, idx, axis=1)``, one
-    row per factor column; each further factor multiplies into a new array
-    of the product's size, so a single factor's gather is the result
-    itself, with no all-ones seed and no copy.  No factors yield one
-    all-ones row.
-    """
-    m = multi_indices.shape[0]
     if not factors:
-        return np.ones((1, m))
+        return np.ones((1, m)).T
     acc = np.take(factors[0].T, multi_indices[:, 0], axis=1)
     for n, a in enumerate(factors[1:], start=1):
         part = np.take(a.T, multi_indices[:, n], axis=1)
@@ -205,7 +193,7 @@ def _kron_columns(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> n
         np.multiply(acc[:, None, :], part[None, :, :],
                     out=out.reshape(acc.shape[0], part.shape[0], m))
         acc = out
-    return acc
+    return acc.T
 
 
 class SketchedKron:
@@ -240,7 +228,7 @@ class SketchedKron:
         # ties go to the empty left set, so the right group is never empty
         self.part = balanced_partition(self.col_shape)
         left, right = list(self.part.left), list(self.part.right)
-        self.left_columns = _kron_columns([self.factors[i] for i in left], multi[:, left])
+        self.left_columns = kron_rows([self.factors[i] for i in left], multi[:, left]).T
         right_dims = tuple(row_shape[i] for i in right)
         unique, self.right_pos = np.unique(
             np.ravel_multi_index(tuple(multi[:, right].T), right_dims),

@@ -6,6 +6,8 @@ Row importance of a matrix ``A`` is measured by its ridge leverage scores
 approximate regression solutions.  For a Kronecker product the statistical
 score of row ``(i_1, ..., i_N)`` factorizes as the product of per-factor
 scores, so sampling reduces to one categorical draw per factor.
+:func:`sample_rows` draws every sketch that way, the rows of a single
+matrix through a one-factor :class:`ProductSampler`.
 
 The score functions check their input.  :class:`ProductSampler`,
 :func:`build_product_sampler` and :func:`sample_rows` are kernels that take
@@ -138,9 +140,8 @@ def approx_leverage_scores_jl(a, a_tilde, gram_tilde, eps: float, seed,
 class RowSketch:
     """``s`` i.i.d. row draws with their rescaling weights ``1/sqrt(p_j s)``.
 
-    ``indices`` has shape ``(s, N)`` for multi-index draws from a
-    :class:`ProductSampler` and shape ``(s,)`` for draws from an explicit
-    distribution.
+    ``indices`` has shape ``(s, N)``: one multi-index per draw from a
+    :class:`ProductSampler` of ``N`` factors.
     """
 
     indices: np.ndarray
@@ -197,23 +198,15 @@ def build_product_sampler(per_factor_scores: Sequence[LeverageScores]) -> Produc
     return ProductSampler(per_factor_scores)
 
 
-def sample_rows(sampler, s: int, seed) -> RowSketch:
+def sample_rows(sampler: ProductSampler, s: int, seed) -> RowSketch:
     """Draw ``s`` rows i.i.d. with replacement and attach sketch weights.
 
-    ``sampler`` is either a :class:`ProductSampler` or an explicit probability
-    vector over flat row indices.  A row drawn with probability ``p_j`` gets
-    weight ``1 / sqrt(p_j * s)``.
+    A row drawn with probability ``p_j`` gets weight ``1 / sqrt(p_j * s)``.
+    One factor's sampler draws the rows of a single matrix.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(sampler, ProductSampler):
-        indices = sampler.sample(s, rng)
-        probs = sampler.probabilities(indices)
-    else:
-        p = np.asarray(sampler, dtype=np.float64)
-        p = p / p.sum()
-        indices = rng.choice(p.size, size=s, replace=True, p=p)
-        probs = p[indices]
-    weights = 1.0 / np.sqrt(probs * s)
+    indices = sampler.sample(s, rng)
+    weights = 1.0 / np.sqrt(sampler.probabilities(indices) * s)
     return RowSketch(indices=indices, weights=weights)
 
 
@@ -222,7 +215,8 @@ def spectral_approx_rows(a, eps: float, delta: float, seed,
     """Row-sampled spectral approximation ``S @ a`` of a tall matrix.
 
     Samples ``ceil(alpha * 144 d ln(2d/delta) / eps^2)`` rows by the exact
-    statistical leverage scores of ``a`` and rescales them, so that
+    statistical leverage scores of ``a``, through a one-factor
+    :class:`ProductSampler`, and rescales them, so that
     ``(1-eps) A^T A <= (SA)^T SA <= (1+eps) A^T A`` holds with probability at
     least ``1 - delta`` (at ``alpha = 1``).
     """
@@ -231,7 +225,8 @@ def spectral_approx_rows(a, eps: float, delta: float, seed,
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
-    scores = statistical_leverage_scores(a)
+    if not np.any(a):
+        raise InvalidInputError("cannot sample the rows of a zero matrix")
     s = max(1, math.ceil(alpha * spectral_sample_count(a.shape[1], eps, delta)))
-    sketch = sample_rows(scores.normalized(), s, seed)
-    return sketch.weights[:, None] * a[sketch.indices, :]
+    sketch = sample_rows(ProductSampler([statistical_leverage_scores(a)]), s, seed)
+    return sketch.weights[:, None] * a[sketch.indices[:, 0], :]

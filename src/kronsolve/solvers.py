@@ -9,14 +9,15 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
   R x R matrix; exact, and the reference for OPT.
 * :func:`sketch_and_solve_ridge` samples rows of ``K`` by their leverage
   scores and solves the sketched normal equation directly with
-  :func:`sketched_ridge_solve`, the direct solve that the fast Tucker block
-  updates share.
+  :func:`sketched_ridge_solve`, the one direct sketched solve, which the
+  fast Tucker block updates share.
 * :func:`fast_kronecker_regression` solves the *sketched* problem by
   conjugate gradients preconditioned with the eigendecomposition of the
   *unsketched* normal matrix, read off the factor SVDs, so every step costs
   only sparse Kronecker applies.
 
-The four routes and :func:`ridge_loss` are the public entries: each checks
+Both sketched routes and the fast Tucker step draw through
+:func:`_leverage_draws`.  The four routes and :func:`ridge_loss` are the public entries: each checks
 its factors (2-d and finite; a solve also refuses an identically zero
 factor) and the lengths of its vectors, and :class:`RegressionConfig`
 checks its parameters.  :func:`sketched_ridge_solve`,
@@ -62,7 +63,6 @@ from .leverage import (
     regression_sample_count,
     ridge_leverage_scores,
     sample_rows,
-    statistical_leverage_scores,
 )
 from .tensor import CompactSvd, _mode_products, as_matrix, compact_svd
 
@@ -108,6 +108,19 @@ class RegressionConfig:
         return 8 * max(1, math.ceil(math.log(1.0 / self.eps)))
 
 
+class _EvaluateOnce:
+    """A zero-argument function called at most once: the first call keeps
+    its value and lets go of the function."""
+
+    def __init__(self, fn: Callable[[], float]):
+        self.fn = fn
+
+    def __call__(self) -> float:
+        if self.fn is not None:
+            self.value, self.fn = self.fn(), None
+        return self.value
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Solution vector plus bookkeeping for benchmark tables.
@@ -119,10 +132,11 @@ class SolveReport:
     :func:`fast_kronecker_regression`, from the projection of ``b`` onto the
     factors' left singular vectors, to about ulp * ||b||^2 absolute.  The
     route keeps a reference to ``b``, not a copy, so the loss is taken
-    against ``b`` as it stands at that first read.  ``wall_time`` never
-    covers it.  ``sample_count`` is the rows drawn and ``distinct_rows``
-    the rows left once repeated draws are merged; both are 0 where no
-    sketch ran.  ``converged`` is False only when :func:`pcg_solve` stopped
+    against ``b`` as it stands at that first read, and copies made by
+    :func:`dataclasses.replace` before it share that one evaluation.
+    ``wall_time`` never covers it.  ``sample_count`` is the rows drawn and
+    ``distinct_rows`` the rows left once repeated draws are merged; both are
+    0 where no sketch ran.  ``converged`` is False only when :func:`pcg_solve` stopped
     at its cap, and ``residual`` is its final relative residual
     ``sqrt(r^T z / r_0^T z_0)``, 0 where PCG did not run.
     """
@@ -136,12 +150,16 @@ class SolveReport:
     distinct_rows: int = 0
     residual: float = 0.0
 
+    def __post_init__(self):
+        if not isinstance(self.loss_fn, _EvaluateOnce):
+            object.__setattr__(self, "loss_fn", _EvaluateOnce(self.loss_fn))
+
     @property
     def loss(self) -> float:
-        """The ridge loss of ``solution``: ``loss_fn()`` at the first read,
-        its cached value after.  The first read replaces ``loss_fn`` by a
-        constant, so the report stops holding what the route's function
-        held (the factor SVDs, ``b``)."""
+        """The ridge loss of ``solution``: ``loss_fn()`` at the first read of
+        this report or of a copy, its cached value after.  The first read
+        replaces ``loss_fn`` by a constant, so the report stops holding what
+        the route's function held (the factor SVDs, ``b``)."""
         value = self.loss_fn()
         object.__setattr__(self, "loss_fn", partial(float, value))
         return value
@@ -285,7 +303,7 @@ def pcg_solve(apply_normal: Callable[[np.ndarray], np.ndarray],
 
 
 # The benchmark traces the inner solver under this binding; it goes when a
-# benchmark change renames the traced name (ROADMAP item 1(a)).
+# benchmark change renames the traced name (ROADMAP item 1(b)).
 richardson_solve = pcg_solve
 
 
@@ -347,6 +365,16 @@ def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
     b_drawn = b[multi]
     _check_finite_reads(b_drawn, "b at a sampled row")
     return sdiag, np.stack(multi, axis=1), b_drawn
+
+
+def _leverage_draws(svds: Sequence[CompactSvd], count: int, seed, b: np.ndarray):
+    """:func:`_drawn_rows` of ``count`` rows of ``K`` drawn by the product of
+    its factors' statistical leverage scores, read off their compact SVDs
+    ``svds``; ``b``'s leading axes are ``K``'s row shape.  Every sketched
+    route draws here, each with its own ``seed``."""
+    sampler = build_product_sampler([ridge_leverage_scores(svd, 0.0) for svd in svds])
+    sketch = sample_rows(sampler, count, seed)
+    return _drawn_rows(sketch, tuple(svd.u.shape[0] for svd in svds), b)
 
 
 def _validated_problem(factors, b):
@@ -460,38 +488,23 @@ def _loss_off_bases(svds: Sequence[CompactSvd], b: np.ndarray, x: np.ndarray,
         return _projected_ridge_loss(svds, t, float(np.vdot(b, b)), x, lam)
 
 
-def sketched_ridge_solve(factors: Sequence[np.ndarray], sketch: RowSketch,
-                         b: np.ndarray, lam: float,
+def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
+                         multi: np.ndarray, b_drawn: np.ndarray, lam: float,
                          right: np.ndarray | None = None) -> np.ndarray:
     """Solve a sketched ridge problem directly: ``(D^T D + lam I)^+ D^T S b``.
 
     ``D = S K right`` for the row sketch ``S`` and ``K = A1 kron ... kron
     AN``, with ``right`` (``R x R'``) taken as the identity when omitted.
-    Repeated draws of a row are merged first
-    (:func:`~kronsolve.kron.sparse_diagonal_from_sketch`): one row weighted
-    by the root of its summed squared weights leaves ``D^T D`` and
-    ``D^T S b`` unchanged, so ``D`` holds one row per distinct draw.  Those
-    Kronecker rows come from :func:`~kronsolve.kron.kron_rows` and are
-    weighted in place.  ``b``'s leading axes are ``K``'s row shape, so a
-    caller passes the tensor it holds, and a trailing axis holds more
-    right-hand sides.  All are solved at once, with the pseudo-inverse
+    The sketch comes merged, as :func:`_leverage_draws` returns it: the
+    diagonal ``sdiag`` (a repeated row weighted by the root of its summed
+    squared weights, which leaves ``D^T D`` and ``D^T S b`` unchanged), its
+    ``(nnz, N)`` multi-indices ``multi``, and ``b_drawn``, ``b`` there,
+    whose trailing axis holds more right-hand sides.  ``D`` holds the
+    Kronecker rows of :func:`~kronsolve.kron.kron_rows`, weighted in place.  All are solved at once, with the pseudo-inverse
     convention, so ``lam = 0`` with a rank-deficient ``D`` does not raise,
-    and refined by one step against ``D``.
-
-    ``b`` is read only at the drawn rows, and a non-finite entry there
-    raises :class:`InvalidInputError`.  ``factors``, ``right`` and ``lam``
-    are the caller's to validate, and ``sketch`` holds multi-indices inside
-    ``K``'s row shape.
+    and refined by one step against ``D``.  ``factors``, ``right`` and
+    ``lam`` are the caller's to validate.
     """
-    row_shape = tuple(a.shape[0] for a in factors)
-    return _solve_drawn_rows(factors, *_drawn_rows(sketch, row_shape, b), lam, right)
-
-
-def _solve_drawn_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
-                      multi: np.ndarray, b_drawn: np.ndarray, lam: float,
-                      right: np.ndarray | None = None) -> np.ndarray:
-    """:func:`sketched_ridge_solve` from the merged draws that
-    :func:`_drawn_rows` returns."""
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
     design = kron_rows(factors, multi)
     design *= sdiag.values[:, None]
@@ -528,15 +541,13 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
             f"sketched matrix would hold {s}x{cols} entries "
             f"(guard: {max_dense_entries})")
     t0 = time.perf_counter()
-    sampler = build_product_sampler([statistical_leverage_scores(a) for a in factors])
-    sketch = sample_rows(sampler, s, config.seed)
-    row_shape = tuple(a.shape[0] for a in factors)
-    sdiag, multi, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
-    x = _solve_drawn_rows(factors, sdiag, multi, b_drawn, config.lam)
+    draws = _leverage_draws([compact_svd(a) for a in factors], s, config.seed,
+                            b.reshape([a.shape[0] for a in factors]))
+    x = sketched_ridge_solve(factors, *draws, config.lam)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(ridge_loss, factors, x, b, config.lam),
                        iterations=0, sample_count=s, wall_time=wall,
-                       distinct_rows=sdiag.nnz)
+                       distinct_rows=draws[0].nnz)
 
 
 def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
@@ -586,15 +597,13 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
         return replace(exact, wall_time=time.perf_counter() - t0)
 
     svds = [compact_svd(a) for a in factors]
-    sampler = build_product_sampler([ridge_leverage_scores(svd, 0.0) for svd in svds])
     precond = build_kron_preconditioner([svd.v for svd in svds],
                                         [svd.sigma**2 for svd in svds], lam)
 
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
-    sketch = sample_rows(sampler, s, seed)
     row_shape = tuple(a.shape[0] for a in factors)
-    sdiag, multi, b_drawn = _drawn_rows(sketch, row_shape, b.reshape(row_shape))
+    sdiag, multi, b_drawn = _leverage_draws(svds, s, seed, b.reshape(row_shape))
     op = SketchedKron(factors, sdiag, multi)
     sb = sdiag.values * b_drawn
     x, iters, residual = pcg_solve(lambda v: op.normal(v) + lam * v, precond.apply,

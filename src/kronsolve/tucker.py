@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .kron import kron_mat_mul, kron_rows
-from .leverage import build_product_sampler, regression_sample_count, \
-    ridge_leverage_scores, sample_rows
+from .leverage import regression_sample_count
 from .solvers import (
     KronPreconditioner,
     RegressionConfig,
+    _leverage_draws,
     _projected_ridge_loss,
     _svd_ridge_solution,
     build_factor_cache,
@@ -119,7 +119,10 @@ def _check_caches(model: TuckerModel, n: int, caches: Sequence[CompactSvd]) -> N
     """Reject caller caches that do not fit the factors other than ``n``.
 
     Each cache must be finite, with ``u`` holding one row per row of its
-    factor and ``v`` one row per column, as :func:`build_factor_cache` gives.
+    factor, ``v`` one row per column and the three parts one rank, as
+    :func:`build_factor_cache` gives; a nonzero factor's must hold a basis
+    (a nonzero ``u``, positive ``sigma``), whose leverage scores a sketched
+    step draws by.
     """
     if len(caches) != len(model.factors):
         raise InvalidInputError(
@@ -127,12 +130,16 @@ def _check_caches(model: TuckerModel, n: int, caches: Sequence[CompactSvd]) -> N
     for k, (a, svd) in enumerate(zip(model.factors, caches)):
         if k == n:
             continue
-        if svd.u.shape[0] != a.shape[0] or svd.v.shape[0] != a.shape[1]:
+        rank = svd.u.shape[1]
+        if (svd.u.shape[0] != a.shape[0] or svd.v.shape != (a.shape[1], rank)
+                or svd.sigma.shape != (rank,)):
             raise InvalidInputError(
-                f"factor cache {k} has u of {svd.u.shape[0]} and v of "
-                f"{svd.v.shape[0]} rows for a factor of shape {a.shape}")
+                f"factor cache {k} has u {svd.u.shape}, sigma {svd.sigma.shape} and "
+                f"v {svd.v.shape} for a factor of shape {a.shape}")
         if not all(np.all(np.isfinite(part)) for part in (svd.u, svd.sigma, svd.v)):
             raise InvalidInputError("factor caches contain non-finite entries")
+        if np.any(a) and not (np.any(svd.u) and np.all(svd.sigma > 0.0)):
+            raise InvalidInputError(f"factor cache {k} holds no basis for a nonzero factor")
 
 
 def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, float]:
@@ -228,8 +235,8 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     singular values at or below ``1e-10 * sigma_max`` of their factor.
     ``caches`` (one per factor of ``model``, as ALS holds them) supply the
     other factors' SVDs; without them those N-1 factors are decomposed here.
-    A cache that is not finite, or whose ``u`` or ``v`` does not match its
-    factor's rows or columns, raises :class:`InvalidInputError`.
+    A cache that does not fit its factor (:func:`_check_caches`) raises
+    :class:`InvalidInputError`.
     """
     x = _model_tensor(model, x)
     if not 0 <= n < len(model.factors):
@@ -389,7 +396,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     mode-``n`` unfolding.  One sketch ``S`` of
     ``ceil(alpha * 1680 R_rest ln(40 R_rest) ln(I_n/delta) / eps)`` rows of
     the leftover Kronecker product is drawn from the leverage-score product
-    distribution (seeded by ``config.seed``), and
+    distribution by :func:`~kronsolve.solvers._leverage_draws` (seeded by
+    ``config.seed``), and
     :func:`~kronsolve.solvers.sketched_ridge_solve` returns
     ``(D^T D + lam I)^+ D^T S B^T`` with ``D = S K`` (one row per distinct
     draw, R_n columns) for every row at once, with the pseudo-inverse
@@ -407,9 +415,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     :class:`InvalidInputError` while one on a fibre the sketch did not draw
     cannot change the result.  ``caches`` (one per factor of ``model``)
     supply the other factors' SVDs for the leverage scores, or for that
-    exact update; on either route a cache that is not finite or whose ``u``
-    or ``v`` does not match its factor's rows or columns, or on the
-    sketched route a zero basis, raises :class:`InvalidInputError`.  When
+    exact update; on either route a cache that does not fit its factor (as
+    :func:`_check_caches` says) raises :class:`InvalidInputError`.  When
     the core or another factor is zero, so is ``K``, and every row's
     solution is zero.
     """
@@ -435,14 +442,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
         return np.zeros_like(model.factors[n])
     svds = ([compact_svd(a) for a in others] if caches is None
             else [svd for k, svd in enumerate(caches) if k != n])
-    scores = [ridge_leverage_scores(v, 0.0) for v in svds]
-    # the sampler takes these as given; a zero basis in a cache sums to zero
-    if not all(ls.scores.sum() > 0.0 for ls in scores):
-        raise InvalidInputError("factor caches give leverage scores without a positive sum")
-    sampler = build_product_sampler(scores)
-    sketch = sample_rows(sampler, s, config.seed)
-    return sketched_ridge_solve(others, sketch, np.moveaxis(x, n, -1), model.lam,
-                                right=g_n.T).T
+    draws = _leverage_draws(svds, s, config.seed, np.moveaxis(x, n, -1))
+    return sketched_ridge_solve(others, *draws, model.lam, right=g_n.T).T
 
 
 @dataclass

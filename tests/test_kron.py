@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kronsolve.kron as kron
 from kronsolve.errors import InvalidInputError
 from kronsolve.kron import (
     SketchedKron,
@@ -298,6 +299,30 @@ class TestSketchedApplies:
         assert op.left_columns.shape == (3, sd.nnz)
         assert op.left_columns.dtype == np.float64
         assert op.left_columns.flags.c_contiguous
+
+    @pytest.mark.parametrize("shapes", [[(8, 3), (6, 3), (5, 3)], [(6, 2), (5, 2), (4, 8)],
+                                        [(7, 1), (5, 3)]])
+    def test_left_columns_are_the_rows_kron_rows_built(self, rng, monkeypatch, shapes):
+        # the left group's Kronecker rows, transposed without a copy; a lone
+        # left factor, two of them, and an empty left group
+        built = []
+
+        def recording(*args):
+            built.append(kron_rows(*args))
+            return built[-1]
+
+        monkeypatch.setattr(kron, "kron_rows", recording)
+        facs = random_factors(rng, shapes)
+        rows = math.prod(a.shape[0] for a in facs)
+        sd = random_sparse_diag(rng, rows, rows // 2)
+        multi = diagonal_multi_indices(facs, sd)
+        op = SketchedKron(facs, sd, multi)
+        left = list(op.part.left)
+        assert len(built) == 2  # the left group's rows, then the distinct right rows
+        assert op.left_columns.flags.c_contiguous
+        assert np.shares_memory(op.left_columns, built[0])
+        np.testing.assert_array_equal(
+            op.left_columns.T, kron_rows([facs[i] for i in left], multi[:, left]))
 
 
 def sketched_problem(shapes, seed, distinct, n_repeats):

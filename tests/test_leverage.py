@@ -259,26 +259,36 @@ class TestProductSampler:
         np.testing.assert_array_equal(draws, self.plain_draws(sampler, uniforms))
 
 
+def one_factor_sampler(p):
+    """A :class:`ProductSampler` of one factor whose row ``j`` is drawn with
+    probability ``p[j] / sum(p)``."""
+    return build_product_sampler([LeverageScores(np.asarray(p, dtype=np.float64), 0.0)])
+
+
 class TestSampleRows:
     def test_uniform_weights(self):
-        sketch = sample_rows(np.full(4, 0.25), 2, seed=0)
+        sketch = sample_rows(one_factor_sampler(np.full(4, 0.25)), 2, seed=0)
+        assert sketch.indices.shape == (2, 1)
         np.testing.assert_allclose(sketch.weights, [math.sqrt(2.0)] * 2, atol=1e-12)
 
     def test_degenerate_distribution(self):
-        sketch = sample_rows(np.array([1.0, 0.0, 0.0]), 3, seed=0)
-        np.testing.assert_array_equal(sketch.indices, [0, 0, 0])
-        np.testing.assert_allclose(sketch.weights, [1.0 / math.sqrt(3.0)] * 3,
-                                   atol=1e-12)
+        # rows of zero probability, on either side of the one that has it all,
+        # are never drawn
+        for p in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
+            sketch = sample_rows(one_factor_sampler(p), 3, seed=0)
+            np.testing.assert_array_equal(sketch.indices, [[np.argmax(p)]] * 3)
+            np.testing.assert_allclose(sketch.weights, [1.0 / math.sqrt(3.0)] * 3,
+                                       atol=1e-12)
 
     def test_sketch_gram_is_unbiased(self, rng):
         # Monte Carlo: E[(SA)^T SA] == A^T A
         a = rng.standard_normal((30, 3))
-        p = statistical_leverage_scores(a).normalized()
+        sampler = build_product_sampler([statistical_leverage_scores(a)])
         total = np.zeros((3, 3))
         reps = 200
         for seed in range(reps):
-            sketch = sample_rows(p, 2000, seed=seed)
-            sa = sketch.weights[:, None] * a[sketch.indices]
+            sketch = sample_rows(sampler, 2000, seed=seed)
+            sa = sketch.weights[:, None] * a[sketch.indices[:, 0]]
             total += sa.T @ sa
         mean = total / reps
         err = np.linalg.norm(mean - a.T @ a) / np.linalg.norm(a.T @ a)

@@ -228,7 +228,8 @@ class TestPcg:
                                 svd_preconditioner(facs, lam).apply,
                                 op.transpose_apply(sb), RegressionConfig(eps=eps),
                                 float(sb @ sb))
-        direct = solvers.sketched_ridge_solve(facs, sketch, b, lam)
+        direct = solvers.sketched_ridge_solve(
+            facs, *solvers._drawn_rows(sketch, b.shape, b), lam)
         # the oracle keeps every draw as its own row of explicit_kron
         design = sketched_rows(facs, sketch)
         target = sketch.weights * b[tuple(sketch.indices.T)]
@@ -391,7 +392,8 @@ class TestSketchAndSolve:
         lam = 1e-2
         every_row = np.stack(np.unravel_index(np.arange(20), (5, 4)), axis=1)
         full = RowSketch(indices=every_row, weights=np.ones(20))
-        x = solvers.sketched_ridge_solve(facs, full, b.reshape(5, 4), lam)
+        x = solvers.sketched_ridge_solve(
+            facs, *solvers._drawn_rows(full, (5, 4), b.reshape(5, 4)), lam)
         exact = kronmatmul_svd_solve(facs, b, lam)
         np.testing.assert_allclose(x, exact.solution, atol=1e-8)
 
@@ -420,7 +422,8 @@ class TestSketchAndSolve:
         flat = np.array([3, 7, 3, 19, 7, 7, 0, 12])
         multi = np.stack(np.unravel_index(flat, (5, 4)), axis=1)
         sketch = RowSketch(indices=multi, weights=rng.uniform(0.5, 2.0, flat.size))
-        x = solvers.sketched_ridge_solve(facs, sketch, b.reshape(5, 4), 0.1)
+        x = solvers.sketched_ridge_solve(
+            facs, *solvers._drawn_rows(sketch, (5, 4), b.reshape(5, 4)), 0.1)
         sk = sketched_rows(facs, sketch)
         want = (np.linalg.pinv(sk.T @ sk + 0.1 * np.eye(6))
                 @ (sk.T @ (sketch.weights * b[flat])))
@@ -504,9 +507,14 @@ class TestPreconditioner:
         # to 1.3e-10 of the result at lam 1e-3), so x is projected onto that
         # row space, taken from a dense SVD of K
         _, s_k, vt_k = np.linalg.svd(k, full_matrices=False)
-        row_space = vt_k[s_k > 1e-10 * s_k[0]]
+        kept = s_k > 1e-10 * s_k[0]
+        row_space = vt_k[kept]
         x = row_space.T @ (row_space @ x)
-        want = np.linalg.pinv(k.T @ k + lam * np.eye(k.shape[1])) @ x
+        # pinv(K^T K + lam I) x read off that SVD: a pinv of the formed
+        # K^T K spreads its roundoff into the 1/lam directions, 1.5e-10 of
+        # the result for three rank-1 and rank-3 factors at lam 1e-3, where
+        # the operator and this oracle both matched a 50-digit solve to 4e-12
+        want = row_space.T @ ((row_space @ x) / (s_k[kept] ** 2 + lam))
         got = pre.apply(x)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -748,7 +756,7 @@ class TestFastKroneckerRegression:
 
         monkeypatch.setattr(tucker, "_core_update", counted_core_step)
         exact_solves = count_calls(tucker, "_svd_ridge_solution")
-        sketches = count_calls(tucker, "sample_rows")
+        sketches = count_calls(solvers, "sample_rows")
         cfg = RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0)
         fast, fast_report = tucker.tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2,
                                               solver_mode="fast", config=cfg)
@@ -776,6 +784,40 @@ class TestFastKroneckerRegression:
 def dense_ridge_loss(factors, x, b, lam):
     r = dense_kron(factors) @ x - b
     return float(r @ r) + lam * float(x @ x)
+
+
+class TestOneDrawPath:
+    """Every sketched route draws its rows through ``solvers._leverage_draws``:
+    the fast regression, sketch-and-solve and the sketched Tucker step."""
+
+    @staticmethod
+    def run(route, alpha):
+        rs = np.random.default_rng(7)
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=alpha)
+        if route == "tucker-step":
+            model = tucker.TuckerModel(core=rs.standard_normal((2, 2, 2)),
+                                       factors=[rs.standard_normal((8, 2)) for _ in range(3)],
+                                       lam=0.1)
+            return tucker.fast_factor_matrix_update(model, rs.standard_normal((8, 8, 8)), 0, cfg)
+        facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]
+        solve = fast_kronecker_regression if route == "fast" else sketch_and_solve_ridge
+        return solve(facs, rs.standard_normal(400), cfg)
+
+    # alpha 1e-6 sketches on every route; at alpha 1 the fast regression and
+    # the Tucker step fall back to their exact solves, and sketch-and-solve,
+    # which has no fallback, still sketches
+    @pytest.mark.parametrize("route,alpha,draws", [
+        ("fast", 1e-6, 1), ("fast", 1.0, 0), ("sketch-solve", 1e-6, 1),
+        ("sketch-solve", 1.0, 1), ("tucker-step", 1e-6, 1), ("tucker-step", 1.0, 0)])
+    def test_each_sketched_route_draws_once(self, count_calls, route, alpha, draws):
+        calls = [count_calls(module, "_leverage_draws") for module in (solvers, tucker)]
+        samples = count_calls(solvers, "sample_rows")
+        self.run(route, alpha)
+        assert sum(len(c) for c in calls) == len(samples) == draws
+
+    def test_tucker_binds_no_sampler(self):
+        for name in ("build_product_sampler", "sample_rows", "ridge_leverage_scores"):
+            assert not hasattr(tucker, name), name
 
 
 class TestReportedLoss:
@@ -915,8 +957,11 @@ class TestLazyLoss:
         assert (rep.sample_count > 0) == (route in ("sketch-solve", "fast"))
         assert losses == []
         assert operand_sizes.count(b.size) == self.SOLVE_PASSES[route]
-        assert (len(bases) > 0) == (route in ("kronmatmul", "fast", "fast-fallback"))
-        assert all(ref() is not None for ref in bases)  # the loss function holds them
+        # the SVD routes' loss functions hold every basis the call made;
+        # sketch-solve draws by its factors' bases but its loss holds none
+        assert (len(bases) > 0) == (route != "naive")
+        svd_route = route in ("kronmatmul", "fast", "fast-fallback")
+        assert [ref() is not None for ref in bases] == [svd_route] * len(bases)
         function = weakref.ref(rep.loss_fn)
 
         first = rep.loss
@@ -931,11 +976,32 @@ class TestLazyLoss:
         assert np.float64(first).tobytes() == np.float64(eager).tobytes()
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_copies_share_one_evaluation(self, monkeypatch, route):
+        # a copy made before the first read shares the original's evaluation,
+        # and once both are read neither holds the route's loss function
+        losses = []
+        for name in ("ridge_loss", "_projected_ridge_loss"):
+            def counting(*args, evaluate=getattr(solvers, name)):
+                losses.append(name)
+                return evaluate(*args)
+
+            monkeypatch.setattr(solvers, name, counting)
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]
+        rep = self.ROUTES[route](facs, rs.standard_normal(400))
+        copy = dataclasses.replace(rep, wall_time=0.0)
+        function = weakref.ref(rep.loss_fn)
+        assert copy.loss == rep.loss
+        assert len(losses) == 1
+        assert function() is None
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_report_pickles_before_its_loss_is_read(self, route):
         rs = np.random.default_rng(7)
         facs = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]
         rep = self.ROUTES[route](facs, rs.standard_normal(400))
         copy = pickle.loads(pickle.dumps(rep))
+        assert pickle.loads(pickle.dumps(dataclasses.replace(rep))).loss == copy.loss
         assert copy.loss == rep.loss
         assert pickle.loads(pickle.dumps(rep)).loss == rep.loss
 

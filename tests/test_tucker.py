@@ -401,7 +401,7 @@ class TestFastFactorUpdate:
         x = rng.standard_normal((8, 7, 6))
         svds = [count_calls(module, "compact_svd") for module in (solvers, tucker)]
         fallbacks = count_calls(tucker, "naive_factor_update")
-        draws = count_calls(tucker, "sample_rows")
+        draws = count_calls(solvers, "sample_rows")
         tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2, solver_mode="fast",
                    config=RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0))
         assert [len(calls) for calls in svds] == [3 * 2, 0]
@@ -522,7 +522,7 @@ class TestBlockFactorUpdate:
 
     def test_one_sketch_per_update(self, count_calls):
         model, x, cfg = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
-        draws = count_calls(tucker, "sample_rows")
+        draws = count_calls(solvers, "sample_rows")
         exact = count_calls(tucker, "naive_factor_update")
         fast_factor_matrix_update(model, x, 2, cfg)
         assert len(draws) == 1 and len(exact) == 0
@@ -533,7 +533,7 @@ class TestBlockFactorUpdate:
     def test_one_sketch_per_update_inside_als(self, count_calls):
         # every factor update of a sweep draws one sketch, and the core none
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
-        draws = count_calls(tucker, "sample_rows")
+        draws = count_calls(solvers, "sample_rows")
         tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
                    config=LOSS_CFG)
         assert len(draws) == 2 * 3
@@ -551,7 +551,7 @@ class TestBlockFactorUpdate:
 
     def test_exact_update_when_the_sketch_covers_the_rows(self, count_calls):
         model, x, _ = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
-        draws = count_calls(tucker, "sample_rows")
+        draws = count_calls(solvers, "sample_rows")
         exact = count_calls(tucker, "naive_factor_update")
         got = fast_factor_matrix_update(model, x, 2, RegressionConfig(lam=0.1))
         assert len(draws) == 0 and len(exact) == 1
@@ -564,7 +564,7 @@ class TestSketchedCoreUpdate:
 
     def test_fast_sweep_solves_the_exact_core(self, count_calls):
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
-        samplers = count_calls(tucker, "build_product_sampler")
+        samplers = count_calls(solvers, "build_product_sampler")
         exact_solves = count_calls(tucker, "_svd_ridge_solution")
         model, report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2,
                                    solver_mode="fast", config=LOSS_CFG)
@@ -1079,7 +1079,7 @@ class TestValidateOnce:
         model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
         finite = rng.standard_normal((6, 5, 4))
         config = replace(LOSS_CFG, alpha=1e-6)
-        draws = count_calls(tucker, "sample_rows")
+        draws = count_calls(solvers, "sample_rows")
         want = fast_factor_matrix_update(model, finite, 1, config)
         (sampler, s, seed), = draws
         drawn = {tuple(ij) for ij in sample_rows(sampler, s, seed).indices}
@@ -1098,9 +1098,12 @@ class TestValidateOnce:
             fast_factor_matrix_update(model, finite[:, :, :3], 1, config)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1.0])
-    @pytest.mark.parametrize("bad", ["nan", "u rows", "v rows", "count"])
+    @pytest.mark.parametrize("bad", ["nan", "u rows", "v rows", "count", "no basis",
+                                     "u rank", "sigma rank", "v rank"])
     def test_both_steps_reject_a_bad_cache(self, rng, alpha, bad):
-        # at alpha 1e-6 the fast step sketches, at alpha 1 it falls back
+        # at alpha 1e-6 the fast step sketches, at alpha 1 it falls back; a
+        # rank dropped from sigma alone made the exact update broadcast
+        # v * sigma and return a factor several percent off
         model = random_model(rng, (10, 9, 8), (2, 2, 2), lam=0.1)
         x = rng.standard_normal((10, 9, 8))
         caches = [compact_svd(a) for a in model.factors]
@@ -1110,6 +1113,11 @@ class TestValidateOnce:
             caches[0] = replace(caches[0], u=caches[0].u[:7])
         elif bad == "v rows":
             caches[0] = replace(caches[0], v=caches[0].v[:1])
+        elif bad == "no basis":
+            caches[0] = replace(caches[0], u=np.zeros_like(caches[0].u))
+        elif bad.endswith("rank"):
+            part = bad.split()[0]
+            caches[0] = replace(caches[0], **{part: getattr(caches[0], part)[..., :1]})
         else:
             caches = caches[:2]
         config = replace(LOSS_CFG, alpha=alpha)
