@@ -17,7 +17,9 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
   only sparse Kronecker applies.
 
 Both sketched routes and the fast Tucker step draw through
-:func:`_leverage_draws`.  The four routes and :func:`ridge_loss` are the public entries: each checks
+:func:`_leverage_draws`, and each sketched route runs the exact
+:func:`kronmatmul_svd_solve` instead once its sample count reaches the row
+count.  The four routes and :func:`ridge_loss` are the public entries: each checks
 its factors (2-d and finite; a solve also refuses an identically zero
 factor) and the lengths of its vectors, and :class:`RegressionConfig`
 checks its parameters.  :func:`sketched_ridge_solve`,
@@ -25,7 +27,8 @@ checks its parameters.  :func:`sketched_ridge_solve`,
 helpers are kernels that take checked input and check it no more; they
 hand it on to the sketch kernels of :mod:`~kronsolve.kron` and
 :mod:`~kronsolve.leverage` unchecked too.  A route checks ``b`` where it
-reads it (:func:`_check_finite_reads`).
+reads it (:func:`_check_finite_reads`), as every Tucker entry checks its
+tensor.
 
 Every route reports the ridge loss of its solution, evaluated the first
 time :attr:`SolveReport.loss` is read and not inside the call.
@@ -84,7 +87,8 @@ class RegressionConfig:
     ``alpha`` scales the theoretical sample counts (``alpha=1`` uses them
     unscaled).  The inner solver's stop (a step that lowers the sketched
     loss by at most ``eps^2 / 10`` of what remains) and its iteration cap
-    ``8 * ceil(ln(1/eps))`` both derive from ``eps``.
+    ``8 * ceil(ln(1/eps))`` both derive from ``eps``.  ``seed`` is a
+    non-negative Python or numpy integer.
     """
 
     eps: float = 0.25
@@ -102,6 +106,8 @@ class RegressionConfig:
             raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def effective_max_iters(self) -> int:
@@ -341,16 +347,22 @@ def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
     return total + lam * float(x @ x)
 
 
-def _check_finite_reads(values: np.ndarray, what: str) -> None:
-    """Reject non-finite ``b`` where a solver reads it.
+def _check_finite_reads(values: np.ndarray | float, what: str) -> None:
+    """Reject a non-finite input (``b``, or a Tucker tensor ``X``) where a
+    solver reads it.
 
-    No route scans all of ``b``: the exact routes check their ``R``-length
-    projection of it, which a NaN or inf anywhere in ``b`` reaches (NaN and
-    ``inf * 0`` are NaN, and ``inf`` survives a sum or turns it into NaN),
-    and the sketched routes check the entries they draw.
+    No entry scans all of its input: it checks what it computes from it.
+    The exact routes check their projection of it (``t`` for regression,
+    ``Z`` or ``Y`` for a Tucker step), which a NaN or inf anywhere in the
+    input reaches (NaN and ``inf * 0`` are NaN, and ``inf`` survives a sum
+    or turns it into NaN); Tucker ALS and its loss evaluators check the
+    ``||X||_F^2`` they need anyway, which is not finite once an entry is or
+    once the norm overflows; and the sketched routes check the entries they
+    draw.
     """
     if not np.all(np.isfinite(values)):
-        raise InvalidInputError(f"b contains non-finite entries ({what} is not finite)")
+        raise InvalidInputError(
+            f"the input is not finite or too large ({what} is not finite)")
 
 
 def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
@@ -363,7 +375,7 @@ def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
     multi = np.unravel_index(sdiag.indices, row_shape)
     b_drawn = b[multi]
-    _check_finite_reads(b_drawn, "b at a sampled row")
+    _check_finite_reads(b_drawn, "the input at a sampled row")
     return sdiag, np.stack(multi, axis=1), b_drawn
 
 
@@ -529,18 +541,24 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     Rows of ``K`` are drawn from the exact leverage-score product
     distribution (``ceil(alpha * 1680 R ln(40R) / eps)`` of them) and
     :func:`sketched_ridge_solve` returns ``((SK)^T SK + lam I)^+ (SK)^T S b``
-    from one materialized row per distinct draw.  Guarded: refuses when the
+    from one materialized row per distinct draw.  When the sample count
+    reaches the row count the sketch is pointless, and the exact
+    :func:`kronmatmul_svd_solve` runs instead, as in
+    :func:`fast_kronecker_regression`.  Otherwise guarded: refuses when the
     sketched matrix could hold more than ``max_dense_entries`` entries.  The
     loss is :func:`ridge_loss`'s, evaluated when it is first read, against
     ``b`` as it stands then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
+    t0 = time.perf_counter()
     s = regression_sample_count(cols, config.eps, config.alpha)
+    if s >= rows:
+        exact = kronmatmul_svd_solve(factors, b, config.lam)
+        return replace(exact, wall_time=time.perf_counter() - t0)
     if max_dense_entries is not None and max(s * cols, cols * cols) > max_dense_entries:
         raise SizeGuardError(
             f"sketched matrix would hold {s}x{cols} entries "
             f"(guard: {max_dense_entries})")
-    t0 = time.perf_counter()
     draws = _leverage_draws([compact_svd(a) for a in factors], s, config.seed,
                             b.reshape([a.shape[0] for a in factors]))
     x = sketched_ridge_solve(factors, *draws, config.lam)

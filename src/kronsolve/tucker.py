@@ -14,6 +14,14 @@ does, Malik & Becker 2018), so no Tucker step runs conjugate gradients.
 A fast sweep projects the tensor once, after its last factor update, and
 reads the exact ridge core and the sweep's losses off that projection.
 
+The tensor ``X`` is checked as the regression routes check ``b``
+(:func:`~kronsolve.solvers._check_finite_reads`): by what each entry
+computes from it, never by a scan.  :func:`tucker_als`,
+:func:`relative_error` and :func:`regularized_loss` check the
+``||X||_F^2`` they need anyway; :func:`naive_factor_update` and
+:func:`core_update` check the projection of ``X`` they form; and a
+sketched factor step checks the fibres it draws.
+
 The constrained-update workspace (:class:`FactorUpdateWorkspace`,
 :func:`build_factor_workspace`) is the Woodbury-preconditioned per-row
 route that the fast factor update used to run; no solver calls it.
@@ -34,6 +42,7 @@ from .leverage import regression_sample_count
 from .solvers import (
     KronPreconditioner,
     RegressionConfig,
+    _check_finite_reads,
     _leverage_draws,
     _projected_ridge_loss,
     _svd_ridge_solution,
@@ -102,14 +111,10 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return multi_mode_product(model.core, model.factors)
 
 
-def _model_tensor(model: TuckerModel, x) -> np.ndarray:
-    """Validate ``x`` (finite, the model's shape) and return it as float64."""
-    return _model_shaped(model, as_tensor(x))
-
-
 def _model_shaped(model: TuckerModel, x) -> np.ndarray:
-    """``x`` as float64, checked against the model's shape but not scanned."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as float64, checked against the model's shape but not scanned:
+    each entry checks what it computes from ``x``."""
+    x = _float_tensor(x)
     if x.shape != model.shape:
         raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
     return x
@@ -181,9 +186,11 @@ def relative_error(model: TuckerModel, x) -> float:
     The numerator comes from the Gram identity (see ``_fit``), without a
     dense reconstruction; it is accurate to about ulp * ||X||^2 absolute,
     so the ratio is accurate to about 1e-16 absolute, and never negative.
+    A NaN or inf in ``x``, or an ``x`` whose ``||X||_F^2`` overflows, raises
+    :class:`InvalidInputError` from the check of that norm.
     """
-    x = _model_tensor(model, x)
-    den = float(np.vdot(x, x))
+    x = _model_shaped(model, x)
+    den = _checked_norm_sq(x)
     num, _ = _fit(model, x, den)
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
@@ -191,9 +198,18 @@ def relative_error(model: TuckerModel, x) -> float:
 
 
 def regularized_loss(model: TuckerModel, x) -> float:
-    """Squared reconstruction error plus lam times all squared Frobenius norms."""
-    x = _model_tensor(model, x)
-    return _fit(model, x, float(np.vdot(x, x)))[1]
+    """Squared reconstruction error plus lam times all squared Frobenius
+    norms; ``x`` is checked as in :func:`relative_error`."""
+    x = _model_shaped(model, x)
+    return _fit(model, x, _checked_norm_sq(x))[1]
+
+
+def _checked_norm_sq(x: np.ndarray) -> float:
+    """``||X||_F^2``, which is finite exactly when every entry is and the
+    norm does not overflow; otherwise :class:`InvalidInputError`."""
+    norm_sq = float(np.vdot(x, x))
+    _check_finite_reads(norm_sq, "||X||_F^2")
+    return norm_sq
 
 
 def _other_factors(model: TuckerModel, n: int) -> list[np.ndarray]:
@@ -204,14 +220,18 @@ def core_update(model: TuckerModel, x) -> np.ndarray:
     """Solve the core regression exactly at fixed factors; returns the new core.
 
     Composes the factor SVDs as :func:`kronmatmul_svd_solve` does, from the
-    projection ``X x_1 U_1^T ... x_N U_N^T`` of ``x`` onto their left
+    projection ``Y = X x_1 U_1^T ... x_N U_N^T`` of ``x`` onto their left
     singular vectors, without evaluating a loss.  Both ALS modes solve the
-    core this way.  A zero factor has an empty basis, so the ridge core is
-    zero.
+    core this way.  A NaN or inf in ``x`` raises :class:`InvalidInputError`
+    from the check of ``Y``; ``x`` is not scanned.  A zero factor has an
+    empty basis, so ``Y`` is empty and the ridge core is zero.
     """
-    x = _model_tensor(model, x)
+    x = _model_shaped(model, x)
     svds = [compact_svd(a) for a in model.factors]
-    return _core_update(model, _mode_products(x, [svd.u.T for svd in svds]), svds)
+    with np.errstate(invalid="ignore"):  # a non-finite x raises just below
+        y = _mode_products(x, [svd.u.T for svd in svds])
+    _check_finite_reads(y, "Y = X x_1 U_1^T ... x_N U_N^T")
+    return _core_update(model, y, svds)
 
 
 def _core_update(model: TuckerModel, y: np.ndarray,
@@ -236,9 +256,11 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     ``caches`` (one per factor of ``model``, as ALS holds them) supply the
     other factors' SVDs; without them those N-1 factors are decomposed here.
     A cache that does not fit its factor (:func:`_check_caches`) raises
-    :class:`InvalidInputError`.
+    :class:`InvalidInputError`, and so does a NaN or inf in ``x``, from the
+    check of ``Z``; ``x`` is not scanned.  When another factor is zero its
+    basis is empty, so is ``Z``, and the update is zero whatever ``x`` holds.
     """
-    x = _model_tensor(model, x)
+    x = _model_shaped(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
     if caches is None:
@@ -246,7 +268,9 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     else:
         _check_caches(model, n, caches)
         svds = caches
-    z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
+    with np.errstate(invalid="ignore"):  # a non-finite x raises just below
+        z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
+    _check_finite_reads(z, "Z = X x_k U_k^T for k != n")
     return _ridge_factor(model, z, n, svds)
 
 
@@ -408,11 +432,11 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
     together with probability ``1 - delta``.  The route is picked first:
     when the sample count reaches the leftover row count, the exact update
-    :func:`naive_factor_update` runs instead, and its check of ``x`` is the
-    call's one scan of X.  The sketched route checks ``x`` where it reads
-    it, as the regression routes check ``b``: its shape is checked, but it
-    is not scanned, and a non-finite entry on a drawn fibre raises
-    :class:`InvalidInputError` while one on a fibre the sketch did not draw
+    :func:`naive_factor_update` runs instead and checks its projection of
+    ``x``.  Neither route scans ``x``.  The sketched route checks ``x``
+    where it reads it, as the sketched regression routes check ``b``: its
+    shape is checked, a non-finite entry on a drawn fibre raises
+    :class:`InvalidInputError`, and one on a fibre the sketch did not draw
     cannot change the result.  ``caches`` (one per factor of ``model``)
     supply the other factors' SVDs for the leverage scores, or for that
     exact update; on either route a cache that does not fit its factor (as
@@ -437,7 +461,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     if caches is not None:
         _check_caches(model, n, caches)
     x = _model_shaped(model, x)
-    g_n = unfold(model.core, n)
+    g_n = _unfold(model.core, n)  # TuckerModel checked the core
     if not (np.any(g_n) and all(np.any(a) for a in others)):
         return np.zeros_like(model.factors[n])
     svds = ([compact_svd(a) for a in others] if caches is None
@@ -552,19 +576,15 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     mode forms a dense reconstruction.  ``config`` supplies the sampling
     parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
     ridge weight.  ``x`` is checked through ``||X||_F^2``, which ALS needs
-    anyway: a finite norm means finite entries, and ``x`` is scanned for a
-    non-finite entry only when the norm is not finite, so that a finite
-    tensor whose norm overflows passes.  A sketched factor update checks
-    only the fibres it draws, and an exact fallback step scans ``x``, as
-    :func:`naive_factor_update` does.
+    anyway, and is never scanned: a NaN or inf entry, or a norm that
+    overflows, raises :class:`InvalidInputError` before the start, and a
+    finite norm bounds every projection ALS forms.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
     """
     x = _float_tensor(x)
-    x_norm_sq = float(np.vdot(x, x))
-    if not math.isfinite(x_norm_sq):
-        as_tensor(x)  # raises on a non-finite entry; a norm that overflows passes
+    x_norm_sq = _checked_norm_sq(x)
     core_shape = tuple(int(r) for r in core_shape)
     if len(core_shape) != x.ndim:
         raise InvalidInputError(

@@ -431,22 +431,37 @@ class TestSketchAndSolve:
 
     def test_sample_count_scales_before_rounding(self, rng):
         # ceil(0.3 * 1680 ln(40) / 0.1) = ceil(18591.95) = 18592; scaling the
-        # rounded count instead gives ceil(0.3 * ceil(61973.17)) = 18593
-        facs = [rng.standard_normal((5, 1)), rng.standard_normal((4, 1))]
+        # rounded count instead gives ceil(0.3 * ceil(61973.17)) = 18593.  K
+        # has 20,000 rows, more than the draws, so the route sketches
+        facs = [rng.standard_normal((200, 1)), rng.standard_normal((100, 1))]
         cfg = RegressionConfig(eps=0.1, lam=1e-2, alpha=0.3, seed=0)
-        rep = sketch_and_solve_ridge(facs, rng.standard_normal(20), cfg)
+        rep = sketch_and_solve_ridge(facs, rng.standard_normal(20_000), cfg)
         assert rep.sample_count == 18592
-        assert 0 < rep.distinct_rows <= 20  # the draws merge onto K's 20 rows
+        assert 0 < rep.distinct_rows <= 18592  # repeated draws merge
+
+    def test_exact_fallback_draws_nothing(self, count_calls):
+        # alpha 1 on K's 400 rows asks for 355,992 draws, so the route runs
+        # kronmatmul_svd_solve instead and reports no sketch
+        draws = count_calls(solvers, "sample_rows")
+        rs = np.random.default_rng(0)
+        facs = [rs.standard_normal((20, 3)) for _ in range(2)]
+        b = rs.standard_normal(400)
+        rep = sketch_and_solve_ridge(facs, b, RegressionConfig(lam=1e-3, seed=0, alpha=1.0))
+        assert not draws
+        np.testing.assert_array_equal(rep.solution,
+                                      kronmatmul_svd_solve(facs, b, 1e-3).solution)
+        assert rep.sample_count == rep.distinct_rows == 0
 
     def test_draws_merge_once_per_call(self, count_calls):
         # distinct_rows is read off the merge the solve makes, not a second
-        # np.unique over the draws
+        # np.unique over the draws; alpha 2e-4 draws 28 of K's 30 rows, so the
+        # route sketches
         merges = count_calls(solvers, "sparse_diagonal_from_sketch")
         draws = count_calls(solvers, "sample_rows")
         uniques = count_calls(np, "unique")
         rs = np.random.default_rng(3)
         facs = [rs.standard_normal((6, 2)), rs.standard_normal((5, 2))]
-        cfg = RegressionConfig(eps=0.25, lam=1e-2, alpha=0.02, seed=1)
+        cfg = RegressionConfig(eps=0.25, lam=1e-2, alpha=2e-4, seed=1)
         for call in range(1, 3):
             rep = sketch_and_solve_ridge(facs, rs.standard_normal(30), cfg)
             assert len(merges) == len(uniques) == call
@@ -803,12 +818,11 @@ class TestOneDrawPath:
         solve = fast_kronecker_regression if route == "fast" else sketch_and_solve_ridge
         return solve(facs, rs.standard_normal(400), cfg)
 
-    # alpha 1e-6 sketches on every route; at alpha 1 the fast regression and
-    # the Tucker step fall back to their exact solves, and sketch-and-solve,
-    # which has no fallback, still sketches
+    # alpha 1e-6 sketches on every route; at alpha 1 every route falls back
+    # to its exact solve
     @pytest.mark.parametrize("route,alpha,draws", [
         ("fast", 1e-6, 1), ("fast", 1.0, 0), ("sketch-solve", 1e-6, 1),
-        ("sketch-solve", 1.0, 1), ("tucker-step", 1e-6, 1), ("tucker-step", 1.0, 0)])
+        ("sketch-solve", 1.0, 0), ("tucker-step", 1e-6, 1), ("tucker-step", 1.0, 0)])
     def test_each_sketched_route_draws_once(self, count_calls, route, alpha, draws):
         calls = [count_calls(module, "_leverage_draws") for module in (solvers, tucker)]
         samples = count_calls(solvers, "sample_rows")
@@ -1165,3 +1179,13 @@ class TestConfig:
             RegressionConfig(lam=-1.0)
         with pytest.raises(InvalidInputError):
             RegressionConfig(alpha=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy's seeding raised a bare ValueError on -1 and 1.5 at the first draw
+        with pytest.raises(InvalidInputError, match="seed"):
+            RegressionConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.uint32(4_000_000_000), np.int64(5)])
+    def test_integer_seeds_pass(self, seed):
+        assert RegressionConfig(seed=seed).seed == seed

@@ -1005,73 +1005,79 @@ class TestValidateOnce:
         assert not scans
         assert not fallbacks
 
-    def test_finite_tensor_whose_norm_overflows_passes(self, monkeypatch, count_calls,
-                                                       rng):
-        # ||X||^2 overflows, so the entry check scans X once, finds every
-        # entry finite and goes on to the start
-        class Started(Exception):
-            pass
-
-        def start(*args, **kwargs):
-            raise Started
-
-        x = 1e160 * rng.standard_normal((6, 5, 4))
-        scans = self.count_scans(count_calls, x.size)
-        monkeypatch.setattr(tucker, "initial_model", start)
-        with pytest.raises(Started):
-            tucker_als(x, (2, 2, 2), sweeps=1, config=LOSS_CFG)
-        assert scans() == 1
-
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_nan_tensor_rejected(self, rng, mode):
-        x = rng.standard_normal((6, 5, 4))
-        x[2, 1, 3] = np.nan
-        with pytest.raises(InvalidInputError):
-            tucker_als(x, (2, 2, 2), sweeps=1, solver_mode=mode, config=LOSS_CFG)
+        for bad in (np.nan, np.inf):
+            x = rng.standard_normal((6, 5, 4))
+            x[2, 1, 3] = bad
+            with pytest.raises(InvalidInputError):
+                tucker_als(x, (2, 2, 2), sweeps=1, solver_mode=mode, config=LOSS_CFG)
+
+    # every public entry that reads X; at alpha 1e-6 every fast factor step
+    # sketches, at alpha 1 every one falls back to the exact update
+    ENTRIES = ["tucker_als-exact-1e-06", "tucker_als-exact-1", "tucker_als-fast-1e-06",
+               "tucker_als-fast-1", "fast_factor_matrix_update-1e-06",
+               "fast_factor_matrix_update-1", "naive_factor_update",
+               "naive_factor_update-caches", "core_update", "relative_error",
+               "regularized_loss"]
 
     @staticmethod
-    def count_scans(count_calls, size):
-        calls = [count_calls(module, "as_tensor") for module in (tucker, tensor)]
-        return lambda: sum(np.size(args[0]) == size for c in calls for args in c)
+    def call(entry, model, x):
+        name, _, option = entry.partition("-")
+        if name == "tucker_als":
+            mode, alpha = option.split("-", 1)
+            return tucker_als(x, model.core_shape, lam=1e-2, sweeps=2, solver_mode=mode,
+                              config=replace(LOSS_CFG, alpha=float(alpha)))
+        if name == "fast_factor_matrix_update":
+            return fast_factor_matrix_update(model, x, 1,
+                                             replace(LOSS_CFG, alpha=float(option)))
+        if name == "naive_factor_update":
+            return naive_factor_update(model, x, 1, svd_bases(model) if option else None)
+        return getattr(tucker, name)(model, x)
 
-    def test_fallback_step_scans_the_tensor_once(self, count_calls, rng):
-        # at alpha 1 the sample count reaches the 42 leftover rows, so the
-        # step picks the exact update before it reads x, and only that
-        # update checks x
-        model = random_model(rng, (8, 7, 6), (2, 2, 2), lam=0.1)
-        x = rng.standard_normal((8, 7, 6))
-        scans = self.count_scans(count_calls, x.size)
-        got = fast_factor_matrix_update(model, x, 1, RegressionConfig(alpha=1.0))
-        assert scans() == 1
-        np.testing.assert_array_equal(got, naive_factor_update(model, x, 1))
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_no_entry_scans_the_tensor(self, count_calls, rng, entry):
+        # each entry checks X through what it computes from it (||X||^2, a
+        # projection or its drawn fibres), never by an X-sized scan
+        model = random_model(rng, (7, 6, 5), (2, 2, 2), lam=0.1)
+        x = rng.standard_normal((7, 6, 5))
+        scans = [count_calls(module, "as_tensor") for module in (tucker, tensor)]
+        scans.append(count_calls(np, "isfinite"))
+        fallbacks = count_calls(tucker, "naive_factor_update")
+        self.call(entry, model, x)
+        assert not [args for c in scans for args in c if np.size(args[0]) == x.size]
+        # the fast steps took the route the entry names
+        if entry.startswith(("fast_factor", "tucker_als-fast")):
+            steps = 1 if entry.startswith("fast_factor") else 6
+            assert len(fallbacks) == (steps if entry.endswith("-1") else 0)
 
-    def test_fast_als_at_alpha_one_scans_once_per_step(self, count_calls, rng):
-        # one check per fallback factor step; tucker_als reads its own off
-        # ||X||^2 and scans nothing
-        x = rng.standard_normal((8, 7, 6))
-        scans = self.count_scans(count_calls, x.size)
-        tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=1, solver_mode="fast",
-                   config=RegressionConfig(alpha=1.0))
-        assert scans() == 3
+    @pytest.mark.parametrize("entry", ["tucker_als-exact-1e-06", "tucker_als-fast-1e-06",
+                                       "relative_error", "regularized_loss"])
+    def test_tensor_whose_norm_overflows_is_rejected(self, rng, entry):
+        # every entry is finite but ||X||^2 overflows; the start used to meet
+        # it as a bare LinAlgError from numpy's eigensolver
+        model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
+        x = 1e160 * rng.standard_normal((6, 5, 4))
+        assert np.all(np.isfinite(x)) and np.vdot(x, x) == np.inf
+        with pytest.raises(InvalidInputError, match="not finite"):
+            self.call(entry, model, x)
 
     def test_nan_tensor_rejected_by_each_step(self, count_calls, rng):
         model = random_model(rng, (6, 5, 4), (2, 2, 2), lam=0.1)
-        x = rng.standard_normal((6, 5, 4))
-        finite = x.copy()
-        x[0, 0, 0] = np.inf
-        with pytest.raises(InvalidInputError):
-            core_update(model, x)
-        with pytest.raises(InvalidInputError):
-            naive_factor_update(model, x, 1)
+        finite = rng.standard_normal((6, 5, 4))
         # LOSS_CFG draws at least the 24 leftover rows, so it takes the
-        # exact route, which scans all of x
+        # exact route, which checks its projection of x
         fallbacks = count_calls(tucker, "naive_factor_update")
         fast_factor_matrix_update(model, finite, 1, LOSS_CFG)
         assert len(fallbacks) == 1
-        with pytest.raises(InvalidInputError):
-            fast_factor_matrix_update(model, x, 1, LOSS_CFG)
-        with pytest.raises(InvalidInputError):
-            relative_error(model, x)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = finite.copy()
+            x[0, 0, 0] = bad
+            for step in (core_update, lambda m, x: naive_factor_update(m, x, 1),
+                         lambda m, x: fast_factor_matrix_update(m, x, 1, LOSS_CFG),
+                         relative_error, regularized_loss):
+                with pytest.raises(InvalidInputError):
+                    step(model, x)
 
     def test_sketched_step_checks_the_fibres_it_draws(self, count_calls, rng):
         # alpha 1e-6 draws one row and takes the sketched route, which reads
