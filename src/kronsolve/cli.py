@@ -4,10 +4,17 @@ Subcommands:
 
 * ``synth-regression`` benchmarks the solver set on the synthetic Kronecker
   ridge task and writes one CSV row per (solver, seed) cell.
-* ``tucker`` decomposes a tensor file (or a generated noisy low-rank tensor)
-  and writes one CSV row per sweep.
+* ``tucker`` decomposes a tensor file (``--input``) or a generated noisy
+  low-rank tensor (``--synthetic`` with ``--true-rank``), exactly one of the
+  two, and writes one CSV row per sweep.
 * ``check`` runs the built-in oracle-equivalence suite and exits nonzero on
   any failure.
+
+Each command builds its :class:`~kronsolve.solvers.RegressionConfig` from
+the parsed flags and calls the harness in :mod:`kronsolve.experiments`
+with them; every default lives in the parser.  A bad setting (a negative
+seed, a missing tensor file) raises
+:class:`~kronsolve.errors.InvalidInputError` before any CSV is written.
 
 The linear-algebra thread pools are sized when numpy loads, so cap them
 by setting ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` (or
@@ -57,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--out", required=True, help="output CSV path")
 
     tuck = sub.add_parser("tucker", help="L2-regularized Tucker ALS")
-    tuck.add_argument("--input", help="tensor file to decompose")
-    tuck.add_argument("--synthetic", type=_parse_int_tuple, default=(),
-                      help="generate a tensor of these dims instead of --input")
+    source = tuck.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="tensor file to decompose")
+    source.add_argument("--synthetic", type=_parse_int_tuple, default=(),
+                        help="generate a tensor of these dims instead of --input")
     tuck.add_argument("--true-rank", type=_parse_int_tuple, default=(),
                       help="multilinear rank of the generated tensor")
     tuck.add_argument("--noise", type=float, default=0.01,
@@ -82,15 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth_regression(args) -> int:
-    from .experiments import ExperimentSpec, run_regression_experiment
+    from .experiments import run_regression_experiment
+    from .solvers import RegressionConfig
 
-    spec = ExperimentSpec(
-        kind="synth-regression", n=args.n, d=args.d, order=args.order,
-        lam=args.lam, eps=args.eps, delta=args.delta, alpha=args.alpha,
-        seeds=tuple(args.seeds),
-        solvers=tuple(s for s in args.solvers.split(",") if s),
-        repeats=args.repeats, force=args.force)
-    rows = run_regression_experiment(spec, out_path=args.out)
+    config = RegressionConfig(eps=args.eps, delta=args.delta, lam=args.lam,
+                              alpha=args.alpha)
+    rows = run_regression_experiment(
+        args.n, args.d, args.order, config, args.seeds,
+        [s for s in args.solvers.split(",") if s], repeats=args.repeats,
+        force=args.force, out_path=args.out)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {args.out}"
           + (f" ({len(failures)} solver errors recorded)" if failures else ""))
@@ -98,15 +106,25 @@ def _cmd_synth_regression(args) -> int:
 
 
 def _cmd_tucker(args) -> int:
-    from .experiments import ExperimentSpec, run_tucker_experiment
+    from .errors import InvalidInputError
+    from .experiments import generate_synth_tucker, run_tucker_experiment
+    from .solvers import RegressionConfig
+    from .tensor_io import read_tensor
 
-    spec = ExperimentSpec(
-        kind="tucker", tensor_path=args.input, core_shape=tuple(args.core),
-        lam=args.lam, eps=args.eps, delta=args.delta, alpha=args.alpha,
-        seeds=(args.seed,), sweeps=args.sweeps, solver_mode=args.mode,
-        synth_shape=tuple(args.synthetic), synth_rank=tuple(args.true_rank),
-        noise=args.noise)
-    model, report = run_tucker_experiment(spec, out_path=args.out)
+    config = RegressionConfig(eps=args.eps, delta=args.delta, lam=args.lam,
+                              alpha=args.alpha, seed=args.seed)
+    if args.input is not None:
+        try:
+            x = read_tensor(args.input)
+        except OSError as exc:
+            raise InvalidInputError(
+                f"cannot read tensor file {args.input}: {exc}") from exc
+    elif not args.true_rank:
+        raise InvalidInputError("--synthetic needs --true-rank")
+    else:
+        x = generate_synth_tucker(args.synthetic, args.true_rank, args.noise, args.seed)
+    _, report = run_tucker_experiment(x, args.core, config, args.sweeps, args.mode,
+                                      out_path=args.out)
     print(f"final loss {report.sweep_losses[-1]:.6g}, RRE {report.rre:.6g}, "
           f"mean sweep {report.mean_sweep_seconds:.4f}s; wrote {args.out}")
     return 0

@@ -2,17 +2,21 @@
 
 The synthetic regression task draws all factor entries i.i.d. from a normal
 distribution with mean 1 and variance 0.001 and fits the all-ones response;
-the Tucker task decomposes either a tensor file or a generated noisy
-low-rank tensor.  Each run emits one CSV row per (solver, seed) cell with
-loss, ratio against OPT, sampled and distinct rows, wall time, iterations,
-convergence and PCG's final relative residual.
+:func:`run_regression_experiment` draws one instance per seed, runs every
+requested solver on it (picked from :data:`SOLVER_CALLS`) and emits one CSV
+row per (solver, seed) cell with the fields of :class:`ResultRow`: loss,
+ratio against OPT, sampled and distinct rows, wall time, iterations,
+convergence and PCG's final relative residual.  :func:`run_tucker_experiment`
+decomposes a given tensor (read from a file or made by
+:func:`generate_synth_tucker`) and emits one CSV row per sweep.  Both take
+the settings as the command line parsed them; the defaults are the parser's.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,62 +38,29 @@ from .tucker import AlsReport, TuckerModel, tucker_als
 SYNTH_MEAN = 1.0
 SYNTH_VARIANCE = 0.001
 
-REGRESSION_SOLVERS = ("naive", "kronmatmul", "sketch-solve", "fast")
+# solver -> call(factors, b, config, guard), where guard is the dense-size
+# guard of naive and sketch-solve (None turns it off)
+SOLVER_CALLS: dict[str, Callable[..., SolveReport]] = {
+    "naive": lambda factors, b, config, guard: naive_normal_solve(
+        factors, b, config.lam, max_dense_entries=guard),
+    "kronmatmul": lambda factors, b, config, guard: kronmatmul_svd_solve(
+        factors, b, config.lam),
+    "sketch-solve": lambda factors, b, config, guard: sketch_and_solve_ridge(
+        factors, b, config, max_dense_entries=guard),
+    "fast": lambda factors, b, config, guard: fast_kronecker_regression(
+        factors, b, config),
+}
 # the exact solvers in the order OPT is taken from them: kronmatmul is the
 # reference, and naive's pinv of the densified Gram only stands in for it
 EXACT_SOLVERS = ("kronmatmul", "naive")
 
-RESULT_HEADER = ("solver", "n", "d", "order", "seed", "loss", "ratio",
-                 "rows_sampled", "distinct_rows", "wall_time", "iterations",
-                 "converged", "residual", "status")
-
 TUCKER_HEADER = ("sweep", "loss", "rre", "sweep_seconds")
-
-
-@dataclass
-class ExperimentSpec:
-    """One benchmark request (either kind); defaults match the synthetic study."""
-
-    kind: str = "synth-regression"
-    n: int = 128
-    d: int = 8
-    order: int = 2
-    lam: float = 1e-3
-    eps: float = 0.1
-    delta: float = 0.01
-    alpha: float = 1e-5
-    seeds: tuple[int, ...] = (0,)
-    solvers: tuple[str, ...] = REGRESSION_SOLVERS
-    repeats: int = 1
-    force: bool = False
-    # tucker-only fields
-    tensor_path: str | None = None
-    core_shape: tuple[int, ...] = ()
-    sweeps: int = 5
-    solver_mode: str = "exact"
-    synth_shape: tuple[int, ...] = ()
-    synth_rank: tuple[int, ...] = ()
-    noise: float = 0.01
-
-    def __post_init__(self):
-        if self.kind not in ("synth-regression", "tucker"):
-            raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
-        if self.kind == "synth-regression":
-            if self.n < self.d or self.d < 1:
-                raise InvalidInputError("need n >= d >= 1")
-            if self.order < 1:
-                raise InvalidInputError("order must be >= 1")
-            unknown = set(self.solvers) - set(REGRESSION_SOLVERS)
-            if unknown:
-                raise InvalidInputError(f"unknown solvers: {sorted(unknown)}")
-        if self.repeats < 1:
-            raise InvalidInputError("repeats must be >= 1")
-        if not self.seeds:
-            raise InvalidInputError("need at least one seed")
 
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One (solver, seed) cell; its fields, in order, are the CSV columns."""
+
     solver: str
     n: int
     d: int
@@ -105,15 +76,12 @@ class ResultRow:
     residual: float = 0.0
     status: str = "ok"
 
-    def as_csv(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
 
 def generate_synth_regression(n: int, d: int, order: int, seed,
                               ) -> tuple[list[np.ndarray], np.ndarray]:
     """Factors with i.i.d. Normal(1, 0.001) entries and the all-ones target."""
-    if n < d or d < 1:
-        raise InvalidInputError("need n >= d >= 1")
+    if n < d or d < 1 or order < 1:
+        raise InvalidInputError("need n >= d >= 1 and order >= 1")
     rng = np.random.default_rng(seed)
     factors = [rng.normal(SYNTH_MEAN, math.sqrt(SYNTH_VARIANCE), (n, d))
                for _ in range(order)]
@@ -146,54 +114,52 @@ def _median_run(fn: Callable[[], SolveReport], repeats: int) -> SolveReport:
                    wall_time=statistics.median(r.wall_time for r in reports))
 
 
-def _run_cell(spec: ExperimentSpec, solver: str, seed: int) -> ResultRow:
-    factors, b = generate_synth_regression(spec.n, spec.d, spec.order, seed)
-    guard = None if spec.force else DEFAULT_DENSE_GUARD
-    config = RegressionConfig(eps=spec.eps, delta=spec.delta, lam=spec.lam,
-                              alpha=spec.alpha, seed=seed)
+def _run_cell(solver: str, factors: Sequence[np.ndarray], b: np.ndarray,
+              config: RegressionConfig, repeats: int, guard: int | None,
+              ) -> ResultRow:
+    n, d = factors[0].shape
+    cell = dict(solver=solver, n=n, d=d, order=len(factors), seed=config.seed)
     try:
-        if solver == "naive":
-            report = _median_run(
-                lambda: naive_normal_solve(factors, b, spec.lam,
-                                           max_dense_entries=guard),
-                spec.repeats)
-        elif solver == "kronmatmul":
-            report = _median_run(
-                lambda: kronmatmul_svd_solve(factors, b, spec.lam), spec.repeats)
-        elif solver == "sketch-solve":
-            report = _median_run(
-                lambda: sketch_and_solve_ridge(factors, b, config,
-                                               max_dense_entries=guard),
-                spec.repeats)
-        elif solver == "fast":
-            report = _median_run(
-                lambda: fast_kronecker_regression(factors, b, config),
-                spec.repeats)
-        else:
-            raise InvalidInputError(f"unknown solver {solver!r}")
+        report = _median_run(lambda: SOLVER_CALLS[solver](factors, b, config, guard),
+                             repeats)
         loss = report.loss  # evaluated here, so a failing loss is the cell's error
     except (KronsolveError, np.linalg.LinAlgError) as exc:
-        return ResultRow(solver=solver, n=spec.n, d=spec.d, order=spec.order,
-                         seed=seed, loss=math.nan, ratio=math.nan,
-                         rows_sampled=0, distinct_rows=0, wall_time=math.nan,
-                         status=f"error: {exc}")
-    return ResultRow(solver=solver, n=spec.n, d=spec.d, order=spec.order,
-                     seed=seed, loss=loss, ratio=math.nan,
+        return ResultRow(**cell, loss=math.nan, ratio=math.nan, rows_sampled=0,
+                         distinct_rows=0, wall_time=math.nan, status=f"error: {exc}")
+    return ResultRow(**cell, loss=loss, ratio=math.nan,
                      rows_sampled=report.sample_count,
                      distinct_rows=report.distinct_rows, wall_time=report.wall_time,
                      iterations=report.iterations, converged=report.converged,
                      residual=report.residual)
 
 
-def run_regression_experiment(spec: ExperimentSpec,
+def run_regression_experiment(n: int, d: int, order: int, config: RegressionConfig,
+                              seeds: Sequence[int], solvers: Sequence[str],
+                              repeats: int = 1, force: bool = False,
                               out_path=None) -> list[ResultRow]:
-    """Run every (solver, seed) cell; ratios are filled in against the exact
-    optimum for the same seed when an exact solver is part of the run.  OPT
-    is ``kronmatmul``'s loss when that cell ran ok, else ``naive``'s."""
-    if spec.kind != "synth-regression":
-        raise InvalidInputError("spec is not a synth-regression experiment")
-    rows = [_run_cell(spec, solver, seed)
-            for seed in spec.seeds for solver in spec.solvers]
+    """Run every (solver, seed) cell on one synthetic instance per seed.
+
+    Each seed runs under ``replace(config, seed=seed)``, and every seed is
+    checked before any instance is generated.  ``force`` turns off the
+    dense-size guards of naive and sketch-solve.  Ratios are filled in
+    against the exact optimum for the same seed when an exact solver is
+    part of the run: OPT is ``kronmatmul``'s loss when that cell ran ok,
+    else ``naive``'s."""
+    unknown = set(solvers) - set(SOLVER_CALLS)
+    if unknown:
+        raise InvalidInputError(f"unknown solvers: {sorted(unknown)}")
+    if repeats < 1:
+        raise InvalidInputError("repeats must be >= 1")
+    if not seeds:
+        raise InvalidInputError("need at least one seed")
+    configs = [replace(config, seed=seed) for seed in seeds]
+    guard = None if force else DEFAULT_DENSE_GUARD
+
+    rows = []
+    for cfg in configs:
+        factors, b = generate_synth_regression(n, d, order, cfg.seed)
+        rows += [_run_cell(solver, factors, b, cfg, repeats, guard) for solver in solvers]
+        del factors, b  # let the instance go before the next seed's is drawn
 
     exact_ok = {(row.solver, row.seed): row.loss for row in rows
                 if row.solver in EXACT_SOLVERS and row.status == "ok"}
@@ -204,36 +170,17 @@ def run_regression_experiment(spec: ExperimentSpec,
         ratio = row.loss / opt if (opt and row.status == "ok") else math.nan
         final.append(replace(row, ratio=ratio))
     if out_path is not None:
-        write_results_csv(out_path, RESULT_HEADER, [r.as_csv() for r in final])
+        write_results_csv(out_path, [f.name for f in fields(ResultRow)],
+                          map(astuple, final))
     return final
 
 
-def run_tucker_experiment(spec: ExperimentSpec, out_path=None,
+def run_tucker_experiment(x, core_shape: Sequence[int], config: RegressionConfig,
+                          sweeps: int, solver_mode: str, out_path=None,
                           ) -> tuple[TuckerModel, AlsReport]:
-    """Decompose the requested tensor and emit one CSV row per sweep."""
-    if spec.kind != "tucker":
-        raise InvalidInputError("spec is not a tucker experiment")
-    if spec.tensor_path is not None:
-        from .tensor_io import read_tensor
-        try:
-            x = read_tensor(spec.tensor_path)
-        except OSError as exc:
-            raise InvalidInputError(
-                f"cannot read tensor file {spec.tensor_path}: {exc}") from exc
-    elif spec.synth_shape:
-        if not spec.synth_rank:
-            raise InvalidInputError("synthetic tensors need a true rank")
-        x = generate_synth_tucker(spec.synth_shape, spec.synth_rank, spec.noise,
-                                  spec.seeds[0])
-    else:
-        raise InvalidInputError("need either a tensor file or synthetic dims")
-    if not spec.core_shape:
-        raise InvalidInputError("core shape is required")
-    config = RegressionConfig(eps=spec.eps, delta=spec.delta, lam=spec.lam,
-                              alpha=spec.alpha, seed=spec.seeds[0])
-    model, report = tucker_als(x, spec.core_shape, lam=spec.lam,
-                               sweeps=spec.sweeps, solver_mode=spec.solver_mode,
-                               config=config)
+    """Decompose ``x`` at ``lam = config.lam`` and emit one CSV row per sweep."""
+    model, report = tucker_als(x, core_shape, lam=config.lam, sweeps=sweeps,
+                               solver_mode=solver_mode, config=config)
     if out_path is not None:
         rows = [(k + 1, loss, report.sweep_rres[k], report.sweep_seconds[k])
                 for k, loss in enumerate(report.sweep_losses)]

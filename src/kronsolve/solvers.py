@@ -355,10 +355,12 @@ def _check_finite_reads(values: np.ndarray | float, what: str) -> None:
     The exact routes check their projection of it (``t`` for regression,
     ``Z`` or ``Y`` for a Tucker step), which a NaN or inf anywhere in the
     input reaches (NaN and ``inf * 0`` are NaN, and ``inf`` survives a sum
-    or turns it into NaN); Tucker ALS and its loss evaluators check the
-    ``||X||_F^2`` they need anyway, which is not finite once an entry is or
-    once the norm overflows; and the sketched routes check the entries they
-    draw.
+    or turns it into NaN), and so does an overflow of the projection, which
+    they compute with numpy's invalid and overflow warnings off, so that
+    this error is the one the caller sees; Tucker ALS and its loss
+    evaluators check the ``||X||_F^2`` they need anyway, which is not finite
+    once an entry is or once the norm overflows; and the sketched routes
+    check the entries they draw.
     """
     if not np.all(np.isfinite(values)):
         raise InvalidInputError(
@@ -419,7 +421,7 @@ def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
             f"(guard: {max_dense_entries})")
     t0 = time.perf_counter()
     gram = reduce(np.kron, [a.T @ a for a in factors])
-    with np.errstate(invalid="ignore"):  # a non-finite b raises just below
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         ktb = kron_mat_mul([a.T for a in factors], b)
     _check_finite_reads(ktb, "K^T b")
     x = np.linalg.pinv(gram + lam * np.eye(cols)) @ ktb
@@ -445,7 +447,7 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     t0 = time.perf_counter()
     svds = [compact_svd(a) for a in factors]
-    with np.errstate(invalid="ignore"):  # a non-finite b raises just below
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         t = kron_mat_mul([s.u.T for s in svds], b)
     _check_finite_reads(t, "(U kron ...)^T b")
     x = _svd_ridge_solution(svds, t, lam)

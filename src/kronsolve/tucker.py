@@ -228,7 +228,7 @@ def core_update(model: TuckerModel, x) -> np.ndarray:
     """
     x = _model_shaped(model, x)
     svds = [compact_svd(a) for a in model.factors]
-    with np.errstate(invalid="ignore"):  # a non-finite x raises just below
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         y = _mode_products(x, [svd.u.T for svd in svds])
     _check_finite_reads(y, "Y = X x_1 U_1^T ... x_N U_N^T")
     return _core_update(model, y, svds)
@@ -268,7 +268,7 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     else:
         _check_caches(model, n, caches)
         svds = caches
-    with np.errstate(invalid="ignore"):  # a non-finite x raises just below
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
     _check_finite_reads(z, "Z = X x_k U_k^T for k != n")
     return _ridge_factor(model, z, n, svds)

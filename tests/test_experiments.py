@@ -1,23 +1,23 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import kronsolve.experiments as experiments
 import kronsolve.solvers as solvers
-from kronsolve.cli import main as cli_main
+from kronsolve.cli import build_parser, main as cli_main
 from kronsolve.errors import InvalidInputError, NumericalFailureError
-from kronsolve.solvers import SolveReport
+from kronsolve.solvers import RegressionConfig, SolveReport
 from kronsolve.experiments import (
-    ExperimentSpec,
     generate_synth_regression,
     generate_synth_tucker,
     run_regression_experiment,
     run_tucker_experiment,
 )
-from kronsolve.tensor_io import write_tensor
+from kronsolve.tensor_io import read_tensor, write_tensor
 
 
 def read_csv(path):
@@ -56,17 +56,17 @@ class TestSynthGeneration:
         assert 0.003 <= rel <= 0.03
 
 
-class TestRegressionExperiment:
-    def make_spec(self, **kw):
-        base = dict(kind="synth-regression", n=32, d=4, order=2, lam=1e-3,
-                    eps=0.1, delta=0.01, alpha=1e-3, seeds=(0, 1),
-                    solvers=("naive", "kronmatmul", "sketch-solve", "fast"))
-        base.update(kw)
-        return ExperimentSpec(**base)
+def run_regression(n=32, d=4, order=2, alpha=1e-3, seeds=(0, 1),
+                   solvers=("naive", "kronmatmul", "sketch-solve", "fast"), **kw):
+    """``run_regression_experiment`` at eps 0.1, delta 0.01 and lambda 1e-3."""
+    config = RegressionConfig(eps=0.1, delta=0.01, lam=1e-3, alpha=alpha)
+    return run_regression_experiment(n, d, order, config, seeds, solvers, **kw)
 
+
+class TestRegressionExperiment:
     def test_rows_and_ratios(self, tmp_path):
         out = tmp_path / "r.csv"
-        rows = run_regression_experiment(self.make_spec(), out_path=out)
+        rows = run_regression(out_path=out)
         assert len(rows) == 8
         for row in rows:
             assert row.status == "ok"
@@ -80,9 +80,8 @@ class TestRegressionExperiment:
     def test_csv_reports_iterations_and_convergence(self, tmp_path):
         # 64^2 rows against about 800 draws: the fast cell runs PCG
         out = tmp_path / "r.csv"
-        spec = self.make_spec(n=64, alpha=1e-4, seeds=(0,),
-                              solvers=("kronmatmul", "fast"))
-        run_regression_experiment(spec, out_path=out)
+        run_regression(n=64, alpha=1e-4, seeds=(0,), solvers=("kronmatmul", "fast"),
+                       out_path=out)
         with open(out, newline="") as fh:
             rows = {row["solver"]: row for row in csv.DictReader(fh)}
         exact, fast = rows["kronmatmul"], rows["fast"]
@@ -94,8 +93,7 @@ class TestRegressionExperiment:
 
     def test_opt_is_kronmatmul_unless_it_failed(self, monkeypatch):
         # naive runs first, yet OPT is the reference kronmatmul loss
-        spec = self.make_spec(solvers=("naive", "kronmatmul", "fast"))
-        for row in run_regression_experiment(spec):
+        for row in run_regression(solvers=("naive", "kronmatmul", "fast")):
             if row.solver == "kronmatmul":
                 assert row.ratio == 1.0
 
@@ -103,15 +101,14 @@ class TestRegressionExperiment:
             raise InvalidInputError("kronmatmul refused")
 
         monkeypatch.setattr(experiments, "kronmatmul_svd_solve", failing)
-        rows = {r.solver: r for r in run_regression_experiment(
-            self.make_spec(seeds=(0,), solvers=("kronmatmul", "naive", "fast")))}
+        rows = {r.solver: r for r in run_regression(
+            seeds=(0,), solvers=("kronmatmul", "naive", "fast"))}
         assert rows["kronmatmul"].status.startswith("error:")
         assert rows["naive"].ratio == 1.0 and rows["fast"].ratio >= 1.0 - 1e-9
 
     def test_determinism_modulo_walltime(self, tmp_path):
-        spec = self.make_spec()
-        r1 = run_regression_experiment(spec, out_path=tmp_path / "a.csv")
-        r2 = run_regression_experiment(spec, out_path=tmp_path / "b.csv")
+        r1 = run_regression(out_path=tmp_path / "a.csv")
+        r2 = run_regression(out_path=tmp_path / "b.csv")
         for a, b in zip(r1, r2):
             assert a.solver == b.solver and a.seed == b.seed
             assert a.loss == b.loss
@@ -119,17 +116,15 @@ class TestRegressionExperiment:
 
     def test_desk_scale_fast_ratio(self):
         # benchmark-default eps/delta/lambda at theoretical sample counts
-        spec = self.make_spec(n=128, d=8, alpha=1.0, seeds=(0,),
+        rows = run_regression(n=128, d=8, alpha=1.0, seeds=(0,),
                               solvers=("kronmatmul", "fast"))
-        rows = run_regression_experiment(spec)
         fast = [r for r in rows if r.solver == "fast"][0]
         assert fast.ratio <= 1.1
 
     def test_solver_error_recorded(self, tmp_path):
         # naive refuses: (d*d)^2 over the guard, run continues
-        spec = self.make_spec(n=128, d=128, order=2, seeds=(0,),
+        rows = run_regression(n=128, d=128, order=2, seeds=(0,),
                               solvers=("naive", "fast"), alpha=1e-5)
-        rows = run_regression_experiment(spec)
         by = {r.solver: r for r in rows}
         assert by["naive"].status.startswith("error:")
         assert by["fast"].status == "ok"
@@ -138,9 +133,8 @@ class TestRegressionExperiment:
         # 144 rows against a guard of 100: neither exact solver forms a
         # rows-sized array, and naive's (prod d)^2 = 16 stays under the guard
         monkeypatch.setattr(experiments, "DEFAULT_DENSE_GUARD", 100)
-        spec = self.make_spec(n=12, d=2, order=2, seeds=(0,),
+        rows = run_regression(n=12, d=2, order=2, seeds=(0,),
                               solvers=("naive", "kronmatmul"))
-        rows = run_regression_experiment(spec)
         assert [(r.solver, r.status) for r in rows] == [("naive", "ok"),
                                                         ("kronmatmul", "ok")]
 
@@ -209,57 +203,71 @@ class TestRegressionExperiment:
             raise NumericalFailureError("loss failed")
 
         monkeypatch.setattr(solvers, "_projected_ridge_loss", failing)
-        rows = {r.solver: r for r in run_regression_experiment(
-            self.make_spec(seeds=(0,), solvers=("naive", "kronmatmul")))}
+        rows = {r.solver: r for r in run_regression(
+            seeds=(0,), solvers=("naive", "kronmatmul"))}
         assert rows["kronmatmul"].status == "error: loss failed"
         assert math.isnan(rows["kronmatmul"].loss)
         assert rows["naive"].status == "ok" and rows["naive"].ratio == 1.0
 
-    def test_spec_validation(self):
-        with pytest.raises(InvalidInputError):
-            self.make_spec(solvers=("bogus",))
-        with pytest.raises(InvalidInputError):
-            self.make_spec(n=2, d=4)
-        with pytest.raises(InvalidInputError):
-            self.make_spec(seeds=())
+    def test_run_validation(self, tmp_path):
+        for bad in (dict(solvers=("bogus",)), dict(n=2, d=4), dict(order=0),
+                    dict(seeds=()), dict(repeats=0)):
+            with pytest.raises(InvalidInputError):
+                run_regression(out_path=tmp_path / "r.csv", **bad)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_one_instance_per_seed(self, count_calls):
+        # every solver of a seed runs on the one instance drawn for it
+        draws = count_calls(experiments, "generate_synth_regression")
+        rows = run_regression(seeds=(0, 1, 2))
+        assert len(rows) == 3 * 4
+        assert [args[3] for args in draws] == [0, 1, 2]
+
+    def test_negative_seed_fails_before_any_instance(self, count_calls, tmp_path):
+        # every seed is checked before the first instance is drawn
+        draws = count_calls(experiments, "generate_synth_regression")
+        with pytest.raises(InvalidInputError, match="seed"):
+            run_regression(seeds=(0, -1), out_path=tmp_path / "r.csv")
+        assert draws == [] and not (tmp_path / "r.csv").exists()
 
 
 class TestTuckerExperiment:
+    # exact mode reads only the seed and lambda of the config
+    CONFIG = RegressionConfig(eps=0.1, delta=0.01, lam=0.0, alpha=1e-5, seed=0)
+
     def test_synthetic_low_rank(self, tmp_path):
-        spec = ExperimentSpec(kind="tucker", synth_shape=(20, 20, 20),
-                              synth_rank=(4, 4, 4), noise=0.01,
-                              core_shape=(4, 4, 4), lam=0.0, sweeps=5,
-                              solver_mode="exact", seeds=(0,))
+        x = generate_synth_tucker((20, 20, 20), (4, 4, 4), 0.01, seed=0)
         out = tmp_path / "t.csv"
-        _, report = run_tucker_experiment(spec, out_path=out)
+        _, report = run_tucker_experiment(x, (4, 4, 4), self.CONFIG, sweeps=5,
+                                          solver_mode="exact", out_path=out)
         assert report.rre <= 0.02
         rows = read_csv(out)
         assert len(rows) == 5 + 1  # header + one row per sweep
 
     def test_full_rank_interpolation(self):
-        spec = ExperimentSpec(kind="tucker", synth_shape=(6, 6, 6),
-                              synth_rank=(6, 6, 6), noise=0.0,
-                              core_shape=(6, 6, 6), lam=0.0, sweeps=1,
-                              solver_mode="exact", seeds=(0,))
-        _, report = run_tucker_experiment(spec)
+        x = generate_synth_tucker((6, 6, 6), (6, 6, 6), 0.0, seed=0)
+        _, report = run_tucker_experiment(x, (6, 6, 6), self.CONFIG, sweeps=1,
+                                          solver_mode="exact")
         assert report.rre <= 1e-8
 
     def test_tensor_file_input(self, rng, tmp_path):
         x = rng.standard_normal((6, 5, 4))
         path = tmp_path / "x.ktn"
         write_tensor(path, x)
-        spec = ExperimentSpec(kind="tucker", tensor_path=str(path),
-                              core_shape=(2, 2, 2), lam=1e-2, sweeps=2,
-                              solver_mode="exact", seeds=(0,))
-        _, report = run_tucker_experiment(spec, out_path=tmp_path / "t.csv")
+        config = dataclasses.replace(self.CONFIG, lam=1e-2)
+        model, report = run_tucker_experiment(read_tensor(path), (2, 2, 2), config,
+                                              sweeps=2, solver_mode="exact",
+                                              out_path=tmp_path / "t.csv")
         assert len(report.sweep_losses) == 2
+        assert model.lam == 1e-2  # the run's lambda is the config's
 
     def test_missing_file_is_io_error(self, tmp_path):
-        spec = ExperimentSpec(kind="tucker", tensor_path=str(tmp_path / "nope"),
-                              core_shape=(2, 2), sweeps=1, seeds=(0,))
+        out = tmp_path / "t.csv"
         with pytest.raises(InvalidInputError) as err:
-            run_tucker_experiment(spec)
+            cli_main(["tucker", "--input", str(tmp_path / "nope"), "--core", "2,2",
+                      "--sweeps", "1", "--out", str(out)])
         assert "nope" in str(err.value)
+        assert not out.exists()
 
 
 class TestCli:
@@ -294,15 +302,47 @@ class TestCli:
     def test_check_command(self):
         assert cli_main(["check"]) == 0
 
+    def test_tucker_input_options(self, capsys, tmp_path):
+        # exactly one of --input and --synthetic, --synthetic with a true
+        # rank, and a missing file named; none writes a CSV
+        out = tmp_path / "t.csv"
+        tail = ["--core", "2,2,2", "--out", str(out)]
+        for source in (["--input", "x.ktn", "--synthetic", "6,6,6"], []):
+            with pytest.raises(SystemExit) as exit_:
+                cli_main(["tucker", *source, *tail])
+            assert exit_.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        with pytest.raises(InvalidInputError, match="--true-rank"):
+            cli_main(["tucker", "--synthetic", "6,6,6", *tail])
+        missing = tmp_path / "missing.ktn"
+        with pytest.raises(InvalidInputError, match=re.escape(str(missing))):
+            cli_main(["tucker", "--input", str(missing), *tail])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, generator", [
+        (["synth-regression", "--n", "10", "--d", "2", "--seeds", "-1",
+          "--solvers", "kronmatmul"], "generate_synth_regression"),
+        (["tucker", "--synthetic", "6,6,6", "--true-rank", "2,2,2", "--core", "2,2,2",
+          "--seed", "-1"], "generate_synth_tucker"),
+    ])
+    def test_negative_seed_fails_before_any_instance(self, count_calls, tmp_path,
+                                                     command, generator):
+        draws = count_calls(experiments, generator)
+        out = tmp_path / "o.csv"
+        with pytest.raises(InvalidInputError, match="seed must be a non-negative"):
+            cli_main([*command, "--out", str(out)])
+        assert draws == [] and not out.exists()
+
 
 class TestDefaults:
-    def test_spec_defaults_match_study_setup(self):
-        spec = ExperimentSpec()
-        assert spec.eps == 0.1
-        assert spec.delta == 0.01
-        assert spec.lam == 1e-3
-        assert spec.alpha == 1e-5
-        assert spec.sweeps == 5
+    @staticmethod
+    def defaults(*argv):
+        return vars(build_parser().parse_args([*argv, "--out", "unused.csv"]))
+
+    def test_parser_defaults_match_study_setup(self):
+        reg = self.defaults("synth-regression")
+        assert (reg["eps"], reg["delta"], reg["lam"], reg["alpha"]) == (0.1, 0.01, 1e-3, 1e-5)
+        assert self.defaults("tucker", "--synthetic", "6,6,6", "--core", "2,2,2")["sweeps"] == 5
 
 
 class TestLargeInstance:

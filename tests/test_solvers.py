@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -1084,6 +1085,25 @@ class TestNonFiniteTarget:
         # alpha 1: more samples than rows, so the fast route runs the exact one
         with pytest.raises(InvalidInputError):
             fast_kronecker_regression(factors, b, RegressionConfig(lam=1e-3))
+
+    @pytest.mark.parametrize("entry", ["kronmatmul_svd_solve", "naive_normal_solve",
+                                       "naive_factor_update", "core_update"])
+    def test_projection_that_overflows_is_rejected(self, entry):
+        # every input entry is finite, but the projection each exact entry
+        # checks overflows; the error arrives with no numpy warning before it
+        rs = np.random.default_rng(self.FACTORS_SEED)
+        if entry.startswith(("kronmatmul", "naive_normal")):
+            factors = [rs.normal(1.0, 0.03, (20, 3)) for _ in range(2)]
+            call = lambda: getattr(solvers, entry)(factors, np.full(400, 1e307), 1e-3)
+        else:
+            model = tucker.TuckerModel(np.ones((2, 2, 2)),
+                                       [rs.normal(1.0, 0.03, (20, 2)) for _ in range(3)])
+            x = np.full((20, 20, 20), 1e307)
+            call = lambda: getattr(tucker, entry)(model, x, *([0] if "factor" in entry else []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="not finite"):
+                call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sketch_and_solve_rejects_a_drawn_entry(self, count_calls, bad):
