@@ -92,6 +92,11 @@ def generate_synth_regression(n: int, d: int, order: int, seed,
 def generate_synth_tucker(shape: Sequence[int], rank: Sequence[int],
                           noise: float, seed) -> np.ndarray:
     """Noisy low-rank tensor: random model expansion plus relative noise."""
+    if len(rank) != len(shape) or not all(1 <= r <= i for r, i in zip(rank, shape)):
+        raise InvalidInputError(f"--true-rank {tuple(rank)} needs one rank in [1, I_n] "
+                                f"per dim I_n of {tuple(shape)}")
+    if not 0.0 <= noise < math.inf:
+        raise InvalidInputError(f"--noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     core = rng.standard_normal(tuple(rank))
     factors = []

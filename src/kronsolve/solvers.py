@@ -360,7 +360,7 @@ def _check_finite_reads(values: np.ndarray | float, what: str) -> None:
     this error is the one the caller sees; Tucker ALS and its loss
     evaluators check the ``||X||_F^2`` they need anyway, which is not finite
     once an entry is or once the norm overflows; and the sketched routes
-    check the entries they draw.
+    check what they compute from the entries they draw (``||S b||^2``, ``D^T S b``).
     """
     if not np.all(np.isfinite(values)):
         raise InvalidInputError(
@@ -372,13 +372,11 @@ def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
     ``b`` there.
 
     ``b``'s leading axes are ``row_shape``, so it is read at the draws
-    alone.  A non-finite read raises ``InvalidInputError``.
+    alone; each route checks what it computes from them.
     """
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
     multi = np.unravel_index(sdiag.indices, row_shape)
-    b_drawn = b[multi]
-    _check_finite_reads(b_drawn, "the input at a sampled row")
-    return sdiag, np.stack(multi, axis=1), b_drawn
+    return sdiag, np.stack(multi, axis=1), b[multi]
 
 
 def _leverage_draws(svds: Sequence[CompactSvd], count: int, seed, b: np.ndarray):
@@ -514,10 +512,11 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
     squared weights, which leaves ``D^T D`` and ``D^T S b`` unchanged), its
     ``(nnz, N)`` multi-indices ``multi``, and ``b_drawn``, ``b`` there,
     whose trailing axis holds more right-hand sides.  ``D`` holds the
-    Kronecker rows of :func:`~kronsolve.kron.kron_rows`, weighted in place.  All are solved at once, with the pseudo-inverse
-    convention, so ``lam = 0`` with a rank-deficient ``D`` does not raise,
-    and refined by one step against ``D``.  ``factors``, ``right`` and
-    ``lam`` are the caller's to validate.
+    Kronecker rows of :func:`~kronsolve.kron.kron_rows`, weighted in place.
+    All are solved at once, with the pseudo-inverse convention, so
+    ``lam = 0`` with a rank-deficient ``D`` does not raise, and refined by
+    one step against ``D``.  ``factors``, ``right`` and ``lam`` are the
+    caller's to validate; ``b_drawn`` is checked through ``D^T S b``.
     """
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
     design = kron_rows(factors, multi)
@@ -525,8 +524,11 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
     if right is not None:
         design = design @ right
     gram_pinv = np.linalg.pinv(design.T @ design + lam * np.eye(design.shape[1]))
-    sb = weights * b_drawn
-    x = gram_pinv @ (design.T @ sb)
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        sb = weights * b_drawn
+        dsb = design.T @ sb
+    _check_finite_reads(dsb, "D^T S b")
+    x = gram_pinv @ dsb
     # the normal equations square D's condition number, so their solution is
     # only good to about eps (|D|^2 + lam) / lam; one correction from the
     # residual against D itself brings it back to a few eps
@@ -589,10 +591,11 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     :func:`kronmatmul_svd_solve`, so the preconditioner inverts only the
     directions the SVD resolves.
 
-    ``b`` is checked where it is read: a non-finite entry at a sampled row
-    raises :class:`InvalidInputError`, and one at a row the sketch did not
-    draw shows up as a non-finite (NaN or inf) loss.  The exact fallback
-    checks its projection of ``b`` instead.
+    ``b`` is checked through the ``||S b||^2`` that PCG needs anyway: a
+    non-finite or overflowing read at the sampled rows raises
+    :class:`InvalidInputError`, and a non-finite entry at a row the sketch
+    did not draw shows up as a non-finite loss.  The exact fallback checks
+    its projection of ``b`` instead.
 
     ``wall_time`` covers the call, which does not evaluate the loss: the
     report evaluates it exactly when :attr:`SolveReport.loss` is first read,
@@ -625,9 +628,12 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     row_shape = tuple(a.shape[0] for a in factors)
     sdiag, multi, b_drawn = _leverage_draws(svds, s, seed, b.reshape(row_shape))
     op = SketchedKron(factors, sdiag, multi)
-    sb = sdiag.values * b_drawn
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        sb = sdiag.values * b_drawn
+        sb_norm_sq = float(sb @ sb)
+    _check_finite_reads(sb_norm_sq, "||S b||^2")
     x, iters, residual = pcg_solve(lambda v: op.normal(v) + lam * v, precond.apply,
-                                   op.transpose_apply(sb), config, float(sb @ sb))
+                                   op.transpose_apply(sb), config, sb_norm_sq)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam),
                        iterations=iters, sample_count=s, wall_time=wall,

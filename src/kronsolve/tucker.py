@@ -14,13 +14,16 @@ does, Malik & Becker 2018), so no Tucker step runs conjugate gradients.
 A fast sweep projects the tensor once, after its last factor update, and
 reads the exact ridge core and the sweep's losses off that projection.
 
+:func:`tucker_als` checks its input once and runs every factor step on
+the kernels :func:`_exact_factor_update` and :func:`_sketched_factor_update`;
+the public steps check what a caller hands them and call the same kernels.
 The tensor ``X`` is checked as the regression routes check ``b``
 (:func:`~kronsolve.solvers._check_finite_reads`): by what each entry
 computes from it, never by a scan.  :func:`tucker_als`,
 :func:`relative_error` and :func:`regularized_loss` check the
-``||X||_F^2`` they need anyway; :func:`naive_factor_update` and
+``||X||_F^2`` they need anyway; the exact factor step and
 :func:`core_update` check the projection of ``X`` they form; and a
-sketched factor step checks the fibres it draws.
+sketched factor step checks the ``D^T S B^T`` it forms from its fibres.
 
 The constrained-update workspace (:class:`FactorUpdateWorkspace`,
 :func:`build_factor_workspace`) is the Woodbury-preconditioned per-row
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -118,33 +121,6 @@ def _model_shaped(model: TuckerModel, x) -> np.ndarray:
     if x.shape != model.shape:
         raise InvalidInputError(f"tensor shape {x.shape} != model shape {model.shape}")
     return x
-
-
-def _check_caches(model: TuckerModel, n: int, caches: Sequence[CompactSvd]) -> None:
-    """Reject caller caches that do not fit the factors other than ``n``.
-
-    Each cache must be finite, with ``u`` holding one row per row of its
-    factor, ``v`` one row per column and the three parts one rank, as
-    :func:`build_factor_cache` gives; a nonzero factor's must hold a basis
-    (a nonzero ``u``, positive ``sigma``), whose leverage scores a sketched
-    step draws by.
-    """
-    if len(caches) != len(model.factors):
-        raise InvalidInputError(
-            f"got {len(caches)} factor caches for {len(model.factors)} factors")
-    for k, (a, svd) in enumerate(zip(model.factors, caches)):
-        if k == n:
-            continue
-        rank = svd.u.shape[1]
-        if (svd.u.shape[0] != a.shape[0] or svd.v.shape != (a.shape[1], rank)
-                or svd.sigma.shape != (rank,)):
-            raise InvalidInputError(
-                f"factor cache {k} has u {svd.u.shape}, sigma {svd.sigma.shape} and "
-                f"v {svd.v.shape} for a factor of shape {a.shape}")
-        if not all(np.all(np.isfinite(part)) for part in (svd.u, svd.sigma, svd.v)):
-            raise InvalidInputError("factor caches contain non-finite entries")
-        if np.any(a) and not (np.any(svd.u) and np.all(svd.sigma > 0.0)):
-            raise InvalidInputError(f"factor cache {k} holds no basis for a nonzero factor")
 
 
 def _fit(model: TuckerModel, x: np.ndarray, x_norm_sq: float) -> tuple[float, float]:
@@ -241,8 +217,7 @@ def _core_update(model: TuckerModel, y: np.ndarray,
     return _svd_ridge_solution(svds, y.reshape(-1), model.lam).reshape(model.core_shape)
 
 
-def naive_factor_update(model: TuckerModel, x, n: int,
-                        caches: Sequence[CompactSvd] | None = None) -> np.ndarray:
+def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     """Exact ridge update of factor ``n``: row ``i`` is
     ``(K^T K + lam I)^+ K^T b_i`` with ``K = (kron of the other factors)
     G_(n)^T`` and ``b_i`` row ``i`` of the mode-``n`` unfolding.
@@ -252,22 +227,24 @@ def naive_factor_update(model: TuckerModel, x, n: int,
     k != n)``, ``K^T K = C C^T`` and ``K^T b_i = C z_i``, so the new factor
     is ``Z_(n) C^T (C C^T + lam I)^+`` (pseudo-inverse convention) and no
     ``R_rest x R_rest`` matrix is formed.  As in ``_fit``, the SVDs drop
-    singular values at or below ``1e-10 * sigma_max`` of their factor.
-    ``caches`` (one per factor of ``model``, as ALS holds them) supply the
-    other factors' SVDs; without them those N-1 factors are decomposed here.
-    A cache that does not fit its factor (:func:`_check_caches`) raises
-    :class:`InvalidInputError`, and so does a NaN or inf in ``x``, from the
-    check of ``Z``; ``x`` is not scanned.  When another factor is zero its
-    basis is empty, so is ``Z``, and the update is zero whatever ``x`` holds.
+    singular values at or below ``1e-10 * sigma_max`` of their factor.  The
+    step decomposes the N-1 factors it reads and runs
+    :func:`_exact_factor_update`.  A NaN or inf in ``x`` raises
+    :class:`InvalidInputError` from the check of ``Z``; ``x`` is not
+    scanned.  When another factor is zero its basis is empty, so is ``Z``,
+    and the update is zero whatever ``x`` holds.
     """
     x = _model_shaped(model, x)
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
-    if caches is None:
-        svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
-    else:
-        _check_caches(model, n, caches)
-        svds = caches
+    svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
+    return _exact_factor_update(model, x, n, svds)
+
+
+def _exact_factor_update(model: TuckerModel, x: np.ndarray, n: int,
+                         svds: Sequence[CompactSvd | None]) -> np.ndarray:
+    """:func:`naive_factor_update` on checked input, from the bases ``svds``
+    (``svds[n]`` unread) that ALS holds or the public step computes."""
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
     _check_finite_reads(z, "Z = X x_k U_k^T for k != n")
@@ -410,9 +387,7 @@ def _power_iteration(operator, dim: int, seed: int = 0) -> float:
 
 
 def fast_factor_matrix_update(model: TuckerModel, x, n: int,
-                              config: RegressionConfig,
-                              caches: Sequence[CompactSvd] | None = None,
-                              ) -> np.ndarray:
+                              config: RegressionConfig) -> np.ndarray:
     """Sketched update of factor ``n``: one sketched ridge solve for all rows.
 
     Row ``i`` of the factor minimizes ``||K y - b_i||^2 + lam ||y||^2`` with
@@ -430,43 +405,51 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     fibres of ``np.moveaxis(x, n, -1)``, a view of X.  The ``ln(I_n/delta)``
     factor is the per-row union bound of the paper: the one sketch serves
     all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
-    together with probability ``1 - delta``.  The route is picked first:
-    when the sample count reaches the leftover row count, the exact update
-    :func:`naive_factor_update` runs instead and checks its projection of
-    ``x``.  Neither route scans ``x``.  The sketched route checks ``x``
-    where it reads it, as the sketched regression routes check ``b``: its
-    shape is checked, a non-finite entry on a drawn fibre raises
-    :class:`InvalidInputError`, and one on a fibre the sketch did not draw
-    cannot change the result.  ``caches`` (one per factor of ``model``)
-    supply the other factors' SVDs for the leverage scores, or for that
-    exact update; on either route a cache that does not fit its factor (as
-    :func:`_check_caches` says) raises :class:`InvalidInputError`.  When
-    the core or another factor is zero, so is ``K``, and every row's
-    solution is zero.
+    together with probability ``1 - delta``.  The step decomposes the N-1
+    factors it reads and runs :func:`_exact_factor_update` when the sample
+    count reaches the leftover row count, else :func:`_sketched_factor_update`.
+    Neither scans ``x``: a non-finite entry on a drawn fibre raises
+    :class:`InvalidInputError` from the check of ``D^T S B^T``, one on a
+    fibre the sketch did not draw cannot change the result, and the exact
+    route checks its projection.  When the core or another factor is zero,
+    so is ``K``, and every row's solution is zero.
     """
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
+    x = _model_shaped(model, x)
+    count = _factor_sample_count(model.shape, model.core_shape, n, config)
+    svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
+    if count is None:
+        return _exact_factor_update(model, x, n, svds)
+    return _sketched_factor_update(model, x, n, svds, count, config.seed)
+
+
+def _factor_sample_count(shape: Sequence[int], core_shape: Sequence[int], n: int,
+                         config: RegressionConfig) -> int | None:
+    """The draws of a sketched update of factor ``n``, or ``None`` where
+    they reach the leftover row count and the exact update runs; an ``eps``
+    outside ``(0, 1/3)`` raises :class:`InvalidInputError`."""
     if not 0.0 < config.eps < 1.0 / 3.0:
         raise InvalidInputError(
             f"factor updates require eps in (0, 1/3), got {config.eps}")
-    others = _other_factors(model, n)
-    i_n = model.factors[n].shape[0]
-    r_rest = math.prod(a.shape[1] for a in others)
-    i_rest = math.prod(a.shape[0] for a in others)
-    s = regression_sample_count(r_rest, config.eps, config.alpha,
-                                math.log(i_n / config.delta))
-    if s >= i_rest:
-        return naive_factor_update(model, x, n, caches)
+    i_rest = math.prod(i for k, i in enumerate(shape) if k != n)
+    r_rest = math.prod(r for k, r in enumerate(core_shape) if k != n)
+    count = regression_sample_count(r_rest, config.eps, config.alpha,
+                                    math.log(shape[n] / config.delta))
+    return None if count >= i_rest else count
 
-    if caches is not None:
-        _check_caches(model, n, caches)
-    x = _model_shaped(model, x)
+
+def _sketched_factor_update(model: TuckerModel, x: np.ndarray, n: int,
+                            svds: Sequence[CompactSvd | None], count: int,
+                            seed: int) -> np.ndarray:
+    """:func:`fast_factor_matrix_update`'s sketched route on checked input:
+    ``count`` draws, seeded by ``seed``, from the bases ``svds``."""
+    others = _other_factors(model, n)
     g_n = _unfold(model.core, n)  # TuckerModel checked the core
     if not (np.any(g_n) and all(np.any(a) for a in others)):
         return np.zeros_like(model.factors[n])
-    svds = ([compact_svd(a) for a in others] if caches is None
-            else [svd for k, svd in enumerate(caches) if k != n])
-    draws = _leverage_draws(svds, s, config.seed, np.moveaxis(x, n, -1))
+    draws = _leverage_draws([svd for k, svd in enumerate(svds) if k != n], count, seed,
+                            np.moveaxis(x, n, -1))
     return sketched_ridge_solve(others, *draws, model.lam, right=g_n.T).T
 
 
@@ -565,11 +548,13 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     factor step ``n`` reads the tensor once, as ``Z = X x_k U_k^T for every
     k != n``, and reads its exact update off ``Z``; the loss after the step
     is recorded from ``Y = Z x_n U_n^T``, and the core step, which changes
-    no factor, solves and records from that ``Y`` too.  Every block update is an exact
-    minimizer, so the recorded losses are non-increasing (up to roundoff),
-    and a sweep reads the tensor ``N`` times.  In ``fast`` mode the ``N``
-    sketched factor updates read the tensor only at their sampled fibres
-    (see :func:`fast_factor_matrix_update`); then one projection
+    no factor, solves and records from that ``Y`` too.  Every block update
+    is an exact minimizer, so the recorded losses are non-increasing (up to
+    roundoff), and a sweep reads the tensor ``N`` times.  In ``fast`` mode
+    ALS checks ``eps`` and works out each mode's sample count once, before
+    the start, and runs the kernels of :func:`fast_factor_matrix_update` on
+    the bases it holds.  The ``N`` sketched factor updates read the tensor
+    only at their sampled fibres; then one projection
     ``Y = X x_1 U_1^T ... x_N U_N^T`` gives the sweep's record after its
     factor updates, the exact core and the record after it.  So a fast
     sweep reads the tensor in full once, besides any exact fallback.  No
@@ -599,6 +584,9 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     if solver_mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")
     config = config or RegressionConfig()
+    if solver_mode == "fast":
+        counts = [_factor_sample_count(x.shape, core_shape, n, config)
+                  for n in range(x.ndim)]
 
     report = AlsReport()
 
@@ -635,8 +623,11 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
         else:
             t0 = time.perf_counter()
             for n, seed_seq in enumerate(seed_root.spawn(x.ndim)):
-                model.factors[n] = fast_factor_matrix_update(
-                    model, x, n, _reseed(config, seed_seq), caches=caches)
+                if counts[n] is None:
+                    model.factors[n] = _exact_factor_update(model, x, n, caches)
+                else:
+                    model.factors[n] = _sketched_factor_update(
+                        model, x, n, caches, counts[n], int(seed_seq.generate_state(1)[0]))
                 caches[n] = build_factor_cache(model.factors[n])
             factor_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -654,6 +645,3 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     report.rre = report.sweep_rres[-1]
     return model, report
 
-
-def _reseed(config: RegressionConfig, seed_seq: np.random.SeedSequence) -> RegressionConfig:
-    return replace(config, seed=int(seed_seq.generate_state(1)[0]))

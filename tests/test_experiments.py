@@ -319,6 +319,21 @@ class TestCli:
             cli_main(["tucker", "--input", str(missing), *tail])
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape, rank, noise", [
+        ("6,6,6", "2,2", "0.01"), ("3,3,3", "4,4,4", "0.01"), ("6,6,6", "0,2,2", "0.01"),
+        ("6,6,6", "2,2,2", "-1"), ("6,6,6", "2,2,2", "nan"), ("6,6,6", "2,2,2", "inf")])
+    def test_bad_synthetic_tensor_fails_before_drawing(self, count_calls, tmp_path,
+                                                       shape, rank, noise):
+        # a rank list must give one rank in [1, I_n] per dim and the noise
+        # level must be finite and >= 0, checked before anything is drawn
+        flag = "--true-rank" if noise == "0.01" else "--noise"
+        rngs = count_calls(np.random, "default_rng")
+        out = tmp_path / "t.csv"
+        with pytest.raises(InvalidInputError, match=flag):
+            cli_main(["tucker", "--synthetic", shape, "--true-rank", rank, "--noise", noise,
+                      "--core", rank, "--out", str(out)])
+        assert rngs == [] and not out.exists()
+
     @pytest.mark.parametrize("command, generator", [
         (["synth-regression", "--n", "10", "--d", "2", "--seeds", "-1",
           "--solvers", "kronmatmul"], "generate_synth_regression"),

@@ -1105,6 +1105,18 @@ class TestNonFiniteTarget:
             with pytest.raises(InvalidInputError, match="not finite"):
                 call()
 
+    def test_fast_rejects_drawn_entries_whose_norm_overflows(self):
+        # every entry of b is finite, but ||S b||^2 overflows: the caller
+        # sees bad input, not a PCG breakdown
+        rs = np.random.default_rng(self.FACTORS_SEED)
+        factors = [rs.normal(1.0, 0.03, (40, 4)) for _ in range(2)]
+        b = 1e160 * rs.standard_normal(1600)
+        config = RegressionConfig(eps=0.1, delta=0.01, lam=1e-3, alpha=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="not finite"):
+                fast_kronecker_regression(factors, b, config)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sketch_and_solve_rejects_a_drawn_entry(self, count_calls, bad):
         # the solver's own seeded sketch; one of its draws is made non-finite

@@ -400,7 +400,7 @@ class TestFastFactorUpdate:
         # are their own bases)
         x = rng.standard_normal((8, 7, 6))
         svds = [count_calls(module, "compact_svd") for module in (solvers, tucker)]
-        fallbacks = count_calls(tucker, "naive_factor_update")
+        fallbacks = count_calls(tucker, "_exact_factor_update")
         draws = count_calls(solvers, "sample_rows")
         tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2, solver_mode="fast",
                    config=RegressionConfig(eps=0.25, delta=0.1, alpha=1.0, seed=0))
@@ -523,7 +523,7 @@ class TestBlockFactorUpdate:
     def test_one_sketch_per_update(self, count_calls):
         model, x, cfg = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
         draws = count_calls(solvers, "sample_rows")
-        exact = count_calls(tucker, "naive_factor_update")
+        exact = count_calls(tucker, "_exact_factor_update")
         fast_factor_matrix_update(model, x, 2, cfg)
         assert len(draws) == 1 and len(exact) == 0
         # the draw count is the per-row union bound's: ln(I_n / delta)
@@ -552,7 +552,7 @@ class TestBlockFactorUpdate:
     def test_exact_update_when_the_sketch_covers_the_rows(self, count_calls):
         model, x, _ = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
         draws = count_calls(solvers, "sample_rows")
-        exact = count_calls(tucker, "naive_factor_update")
+        exact = count_calls(tucker, "_exact_factor_update")
         got = fast_factor_matrix_update(model, x, 2, RegressionConfig(lam=0.1))
         assert len(draws) == 0 and len(exact) == 1
         np.testing.assert_array_equal(got, naive_factor_update(model, x, 2))
@@ -729,7 +729,7 @@ class TestTuckerAls:
         assert not np.any(reconstruct(model))
         assert not np.any(model.core)
 
-    def test_validation(self, rng):
+    def test_validation(self, rng, count_calls):
         x = rng.standard_normal((4, 4))
         with pytest.raises(InvalidInputError):
             tucker_als(x, (5, 2), sweeps=1)
@@ -737,6 +737,11 @@ class TestTuckerAls:
             tucker_als(x, (2, 2), sweeps=0)
         with pytest.raises(InvalidInputError):
             tucker_als(x, (2, 2), solver_mode="bogus")
+        # a fast call checks eps before the start
+        starts = count_calls(tucker, "initial_model")
+        with pytest.raises(InvalidInputError, match="eps"):
+            tucker_als(x, (2, 2), solver_mode="fast", config=RegressionConfig(eps=0.35))
+        assert not starts
 
     def test_exact_mode_decomposes_each_factor_once(self, rng, compact_svd_calls):
         x = rng.standard_normal((6, 5, 4))
@@ -881,7 +886,7 @@ class TestLossRecording:
         # before it returned; the start's factors are never decomposed
         x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         events = []
-        update = "_ridge_factor" if mode == "exact" else "fast_factor_matrix_update"
+        update = "_ridge_factor" if mode == "exact" else "_sketched_factor_update"
         original_update, original_cache = getattr(tucker, update), tucker.build_factor_cache
 
         def logged_update(*args, **kwargs):
@@ -956,33 +961,6 @@ class TestLossRecording:
 
 
 class TestValidateOnce:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_sketched_step_rejects_non_finite_caches(self, rng, bad):
-        # the product sampler takes the scores of the caller's caches as given
-        model = random_model(rng, (30, 30, 30), (2, 2, 2), lam=0.1)
-        x = rng.standard_normal((30, 30, 30))
-        config = replace(LOSS_CFG, alpha=1e-6)
-        caches = [compact_svd(a) for a in model.factors]
-        fast_factor_matrix_update(model, x, 0, config, caches=caches)
-        caches[1].u[3, 1] = bad
-        with pytest.raises(InvalidInputError):
-            fast_factor_matrix_update(model, x, 0, config, caches=caches)
-
-    @pytest.mark.parametrize("part", ["u", "sigma", "v"])
-    def test_fallback_step_rejects_non_finite_caches(self, rng, count_calls, part):
-        # at alpha 1 the step runs the exact update on the caller's caches,
-        # which would turn a NaN there into a NaN factor
-        model = random_model(rng, (30, 30, 30), (2, 2, 2), lam=0.1)
-        x = rng.standard_normal((30, 30, 30))
-        config = replace(LOSS_CFG, alpha=1.0)
-        caches = [compact_svd(a) for a in model.factors]
-        fallbacks = count_calls(tucker, "naive_factor_update")
-        fast_factor_matrix_update(model, x, 0, config, caches=caches)
-        assert len(fallbacks) == 1
-        getattr(caches[1], part)[0] = np.nan
-        with pytest.raises(InvalidInputError):
-            fast_factor_matrix_update(model, x, 0, config, caches=caches)
-
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_als_never_scans_a_finite_tensor(self, monkeypatch, count_calls, rng, mode):
         # at alpha 1e-6 every fast factor step sketches, and a sketched step
@@ -999,7 +977,7 @@ class TestValidateOnce:
 
         monkeypatch.setattr(tucker, "as_tensor", counting)
         monkeypatch.setattr(tensor, "as_tensor", counting)
-        fallbacks = count_calls(tucker, "naive_factor_update")
+        fallbacks = count_calls(tucker, "_exact_factor_update")
         tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode=mode,
                    config=replace(LOSS_CFG, alpha=1e-6))
         assert not scans
@@ -1017,9 +995,8 @@ class TestValidateOnce:
     # sketches, at alpha 1 every one falls back to the exact update
     ENTRIES = ["tucker_als-exact-1e-06", "tucker_als-exact-1", "tucker_als-fast-1e-06",
                "tucker_als-fast-1", "fast_factor_matrix_update-1e-06",
-               "fast_factor_matrix_update-1", "naive_factor_update",
-               "naive_factor_update-caches", "core_update", "relative_error",
-               "regularized_loss"]
+               "fast_factor_matrix_update-1", "naive_factor_update", "core_update",
+               "relative_error", "regularized_loss"]
 
     @staticmethod
     def call(entry, model, x):
@@ -1032,7 +1009,7 @@ class TestValidateOnce:
             return fast_factor_matrix_update(model, x, 1,
                                              replace(LOSS_CFG, alpha=float(option)))
         if name == "naive_factor_update":
-            return naive_factor_update(model, x, 1, svd_bases(model) if option else None)
+            return naive_factor_update(model, x, 1)
         return getattr(tucker, name)(model, x)
 
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -1043,7 +1020,7 @@ class TestValidateOnce:
         x = rng.standard_normal((7, 6, 5))
         scans = [count_calls(module, "as_tensor") for module in (tucker, tensor)]
         scans.append(count_calls(np, "isfinite"))
-        fallbacks = count_calls(tucker, "naive_factor_update")
+        fallbacks = count_calls(tucker, "_exact_factor_update")
         self.call(entry, model, x)
         assert not [args for c in scans for args in c if np.size(args[0]) == x.size]
         # the fast steps took the route the entry names
@@ -1067,7 +1044,7 @@ class TestValidateOnce:
         finite = rng.standard_normal((6, 5, 4))
         # LOSS_CFG draws at least the 24 leftover rows, so it takes the
         # exact route, which checks its projection of x
-        fallbacks = count_calls(tucker, "naive_factor_update")
+        fallbacks = count_calls(tucker, "_exact_factor_update")
         fast_factor_matrix_update(model, finite, 1, LOSS_CFG)
         assert len(fallbacks) == 1
         for bad in (np.nan, np.inf, -np.inf):
@@ -1103,31 +1080,20 @@ class TestValidateOnce:
         with pytest.raises(InvalidInputError):
             fast_factor_matrix_update(model, finite[:, :, :3], 1, config)
 
-    @pytest.mark.parametrize("alpha", [1e-6, 1.0])
-    @pytest.mark.parametrize("bad", ["nan", "u rows", "v rows", "count", "no basis",
-                                     "u rank", "sigma rank", "v rank"])
-    def test_both_steps_reject_a_bad_cache(self, rng, alpha, bad):
-        # at alpha 1e-6 the fast step sketches, at alpha 1 it falls back; a
-        # rank dropped from sigma alone made the exact update broadcast
-        # v * sigma and return a factor several percent off
-        model = random_model(rng, (10, 9, 8), (2, 2, 2), lam=0.1)
-        x = rng.standard_normal((10, 9, 8))
-        caches = [compact_svd(a) for a in model.factors]
-        if bad == "nan":
-            caches[0].u[3, 1] = np.nan
-        elif bad == "u rows":
-            caches[0] = replace(caches[0], u=caches[0].u[:7])
-        elif bad == "v rows":
-            caches[0] = replace(caches[0], v=caches[0].v[:1])
-        elif bad == "no basis":
-            caches[0] = replace(caches[0], u=np.zeros_like(caches[0].u))
-        elif bad.endswith("rank"):
-            part = bad.split()[0]
-            caches[0] = replace(caches[0], **{part: getattr(caches[0], part)[..., :1]})
-        else:
-            caches = caches[:2]
+    @pytest.mark.parametrize("alpha", [LOSS_CFG.alpha, 1.0])
+    def test_fast_als_works_out_each_sample_count_once(self, count_calls, monkeypatch,
+                                                       alpha):
+        # a mode's sample count depends on the shapes and the config alone,
+        # so a 2-sweep order-3 call computes one per mode, and its steps take
+        # their seeds without building a config, on either route
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
         config = replace(LOSS_CFG, alpha=alpha)
-        with pytest.raises(InvalidInputError, match="cache"):
-            fast_factor_matrix_update(model, x, 1, config, caches=caches)
-        with pytest.raises(InvalidInputError, match="cache"):
-            naive_factor_update(model, x, 1, caches=caches)
+        counts = count_calls(tucker, "regression_sample_count")
+        draws = count_calls(solvers, "sample_rows")
+        built = []
+        check = RegressionConfig.__post_init__
+        monkeypatch.setattr(RegressionConfig, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast", config=config)
+        assert len(counts) == 3 and not built
+        assert len(draws) == (2 * 3 if alpha < 1.0 else 0)
