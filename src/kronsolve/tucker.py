@@ -10,9 +10,13 @@ implicit Kronecker design matrix.  ``exact`` mode solves them exactly
 rows per factor update and solves the small sketched ridge problem for all
 rows of the factor at once, directly with
 :func:`~kronsolve.solvers.sketched_ridge_solve` (as sketched Tucker-ALS
-does, Malik & Becker 2018), so no Tucker step runs conjugate gradients.
-A fast sweep projects the tensor once, after its last factor update, and
-reads the exact ridge core and the sweep's losses off that projection.
+does, Malik & Becker 2018), so no Tucker step runs conjugate gradients;
+a step whose sketch would draw at least the leftover rows runs exactly.
+Both modes run one sweep loop, in which the mode sets only which steps
+sketch.  An exact step reads its update and its loss record off one
+projection of the tensor onto the other factors, and so does the core when
+the sweep's last step was exact; a sweep whose last step sketched projects
+the tensor once more, for its record and the exact ridge core.
 
 :func:`tucker_als` checks its input once and runs every factor step on
 the kernels :func:`_exact_factor_update` and :func:`_sketched_factor_update`;
@@ -238,17 +242,18 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     if not 0 <= n < len(model.factors):
         raise InvalidInputError(f"mode {n} out of range")
     svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
-    return _exact_factor_update(model, x, n, svds)
+    return _exact_factor_update(model, x, n, svds)[0]
 
 
 def _exact_factor_update(model: TuckerModel, x: np.ndarray, n: int,
-                         svds: Sequence[CompactSvd | None]) -> np.ndarray:
+                         svds: Sequence[CompactSvd | None]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`naive_factor_update` on checked input, from the bases ``svds``
-    (``svds[n]`` unread) that ALS holds or the public step computes."""
+    (``svds[n]`` unread) that ALS holds or the public step computes;
+    returns the factor and the projection ``Z`` it was read off."""
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         z = _mode_products(x, [None if k == n else svd.u.T for k, svd in enumerate(svds)])
     _check_finite_reads(z, "Z = X x_k U_k^T for k != n")
-    return _ridge_factor(model, z, n, svds)
+    return _ridge_factor(model, z, n, svds), z
 
 
 def _ridge_factor(model: TuckerModel, z: np.ndarray, n: int,
@@ -420,7 +425,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     count = _factor_sample_count(model.shape, model.core_shape, n, config)
     svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
     if count is None:
-        return _exact_factor_update(model, x, n, svds)
+        return _exact_factor_update(model, x, n, svds)[0]
     return _sketched_factor_update(model, x, n, svds, count, config.seed)
 
 
@@ -465,14 +470,16 @@ class AlsReport:
     onto the bases ALS holds, the start's orthonormal factors as their own
     and, after a factor update, that factor's compact SVD; ALS decomposes a
     factor only after updating it (see :func:`tucker_als`).
-    ``step_seconds`` times each step alone (not the loss recorded after it);
-    the first step, ``init-core``, times the range-finder start that yields
-    the initial factors and core.  An exact sweep records one step per
-    factor update (``sweep{k}-factor{n}``) and one for the core
-    (``sweep{k}-core``).  A fast sweep records two: ``sweep{k}-factors``
-    times its N sketched factor updates, and ``sweep{k}-core`` times the
-    projection of the tensor and the exact core solve.  ``sweep_seconds``
-    is the sum of one sweep's step times.
+    Records follow the steps that ran, not the mode: each exact factor
+    update records ``sweep{k}-factor{n}``; a sweep whose last update
+    sketched projects the tensor and records ``sweep{k}-factors``; the core
+    records ``sweep{k}-core``.  So an exact sweep records N + 1 steps, a
+    sketched one 2, and a fast sweep at full coverage what an exact one
+    does.  ``step_seconds`` times the work since the previous record, a
+    sketched update in the next record's time (the loss evaluations are
+    not timed); the first step, ``init-core``, times the range-finder start
+    that yields the initial factors and core.  ``sweep_seconds`` is the sum
+    of one sweep's step times.
     """
 
     step_labels: list[str] = field(default_factory=list)
@@ -544,32 +551,35 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     (``U_k = A_k``, ``S_k = V_k = I``), so the start's loss is read off the
     projected tensor it already holds and no start factor is decomposed.
     ALS decomposes a factor only after updating it, into a compact SVD
-    (:func:`~kronsolve.solvers.build_factor_cache`).  In ``exact`` mode
-    factor step ``n`` reads the tensor once, as ``Z = X x_k U_k^T for every
-    k != n``, and reads its exact update off ``Z``; the loss after the step
-    is recorded from ``Y = Z x_n U_n^T``, and the core step, which changes
-    no factor, solves and records from that ``Y`` too.  Every block update
-    is an exact minimizer, so the recorded losses are non-increasing (up to
-    roundoff), and a sweep reads the tensor ``N`` times.  In ``fast`` mode
-    ALS checks ``eps`` and works out each mode's sample count once, before
-    the start, and runs the kernels of :func:`fast_factor_matrix_update` on
-    the bases it holds.  The ``N`` sketched factor updates read the tensor
-    only at their sampled fibres; then one projection
-    ``Y = X x_1 U_1^T ... x_N U_N^T`` gives the sweep's record after its
-    factor updates, the exact core and the record after it.  So a fast
-    sweep reads the tensor in full once, besides any exact fallback.  No
-    mode forms a dense reconstruction.  ``config`` supplies the sampling
-    parameters and the seed of the ``fast`` mode; ``lam`` alone sets the
-    ridge weight.  ``x`` is checked through ``||X||_F^2``, which ALS needs
-    anyway, and is never scanned: a NaN or inf entry, or a norm that
-    overflows, raises :class:`InvalidInputError` before the start, and a
-    finite norm bounds every projection ALS forms.
+    (:func:`~kronsolve.solvers.build_factor_cache`).  Both modes run one
+    sweep loop, and ``solver_mode`` sets only which factor steps sketch:
+    none in ``exact`` mode, and in ``fast`` mode each step whose draws stay
+    below its leftover row count (see :func:`fast_factor_matrix_update`;
+    ``eps`` and the counts are checked and worked out once, before the
+    start).  An exact step ``n`` reads the tensor once, as
+    ``Z = X x_k U_k^T for every k != n``, reads its update off ``Z`` and
+    records the loss from ``Y = Z x_n U_n^T``.  Sketched steps read the
+    tensor only at their sampled fibres; when a sweep's last step sketched,
+    one projection ``Y = X x_1 U_1^T ... x_N U_N^T`` gives the record
+    ``sweep{k}-factors``.  The core step, which changes no factor, solves
+    and records from the sweep's last ``Y``.  So an exact sweep reads the
+    tensor ``N`` times, a sketched one once, and a fast sweep at full
+    coverage is an exact sweep, records included.  In exact mode every block
+    update is an exact minimizer, so the recorded losses are non-increasing
+    (up to roundoff).  No mode forms a dense reconstruction.  ``config``
+    supplies the sampling parameters and the seed of the ``fast`` mode;
+    ``lam`` alone sets the ridge weight.  ``x`` is checked through
+    ``||X||_F^2``, which ALS needs anyway, and is never scanned: a NaN or
+    inf entry, or a norm that overflows, raises :class:`InvalidInputError`
+    before the start, and a finite norm bounds every projection ALS forms.
 
     Returns the fitted model and an :class:`AlsReport` whose ``rre`` is the
     final relative reconstruction error.
     """
     x = _float_tensor(x)
     x_norm_sq = _checked_norm_sq(x)
+    if not all(isinstance(r, (int, np.integer)) for r in core_shape):
+        raise InvalidInputError(f"core shape {core_shape!r} must hold integers")
     core_shape = tuple(int(r) for r in core_shape)
     if len(core_shape) != x.ndim:
         raise InvalidInputError(
@@ -577,71 +587,58 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     if any(r < 1 or r > i for r, i in zip(core_shape, x.shape)):
         raise InvalidInputError(
             f"core shape {core_shape} must be componentwise in [1, {x.shape}]")
-    if sweeps < 1:
-        raise InvalidInputError(f"sweeps must be >= 1, got {sweeps}")
+    if not isinstance(sweeps, (int, np.integer)) or sweeps < 1:
+        raise InvalidInputError(f"sweeps must be an integer >= 1, got {sweeps!r}")
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
     if solver_mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")
     config = config or RegressionConfig()
-    if solver_mode == "fast":
-        counts = [_factor_sample_count(x.shape, core_shape, n, config)
-                  for n in range(x.ndim)]
+    counts = ([_factor_sample_count(x.shape, core_shape, n, config) for n in range(x.ndim)]
+              if solver_mode == "fast" else [None] * x.ndim)
 
     report = AlsReport()
 
-    def record(label: str, seconds: float, y: np.ndarray):
+    def record(label: str, y: np.ndarray):
+        nonlocal t0
+        seconds = time.perf_counter() - t0
         err, loss = _fit_projected(model, y, x_norm_sq, caches)
         report.step_labels.append(label)
         report.step_losses.append(loss)
         report.step_errors.append(err)
         report.step_seconds.append(seconds)
+        t0 = time.perf_counter()
 
     t0 = time.perf_counter()
-    model, projected = initial_model(x, core_shape, lam, config.seed)
-    seconds = time.perf_counter() - t0
+    model, y = initial_model(x, core_shape, lam, config.seed)
     # orthonormal factors are their own bases, with identity coordinates
     caches = [CompactSvd(u=a, sigma=np.ones(r), v=np.eye(r))
               for a, r in zip(model.factors, core_shape)]
-    record("init-core", seconds, projected)
-    steps = x.ndim + 1 if solver_mode == "exact" else 2
+    record("init-core", y)
 
-    seed_root = np.random.SeedSequence(config.seed)
     for sweep in range(sweeps):
-        if solver_mode == "exact":
-            for n in range(x.ndim):
-                others = [None if k == n else svd.u.T for k, svd in enumerate(caches)]
-                t0 = time.perf_counter()
-                z = _mode_products(x, others)
-                model.factors[n] = _ridge_factor(model, z, n, caches)
-                caches[n] = build_factor_cache(model.factors[n])
-                seconds = time.perf_counter() - t0
+        first = len(report.step_seconds)
+        for n, count in enumerate(counts):
+            if count is None:
+                model.factors[n], z = _exact_factor_update(model, x, n, caches)
+            else:
+                seed = np.random.SeedSequence(config.seed, spawn_key=(sweep * x.ndim + n,))
+                model.factors[n] = _sketched_factor_update(
+                    model, x, n, caches, count, int(seed.generate_state(1)[0]))
+            caches[n] = build_factor_cache(model.factors[n])
+            if count is None:
                 y = _mode_products(z, [svd.u.T if k == n else None
                                        for k, svd in enumerate(caches)])
-                record(f"sweep{sweep}-factor{n}", seconds, y)
-            t0 = time.perf_counter()
-        else:
-            t0 = time.perf_counter()
-            for n, seed_seq in enumerate(seed_root.spawn(x.ndim)):
-                if counts[n] is None:
-                    model.factors[n] = _exact_factor_update(model, x, n, caches)
-                else:
-                    model.factors[n] = _sketched_factor_update(
-                        model, x, n, caches, counts[n], int(seed_seq.generate_state(1)[0]))
-                caches[n] = build_factor_cache(model.factors[n])
-            factor_seconds = time.perf_counter() - t0
-            t0 = time.perf_counter()
+                record(f"sweep{sweep}-factor{n}", y)
+        if counts[-1] is not None:
             y = _mode_products(x, [svd.u.T for svd in caches])
-        core = _core_update(model, y, caches)
-        seconds = time.perf_counter() - t0
-        if solver_mode == "fast":
-            record(f"sweep{sweep}-factors", factor_seconds, y)
-        model.core = core
-        record(f"sweep{sweep}-core", seconds, y)
+            record(f"sweep{sweep}-factors", y)
+        model.core = _core_update(model, y, caches)
+        record(f"sweep{sweep}-core", y)
         report.sweep_losses.append(report.step_losses[-1])
         report.sweep_rres.append(report.step_errors[-1] / x_norm_sq
                                  if x_norm_sq > 0 else 0.0)
-        report.sweep_seconds.append(sum(report.step_seconds[-steps:]))
+        report.sweep_seconds.append(sum(report.step_seconds[first:]))
     report.rre = report.sweep_rres[-1]
     return model, report
 

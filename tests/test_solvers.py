@@ -779,14 +779,15 @@ class TestFastKroneckerRegression:
         assert core_step_svds == [0, 0]
         assert len(exact_solves) == 2 and len(sketches) == 0
         # every fast step fell back to its exact update, so the run is exact
-        # ALS; a fast sweep records fewer steps, so the sweeps are compared
+        # ALS to the bit, its step records included
         exact, exact_report = tucker.tucker_als(x, (3, 2, 2), lam=1e-2, sweeps=2,
                                                 config=cfg)
         np.testing.assert_array_equal(fast.core, exact.core)
         for a, b in zip(fast.factors, exact.factors):
             np.testing.assert_array_equal(a, b)
-        assert fast_report.sweep_losses == exact_report.sweep_losses
-        assert fast_report.rre == exact_report.rre
+        for name in ("step_labels", "step_losses", "step_errors", "sweep_losses",
+                     "sweep_rres", "rre"):
+            assert getattr(fast_report, name) == getattr(exact_report, name), name
 
     def test_report_loss_matches_solution(self, rng):
         facs = [rng.standard_normal((12, 2)), rng.standard_normal((10, 2))]

@@ -737,6 +737,16 @@ class TestTuckerAls:
             tucker_als(x, (2, 2), sweeps=0)
         with pytest.raises(InvalidInputError):
             tucker_als(x, (2, 2), solver_mode="bogus")
+        # a sweep count or a core rank that is not an integer
+        for sweeps in (2.5, "2"):
+            with pytest.raises(InvalidInputError, match="sweeps"):
+                tucker_als(x, (2, 2), sweeps=sweeps)
+        for core_shape in ((2.7, 2), ("2", 2)):
+            with pytest.raises(InvalidInputError, match="core shape"):
+                tucker_als(x, core_shape, sweeps=1)
+        # numpy integers are integers
+        model, _ = tucker_als(x, (np.int64(2), 2), sweeps=np.int64(1))
+        assert model.core_shape == (2, 2)
         # a fast call checks eps before the start
         starts = count_calls(tucker, "initial_model")
         with pytest.raises(InvalidInputError, match="eps"):
@@ -778,19 +788,29 @@ class TestTuckerAls:
         assert len(report.step_losses) == 1 + 2 * 4
         assert report.rre == report.sweep_rres[-1]
 
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_sweep_seconds_sum_step_times(self, rng, mode):
-        x = rng.standard_normal((6, 5, 4))
-        cfg = RegressionConfig(eps=0.25, delta=0.05, seed=0, alpha=5e-5)
-        _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=3,
+    @pytest.mark.parametrize("mode,shape,alpha,steps", [
+        pytest.param("exact", (6, 5, 4), 5e-5, ["factor0", "factor1", "factor2", "core"],
+                     id="exact"),
+        # every fast step's sketch would cover its rows, so each runs exact
+        pytest.param("fast", (6, 5, 4), 5e-5, ["factor0", "factor1", "factor2", "core"],
+                     id="fast"),
+        pytest.param("fast", (12, 12, 12), 5e-5, ["factors", "core"], id="fast-sketched"),
+        # counts [None, 189, 189]: an exact step, then two sketched ones
+        pytest.param("fast", (100, 10, 10), 1e-4, ["factor0", "factors", "core"],
+                     id="fast-mixed")])
+    def test_sweep_seconds_sum_step_times(self, mode, shape, alpha, steps):
+        # a record follows each exact factor step, and one follows a sweep's
+        # sketched steps when its last step was sketched; a sweep's seconds
+        # are its records' seconds
+        x = generate_synth_tucker(shape, (3, 3, 3), 0.01, seed=4)
+        cfg = replace(LOSS_CFG, alpha=alpha)
+        _, report = tucker_als(x, (3, 3, 3), lam=0.1, sweeps=3,
                                solver_mode=mode, config=cfg)
-        # exact: every factor, then the core; fast: the factors, then the core
-        steps = x.ndim + 1 if mode == "exact" else 2
-        assert len(report.step_seconds) == 1 + 3 * steps
+        assert report.step_labels == ["init-core"] + [
+            f"sweep{k}-{step}" for k in range(3) for step in steps]
         for k, seconds in enumerate(report.sweep_seconds):
-            first = 1 + k * steps  # step 0 is the initial core solve
-            assert seconds == sum(report.step_seconds[first:first + steps])
-
+            first = 1 + k * len(steps)  # step 0 is the initial core solve
+            assert seconds == sum(report.step_seconds[first:first + len(steps)])
 
 
 def dense_fit(model, x, x_norm_sq):
@@ -920,24 +940,35 @@ class TestLossRecording:
         assert len(records) == len(report.step_seconds) == 1 + 4
         assert max(report.step_seconds) < 0.1
 
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_one_projection_of_the_tensor_per_factor_step(self, count_calls, mode):
-        # each exact factor step reads the tensor once, and a fast sweep reads
-        # it once after its sketched factor updates, in one call that
+    @pytest.mark.parametrize("mode,shape,alpha,modes", [
+        pytest.param("exact", (12, 12, 12), LOSS_CFG.alpha, [0, 1, 2], id="exact"),
+        pytest.param("fast", (12, 12, 12), LOSS_CFG.alpha, [None], id="fast"),
+        # every step's sketch would cover its rows, so each runs exact
+        pytest.param("fast", (12, 12, 12), 1.0, [0, 1, 2], id="fast-alpha1"),
+        # counts [None, 189, 189]: an exact step, then two sketched ones
+        pytest.param("fast", (100, 10, 10), 1e-4, [0, None], id="fast-mixed")])
+    def test_one_projection_of_the_tensor_per_factor_step(self, count_calls, mode, shape,
+                                                          alpha, modes):
+        # each exact factor step reads the tensor once, and a sweep whose
+        # last step was sketched reads it once more, in one call that
         # contracts every mode; the records and the core steps read
         # projections of it, and no exact step hands it to the Kronecker
         # multiply
-        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        x = generate_synth_tucker(shape, (3, 3, 3), 0.01, seed=4)
         projections = count_calls(tucker, "_mode_products")
         multiplies = [count_calls(module, "kron_mat_mul") for module in (solvers, tucker)]
-        tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
-                   config=LOSS_CFG)
+        _, report = tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode=mode,
+                               config=replace(LOSS_CFG, alpha=alpha))
         reads = [mats for t, mats in projections if np.size(t) == x.size]
-        # exact step n contracts every mode but n; a fast sweep every mode
-        modes = range(3) if mode == "exact" else [None]
+        # exact step n contracts every mode but n; the read after sketched
+        # steps contracts every mode
         assert [[m is None for m in mats] for mats in reads] == [
             [k == n for k in range(3)] for _ in range(2) for n in modes]
         assert all(np.size(args[1]) < x.size for calls in multiplies for args in calls)
+        # one record per read, and one for the core
+        steps = ["factors" if n is None else f"factor{n}" for n in modes] + ["core"]
+        assert report.step_labels == ["init-core"] + [
+            f"sweep{k}-{step}" for k in range(2) for step in steps]
 
     def test_shape_mismatch_rejected(self, rng):
         model = random_model(rng, (6, 5, 4), (2, 2, 2))
@@ -977,11 +1008,12 @@ class TestValidateOnce:
 
         monkeypatch.setattr(tucker, "as_tensor", counting)
         monkeypatch.setattr(tensor, "as_tensor", counting)
-        fallbacks = count_calls(tucker, "_exact_factor_update")
+        exact_steps = count_calls(tucker, "_exact_factor_update")
         tucker_als(x, (2, 2, 2), lam=1e-2, sweeps=2, solver_mode=mode,
                    config=replace(LOSS_CFG, alpha=1e-6))
         assert not scans
-        assert not fallbacks
+        # exact ALS runs every factor step on the exact kernel, fast ALS none
+        assert len(exact_steps) == (2 * 3 if mode == "exact" else 0)
 
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_nan_tensor_rejected(self, rng, mode):
