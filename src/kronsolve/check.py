@@ -176,6 +176,27 @@ def run_checks() -> int:
     gap = np.linalg.norm(got - want) / np.linalg.norm(want)
     check("tucker exact factor update", gap <= 1e-10, f"relative difference {gap!r}")
 
+    # the fast regression route on one instance on each side of the size
+    # rule of its PCG operators (dense at 16 columns and 80 draws, implicit
+    # at 256 columns and 1,829 draws): within 1.5x of OPT, and PCG
+    # stops before its cap; its own generator leaves the later instances as
+    # they were
+    frng = np.random.default_rng(20240902)
+    cfg = solvers.RegressionConfig(eps=0.1, delta=0.01, lam=1e-3, alpha=1e-5)
+    details = []
+    for n, d, dense in ((64, 4, True), (256, 16, False)):
+        rf = [frng.normal(1.0, np.sqrt(1e-3), (n, d)) for _ in range(2)]
+        rb = np.ones(n * n)
+        fast = solvers.fast_kronecker_regression(rf, rb, cfg)
+        ratio = fast.loss / solvers.kronmatmul_svd_solve(rf, rb, cfg.lam).loss
+        entries = max(fast.distinct_rows, d * d) * d * d
+        side = (entries <= solvers._DENSE_SKETCH_MAX_ENTRIES) == dense
+        details.append((n, d, ratio, fast.converged, side))
+    check("fast regression, dense and implicit operators",
+          all(1.0 <= r <= 1.5 and conv and side for _, _, r, conv, side in details),
+          "; ".join(f"n={n} d={d}: loss/OPT {r:.4g}, converged {conv}, on its side {side}"
+                    for n, d, r, conv, side in details))
+
     # tensor file round trip
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.ktn"

@@ -279,8 +279,8 @@ class SketchedKron:
         w_t = np.empty((self.left_columns.shape[0], n_right))
         for w_j, column in zip(w_t, self.left_columns):
             w_j[:] = np.bincount(self.right_pos, weights=column * scaled, minlength=n_right)
-        # the multiply takes w as (distinct right rows) x (left cols), C-ordered
-        m = self.right_rows.T @ np.ascontiguousarray(w_t.T)  # (right cols) x (left cols)
+        # BLAS reads the transposed view w_t.T through its transpose flag, with no copy
+        m = self.right_rows.T @ w_t.T  # (right cols) x (left cols)
         # (left slow, right fast) grouped order, permuted back to natural order
         return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
 

@@ -13,8 +13,10 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
   fast Tucker block updates share.
 * :func:`fast_kronecker_regression` solves the *sketched* problem by
   conjugate gradients preconditioned with the eigendecomposition of the
-  *unsketched* normal matrix, read off the factor SVDs, so every step costs
-  only sparse Kronecker applies.
+  *unsketched* normal matrix, read off the factor SVDs.  Every step costs
+  one apply of the sketched rows and of the preconditioner: sparse Kronecker
+  applies on a large problem, dense matrix-vector products with the
+  materialized sketched design on a small one (:func:`_pcg_operators`).
 
 Both sketched routes and the fast Tucker step draw through
 :func:`_leverage_draws`, and each sketched route runs the exact
@@ -78,6 +80,14 @@ RESIDUAL_TOL = 1e-9
 # row of the first factor): 8 MB blocks keep the block GEMMs wide at d=64
 # while no regression call holds a residual of the full row count.
 _LOSS_BLOCK_ENTRIES = 1 << 20
+
+# fast_kronecker_regression runs PCG on its materialized sketched design and
+# a dense preconditioner when the larger holds at most this many entries.
+# Measured at 1 BLAS thread on order-2 and order-3 calls: the dense form took
+# 0.56-0.97x the implicit form's time from 1.3e3 to 2.5e5 entries (16 to 144
+# columns), 1.04-2.1x from 2.7e5 to 1.4e6 (36 to 400 columns) and 9x at 8.6e6
+# (1,024 columns); the rule keeps half of that crossover as margin.
+_DENSE_SKETCH_MAX_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -500,6 +510,16 @@ def _loss_off_bases(svds: Sequence[CompactSvd], b: np.ndarray, x: np.ndarray,
         return _projected_ridge_loss(svds, t, float(np.vdot(b, b)), x, lam)
 
 
+def _weighted_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
+                   multi: np.ndarray) -> np.ndarray:
+    """The materialized sketched design ``S K``: the Kronecker rows of
+    :func:`~kronsolve.kron.kron_rows` at the merged draws ``multi``, each
+    weighted in place by its entry of ``sdiag``."""
+    design = kron_rows(factors, multi)
+    design *= sdiag.values[:, None]
+    return design
+
+
 def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
                          multi: np.ndarray, b_drawn: np.ndarray, lam: float,
                          right: np.ndarray | None = None) -> np.ndarray:
@@ -519,8 +539,7 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
     caller's to validate; ``b_drawn`` is checked through ``D^T S b``.
     """
     weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
-    design = kron_rows(factors, multi)
-    design *= sdiag.values[:, None]
+    design = _weighted_rows(factors, sdiag, multi)
     if right is not None:
         design = design @ right
     gram_pinv = np.linalg.pinv(design.T @ design + lam * np.eye(design.shape[1]))
@@ -572,6 +591,35 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
                        distinct_rows=draws[0].nnz)
 
 
+def _pcg_operators(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
+                   multi: np.ndarray, precond: KronPreconditioner, sb: np.ndarray,
+                   lam: float):
+    """The normal apply ``v -> K^T S^2 K v + lam v``, the preconditioner apply
+    and the right-hand side ``K^T S^2 b`` (from ``sb``, ``S b`` at the draws)
+    of :func:`fast_kronecker_regression`'s PCG solve.
+
+    A small problem, whose larger of the sketched design ``D = S K`` (``nnz x
+    R``) and the dense preconditioner (``R x R``) holds at most
+    :data:`_DENSE_SKETCH_MAX_ENTRIES` entries, materializes both, so that
+    each apply is one or two dense matrix-vector products:
+    ``D = diag(s) kron_rows(factors, multi)`` as :func:`sketched_ridge_solve`
+    builds it, and ``P = V diag(d) V^T`` for ``V = V1 kron ... kron VN``,
+    from the factors and the diagonal of ``precond``.  A larger one keeps ``S K`` implicit
+    in a :class:`~kronsolve.kron.SketchedKron` and applies ``precond`` by
+    Kronecker multiplies.
+    """
+    cols = kron_operator_shape(factors)[1]
+    if max(sdiag.nnz, cols) * cols <= _DENSE_SKETCH_MAX_ENTRIES:
+        design = _weighted_rows(factors, sdiag, multi)
+        # V diag(d) V^T as W W^T, W = V diag(sqrt d): one symmetric product
+        w = reduce(np.kron, precond.v_factors) * np.sqrt(precond.d_diag)
+        dense_precond = w @ w.T
+        return (lambda u: design.T @ (design @ u) + lam * u,
+                lambda r: dense_precond @ r, design.T @ sb)
+    op = SketchedKron(factors, sdiag, multi)
+    return lambda u: op.normal(u) + lam * u, precond.apply, op.transpose_apply(sb)
+
+
 def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
                               config: RegressionConfig) -> SolveReport:
     """(1+eps)-approximate Kronecker ridge regression in subquadratic time.
@@ -581,10 +629,16 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     whose right singular vectors and squared singular values, the eigenpairs
     of ``A^T A``, build the decomposed preconditioner; then
     ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` sampled rows solved by
-    preconditioned conjugate gradients (:func:`pcg_solve`), where every
-    operator application exploits sketch sparsity and Kronecker structure.
-    When the sample count reaches the row count the sketch is pointless, and
-    the exact :func:`kronmatmul_svd_solve` runs instead.  This is the regression
+    preconditioned conjugate gradients (:func:`pcg_solve`).  One size rule
+    (:func:`_pcg_operators`) picks the form of PCG's operators: a small
+    problem materializes its sketched design ``S K`` and the dense
+    preconditioner, and every apply is a dense matrix-vector product; a
+    larger one keeps ``S K`` implicit in a
+    :class:`~kronsolve.kron.SketchedKron`, whose applies touch only the
+    drawn rows, and applies the preconditioner by Kronecker multiplies.
+    Both forms solve the same sketched problem.  When the sample count
+    reaches the row count the sketch is pointless, and the exact
+    :func:`kronmatmul_svd_solve` runs instead.  This is the regression
     route only: the fast Tucker block updates solve their small sketched
     problems directly (:func:`sketched_ridge_solve`).  Singular values at or
     below ``1e-10 * sigma_max`` of their factor are dropped, as in
@@ -603,7 +657,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     ``t = (U kron ...)^T b``, formed at that read by one Kronecker multiply,
     and ``||b||^2`` (:func:`_projected_ridge_loss`), so the loss reduces
     ``b`` to an ``R``-sized vector and never holds a vector of the full row
-    count beyond ``b`` itself.  The sketched operator is gone by then.
+    count beyond ``b`` itself.  The sketched operator or design is gone by
+    then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     if not 0.0 < config.eps <= 0.25:
@@ -627,13 +682,12 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
     row_shape = tuple(a.shape[0] for a in factors)
     sdiag, multi, b_drawn = _leverage_draws(svds, s, seed, b.reshape(row_shape))
-    op = SketchedKron(factors, sdiag, multi)
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         sb = sdiag.values * b_drawn
         sb_norm_sq = float(sb @ sb)
     _check_finite_reads(sb_norm_sq, "||S b||^2")
-    x, iters, residual = pcg_solve(lambda v: op.normal(v) + lam * v, precond.apply,
-                                   op.transpose_apply(sb), config, sb_norm_sq)
+    x, iters, residual = pcg_solve(*_pcg_operators(factors, sdiag, multi, precond, sb, lam),
+                                   config, sb_norm_sq)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam),
                        iterations=iters, sample_count=s, wall_time=wall,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -534,6 +535,11 @@ def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
     return TuckerModel(core=t / (1.0 + lam), factors=factors, lam=lam), t
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                sweeps: int = 5, solver_mode: str = "exact",
                config: RegressionConfig | None = None,
@@ -578,8 +584,10 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     """
     x = _float_tensor(x)
     x_norm_sq = _checked_norm_sq(x)
-    if not all(isinstance(r, (int, np.integer)) for r in core_shape):
-        raise InvalidInputError(f"core shape {core_shape!r} must hold integers")
+    # a 1-d array is a sequence too; a 0-d one, like an int, is not
+    if not ((isinstance(core_shape, abc.Sequence) or np.ndim(core_shape) == 1)
+            and all(_is_integer(r) for r in core_shape)):
+        raise InvalidInputError(f"core shape {core_shape!r} must be a sequence of integers")
     core_shape = tuple(int(r) for r in core_shape)
     if len(core_shape) != x.ndim:
         raise InvalidInputError(
@@ -587,7 +595,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     if any(r < 1 or r > i for r, i in zip(core_shape, x.shape)):
         raise InvalidInputError(
             f"core shape {core_shape} must be componentwise in [1, {x.shape}]")
-    if not isinstance(sweeps, (int, np.integer)) or sweeps < 1:
+    if not _is_integer(sweeps) or sweeps < 1:
         raise InvalidInputError(f"sweeps must be an integer >= 1, got {sweeps!r}")
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")

@@ -375,7 +375,10 @@ def sequential_formulation(op, factors, c, b_values):
     ``c_grouped @ right_rows.T`` at each nonzero's right row times its
     left-group entry.  The transpose scatters the scaled left-group rows
     into the distinct right-row bins with ``np.add.at``; the operator's
-    per-column ``np.bincount`` must match this to the bit.
+    per-column ``np.bincount`` must match this to the bit.  The bins are a
+    transposed view of a (left columns) x (right rows) array, as in the
+    operator, since BLAS may round a product differently when it reads an
+    operand in another layout.
     """
     sd = op.s_diag
     if sd.nnz == 0:
@@ -390,7 +393,7 @@ def sequential_formulation(op, factors, c, b_values):
     for j in range(r_left):
         vals = vals + y_t[j, op.right_pos] * left[:, j]
     scaled = sd.values * b_values
-    w = np.zeros((op.right_rows.shape[0], r_left))
+    w = np.zeros((r_left, op.right_rows.shape[0])).T
     np.add.at(w, op.right_pos, scaled[:, None] * left)
     grouped = (op.right_rows.T @ w).T.reshape(-1)
     grouped_shape = tuple(op.col_shape[i] for i in order)

@@ -681,7 +681,9 @@ class TestFastKroneckerRegression:
 
     def test_operator_released_before_exact_loss(self, monkeypatch):
         # the loss's projection of b runs when the loss is first read, after
-        # the call has returned and freed the operator's precomputed gathers
+        # the call has returned and freed the operator's precomputed gathers;
+        # a zero size rule sends even this small problem to the split form
+        monkeypatch.setattr(solvers, "_DENSE_SKETCH_MAX_ENTRIES", 0)
         ops, projections = [], []
 
         class Recording(solvers.SketchedKron):
@@ -705,6 +707,35 @@ class TestFastKroneckerRegression:
         rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
         assert rep.iterations > 0
         assert len(ops) == 1 and len(projections) == 0
+        assert math.isfinite(rep.loss)
+        assert len(projections) == 1
+
+    def test_design_released_before_exact_loss(self, monkeypatch):
+        # the dense form's materialized design is gone, like the split
+        # form's operator, once the call has returned and before the loss
+        # reads b
+        designs, projections = [], []
+        original_rows, original_multiply = solvers._weighted_rows, solvers.kron_mat_mul
+
+        def recording_rows(*args):
+            design = original_rows(*args)
+            designs.append(weakref.ref(design))
+            return design
+
+        def checked_multiply(factors, operand):
+            if np.size(operand) == 400:  # b, not a solver-sized vector
+                assert designs and all(ref() is None for ref in designs)
+                projections.append(operand)
+            return original_multiply(factors, operand)
+
+        monkeypatch.setattr(solvers, "_weighted_rows", recording_rows)
+        monkeypatch.setattr(solvers, "kron_mat_mul", checked_multiply)
+        rs = np.random.default_rng(7)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.25, delta=0.05, lam=1e-3, seed=0, alpha=1e-4)
+        rep = fast_kronecker_regression(facs, rs.standard_normal(400), cfg)
+        assert rep.iterations > 0
+        assert len(designs) == 1 and len(projections) == 0
         assert math.isfinite(rep.loss)
         assert len(projections) == 1
 
@@ -801,6 +832,75 @@ class TestFastKroneckerRegression:
 def dense_ridge_loss(factors, x, b, lam):
     r = dense_kron(factors) @ x - b
     return float(r @ r) + lam * float(x @ x)
+
+
+def _both_forms(monkeypatch, facs, b, cfg):
+    """The fast call's reports with its PCG operators in the split form and
+    in the dense form, forced by the size rule."""
+    reports = []
+    for limit in (0, math.inf):
+        monkeypatch.setattr(solvers, "_DENSE_SKETCH_MAX_ENTRIES", limit)
+        reports.append(fast_kronecker_regression(facs, b, cfg))
+    return reports
+
+
+class TestPcgOperatorForms:
+    @staticmethod
+    def _cases():
+        rs = np.random.default_rng(3)
+        heavy = np.ones((20, 1))
+        heavy[:3] = 8.0  # three high-leverage rows, drawn again and again
+        deficient = rs.standard_normal((15, 3))
+        deficient[:, 2] = deficient[:, 0]
+        return {
+            "order 1": ([rs.standard_normal((3000, 6))], 1e-3, 2e-5),
+            "order 3": ([rs.standard_normal((12, 3)) for _ in range(3)], 1e-3, 2e-5),
+            "repeated draws": ([heavy * rs.standard_normal((20, 2)),
+                                rs.standard_normal((20, 2))], 1e-3, 5e-5),
+            "lam 0, rank-deficient factor": ([deficient, rs.standard_normal((14, 3))],
+                                             0.0, 3e-5),
+        }
+
+    @pytest.mark.parametrize("case", ["order 1", "order 3", "repeated draws",
+                                      "lam 0, rank-deficient factor"])
+    def test_forms_agree(self, monkeypatch, case):
+        # the same sketch, solved by PCG on the implicit operator and on the
+        # materialized design: the same iterations, and the same loss to
+        # roundoff
+        facs, lam, alpha = self._cases()[case]
+        rows = math.prod(a.shape[0] for a in facs)
+        b = np.random.default_rng(4).standard_normal(rows)
+        cfg = RegressionConfig(eps=0.1, delta=0.05, lam=lam, alpha=alpha, seed=1)
+        split, dense = _both_forms(monkeypatch, facs, b, cfg)
+        assert 0 < split.sample_count < rows
+        if case == "repeated draws":
+            assert split.distinct_rows < split.sample_count
+        assert split.iterations == dense.iterations > 0
+        assert (split.sample_count, split.distinct_rows) == (dense.sample_count,
+                                                             dense.distinct_rows)
+        assert abs(dense.loss - split.loss) <= 1e-10 * split.loss
+        np.testing.assert_allclose(dense.solution, split.solution, rtol=1e-8,
+                                   atol=1e-12 * np.linalg.norm(split.solution))
+
+    @pytest.mark.parametrize("d, dense", [(8, True), (16, False)])
+    def test_size_rule_picks_the_form(self, count_calls, d, dense):
+        # the benchmark's settings: d=8 is reg-thin's 64 columns and about
+        # 390 draws (2.5e4 entries), which the dense form takes; d=16 makes
+        # 256 columns and about 1,800 distinct draws (4.6e5 entries), which
+        # stay in the implicit SketchedKron
+        operators = count_calls(solvers, "SketchedKron")
+        preconditioner_applies = count_calls(solvers.KronPreconditioner, "apply")
+        rows = count_calls(solvers, "kron_rows")
+        rs = np.random.default_rng(5)
+        facs = [rs.normal(1.0, math.sqrt(1e-3), (256, d)) for _ in range(2)]
+        cfg = RegressionConfig(eps=0.1, delta=0.01, lam=1e-3, alpha=1e-5, seed=5)
+        rep = fast_kronecker_regression(facs, np.ones(256**2), cfg)
+        assert rep.iterations > 0 and rep.converged
+        entries = max(rep.distinct_rows, d**2) * d**2
+        assert (entries <= solvers._DENSE_SKETCH_MAX_ENTRIES) == dense
+        assert len(operators) == (0 if dense else 1)
+        assert (len(preconditioner_applies) == 0) == dense
+        assert len(rows) == (1 if dense else 0)
 
 
 class TestOneDrawPath:

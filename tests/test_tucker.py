@@ -744,9 +744,17 @@ class TestTuckerAls:
         for core_shape in ((2.7, 2), ("2", 2)):
             with pytest.raises(InvalidInputError, match="core shape"):
                 tucker_als(x, core_shape, sweeps=1)
-        # numpy integers are integers
+        # bools are not counts, and a core shape is a sequence
+        with pytest.raises(InvalidInputError, match="sweeps"):
+            tucker_als(x, (2, 2), sweeps=True)
+        for core_shape in (2, np.int64(2), np.array(2), (True, 2), (2, np.True_)):
+            with pytest.raises(InvalidInputError, match="core shape"):
+                tucker_als(x, core_shape, sweeps=1)
+        # numpy integers are integers, and a 1-d array is a sequence
         model, _ = tucker_als(x, (np.int64(2), 2), sweeps=np.int64(1))
         assert model.core_shape == (2, 2)
+        model, _ = tucker_als(x, np.array([2, 1]), sweeps=1)
+        assert model.core_shape == (2, 1)
         # a fast call checks eps before the start
         starts = count_calls(tucker, "initial_model")
         with pytest.raises(InvalidInputError, match="eps"):
