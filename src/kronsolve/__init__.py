@@ -5,6 +5,12 @@ function checks what it is given.  The sketch kernels behind the solvers
 (``kron.SketchedKron``, ``leverage.ProductSampler``, ``leverage.sample_rows``
 and the like) stay importable from their modules, but they take the checked
 input of the entry that calls them and check nothing again.
+
+``kron.kron_vec_square``, ``leverage.approx_leverage_scores_jl``,
+``leverage.spectral_approx_rows``, ``tucker.FactorUpdateWorkspace`` and
+``tucker.build_factor_workspace`` are not exported: no solver reaches
+them.  They stay defined in their modules, where the benchmark's tracer
+(``perfbench/spans.py``) names them, until they are deleted.
 """
 
 from .errors import (
@@ -14,14 +20,8 @@ from .errors import (
     SizeGuardError,
     TensorFormatError,
 )
-from .kron import kron_mat_mul, kron_vec_square
-from .leverage import (
-    LeverageScores,
-    approx_leverage_scores_jl,
-    ridge_leverage_scores,
-    spectral_approx_rows,
-    statistical_leverage_scores,
-)
+from .kron import kron_mat_mul
+from .leverage import LeverageScores, ridge_leverage_scores, statistical_leverage_scores
 from .solvers import (
     RegressionConfig,
     SolveReport,
@@ -35,9 +35,7 @@ from .tensor import CompactSvd, compact_svd, multi_mode_product, unfold
 from .tensor_io import read_tensor, write_results_csv, write_tensor
 from .tucker import (
     AlsReport,
-    FactorUpdateWorkspace,
     TuckerModel,
-    build_factor_workspace,
     core_update,
     fast_factor_matrix_update,
     naive_factor_update,

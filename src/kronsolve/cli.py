@@ -58,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "naive,kronmatmul,sketch-solve,fast")
     reg.add_argument("--repeats", type=int, default=1,
                      help="timing repetitions per cell (median reported)")
-    reg.add_argument("--force", action="store_true",
-                     help="disable the dense-matrix size guards of naive "
-                          "and sketch-solve")
     reg.add_argument("--out", required=True, help="output CSV path")
 
     tuck = sub.add_parser("tucker", help="L2-regularized Tucker ALS")
@@ -98,7 +95,7 @@ def _cmd_synth_regression(args) -> int:
     rows = run_regression_experiment(
         args.n, args.d, args.order, config, args.seeds,
         [s for s in args.solvers.split(",") if s], repeats=args.repeats,
-        force=args.force, out_path=args.out)
+        out_path=args.out)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {args.out}"
           + (f" ({len(failures)} solver errors recorded)" if failures else ""))

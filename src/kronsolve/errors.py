@@ -10,7 +10,7 @@ class InvalidInputError(KronsolveError, ValueError):
 
 
 class SizeGuardError(KronsolveError):
-    """A dense materialization would exceed its configured size guard."""
+    """A dense materialization would exceed its size guard."""
 
 
 class NumericalFailureError(KronsolveError, RuntimeError):

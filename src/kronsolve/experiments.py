@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidInputError, KronsolveError
 from .solvers import (
-    DEFAULT_DENSE_GUARD,
     RegressionConfig,
     SolveReport,
     fast_kronecker_regression,
@@ -38,17 +37,12 @@ from .tucker import AlsReport, TuckerModel, tucker_als
 SYNTH_MEAN = 1.0
 SYNTH_VARIANCE = 0.001
 
-# solver -> call(factors, b, config, guard), where guard is the dense-size
-# guard of naive and sketch-solve (None turns it off)
+# solver -> call(factors, b, config); each call looks its solver up when it runs
 SOLVER_CALLS: dict[str, Callable[..., SolveReport]] = {
-    "naive": lambda factors, b, config, guard: naive_normal_solve(
-        factors, b, config.lam, max_dense_entries=guard),
-    "kronmatmul": lambda factors, b, config, guard: kronmatmul_svd_solve(
-        factors, b, config.lam),
-    "sketch-solve": lambda factors, b, config, guard: sketch_and_solve_ridge(
-        factors, b, config, max_dense_entries=guard),
-    "fast": lambda factors, b, config, guard: fast_kronecker_regression(
-        factors, b, config),
+    "naive": lambda factors, b, config: naive_normal_solve(factors, b, config.lam),
+    "kronmatmul": lambda factors, b, config: kronmatmul_svd_solve(factors, b, config.lam),
+    "sketch-solve": lambda factors, b, config: sketch_and_solve_ridge(factors, b, config),
+    "fast": lambda factors, b, config: fast_kronecker_regression(factors, b, config),
 }
 # the exact solvers in the order OPT is taken from them: kronmatmul is the
 # reference, and naive's pinv of the densified Gram only stands in for it
@@ -120,13 +114,11 @@ def _median_run(fn: Callable[[], SolveReport], repeats: int) -> SolveReport:
 
 
 def _run_cell(solver: str, factors: Sequence[np.ndarray], b: np.ndarray,
-              config: RegressionConfig, repeats: int, guard: int | None,
-              ) -> ResultRow:
+              config: RegressionConfig, repeats: int) -> ResultRow:
     n, d = factors[0].shape
     cell = dict(solver=solver, n=n, d=d, order=len(factors), seed=config.seed)
     try:
-        report = _median_run(lambda: SOLVER_CALLS[solver](factors, b, config, guard),
-                             repeats)
+        report = _median_run(lambda: SOLVER_CALLS[solver](factors, b, config), repeats)
         loss = report.loss  # evaluated here, so a failing loss is the cell's error
     except (KronsolveError, np.linalg.LinAlgError) as exc:
         return ResultRow(**cell, loss=math.nan, ratio=math.nan, rows_sampled=0,
@@ -140,30 +132,31 @@ def _run_cell(solver: str, factors: Sequence[np.ndarray], b: np.ndarray,
 
 def run_regression_experiment(n: int, d: int, order: int, config: RegressionConfig,
                               seeds: Sequence[int], solvers: Sequence[str],
-                              repeats: int = 1, force: bool = False,
-                              out_path=None) -> list[ResultRow]:
+                              repeats: int = 1, out_path=None) -> list[ResultRow]:
     """Run every (solver, seed) cell on one synthetic instance per seed.
 
     Each seed runs under ``replace(config, seed=seed)``, and every seed is
-    checked before any instance is generated.  ``force`` turns off the
-    dense-size guards of naive and sketch-solve.  Ratios are filled in
-    against the exact optimum for the same seed when an exact solver is
-    part of the run: OPT is ``kronmatmul``'s loss when that cell ran ok,
-    else ``naive``'s."""
+    checked, as are the solver list and ``repeats``, before any instance is
+    generated.  A solver that raises (naive and sketch-solve refuse a dense
+    matrix above :data:`~kronsolve.solvers.DENSE_GUARD` entries) leaves an
+    error row and the run goes on.  Ratios are filled in against the exact
+    optimum for the same seed when an exact solver is part of the run: OPT
+    is ``kronmatmul``'s loss when that cell ran ok, else ``naive``'s."""
     unknown = set(solvers) - set(SOLVER_CALLS)
     if unknown:
         raise InvalidInputError(f"unknown solvers: {sorted(unknown)}")
+    if not solvers:
+        raise InvalidInputError("need at least one solver")
     if repeats < 1:
         raise InvalidInputError("repeats must be >= 1")
     if not seeds:
         raise InvalidInputError("need at least one seed")
     configs = [replace(config, seed=seed) for seed in seeds]
-    guard = None if force else DEFAULT_DENSE_GUARD
 
     rows = []
     for cfg in configs:
         factors, b = generate_synth_regression(n, d, order, cfg.seed)
-        rows += [_run_cell(solver, factors, b, cfg, repeats, guard) for solver in solvers]
+        rows += [_run_cell(solver, factors, b, cfg, repeats) for solver in solvers]
         del factors, b  # let the instance go before the next seed's is drawn
 
     exact_ok = {(row.solver, row.seed): row.loss for row in rows

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .tensor import CompactSvd, as_matrix, compact_svd
+from .tensor import CompactSvd, as_matrix, check_ridge_weight, compact_svd
 
 # Sample-count constants from the two sampling guarantees: the spectral
 # sandwich uses 144, the approximate-regression bound uses 1680.
@@ -62,8 +62,7 @@ def ridge_leverage_scores(svd: CompactSvd, lam: float) -> LeverageScores:
     ``l_i = sum_k sigma_k^2 / (sigma_k^2 + lam) * u_ik^2``; with ``lam = 0``
     these are the statistical leverage scores and sum to the rank.
     """
-    if not 0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    check_ridge_weight(lam)
     s2 = svd.sigma**2
     weights = s2 / (s2 + lam)
     scores = (svd.u**2) @ weights

@@ -69,9 +69,11 @@ from .leverage import (
     ridge_leverage_scores,
     sample_rows,
 )
-from .tensor import CompactSvd, _mode_products, as_matrix, compact_svd
+from .tensor import CompactSvd, _mode_products, as_matrix, check_ridge_weight, compact_svd
 
-DEFAULT_DENSE_GUARD = 10**8
+# naive_normal_solve and sketch_and_solve_ridge refuse a dense matrix of more
+# entries than this; each reads it when called
+DENSE_GUARD = 10**8
 
 # PCG also stops once r^T M^+ r falls to RESIDUAL_TOL^2 of its start (a consistent system)
 RESIDUAL_TOL = 1e-9
@@ -112,8 +114,7 @@ class RegressionConfig:
             raise InvalidInputError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0.0 <= self.lam < math.inf:
-            raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
+        check_ridge_weight(self.lam)
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -342,8 +343,7 @@ def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
         raise InvalidInputError(f"x has length {x.size}, operator has {cols} columns")
     if b.size != rows:
         raise InvalidInputError(f"b has length {b.size}, operator has {rows} rows")
-    if not 0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    check_ridge_weight(lam)
     first, rest = factors[0], factors[1:]
     per_row = math.prod(a.shape[0] for a in rest)  # rows of K per row of A1
     step = max(1, _LOSS_BLOCK_ENTRIES // max(per_row, 1))
@@ -411,22 +411,19 @@ def _validated_problem(factors, b):
     return factors, b, rows, cols
 
 
-def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float,
-                       max_dense_entries: int | None = DEFAULT_DENSE_GUARD,
-                       ) -> SolveReport:
+def naive_normal_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveReport:
     """Exact ridge solution via the densified normal matrix.
 
     ``K^T K`` is built as the Kronecker product of the factor Gram matrices
     and pseudo-inverted; ``K^T b`` uses the implicit transpose multiply.
-    Guarded: refuses when ``(prod R_n)^2`` exceeds ``max_dense_entries``.
+    Guarded: raises :class:`SizeGuardError` when ``(prod R_n)^2`` exceeds
+    :data:`DENSE_GUARD`.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
-    if not 0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
-    if max_dense_entries is not None and cols * cols > max_dense_entries:
+    check_ridge_weight(lam)
+    if cols * cols > DENSE_GUARD:
         raise SizeGuardError(
-            f"normal matrix would hold {cols}x{cols} entries "
-            f"(guard: {max_dense_entries})")
+            f"normal matrix would hold {cols}x{cols} entries (guard: {DENSE_GUARD})")
     t0 = time.perf_counter()
     gram = reduce(np.kron, [a.T @ a for a in factors])
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
@@ -451,8 +448,7 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     ``b`` in one Kronecker multiply and the first read in one dot product.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
-    if not 0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    check_ridge_weight(lam)
     t0 = time.perf_counter()
     svds = [compact_svd(a) for a in factors]
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
@@ -556,9 +552,7 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
 
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
-                           config: RegressionConfig,
-                           max_dense_entries: int | None = DEFAULT_DENSE_GUARD,
-                           ) -> SolveReport:
+                           config: RegressionConfig) -> SolveReport:
     """Sketch-and-solve baseline: solve the sampled normal equation directly.
 
     Rows of ``K`` are drawn from the exact leverage-score product
@@ -567,10 +561,10 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     from one materialized row per distinct draw.  When the sample count
     reaches the row count the sketch is pointless, and the exact
     :func:`kronmatmul_svd_solve` runs instead, as in
-    :func:`fast_kronecker_regression`.  Otherwise guarded: refuses when the
-    sketched matrix could hold more than ``max_dense_entries`` entries.  The
-    loss is :func:`ridge_loss`'s, evaluated when it is first read, against
-    ``b`` as it stands then.
+    :func:`fast_kronecker_regression`.  Otherwise guarded: raises
+    :class:`SizeGuardError` when the sketched matrix could hold more than
+    :data:`DENSE_GUARD` entries.  The loss is :func:`ridge_loss`'s,
+    evaluated when it is first read, against ``b`` as it stands then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     t0 = time.perf_counter()
@@ -578,10 +572,9 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     if s >= rows:
         exact = kronmatmul_svd_solve(factors, b, config.lam)
         return replace(exact, wall_time=time.perf_counter() - t0)
-    if max_dense_entries is not None and max(s * cols, cols * cols) > max_dense_entries:
+    if max(s * cols, cols * cols) > DENSE_GUARD:
         raise SizeGuardError(
-            f"sketched matrix would hold {s}x{cols} entries "
-            f"(guard: {max_dense_entries})")
+            f"sketched matrix would hold {s}x{cols} entries (guard: {DENSE_GUARD})")
     draws = _leverage_draws([compact_svd(a) for a in factors], s, config.seed,
                             b.reshape([a.shape[0] for a in factors]))
     x = sketched_ridge_solve(factors, *draws, config.lam)

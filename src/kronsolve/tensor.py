@@ -58,6 +58,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_ridge_weight(lam) -> None:
+    """Reject a ridge weight ``lam`` that is negative, infinite or NaN."""
+    if not 0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+
+
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
     """Validate and return ``x`` as an order >= 1 float64 array."""
     x = _float_tensor(x)

@@ -65,6 +65,7 @@ from .tensor import (
     _mode_products,
     _unfold,
     as_tensor,
+    check_ridge_weight,
     compact_svd,
     multi_mode_product,
     pseudo_inverse,
@@ -102,8 +103,7 @@ class TuckerModel:
                 raise InvalidInputError(
                     f"factor {n} is {a.shape}; ranks above the dimension are "
                     f"not supported")
-        if not 0 <= self.lam < math.inf:
-            raise InvalidInputError(f"lambda must be >= 0, got {self.lam}")
+        check_ridge_weight(self.lam)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -319,8 +319,7 @@ def build_factor_workspace(model: TuckerModel, n: int, eps: float,
         raise InvalidInputError("factor updates need an order >= 2 model")
     if not 0.0 < eps < 1.0 / 3.0:
         raise InvalidInputError(f"eps must be in (0, 1/3), got {eps}")
-    if not 0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    check_ridge_weight(lam)
     g_n = unfold(model.core, n)
     if not np.any(g_n):
         raise InvalidInputError("core unfolding is identically zero")
@@ -597,8 +596,7 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
             f"core shape {core_shape} must be componentwise in [1, {x.shape}]")
     if not _is_integer(sweeps) or sweeps < 1:
         raise InvalidInputError(f"sweeps must be an integer >= 1, got {sweeps!r}")
-    if not 0 <= lam < math.inf:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    check_ridge_weight(lam)
     if solver_mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")
     config = config or RegressionConfig()

@@ -45,6 +45,19 @@ def test_traced_names_and_hooks_resolve(tracer):
         assert metrics[f"{name}.calls"] > 0, name
 
 
+def test_unreached_names_are_module_only():
+    # no route reaches these five, so the package does not export them; each
+    # stays defined at the module path under which the tracer wraps it
+    modules = {}
+    for _, path, _ in spans.TRACED:
+        module, _, attr = path.partition(".")
+        modules[attr.split(".")[0]] = module
+    for name in ("kron_vec_square", "approx_leverage_scores_jl", "spectral_approx_rows",
+                 "FactorUpdateWorkspace", "build_factor_workspace"):
+        assert name not in dir(ks), name
+        assert hasattr(getattr(ks, modules[name]), name), name
+
+
 def test_regression_fingerprint():
     work = workloads.RegressionWorkload("contract-reg", n=64, d=4)
     work.setup(ks, 0, None)

@@ -132,7 +132,7 @@ class TestRegressionExperiment:
     def test_exact_cells_run_above_the_guard_in_rows(self, monkeypatch):
         # 144 rows against a guard of 100: neither exact solver forms a
         # rows-sized array, and naive's (prod d)^2 = 16 stays under the guard
-        monkeypatch.setattr(experiments, "DEFAULT_DENSE_GUARD", 100)
+        monkeypatch.setattr(solvers, "DENSE_GUARD", 100)
         rows = run_regression(n=12, d=2, order=2, seeds=(0,),
                               solvers=("naive", "kronmatmul"))
         assert [(r.solver, r.status) for r in rows] == [("naive", "ok"),
@@ -211,7 +211,7 @@ class TestRegressionExperiment:
 
     def test_run_validation(self, tmp_path):
         for bad in (dict(solvers=("bogus",)), dict(n=2, d=4), dict(order=0),
-                    dict(seeds=()), dict(repeats=0)):
+                    dict(seeds=()), dict(solvers=()), dict(repeats=0)):
             with pytest.raises(InvalidInputError):
                 run_regression(out_path=tmp_path / "r.csv", **bad)
         assert not (tmp_path / "r.csv").exists()

@@ -379,11 +379,17 @@ class TestExactSolvers:
         assert rep.loss == pytest.approx(
             ridge_loss(facs, rep.solution, b, 0.1), abs=1e-10)
 
-    def test_size_guard(self, rng):
+    # 900 columns and 1,600 rows: naive's 900^2 normal matrix and
+    # sketch-solve's 634 x 900 sketched design both exceed a guard of 10,000
+    @pytest.mark.parametrize("route", [
+        lambda f, b: naive_normal_solve(f, b, 0.0),
+        lambda f, b: sketch_and_solve_ridge(f, b, RegressionConfig(alpha=1e-5)),
+    ], ids=["naive", "sketch-solve"])
+    def test_size_guard(self, rng, monkeypatch, route):
+        monkeypatch.setattr(solvers, "DENSE_GUARD", 10_000)
         facs = [rng.standard_normal((40, 30)), rng.standard_normal((40, 30))]
-        with pytest.raises(SizeGuardError):
-            naive_normal_solve(facs, rng.standard_normal(1600), 0.0,
-                               max_dense_entries=10_000)
+        with pytest.raises(SizeGuardError, match="guard: 10000"):
+            route(facs, rng.standard_normal(1600))
 
 
 class TestSketchAndSolve:
@@ -1281,7 +1287,7 @@ class TestPublicBoundary:
             lambda f, b, x, lam: kronsolve.ridge_leverage_scores(compact_svd(f[0]), lam),
         "TuckerModel": lambda f, b, x, lam: tucker.TuckerModel(
             core=np.ones((2, 2, 2)), factors=[np.ones((5, 2))] * 3, lam=lam),
-        "build_factor_workspace": lambda f, b, x, lam: kronsolve.build_factor_workspace(
+        "build_factor_workspace": lambda f, b, x, lam: tucker.build_factor_workspace(
             tucker.TuckerModel(core=np.ones((2, 2, 2)), factors=[np.eye(5, 2)] * 3),
             0, 0.25, lam),
         "tucker_als": lambda f, b, x, lam: kronsolve.tucker_als(x, (2, 2, 2), lam=lam,
