@@ -1,16 +1,19 @@
 """Subquadratic Kronecker ridge regression and sketched Tucker ALS.
 
 The names below are the package's API and its one input boundary: each
-function checks what it is given.  The sketch kernels behind the solvers
-(``kron.SketchedKron``, ``leverage.ProductSampler``, ``leverage.sample_rows``
-and the like) stay importable from their modules, but they take the checked
-input of the entry that calls them and check nothing again.
+function checks what it is given, by two rules.  An array must be real
+(bool, integer or float dtype; ``tensor.as_real_array``), and is used as
+float64; a count, size, rank, mode or seed must be a Python or numpy
+integer, not a ``bool``, in its range (``tensor.check_integer``).  The
+sketch kernels behind the solvers (``kron.SketchedKron``,
+``leverage.sample_rows`` and the like) stay importable from their modules,
+but they take the checked input of the entry that calls them.
 
 ``kron.kron_vec_square``, ``leverage.approx_leverage_scores_jl``,
 ``leverage.spectral_approx_rows``, ``tucker.FactorUpdateWorkspace`` and
 ``tucker.build_factor_workspace`` are not exported: no solver reaches
-them.  They stay defined in their modules, where the benchmark's tracer
-(``perfbench/spans.py``) names them, until they are deleted.
+them.  They stay where the benchmark's tracer (``perfbench/spans.py``)
+names them until they are deleted.
 """
 
 from .errors import (

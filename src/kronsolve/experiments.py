@@ -30,7 +30,7 @@ from .solvers import (
     naive_normal_solve,
     sketch_and_solve_ridge,
 )
-from .tensor import multi_mode_product
+from .tensor import check_integer, multi_mode_product
 from .tensor_io import write_results_csv
 from .tucker import AlsReport, TuckerModel, tucker_als
 
@@ -74,8 +74,8 @@ class ResultRow:
 def generate_synth_regression(n: int, d: int, order: int, seed,
                               ) -> tuple[list[np.ndarray], np.ndarray]:
     """Factors with i.i.d. Normal(1, 0.001) entries and the all-ones target."""
-    if n < d or d < 1 or order < 1:
-        raise InvalidInputError("need n >= d >= 1 and order >= 1")
+    d = check_integer(d, "d", 1)
+    n, order = check_integer(n, "n", d), check_integer(order, "order", 1)
     rng = np.random.default_rng(seed)
     factors = [rng.normal(SYNTH_MEAN, math.sqrt(SYNTH_VARIANCE), (n, d))
                for _ in range(order)]
@@ -86,9 +86,11 @@ def generate_synth_regression(n: int, d: int, order: int, seed,
 def generate_synth_tucker(shape: Sequence[int], rank: Sequence[int],
                           noise: float, seed) -> np.ndarray:
     """Noisy low-rank tensor: random model expansion plus relative noise."""
-    if len(rank) != len(shape) or not all(1 <= r <= i for r, i in zip(rank, shape)):
-        raise InvalidInputError(f"--true-rank {tuple(rank)} needs one rank in [1, I_n] "
-                                f"per dim I_n of {tuple(shape)}")
+    if len(rank) != len(shape):
+        raise InvalidInputError(f"--true-rank gives {len(rank)} ranks for {len(shape)} dims")
+    shape = [check_integer(i, f"--synthetic entry {n}", 1) for n, i in enumerate(shape)]
+    rank = [check_integer(r, f"--true-rank entry {n}", 1, i + 1)
+            for n, (r, i) in enumerate(zip(rank, shape))]
     if not 0.0 <= noise < math.inf:
         raise InvalidInputError(f"--noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
@@ -147,8 +149,7 @@ def run_regression_experiment(n: int, d: int, order: int, config: RegressionConf
         raise InvalidInputError(f"unknown solvers: {sorted(unknown)}")
     if not solvers:
         raise InvalidInputError("need at least one solver")
-    if repeats < 1:
-        raise InvalidInputError("repeats must be >= 1")
+    check_integer(repeats, "repeats", 1)
     if not seeds:
         raise InvalidInputError("need at least one seed")
     configs = [replace(config, seed=seed) for seed in seeds]

@@ -1,8 +1,8 @@
 """Fast multiplication with implicit Kronecker products.
 
 The operator ``K = A1 kron ... kron AN`` is only ever represented by its
-factor list.  ``kron_mat_mul`` and ``kron_vec_square`` are the package's
-public multiplies: they validate their arguments and hand the operand to
+factor list.  ``kron_mat_mul``, the public multiply, and the unexported
+``kron_vec_square`` validate their arguments and hand the operand to
 :func:`~kronsolve.tensor._mode_products` as a tensor of the column shape,
 since ``vec(G x_1 A1 ... x_N AN) = K vec(G)``.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .leverage import RowSketch
-from .tensor import _mode_products, as_matrix
+from .tensor import _mode_products, as_matrix, as_real_array, as_tensor
 
 BALANCED_PARTITION_MAX_ORDER = 30
 
@@ -66,7 +66,7 @@ def kron_mat_mul(factors: Sequence[np.ndarray], b) -> np.ndarray:
     factor stays one matrix product.
     """
     factors = check_factors(factors)
-    b = np.asarray(b, dtype=np.float64)
+    b = as_real_array(b, "b")
     if b.ndim not in (1, 2):
         raise InvalidInputError("b must be a vector or a matrix")
     rows, cols = kron_operator_shape(factors)
@@ -90,12 +90,10 @@ def kron_vec_square(factors: Sequence[np.ndarray], c) -> np.ndarray:
     for n, a in enumerate(factors):
         if a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"factor {n} is {a.shape}, expected square")
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    c = as_tensor(c, "vector").reshape(-1)
     shape = tuple(a.shape[0] for a in factors)
     if c.size != math.prod(shape):
         raise InvalidInputError(f"vector length {c.size} != operator shape {shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidInputError("vector contains non-finite entries")
     return _mode_products(c.reshape(shape), factors).reshape(-1)
 
 

@@ -69,7 +69,8 @@ from .leverage import (
     ridge_leverage_scores,
     sample_rows,
 )
-from .tensor import CompactSvd, _mode_products, as_matrix, check_ridge_weight, compact_svd
+from .tensor import (CompactSvd, _mode_products, as_matrix, as_real_array, check_integer,
+                     check_ridge_weight, compact_svd)
 
 # naive_normal_solve and sketch_and_solve_ridge refuse a dense matrix of more
 # entries than this; each reads it when called
@@ -100,7 +101,7 @@ class RegressionConfig:
     unscaled).  The inner solver's stop (a step that lowers the sketched
     loss by at most ``eps^2 / 10`` of what remains) and its iteration cap
     ``8 * ceil(ln(1/eps))`` both derive from ``eps``.  ``seed`` is a
-    non-negative Python or numpy integer.
+    non-negative Python or numpy integer, not a ``bool``.
     """
 
     eps: float = 0.25
@@ -117,8 +118,7 @@ class RegressionConfig:
         check_ridge_weight(self.lam)
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_integer(self.seed, "seed")
 
     @property
     def effective_max_iters(self) -> int:
@@ -247,21 +247,13 @@ class KronPreconditioner:
                               self.v_factors).reshape(-1)
 
 
-def pseudo_reciprocal(d: np.ndarray) -> np.ndarray:
-    """Entrywise ``1/d`` with zeros kept at zero (pseudoinverse convention)."""
-    out = np.zeros_like(d)
-    nz = d > 0
-    out[nz] = 1.0 / d[nz]
-    return out
-
-
 def build_kron_preconditioner(v_factors: Sequence[np.ndarray],
                               eigenvalues: Sequence[np.ndarray],
                               lam: float) -> KronPreconditioner:
     """:class:`KronPreconditioner` from the eigenpairs of each ``A_n^T A_n``:
     the columns of ``v_factors[n]`` and the entries of ``eigenvalues[n]``."""
-    eig = reduce(np.kron, eigenvalues)
-    d_diag = pseudo_reciprocal(eig + lam)
+    d = reduce(np.kron, eigenvalues) + lam
+    d_diag = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     return KronPreconditioner(v_factors=tuple(v_factors), d_diag=d_diag)
 
 
@@ -337,8 +329,8 @@ def ridge_loss(factors: Sequence[np.ndarray], x, b, lam: float) -> float:
     """
     factors = check_factors(factors)
     rows, cols = kron_operator_shape(factors)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    x = as_real_array(x, "x").reshape(-1)
+    b = as_real_array(b, "b").reshape(-1)
     if x.size != cols:
         raise InvalidInputError(f"x has length {x.size}, operator has {cols} columns")
     if b.size != rows:
@@ -402,7 +394,7 @@ def _leverage_draws(svds: Sequence[CompactSvd], count: int, seed, b: np.ndarray)
 def _validated_problem(factors, b):
     factors = check_factors(factors)
     rows, cols = kron_operator_shape(factors)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    b = as_real_array(b, "b").reshape(-1)
     if b.size != rows:
         raise InvalidInputError(f"b has length {b.size}, operator has {rows} rows")
     for n, a in enumerate(factors):

@@ -48,9 +48,29 @@ _CHOLQR_MIN_SIGMA_RATIO = 1e-6
 EXPLICIT_KRON_MAX_ENTRIES = 10**7
 
 
+def as_real_array(a, name: str = "array") -> np.ndarray:
+    """``a`` as float64 from bool, integer or float input; complex, string
+    and object input raises :class:`InvalidInputError`."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be a real array, got dtype {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
+
+
+def check_integer(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer, not a
+    ``bool``, in ``[low, high)`` (no upper bound for ``high=None``)."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value < high)):
+        rule = (f"an integer in [{low}, {high})" if high is not None
+                else "a non-negative integer" if low == 0 else f"an integer >= {low}")
+        raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a 2-d float64 array."""
-    a = np.asarray(a, dtype=np.float64)
+    a = as_real_array(a, name)
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -66,15 +86,15 @@ def check_ridge_weight(lam) -> None:
 
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
     """Validate and return ``x`` as an order >= 1 float64 array."""
-    x = _float_tensor(x)
+    x = _float_tensor(x, name)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
 
 
-def _float_tensor(x) -> np.ndarray:
+def _float_tensor(x, name: str = "tensor") -> np.ndarray:
     """``x`` as an order >= 1 float64 array, not scanned for finiteness."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_real_array(x, name)
     return x.reshape(1) if x.ndim < 1 else x
 
 
@@ -176,9 +196,7 @@ def unfold(x, mode: int) -> np.ndarray:
     ordered lexicographically by the remaining indices.
     """
     x = as_tensor(x)
-    if not 0 <= mode < x.ndim:
-        raise InvalidInputError(f"mode {mode} out of range for order-{x.ndim} tensor")
-    return _unfold(x, mode)
+    return _unfold(x, check_integer(mode, "mode", 0, x.ndim))
 
 
 def _unfold(x: np.ndarray, mode: int) -> np.ndarray:

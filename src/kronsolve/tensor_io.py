@@ -2,7 +2,9 @@
 
 Binary tensor layout (all little-endian): magic ``KTN1`` (4 bytes), format
 version as u32, tensor order as u8, the dimensions as u64 each, then the
-payload as float64 in row-major lexicographic order.  Round-trips bitwise.
+payload as float64 in row-major lexicographic order.  A finite float64
+tensor of order 1 to 255 round-trips bitwise; other real dtypes are stored
+as float64, and complex, string, object or non-finite input is refused.
 CSV output uses '.' decimals, ',' separators, one header row, and 17
 significant digits so every value parses back exactly.
 """

@@ -64,7 +64,9 @@ from .tensor import (
     _float_tensor,
     _mode_products,
     _unfold,
+    as_matrix,
     as_tensor,
+    check_integer,
     check_ridge_weight,
     compact_svd,
     multi_mode_product,
@@ -93,16 +95,11 @@ class TuckerModel:
         if len(self.factors) != self.core.ndim:
             raise InvalidInputError(
                 f"core has order {self.core.ndim} but got {len(self.factors)} factors")
-        self.factors = [np.asarray(a, dtype=np.float64) for a in self.factors]
-        for n, a in enumerate(self.factors):
-            if a.ndim != 2 or a.shape[1] != self.core.shape[n]:
-                raise InvalidInputError(
-                    f"factor {n} of shape {a.shape} does not match core dim "
-                    f"{self.core.shape[n]}")
-            if a.shape[0] < a.shape[1]:
-                raise InvalidInputError(
-                    f"factor {n} is {a.shape}; ranks above the dimension are "
-                    f"not supported")
+        self.factors = [as_matrix(a, f"factor {n}") for n, a in enumerate(self.factors)]
+        for n, (a, r) in enumerate(zip(self.factors, self.core.shape)):
+            if not a.shape[1] == r <= a.shape[0]:
+                raise InvalidInputError(f"factor {n} is {a.shape}; core dim {r} needs "
+                                        f"{r} columns and at least {r} rows")
         check_ridge_weight(self.lam)
 
     @property
@@ -240,8 +237,7 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
     and the update is zero whatever ``x`` holds.
     """
     x = _model_shaped(model, x)
-    if not 0 <= n < len(model.factors):
-        raise InvalidInputError(f"mode {n} out of range")
+    n = check_integer(n, "mode", 0, len(model.factors))
     svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
     return _exact_factor_update(model, x, n, svds)[0]
 
@@ -419,8 +415,7 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     route checks its projection.  When the core or another factor is zero,
     so is ``K``, and every row's solution is zero.
     """
-    if not 0 <= n < len(model.factors):
-        raise InvalidInputError(f"mode {n} out of range")
+    n = check_integer(n, "mode", 0, len(model.factors))
     x = _model_shaped(model, x)
     count = _factor_sample_count(model.shape, model.core_shape, n, config)
     svds = [None if k == n else compact_svd(a) for k, a in enumerate(model.factors)]
@@ -534,11 +529,6 @@ def initial_model(x: np.ndarray, core_shape: Sequence[int], lam: float,
     return TuckerModel(core=t / (1.0 + lam), factors=factors, lam=lam), t
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, and not a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
                sweeps: int = 5, solver_mode: str = "exact",
                config: RegressionConfig | None = None,
@@ -584,18 +574,13 @@ def tucker_als(x, core_shape: Sequence[int], lam: float = 0.0,
     x = _float_tensor(x)
     x_norm_sq = _checked_norm_sq(x)
     # a 1-d array is a sequence too; a 0-d one, like an int, is not
-    if not ((isinstance(core_shape, abc.Sequence) or np.ndim(core_shape) == 1)
-            and all(_is_integer(r) for r in core_shape)):
+    if not (isinstance(core_shape, abc.Sequence) or np.ndim(core_shape) == 1):
         raise InvalidInputError(f"core shape {core_shape!r} must be a sequence of integers")
-    core_shape = tuple(int(r) for r in core_shape)
     if len(core_shape) != x.ndim:
-        raise InvalidInputError(
-            f"core shape {core_shape} does not match tensor order {x.ndim}")
-    if any(r < 1 or r > i for r, i in zip(core_shape, x.shape)):
-        raise InvalidInputError(
-            f"core shape {core_shape} must be componentwise in [1, {x.shape}]")
-    if not _is_integer(sweeps) or sweeps < 1:
-        raise InvalidInputError(f"sweeps must be an integer >= 1, got {sweeps!r}")
+        raise InvalidInputError(f"core shape {core_shape!r} does not fit order {x.ndim}")
+    core_shape = tuple(check_integer(r, f"core shape entry {n}", 1, i + 1)
+                       for n, (r, i) in enumerate(zip(core_shape, x.shape)))
+    check_integer(sweeps, "sweeps", 1)
     check_ridge_weight(lam)
     if solver_mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown solver mode {solver_mode!r}")

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import re
+import tempfile
 import warnings
 import weakref
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronsolve
+import kronsolve.experiments as experiments
 import kronsolve.kron as kron
 import kronsolve.solvers as solvers
 import kronsolve.tensor as tensor
@@ -1302,6 +1305,165 @@ class TestPublicBoundary:
         x = rng.standard_normal((5, 4, 3))
         with pytest.raises(InvalidInputError, match="lambda"):
             self.LAM_ENTRIES[entry](factors, np.ones(20), x, lam)
+
+    # every integer the boundary takes: the call, a value outside the
+    # argument's range, and how its error begins; a 5 x 4 x 3 tensor
+    @staticmethod
+    def int_model():
+        return tucker.TuckerModel(core=np.ones((2, 2, 2)),
+                                  factors=[np.eye(5, 2), np.eye(4, 2), np.eye(3, 2)])
+
+    INT_ENTRIES = {
+        "RegressionConfig(seed)": (lambda v: RegressionConfig(seed=v), -1, "seed"),
+        "run_regression_experiment(seeds)": (
+            lambda v: experiments.run_regression_experiment(
+                4, 2, 2, RegressionConfig(), [v], ["kronmatmul"]), -1, "seed"),
+        "run_regression_experiment(repeats)": (
+            lambda v: experiments.run_regression_experiment(
+                4, 2, 2, RegressionConfig(), [0], ["kronmatmul"], repeats=v), 0, "repeats"),
+        "tucker_als(sweeps)": (
+            lambda v: kronsolve.tucker_als(np.ones((5, 4, 3)), (2, 2, 2), sweeps=v),
+            0, "sweeps"),
+        "tucker_als(core_shape)": (
+            lambda v: kronsolve.tucker_als(np.ones((5, 4, 3)), (2, v, 2), sweeps=1),
+            5, "core shape entry 1"),
+        "naive_factor_update(n)": (
+            lambda v: kronsolve.naive_factor_update(
+                TestPublicBoundary.int_model(), np.ones((5, 4, 3)), v), 3, "mode"),
+        "fast_factor_matrix_update(n)": (
+            lambda v: kronsolve.fast_factor_matrix_update(
+                TestPublicBoundary.int_model(), np.ones((5, 4, 3)), v,
+                TestPublicBoundary.CFG), 3, "mode"),
+        "unfold(mode)": (lambda v: kronsolve.unfold(np.ones((5, 4, 3)), v), 3, "mode"),
+        "generate_synth_regression(n)": (
+            lambda v: experiments.generate_synth_regression(v, 2, 2, 0), 1, "n"),
+        "generate_synth_regression(d)": (
+            lambda v: experiments.generate_synth_regression(4, v, 2, 0), 0, "d"),
+        "generate_synth_regression(order)": (
+            lambda v: experiments.generate_synth_regression(4, 2, v, 0), 0, "order"),
+        "generate_synth_tucker(shape)": (
+            lambda v: experiments.generate_synth_tucker((6, v, 6), (2, 2, 2), 0.0, 0),
+            0, "--synthetic entry 1"),
+        "generate_synth_tucker(rank)": (
+            lambda v: experiments.generate_synth_tucker((6, 6, 6), (2, v, 2), 0.0, 0),
+            7, "--true-rank entry 1"),
+    }
+
+    @pytest.mark.parametrize("kind", ["bool", "float", "out of range"])
+    @pytest.mark.parametrize("entry", sorted(INT_ENTRIES))
+    def test_entry_rejects_a_bad_integer(self, entry, kind):
+        call, outside, name = self.INT_ENTRIES[entry]
+        value = {"bool": True, "float": 2.5, "out of range": outside}[kind]
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be"):
+            call(value)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("entry", sorted(INT_ENTRIES))
+    def test_entry_takes_a_numpy_integer(self, entry, integer):
+        # 2 lies inside the range of every entry above
+        call, _, _ = self.INT_ENTRIES[entry]
+        call(integer(2))
+
+    @staticmethod
+    def write_and_read(x):
+        with tempfile.TemporaryDirectory() as tmp:
+            kronsolve.write_tensor(f"{tmp}/x.ktn", x)
+            return kronsolve.read_tensor(f"{tmp}/x.ktn")
+
+    # every array the boundary takes: the call, the array's shape and the
+    # name its error gives; the other arguments are those of a 5 x 4 x 3 problem
+    FACTORS = [np.eye(5, 2) + 1.0, np.eye(4, 3) + 2.0]
+    REAL_ENTRIES = {
+        "kron_mat_mul(b)": (lambda a: kronsolve.kron_mat_mul(TestPublicBoundary.FACTORS, a),
+                            (6,), "b"),
+        "kron_mat_mul(factors)": (
+            lambda a: kronsolve.kron_mat_mul([np.eye(5, 2), a], np.ones(6)), (4, 3),
+            "factor 1"),
+        "kron_vec_square(c)": (lambda a: kron.kron_vec_square([np.eye(2), np.eye(3)], a),
+                               (6,), "vector"),
+        "ridge_loss(x)": (
+            lambda a: kronsolve.ridge_loss(TestPublicBoundary.FACTORS, a, np.ones(20), 1e-3),
+            (6,), "x"),
+        "ridge_loss(b)": (
+            lambda a: kronsolve.ridge_loss(TestPublicBoundary.FACTORS, np.ones(6), a, 1e-3),
+            (20,), "b"),
+        "naive_normal_solve(b)": (
+            lambda a: kronsolve.naive_normal_solve(TestPublicBoundary.FACTORS, a,
+                                                   1e-3).solution, (20,), "b"),
+        "kronmatmul_svd_solve(b)": (
+            lambda a: kronsolve.kronmatmul_svd_solve(TestPublicBoundary.FACTORS, a,
+                                                     1e-3).solution, (20,), "b"),
+        "sketch_and_solve_ridge(b)": (
+            lambda a: kronsolve.sketch_and_solve_ridge(
+                TestPublicBoundary.FACTORS, a, TestPublicBoundary.CFG).solution, (20,), "b"),
+        "fast_kronecker_regression(b)": (
+            lambda a: kronsolve.fast_kronecker_regression(
+                TestPublicBoundary.FACTORS, a, TestPublicBoundary.CFG).solution, (20,), "b"),
+        "fast_kronecker_regression(factors)": (
+            lambda a: kronsolve.fast_kronecker_regression(
+                [a, np.eye(4, 3) + 2.0], np.ones(20), TestPublicBoundary.CFG).solution,
+            (5, 2), "factor 0"),
+        "compact_svd(a)": (lambda a: kronsolve.compact_svd(a).sigma, (5, 2), "matrix"),
+        "multi_mode_product(x)": (
+            lambda a: kronsolve.multi_mode_product(a, [np.eye(5), np.eye(4), np.eye(3)]),
+            (5, 4, 3), "tensor"),
+        "unfold(x)": (lambda a: kronsolve.unfold(a, 1), (5, 4, 3), "tensor"),
+        "write_tensor(x)": (lambda a: TestPublicBoundary.write_and_read(a), (5, 4, 3),
+                            "tensor"),
+        "tucker_als(x)": (lambda a: kronsolve.tucker_als(a, (2, 2, 2), sweeps=1)[0].core,
+                          (5, 4, 3), "tensor"),
+        "relative_error(x)": (
+            lambda a: kronsolve.relative_error(TestPublicBoundary.int_model(), a),
+            (5, 4, 3), "tensor"),
+        "regularized_loss(x)": (
+            lambda a: kronsolve.regularized_loss(TestPublicBoundary.int_model(), a),
+            (5, 4, 3), "tensor"),
+        "core_update(x)": (
+            lambda a: kronsolve.core_update(TestPublicBoundary.int_model(), a),
+            (5, 4, 3), "tensor"),
+        "naive_factor_update(x)": (
+            lambda a: kronsolve.naive_factor_update(TestPublicBoundary.int_model(), a, 1),
+            (5, 4, 3), "tensor"),
+        "fast_factor_matrix_update(x)": (
+            lambda a: kronsolve.fast_factor_matrix_update(
+                TestPublicBoundary.int_model(), a, 1, TestPublicBoundary.CFG),
+            (5, 4, 3), "tensor"),
+        "TuckerModel(core)": (
+            lambda a: tucker.TuckerModel(
+                core=a, factors=[np.eye(5, 2), np.eye(4, 2), np.eye(3, 2)]).core,
+            (2, 2, 2), "core"),
+        "TuckerModel(factors)": (
+            lambda a: tucker.TuckerModel(
+                core=np.ones((2, 2, 2)), factors=[a, np.eye(4, 2), np.eye(3, 2)]).factors[0],
+            (5, 2), "factor 0"),
+    }
+
+    @staticmethod
+    def real_array(shape):
+        """Integer-valued entries in 1..3, so every dtype below holds them."""
+        return np.random.default_rng(3).integers(1, 4, shape)
+
+    @pytest.mark.parametrize("kind", ["complex", "string"])
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
+    def test_entry_rejects_an_array_that_is_not_real(self, entry, kind):
+        # before the one rule a complex array was solved by its real part,
+        # and a string array of numbers was parsed
+        call, shape, name = self.REAL_ENTRIES[entry]
+        a = self.real_array(shape)
+        bad = a + 0.5j if kind == "complex" else a.astype(str)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be a real array"):
+            call(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, np.bool_, np.float32])
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
+    def test_entry_takes_a_real_array_as_its_float64_conversion(self, entry, dtype):
+        call, shape, _ = self.REAL_ENTRIES[entry]
+        a = self.real_array(shape)
+        if dtype is np.bool_:
+            a = a >= 2
+            a.flat[0] = True  # no factor of all zeros
+        a = a.astype(dtype)
+        np.testing.assert_array_equal(call(a), call(a.astype(np.float64)))
 
 
 class TestConfig:

@@ -74,6 +74,14 @@ class TestModelBasics:
                         factors=[rng.standard_normal((2, 3)),
                                  rng.standard_normal((4, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, bad):
+        # the model checks its factors as it checks its core
+        factors = [np.eye(4, 2), np.eye(3, 2)]
+        factors[1][0, 0] = bad
+        with pytest.raises(InvalidInputError, match="factor 1 contains non-finite"):
+            TuckerModel(core=np.ones((2, 2)), factors=factors)
+
     def test_zero_core_reconstruction(self, rng):
         model = random_model(rng, (4, 3, 5), (2, 2, 2))
         model.core = np.zeros_like(model.core)
