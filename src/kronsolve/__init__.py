@@ -1,10 +1,11 @@
 """Subquadratic Kronecker ridge regression and sketched Tucker ALS.
 
 The names below are the package's API and its one input boundary: each
-function checks what it is given, by two rules.  An array must be real
+function checks what it is given, by three rules.  An array must be real
 (bool, integer or float dtype; ``tensor.as_real_array``), and is used as
 float64; a count, size, rank, mode or seed must be a Python or numpy
-integer, not a ``bool``, in its range (``tensor.check_integer``).  The
+integer, and a setting such as ``eps`` or ``lam`` a real number, neither a
+``bool`` (``tensor.check_integer``, ``tensor.check_real``).  The
 sketch kernels behind the solvers (``kron.SketchedKron``,
 ``leverage.sample_rows`` and the like) stay importable from their modules,
 but they take the checked input of the entry that calls them.

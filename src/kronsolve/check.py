@@ -177,10 +177,10 @@ def run_checks() -> int:
     check("tucker exact factor update", gap <= 1e-10, f"relative difference {gap!r}")
 
     # the fast regression route on one instance on each side of the size
-    # rule of its PCG operators (dense at 16 columns and 80 draws, implicit
-    # at 256 columns and 1,829 draws): within 1.5x of OPT, and PCG
-    # stops before its cap; its own generator leaves the later instances as
-    # they were
+    # rule of its normal apply (a dense design at 16 columns and 80 draws,
+    # SketchedKron at 256 columns and 1,829 draws; KronPreconditioner in
+    # both): within 1.5x of OPT, and PCG stops before its cap; its own
+    # generator leaves the later instances as they were
     frng = np.random.default_rng(20240902)
     cfg = solvers.RegressionConfig(eps=0.1, delta=0.01, lam=1e-3, alpha=1e-5)
     details = []
@@ -189,7 +189,7 @@ def run_checks() -> int:
         rb = np.ones(n * n)
         fast = solvers.fast_kronecker_regression(rf, rb, cfg)
         ratio = fast.loss / solvers.kronmatmul_svd_solve(rf, rb, cfg.lam).loss
-        entries = max(fast.distinct_rows, d * d) * d * d
+        entries = fast.distinct_rows * d * d
         side = (entries <= solvers._DENSE_SKETCH_MAX_ENTRIES) == dense
         details.append((n, d, ratio, fast.converged, side))
     check("fast regression, dense and implicit operators",

@@ -30,7 +30,7 @@ from .solvers import (
     naive_normal_solve,
     sketch_and_solve_ridge,
 )
-from .tensor import check_integer, multi_mode_product
+from .tensor import check_integer, check_real, multi_mode_product
 from .tensor_io import write_results_csv
 from .tucker import AlsReport, TuckerModel, tucker_als
 
@@ -76,7 +76,7 @@ def generate_synth_regression(n: int, d: int, order: int, seed,
     """Factors with i.i.d. Normal(1, 0.001) entries and the all-ones target."""
     d = check_integer(d, "d", 1)
     n, order = check_integer(n, "n", d), check_integer(order, "order", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed"))
     factors = [rng.normal(SYNTH_MEAN, math.sqrt(SYNTH_VARIANCE), (n, d))
                for _ in range(order)]
     b = np.ones(n**order)
@@ -91,9 +91,10 @@ def generate_synth_tucker(shape: Sequence[int], rank: Sequence[int],
     shape = [check_integer(i, f"--synthetic entry {n}", 1) for n, i in enumerate(shape)]
     rank = [check_integer(r, f"--true-rank entry {n}", 1, i + 1)
             for n, (r, i) in enumerate(zip(rank, shape))]
+    check_real(noise, "--noise")
     if not 0.0 <= noise < math.inf:
         raise InvalidInputError(f"--noise must be finite and >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed"))
     core = rng.standard_normal(tuple(rank))
     factors = []
     for i_n, r_n in zip(shape, rank):

@@ -14,9 +14,9 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
 * :func:`fast_kronecker_regression` solves the *sketched* problem by
   conjugate gradients preconditioned with the eigendecomposition of the
   *unsketched* normal matrix, read off the factor SVDs.  Every step costs
-  one apply of the sketched rows and of the preconditioner: sparse Kronecker
-  applies on a large problem, dense matrix-vector products with the
-  materialized sketched design on a small one (:func:`_pcg_operators`).
+  one :meth:`KronPreconditioner.apply` and one apply of the sketched rows:
+  sparse Kronecker applies on a large problem, dense matrix-vector products
+  with the materialized design on a small one (:func:`_sketched_normal_system`).
 
 Both sketched routes and the fast Tucker step draw through
 :func:`_leverage_draws`, and each sketched route runs the exact
@@ -70,7 +70,7 @@ from .leverage import (
     sample_rows,
 )
 from .tensor import (CompactSvd, _mode_products, as_matrix, as_real_array, check_integer,
-                     check_ridge_weight, compact_svd)
+                     check_real, check_ridge_weight, compact_svd)
 
 # naive_normal_solve and sketch_and_solve_ridge refuse a dense matrix of more
 # entries than this; each reads it when called
@@ -84,12 +84,11 @@ RESIDUAL_TOL = 1e-9
 # while no regression call holds a residual of the full row count.
 _LOSS_BLOCK_ENTRIES = 1 << 20
 
-# fast_kronecker_regression runs PCG on its materialized sketched design and
-# a dense preconditioner when the larger holds at most this many entries.
-# Measured at 1 BLAS thread on order-2 and order-3 calls: the dense form took
-# 0.56-0.97x the implicit form's time from 1.3e3 to 2.5e5 entries (16 to 144
-# columns), 1.04-2.1x from 2.7e5 to 1.4e6 (36 to 400 columns) and 9x at 8.6e6
-# (1,024 columns); the rule keeps half of that crossover as margin.
+# fast_kronecker_regression runs PCG on its materialized sketched design when
+# it holds at most this many entries, and on SketchedKron above; both apply
+# KronPreconditioner.  Measured at 1 BLAS thread (orders 2-4, 15 calls each):
+# the dense form took 0.65-0.93x the implicit form's time from 1.3e3 to 1.4e5
+# entries (16 to 144 columns), 1.07-1.11x at 2.6e5, 1.7x at 4.6e5, 7x at 8.5e6.
 _DENSE_SKETCH_MAX_ENTRIES = 1 << 17
 
 
@@ -111,6 +110,8 @@ class RegressionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("eps", "delta", "alpha"):
+            check_real(getattr(self, name), name)
         if not 0.0 < self.eps < 1.0:
             raise InvalidInputError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.delta < 1.0:
@@ -576,33 +577,20 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
                        distinct_rows=draws[0].nnz)
 
 
-def _pcg_operators(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
-                   multi: np.ndarray, precond: KronPreconditioner, sb: np.ndarray,
-                   lam: float):
-    """The normal apply ``v -> K^T S^2 K v + lam v``, the preconditioner apply
-    and the right-hand side ``K^T S^2 b`` (from ``sb``, ``S b`` at the draws)
-    of :func:`fast_kronecker_regression`'s PCG solve.
-
-    A small problem, whose larger of the sketched design ``D = S K`` (``nnz x
-    R``) and the dense preconditioner (``R x R``) holds at most
-    :data:`_DENSE_SKETCH_MAX_ENTRIES` entries, materializes both, so that
-    each apply is one or two dense matrix-vector products:
-    ``D = diag(s) kron_rows(factors, multi)`` as :func:`sketched_ridge_solve`
-    builds it, and ``P = V diag(d) V^T`` for ``V = V1 kron ... kron VN``,
-    from the factors and the diagonal of ``precond``.  A larger one keeps ``S K`` implicit
-    in a :class:`~kronsolve.kron.SketchedKron` and applies ``precond`` by
-    Kronecker multiplies.
-    """
-    cols = kron_operator_shape(factors)[1]
-    if max(sdiag.nnz, cols) * cols <= _DENSE_SKETCH_MAX_ENTRIES:
+def _sketched_normal_system(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
+                            multi: np.ndarray, sb: np.ndarray, lam: float):
+    """The normal apply ``v -> K^T S^2 K v + lam v`` and the right-hand side
+    ``K^T S^2 b`` (from ``sb``, ``S b`` at the draws) of
+    :func:`fast_kronecker_regression`'s PCG solve.  A sketched design
+    ``D = S K`` (``nnz x R``) of at most :data:`_DENSE_SKETCH_MAX_ENTRIES`
+    entries is materialized (:func:`_weighted_rows`), so each apply is two
+    dense matrix-vector products; a larger one stays implicit in a
+    :class:`~kronsolve.kron.SketchedKron`."""
+    if sdiag.nnz * kron_operator_shape(factors)[1] <= _DENSE_SKETCH_MAX_ENTRIES:
         design = _weighted_rows(factors, sdiag, multi)
-        # V diag(d) V^T as W W^T, W = V diag(sqrt d): one symmetric product
-        w = reduce(np.kron, precond.v_factors) * np.sqrt(precond.d_diag)
-        dense_precond = w @ w.T
-        return (lambda u: design.T @ (design @ u) + lam * u,
-                lambda r: dense_precond @ r, design.T @ sb)
+        return lambda u: design.T @ (design @ u) + lam * u, design.T @ sb
     op = SketchedKron(factors, sdiag, multi)
-    return lambda u: op.normal(u) + lam * u, precond.apply, op.transpose_apply(sb)
+    return lambda u: op.normal(u) + lam * u, op.transpose_apply(sb)
 
 
 def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
@@ -615,14 +603,13 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     of ``A^T A``, build the decomposed preconditioner; then
     ``ceil(alpha * 1680 R ln(40R) ln(1/delta) / eps)`` sampled rows solved by
     preconditioned conjugate gradients (:func:`pcg_solve`).  One size rule
-    (:func:`_pcg_operators`) picks the form of PCG's operators: a small
-    problem materializes its sketched design ``S K`` and the dense
-    preconditioner, and every apply is a dense matrix-vector product; a
-    larger one keeps ``S K`` implicit in a
-    :class:`~kronsolve.kron.SketchedKron`, whose applies touch only the
-    drawn rows, and applies the preconditioner by Kronecker multiplies.
-    Both forms solve the same sketched problem.  When the sample count
-    reaches the row count the sketch is pointless, and the exact
+    (:func:`_sketched_normal_system`) picks the form of PCG's normal apply:
+    a small problem materializes its sketched design ``S K``; a larger one
+    keeps it implicit in a :class:`~kronsolve.kron.SketchedKron`, whose
+    applies touch only the drawn rows.  Both forms apply the one
+    :class:`KronPreconditioner` by Kronecker multiplies, never a formed
+    ``R x R`` matrix, and solve the same sketched problem.  When the sample
+    count reaches the row count the sketch is pointless, and the exact
     :func:`kronmatmul_svd_solve` runs instead.  This is the regression
     route only: the fast Tucker block updates solve their small sketched
     problems directly (:func:`sketched_ridge_solve`).  Singular values at or
@@ -671,8 +658,8 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
         sb = sdiag.values * b_drawn
         sb_norm_sq = float(sb @ sb)
     _check_finite_reads(sb_norm_sq, "||S b||^2")
-    x, iters, residual = pcg_solve(*_pcg_operators(factors, sdiag, multi, precond, sb, lam),
-                                   config, sb_norm_sq)
+    apply_normal, rhs = _sketched_normal_system(factors, sdiag, multi, sb, lam)
+    x, iters, residual = pcg_solve(apply_normal, precond.apply, rhs, config, sb_norm_sq)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam),
                        iterations=iters, sample_count=s, wall_time=wall,

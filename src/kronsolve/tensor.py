@@ -49,9 +49,12 @@ EXPLICIT_KRON_MAX_ENTRIES = 10**7
 
 
 def as_real_array(a, name: str = "array") -> np.ndarray:
-    """``a`` as float64 from bool, integer or float input; complex, string
-    and object input raises :class:`InvalidInputError`."""
-    a = np.asarray(a)
+    """``a`` as float64 from bool, integer or float input; complex, string,
+    object and ragged input raises :class:`InvalidInputError`."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidInputError(f"{name} must be a real array: {exc}") from exc
     if a.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must be a real array, got dtype {a.dtype}")
     return np.asarray(a, dtype=np.float64)
@@ -68,6 +71,12 @@ def check_integer(value, name: str, low: int = 0, high: int | None = None) -> in
     return int(value)
 
 
+def check_real(value, name: str) -> None:
+    """Reject ``value`` unless it is a Python or numpy real number, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a 2-d float64 array."""
     a = as_real_array(a, name)
@@ -79,7 +88,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_ridge_weight(lam) -> None:
-    """Reject a ridge weight ``lam`` that is negative, infinite or NaN."""
+    """Reject a ridge weight ``lam`` that is not real, or negative, infinite or NaN."""
+    check_real(lam, "lambda")
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0, got {lam}")
 

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kronsolve
@@ -844,13 +844,49 @@ def dense_ridge_loss(factors, x, b, lam):
 
 
 def _both_forms(monkeypatch, facs, b, cfg):
-    """The fast call's reports with its PCG operators in the split form and
+    """The fast call's reports with its normal apply in the split form and
     in the dense form, forced by the size rule."""
     reports = []
     for limit in (0, math.inf):
         monkeypatch.setattr(solvers, "_DENSE_SKETCH_MAX_ENTRIES", limit)
         reports.append(fast_kronecker_regression(facs, b, cfg))
     return reports
+
+
+def coherent_problem():
+    """The order-4 synthetic factors (n=24, d=3), each row scaled by a
+    |Cauchy| draw from one generator in factor order (cond(K) about 3.5e10),
+    with lam 1e-3 and alpha 1e-5 (263 distinct draws of 331,776 rows)."""
+    facs, _ = experiments.generate_synth_regression(24, 3, 4, 0)
+    scales = np.random.default_rng(1000)
+    return [a * np.abs(scales.standard_cauchy(24))[:, None] for a in facs], 1e-3, 1e-5
+
+
+def conditioned_problem(order, d, log_conditions, coherent, lam, seed):
+    """Factors of ``order`` with ``d`` columns whose singular values fall
+    evenly in log scale from 1 to ``10**-log_conditions[k]``, their rows
+    scaled by |Cauchy| draws when ``coherent``; with ``lam`` and alpha 2e-5,
+    about 6R draws."""
+    rs = np.random.default_rng(seed)
+    n = 40 if order == 2 else 16
+    facs = []
+    for log_condition in log_conditions[:order]:
+        u = np.linalg.qr(rs.standard_normal((n, d)))[0]
+        v = np.linalg.qr(rs.standard_normal((d, d)))[0]
+        a = (u * np.logspace(0, -log_condition, d)) @ v.T
+        facs.append(a * np.abs(rs.standard_cauchy(n))[:, None] if coherent else a)
+    return facs, lam, 2e-5
+
+
+@st.composite
+def conditioned_problems(draw):
+    """Orders 2-3 and factor condition numbers from 1 to 1e10."""
+    order = draw(st.integers(2, 3))
+    return conditioned_problem(
+        order, draw(st.integers(2, 3)),
+        draw(st.lists(st.floats(0.0, 10.0), min_size=order, max_size=order)),
+        draw(st.booleans()), draw(st.sampled_from([1e-6, 1e-3])),
+        draw(st.integers(0, 2**32 - 1)))
 
 
 class TestPcgOperatorForms:
@@ -891,12 +927,37 @@ class TestPcgOperatorForms:
         np.testing.assert_allclose(dense.solution, split.solution, rtol=1e-8,
                                    atol=1e-12 * np.linalg.norm(split.solution))
 
+    def test_forms_agree_on_coherent_factors(self, monkeypatch):
+        # a formed dense preconditioner W W^T was indefinite here and broke
+        # PCG down; both forms apply KronPreconditioner and agree to roundoff
+        # of the ill-conditioned solve, 1.2e-9 in the loss when this was added
+        facs, lam, alpha = coherent_problem()
+        b = np.random.default_rng(4).standard_normal(24**4)
+        cfg = RegressionConfig(eps=0.1, delta=0.05, lam=lam, alpha=alpha, seed=1)
+        split, dense = _both_forms(monkeypatch, facs, b, cfg)
+        assert 0 < split.distinct_rows == dense.distinct_rows < 24**4
+        assert split.iterations == dense.iterations > 0
+        assert abs(dense.loss - split.loss) <= 1e-8 * split.loss
+
+    @example(coherent_problem())
+    @given(conditioned_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_forms_complete_on_ill_conditioned_factors(self, problem):
+        facs, lam, alpha = problem
+        rows = math.prod(a.shape[0] for a in facs)
+        b = np.random.default_rng(4).standard_normal(rows)
+        cfg = RegressionConfig(eps=0.1, delta=0.05, lam=lam, alpha=alpha, seed=1)
+        with pytest.MonkeyPatch.context() as patch:
+            split, dense = _both_forms(patch, facs, b, cfg)
+        assert 0 < split.sample_count < rows
+        assert abs(dense.loss - split.loss) <= 1e-8 * split.loss
+
     @pytest.mark.parametrize("d, dense", [(8, True), (16, False)])
     def test_size_rule_picks_the_form(self, count_calls, d, dense):
         # the benchmark's settings: d=8 is reg-thin's 64 columns and about
         # 390 draws (2.5e4 entries), which the dense form takes; d=16 makes
         # 256 columns and about 1,800 distinct draws (4.6e5 entries), which
-        # stay in the implicit SketchedKron
+        # stay in the implicit SketchedKron; both apply KronPreconditioner
         operators = count_calls(solvers, "SketchedKron")
         preconditioner_applies = count_calls(solvers.KronPreconditioner, "apply")
         rows = count_calls(solvers, "kron_rows")
@@ -905,10 +966,10 @@ class TestPcgOperatorForms:
         cfg = RegressionConfig(eps=0.1, delta=0.01, lam=1e-3, alpha=1e-5, seed=5)
         rep = fast_kronecker_regression(facs, np.ones(256**2), cfg)
         assert rep.iterations > 0 and rep.converged
-        entries = max(rep.distinct_rows, d**2) * d**2
+        entries = rep.distinct_rows * d**2
         assert (entries <= solvers._DENSE_SKETCH_MAX_ENTRIES) == dense
         assert len(operators) == (0 if dense else 1)
-        assert (len(preconditioner_applies) == 0) == dense
+        assert len(preconditioner_applies) == rep.iterations + 1
         assert len(rows) == (1 if dense else 0)
 
 
@@ -1297,7 +1358,7 @@ class TestPublicBoundary:
                                                                 sweeps=1),
     }
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, 0.1 + 0j, "0.1", True])
     @pytest.mark.parametrize("entry", sorted(LAM_ENTRIES))
     def test_entry_rejects_a_bad_lambda(self, entry, lam):
         rng = np.random.default_rng(0)
@@ -1305,6 +1366,32 @@ class TestPublicBoundary:
         x = rng.standard_normal((5, 4, 3))
         with pytest.raises(InvalidInputError, match="lambda"):
             self.LAM_ENTRIES[entry](factors, np.ones(20), x, lam)
+
+    # every other real number the boundary takes: the call and the name its
+    # error gives; each range check follows the type check
+    SCALAR_ENTRIES = {
+        "RegressionConfig(eps)": (lambda v: RegressionConfig(eps=v), "eps"),
+        "RegressionConfig(delta)": (lambda v: RegressionConfig(delta=v), "delta"),
+        "RegressionConfig(alpha)": (lambda v: RegressionConfig(alpha=v), "alpha"),
+        "generate_synth_tucker(noise)": (
+            lambda v: experiments.generate_synth_tucker((6, 6, 6), (2, 2, 2), v, 0),
+            "--noise"),
+    }
+
+    @pytest.mark.parametrize("value", [0.1 + 0j, "0.1", True])
+    @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRIES))
+    def test_entry_rejects_a_scalar_that_is_not_real(self, entry, value):
+        call, name = self.SCALAR_ENTRIES[entry]
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(name)} must be a real number"):
+            call(value)
+
+    @pytest.mark.parametrize("real", [float, np.float64, np.float32])
+    @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRIES))
+    def test_entry_takes_a_numpy_real(self, entry, real):
+        # 0.1 lies inside the range of every entry above
+        call, _ = self.SCALAR_ENTRIES[entry]
+        call(real(0.1))
 
     # every integer the boundary takes: the call, a value outside the
     # argument's range, and how its error begins; a 5 x 4 x 3 tensor
@@ -1347,6 +1434,11 @@ class TestPublicBoundary:
         "generate_synth_tucker(rank)": (
             lambda v: experiments.generate_synth_tucker((6, 6, 6), (2, v, 2), 0.0, 0),
             7, "--true-rank entry 1"),
+        "generate_synth_regression(seed)": (
+            lambda v: experiments.generate_synth_regression(4, 2, 2, v), -1, "seed"),
+        "generate_synth_tucker(seed)": (
+            lambda v: experiments.generate_synth_tucker((6, 6, 6), (2, 2, 2), 0.0, v),
+            -1, "seed"),
     }
 
     @pytest.mark.parametrize("kind", ["bool", "float", "out of range"])
@@ -1443,14 +1535,16 @@ class TestPublicBoundary:
         """Integer-valued entries in 1..3, so every dtype below holds them."""
         return np.random.default_rng(3).integers(1, 4, shape)
 
-    @pytest.mark.parametrize("kind", ["complex", "string"])
+    @pytest.mark.parametrize("kind", ["complex", "string", "ragged"])
     @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
     def test_entry_rejects_an_array_that_is_not_real(self, entry, kind):
         # before the one rule a complex array was solved by its real part,
-        # and a string array of numbers was parsed
+        # and a string array of numbers was parsed; a ragged nested list
+        # raised numpy's bare ValueError
         call, shape, name = self.REAL_ENTRIES[entry]
         a = self.real_array(shape)
-        bad = a + 0.5j if kind == "complex" else a.astype(str)
+        bad = {"complex": lambda: a + 0.5j, "string": lambda: a.astype(str),
+               "ragged": lambda: [a.tolist(), a.tolist()[:-1]]}[kind]()
         with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be a real array"):
             call(bad)
 
