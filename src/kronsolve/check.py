@@ -176,6 +176,23 @@ def run_checks() -> int:
     gap = np.linalg.norm(got - want) / np.linalg.norm(want)
     check("tucker exact factor update", gap <= 1e-10, f"relative difference {gap!r}")
 
+    # its sketched twin at lam 0: every row's minimum-norm least-squares
+    # solution of the stacked sketched design of the update's own draws (one
+    # rescaled row per draw), with the same zero column
+    cfg = solvers.RegressionConfig(eps=0.25, delta=0.05, alpha=1e-5, seed=9)
+    s = leverage.regression_sample_count(6, cfg.eps, cfg.alpha, np.log(5 / cfg.delta))
+    sketch = leverage.sample_rows(leverage.build_product_sampler(
+        [leverage.statistical_leverage_scores(a) for a in zeroed[1:]]), s, cfg.seed)
+    flat = np.ravel_multi_index(tuple(sketch.indices.T), (6, 4))
+    want = np.linalg.lstsq(sketch.weights[:, None] * kz[flat],
+                           sketch.weights[:, None] * tensor.unfold(xf, 0)[:, flat].T,
+                           rcond=None)[0].T
+    got = tucker.fast_factor_matrix_update(tucker.TuckerModel(model.core, zeroed, 0.0),
+                                           xf, 0, cfg)
+    gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+    check("tucker sketched factor update", s < 24 and gap <= 1e-10,
+          f"{s} draws, relative difference {gap!r}")
+
     # the fast regression route on one instance on each side of the size
     # rule of its normal apply (a dense design at 16 columns and 80 draws,
     # SketchedKron at 256 columns and 1,829 draws; KronPreconditioner in

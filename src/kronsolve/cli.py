@@ -12,7 +12,11 @@ Subcommands:
 
 Each command builds its :class:`~kronsolve.solvers.RegressionConfig` from
 the parsed flags and calls the harness in :mod:`kronsolve.experiments`
-with them; every default lives in the parser.  A bad setting (a negative
+with them; every default lives in the parser.  A sketched route that ran
+only its exact fallback (a ``fast`` or ``sketch-solve`` row that drew no
+rows, or a ``tucker --mode fast`` run with no sketched step) prints one
+warning line to stderr that names the route and ``--alpha``; the CSV and
+the exit code stay as they are.  A bad setting (a negative
 seed, a missing tensor file) raises
 :class:`~kronsolve.errors.InvalidInputError` before any CSV is written.
 
@@ -96,6 +100,13 @@ def _cmd_synth_regression(args) -> int:
         args.n, args.d, args.order, config, args.seeds,
         [s for s in args.solvers.split(",") if s], repeats=args.repeats,
         out_path=args.out)
+    for solver in ("sketch-solve", "fast"):
+        seeds = [r.seed for r in rows
+                 if r.solver == solver and r.status == "ok" and r.rows_sampled == 0]
+        if seeds:
+            print(f"warning: {solver} drew no rows at --alpha {args.alpha} (seeds "
+                  f"{','.join(map(str, seeds))}): its sample count reached the row "
+                  f"count, so it ran the exact solve", file=sys.stderr)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {args.out}"
           + (f" ({len(failures)} solver errors recorded)" if failures else ""))
@@ -122,6 +133,13 @@ def _cmd_tucker(args) -> int:
         x = generate_synth_tucker(args.synthetic, args.true_rank, args.noise, args.seed)
     _, report = run_tucker_experiment(x, args.core, config, args.sweeps, args.mode,
                                       out_path=args.out)
+    # each mode's count is fixed for the run, and an exact factor step
+    # records its own label (see AlsReport), so the first sweep tells
+    if args.mode == "fast" and all(f"sweep0-factor{n}" in report.step_labels
+                                   for n in range(x.ndim)):
+        print(f"warning: tucker --mode fast ran no sketched step at --alpha "
+              f"{args.alpha}: every sketch would draw at least its leftover rows, "
+              f"so every factor step ran exact", file=sys.stderr)
     print(f"final loss {report.sweep_losses[-1]:.6g}, RRE {report.rre:.6g}, "
           f"mean sweep {report.mean_sweep_seconds:.4f}s; wrote {args.out}")
     return 0

@@ -42,6 +42,15 @@ from .tensor import _mode_products, as_matrix, as_real_array, as_tensor
 
 BALANCED_PARTITION_MAX_ORDER = 30
 
+# sparse_diagonal_from_sketch merges the draws by counting them into the
+# whole row space when it holds at most this many rows per draw, and by
+# sorting them above.  Measured at 1 BLAS thread, 400 to 40,000 uniform
+# draws: counting took 0.27-0.37x the sort's time at 1-2 rows per draw,
+# 0.51-1.0x at 4, 0.8-2.2x at 8 and 1.5-2.7x at 16.  A tucker-cube factor
+# step (1,511 draws over 3,600 rows) counts; reg-thin and reg-table (389 and
+# 38,049 draws over 16.8M rows) sort.
+_COUNT_MERGE_MAX_ROWS_PER_DRAW = 4
+
 
 def check_factors(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     if len(factors) == 0:
@@ -160,14 +169,26 @@ def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> 
 
     Repeated draws of the same row accumulate: the diagonal entry at row j is
     ``sqrt(count_j / (p_j s))``, so applying the diagonal twice reproduces
-    ``S^T S`` exactly.  One sort (``np.unique``) merges the draws, and
-    ``np.bincount`` adds each row's squared weights in draw order.  The
-    sketch holds multi-indices, shape ``(s, N)``, inside ``row_shape``.
+    ``S^T S`` exactly.  Where the row space holds at most
+    :data:`_COUNT_MERGE_MAX_ROWS_PER_DRAW` rows per draw, one
+    ``np.bincount`` over it merges the draws and its nonzero bins are the
+    drawn rows; above that, one sort (``np.unique``) merges them and
+    ``np.bincount`` sums over the distinct rows.  Both add each row's
+    squared weights in draw order, and a drawn row's squared weight is
+    positive, so both give the same diagonal to the bit.  The sketch holds
+    multi-indices, shape ``(s, N)``, inside ``row_shape``.
     """
     flat = np.ravel_multi_index(tuple(sketch.indices.T), tuple(row_shape))
-    unique, inverse = np.unique(flat, return_inverse=True)
-    sums = np.bincount(inverse, weights=sketch.weights**2, minlength=unique.size)
-    return SparseDiagonal(indices=unique, values=np.sqrt(sums))
+    weights_sq = sketch.weights**2
+    rows = math.prod(row_shape)
+    if rows <= _COUNT_MERGE_MAX_ROWS_PER_DRAW * flat.size:
+        sums = np.bincount(flat, weights=weights_sq, minlength=rows)
+        indices = np.flatnonzero(sums)
+        sums = sums[indices]
+    else:
+        indices, inverse = np.unique(flat, return_inverse=True)
+        sums = np.bincount(inverse, weights=weights_sq, minlength=indices.size)
+    return SparseDiagonal(indices=indices, values=np.sqrt(sums))
 
 
 def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.ndarray:

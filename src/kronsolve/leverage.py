@@ -189,7 +189,7 @@ class ProductSampler:
             order = np.argsort(u)
             draws[order, n] = np.searchsorted(cdf, u[order], side="right")
             # guard against u landing exactly on the final cumulative 1.0
-            np.clip(draws[:, n], 0, cdf.size - 1, out=draws[:, n])
+            np.minimum(draws[:, n], cdf.size - 1, out=draws[:, n])
         return draws
 
 

@@ -8,9 +8,9 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
 * :func:`kronmatmul_svd_solve` composes the factor SVDs and never forms an
   R x R matrix; exact, and the reference for OPT.
 * :func:`sketch_and_solve_ridge` samples rows of ``K`` by their leverage
-  scores and solves the sketched normal equation directly with
-  :func:`sketched_ridge_solve`, the one direct sketched solve, which the
-  fast Tucker block updates share.
+  scores and solves the sketched problem directly from one SVD of the
+  sketched design with :func:`sketched_ridge_solve`, the one direct
+  sketched solve, which the fast Tucker block updates share.
 * :func:`fast_kronecker_regression` solves the *sketched* problem by
   conjugate gradients preconditioned with the eigendecomposition of the
   *unsketched* normal matrix, read off the factor SVDs.  Every step costs
@@ -363,7 +363,8 @@ def _check_finite_reads(values: np.ndarray | float, what: str) -> None:
     this error is the one the caller sees; Tucker ALS and its loss
     evaluators check the ``||X||_F^2`` they need anyway, which is not finite
     once an entry is or once the norm overflows; and the sketched routes
-    check what they compute from the entries they draw (``||S b||^2``, ``D^T S b``).
+    check what they compute from the entries they draw (``||S b||^2``, or
+    ``(S U)^T b`` for the left singular vectors ``U`` of the sketched design).
     """
     if not np.all(np.isfinite(values)):
         raise InvalidInputError(
@@ -512,7 +513,7 @@ def _weighted_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
 def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
                          multi: np.ndarray, b_drawn: np.ndarray, lam: float,
                          right: np.ndarray | None = None) -> np.ndarray:
-    """Solve a sketched ridge problem directly: ``(D^T D + lam I)^+ D^T S b``.
+    """Solve a sketched ridge problem from one SVD of the sketched design.
 
     ``D = S K right`` for the row sketch ``S`` and ``K = A1 kron ... kron
     AN``, with ``right`` (``R x R'``) taken as the identity when omitted.
@@ -521,43 +522,46 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
     squared weights, which leaves ``D^T D`` and ``D^T S b`` unchanged), its
     ``(nnz, N)`` multi-indices ``multi``, and ``b_drawn``, ``b`` there,
     whose trailing axis holds more right-hand sides.  ``D`` holds the
-    Kronecker rows of :func:`~kronsolve.kron.kron_rows`, weighted in place.
-    All are solved at once, with the pseudo-inverse convention, so
-    ``lam = 0`` with a rank-deficient ``D`` does not raise, and refined by
-    one step against ``D``.  ``factors``, ``right`` and ``lam`` are the
-    caller's to validate; ``b_drawn`` is checked through ``D^T S b``.
+    Kronecker rows of :func:`~kronsolve.kron.kron_rows`, times ``right``,
+    weighted in place.  One :func:`~kronsolve.tensor.compact_svd`,
+    ``D = U diag(sigma) V^T``, gives every solution at once as
+    ``V diag(sigma / (sigma^2 + lam)) (S U)^T b_drawn``, the ridge filter
+    :func:`_svd_ridge_solution` applies to the exact problem; so the drawn
+    block is read by one GEMM, no ``R x R`` matrix is formed, and the solve
+    loses ``cond(D)``, not the ``cond(D)^2`` of the normal equations.  The
+    SVD drops singular values at or below ``1e-10 sigma_max``, which gives
+    the pseudo-inverse convention: ``lam = 0`` with a rank-deficient ``D``
+    does not raise.  ``factors``, ``right`` and ``lam`` are the caller's
+    to validate; ``b_drawn`` is checked through ``(S U)^T b``.
     """
-    weights = sdiag.values.reshape((-1,) + (1,) * (b_drawn.ndim - 1))
-    design = _weighted_rows(factors, sdiag, multi)
+    design = kron_rows(factors, multi)
     if right is not None:
         design = design @ right
-    gram_pinv = np.linalg.pinv(design.T @ design + lam * np.eye(design.shape[1]))
+    design *= sdiag.values[:, None]
+    svd = compact_svd(design)
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
-        sb = weights * b_drawn
-        dsb = design.T @ sb
-    _check_finite_reads(dsb, "D^T S b")
-    x = gram_pinv @ dsb
-    # the normal equations square D's condition number, so their solution is
-    # only good to about eps (|D|^2 + lam) / lam; one correction from the
-    # residual against D itself brings it back to a few eps
-    x += gram_pinv @ (design.T @ (sb - design @ x) - lam * x)
-    return x
+        t = (svd.u * sdiag.values[:, None]).T @ b_drawn
+    _check_finite_reads(t, "(S U)^T b")
+    gain = svd.sigma / (svd.sigma**2 + lam)
+    return svd.v @ (gain.reshape((-1,) + (1,) * (t.ndim - 1)) * t)
 
 
 def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
                            config: RegressionConfig) -> SolveReport:
-    """Sketch-and-solve baseline: solve the sampled normal equation directly.
+    """Sketch-and-solve baseline: solve the sampled problem directly.
 
     Rows of ``K`` are drawn from the exact leverage-score product
     distribution (``ceil(alpha * 1680 R ln(40R) / eps)`` of them) and
     :func:`sketched_ridge_solve` returns ``((SK)^T SK + lam I)^+ (SK)^T S b``
-    from one materialized row per distinct draw.  When the sample count
-    reaches the row count the sketch is pointless, and the exact
+    from one SVD of the sketched design ``SK``, one materialized row per
+    distinct draw; the SVD costs ``O(nnz R min(nnz, R))``.  When the sample
+    count reaches the row count the sketch is pointless, and the exact
     :func:`kronmatmul_svd_solve` runs instead, as in
     :func:`fast_kronecker_regression`.  Otherwise guarded: raises
-    :class:`SizeGuardError` when the sketched matrix could hold more than
-    :data:`DENSE_GUARD` entries.  The loss is :func:`ridge_loss`'s,
-    evaluated when it is first read, against ``b`` as it stands then.
+    :class:`SizeGuardError` when the sketched design could hold more than
+    :data:`DENSE_GUARD` entries (its SVD holds no more).  The loss is
+    :func:`ridge_loss`'s, evaluated when it is first read, against ``b`` as
+    it stands then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     t0 = time.perf_counter()
@@ -565,7 +569,7 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     if s >= rows:
         exact = kronmatmul_svd_solve(factors, b, config.lam)
         return replace(exact, wall_time=time.perf_counter() - t0)
-    if max(s * cols, cols * cols) > DENSE_GUARD:
+    if s * cols > DENSE_GUARD:
         raise SizeGuardError(
             f"sketched matrix would hold {s}x{cols} entries (guard: {DENSE_GUARD})")
     draws = _leverage_draws([compact_svd(a) for a in factors], s, config.seed,

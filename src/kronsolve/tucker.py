@@ -8,10 +8,11 @@ implicit Kronecker design matrix.  ``exact`` mode solves them exactly
 (block coordinate descent, so the regularized loss is non-increasing).
 ``fast`` mode draws one leverage-score sketch of the design's Kronecker
 rows per factor update and solves the small sketched ridge problem for all
-rows of the factor at once, directly with
-:func:`~kronsolve.solvers.sketched_ridge_solve` (as sketched Tucker-ALS
-does, Malik & Becker 2018), so no Tucker step runs conjugate gradients;
-a step whose sketch would draw at least the leftover rows runs exactly.
+rows of the factor at once, directly from one SVD of the sketched design
+with :func:`~kronsolve.solvers.sketched_ridge_solve` (as sketched
+Tucker-ALS does, Malik & Becker 2018), so no Tucker step runs conjugate
+gradients; a step whose sketch would draw at least the leftover rows runs
+exactly.
 Both modes run one sweep loop, in which the mode sets only which steps
 sketch.  An exact step reads its update and its loss record off one
 projection of the tensor onto the other factors, and so does the core when
@@ -27,7 +28,8 @@ computes from it, never by a scan.  :func:`tucker_als`,
 :func:`relative_error` and :func:`regularized_loss` check the
 ``||X||_F^2`` they need anyway; the exact factor step and
 :func:`core_update` check the projection of ``X`` they form; and a
-sketched factor step checks the ``D^T S B^T`` it forms from its fibres.
+sketched factor step checks the ``(S U)^T B^T`` it forms from its fibres,
+for the left singular vectors ``U`` of its sketched design.
 
 The constrained-update workspace (:class:`FactorUpdateWorkspace`,
 :func:`build_factor_workspace`) is the Woodbury-preconditioned per-row
@@ -400,17 +402,20 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     ``config.seed``), and
     :func:`~kronsolve.solvers.sketched_ridge_solve` returns
     ``(D^T D + lam I)^+ D^T S B^T`` with ``D = S K`` (one row per distinct
-    draw, R_n columns) for every row at once, with the pseudo-inverse
-    convention of :func:`naive_factor_update` (so ``lam = 0`` with a
-    rank-deficient core does not raise), reading ``B^T`` only at the sampled
-    fibres of ``np.moveaxis(x, n, -1)``, a view of X.  The ``ln(I_n/delta)``
-    factor is the per-row union bound of the paper: the one sketch serves
-    all ``I_n`` right-hand sides, so each row's (1+eps) guarantee holds
-    together with probability ``1 - delta``.  The step decomposes the N-1
-    factors it reads and runs :func:`_exact_factor_update` when the sample
-    count reaches the leftover row count, else :func:`_sketched_factor_update`.
+    draw, R_n columns) for every row at once, from one SVD
+    ``D = U diag(sigma) V^T`` as ``V diag(sigma / (sigma^2 + lam))
+    (S U)^T B^T``, with the pseudo-inverse convention of
+    :func:`naive_factor_update` (so ``lam = 0`` with a rank-deficient core
+    does not raise), reading ``B^T`` only at the sampled fibres of
+    ``np.moveaxis(x, n, -1)``, a view of X, in one GEMM.  The
+    ``ln(I_n/delta)`` factor is the per-row union bound of the paper: the
+    one sketch serves all ``I_n`` right-hand sides, so each row's (1+eps)
+    guarantee holds together with probability ``1 - delta``.  The step
+    decomposes the N-1 factors it reads and runs
+    :func:`_exact_factor_update` when the sample count reaches the leftover
+    row count, else :func:`_sketched_factor_update`.
     Neither scans ``x``: a non-finite entry on a drawn fibre raises
-    :class:`InvalidInputError` from the check of ``D^T S B^T``, one on a
+    :class:`InvalidInputError` from the check of ``(S U)^T B^T``, one on a
     fibre the sketch did not draw cannot change the result, and the exact
     route checks its projection.  When the core or another factor is zero,
     so is ``K``, and every row's solution is zero.

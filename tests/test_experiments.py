@@ -299,6 +299,43 @@ class TestCli:
                        "--sweeps", "1", "--out", str(out)])
         assert rc == 0
 
+    def test_fast_tucker_without_a_sketched_step_warns(self, capsys, tmp_path):
+        # at --alpha 1.0 every sketch would draw at least its leftover rows;
+        # at 1e-4 on 30^3 every step sketches, and exact mode never warns
+        tail = ["--synthetic", "30,30,30", "--true-rank", "3,3,3", "--core", "3,3,3",
+                "--sweeps", "1"]
+        for mode, alpha, warned in (("fast", "1.0", True), ("fast", "1e-4", False),
+                                    ("exact", "1.0", False)):
+            out = tmp_path / f"{mode}-{alpha}.csv"
+            assert cli_main(["tucker", *tail, "--mode", mode, "--alpha", alpha,
+                             "--out", str(out)]) == 0
+            assert len(read_csv(out)) == 2
+            err = capsys.readouterr().err
+            if warned:
+                assert err.count("\n") == 1 and "warning: tucker --mode fast" in err
+                assert "--alpha 1.0" in err
+            else:
+                assert err == ""
+
+    def test_regression_rows_without_draws_warn(self, capsys, tmp_path):
+        # at --alpha 1 both sketched routes would draw more rows than K's
+        # 1,600, so both fall back to the exact solve; one line per route
+        out = tmp_path / "reg.csv"
+        assert cli_main(["synth-regression", "--n", "40", "--d", "4", "--alpha", "1",
+                         "--solvers", "kronmatmul,sketch-solve,fast", "--seeds", "0,1",
+                         "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 1 + 6
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in lines] == ["sketch-solve", "fast"]
+        assert all("--alpha 1.0" in line and "(seeds 0,1)" in line for line in lines)
+        # rows that drew, and the exact route, print nothing
+        assert cli_main(["synth-regression", "--n", "40", "--d", "4", "--alpha", "1e-4",
+                         "--solvers", "kronmatmul,sketch-solve,fast",
+                         "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert all(int(row[7]) > 0 for row in rows[1:] if row[0] != "kronmatmul")
+        assert capsys.readouterr().err == ""
+
     def test_check_command(self):
         assert cli_main(["check"]) == 0
 

@@ -186,6 +186,34 @@ class TestSparseDiagonal:
         np.testing.assert_allclose(sd.values**2, want[sd.indices], rtol=1e-14, atol=0)
 
 
+class TestDrawMerge:
+    """The counting merge and the sorting merge give one diagonal to the bit."""
+
+    # rows per draw 30 / 28, 3 / 12 and 84 / 40 count; 4,000 / 40 and
+    # 6,000 / 16 sort
+    @pytest.mark.parametrize("row_shape, draws", [
+        ((30,), 28), ((3,), 12), ((3, 4, 7), 40), ((4000,), 40), ((10, 20, 30), 16)])
+    def test_both_sides_of_the_rule(self, monkeypatch, count_calls, row_shape, draws):
+        rng = np.random.default_rng(sum(row_shape) + draws)
+        rows = math.prod(row_shape)
+        # a quarter of the draws repeat earlier ones, in shuffled order
+        flat = rng.integers(0, rows, draws - draws // 4)
+        flat = rng.permutation(np.concatenate([flat, rng.choice(flat, draws // 4)]))
+        sketch = RowSketch(indices=np.stack(np.unravel_index(flat, row_shape), axis=1),
+                           weights=rng.uniform(0.1, 3.0, draws))
+        uniques = count_calls(np, "unique")
+        merged = sparse_diagonal_from_sketch(sketch, row_shape)
+        counts = rows <= kron._COUNT_MERGE_MAX_ROWS_PER_DRAW * draws
+        assert len(uniques) == (0 if counts else 1)
+        assert merged.nnz == np.unique(flat).size < draws
+        # the other merge, forced by moving the rule past this sketch
+        monkeypatch.setattr(kron, "_COUNT_MERGE_MAX_ROWS_PER_DRAW", 0 if counts else rows)
+        other = sparse_diagonal_from_sketch(sketch, row_shape)
+        assert merged.indices.dtype == other.indices.dtype
+        np.testing.assert_array_equal(merged.indices, other.indices)
+        np.testing.assert_array_equal(merged.values, other.values)
+
+
 class TestSketchedApplies:
     def test_full_diagonal_equals_dense(self, rng):
         facs = random_factors(rng, [(3, 2), (2, 2)])

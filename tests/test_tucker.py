@@ -434,7 +434,14 @@ def sketched_block_oracle(model, x, n, config):
     design = sketched_rows(others, sketch) @ unfold(model.core, n).T
     flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
     sb = sketch.weights[:, None] * unfold(x, n)[:, flat].T
-    return stacked_ridge_lstsq(design, sb, model.lam).T, sketch
+    # the pseudo-inverse convention: singular directions of D at or below
+    # 1e-10 sigma_max (LAPACK's SVD) carry no solution.  A design that is
+    # rank-deficient in exact arithmetic, such as one with fewer leftover
+    # core columns than R_n, keeps roundoff singular values near 1e-16 |D|,
+    # which the stacked solve would divide by lam
+    _, sigma, vt = np.linalg.svd(design, full_matrices=False)
+    basis = vt[sigma > 1e-10 * sigma[:1]].T
+    return (basis @ stacked_ridge_lstsq(design @ basis, sb, model.lam)).T, sketch
 
 
 def stacked_ridge_lstsq(design, sb, lam):
@@ -484,10 +491,9 @@ def block_problems(draw):
     i_rest = math.prod(r + e for k, (r, e) in enumerate(zip(ranks, extra)) if k != n)
     assume(i_rest >= 2)
     target = draw(st.integers(1, i_rest - 1))
-    # lam >= 0.1 keeps cond(D^T D + lam I) = 1 + |D|^2 / lam within reach
-    # of a 1e-10 match: the refined solve and the stacked-system oracle each
-    # lose about the root of it, not all of it
-    lam = draw(st.floats(0.1, 1.0))
+    # down to lam 1e-12, where cond(D^T D + lam I) reaches cond(D)^2: the
+    # SVD solve and the stacked-system oracle each lose cond(D), not its square
+    lam = draw(st.floats(1e-12, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
     problem = block_problem(ranks, extra, n, lam, seed, target)
     assume(problem is not None)
@@ -527,6 +533,22 @@ class TestBlockFactorUpdate:
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(got[:, 1], np.zeros(x.shape[0]))
         assert_rows_close(got, want, 1e-10)
+
+    def test_rank_one_design_at_tiny_ridge(self):
+        # one leftover core column and R_n = 2: D = v g^T has rank 1 in exact
+        # arithmetic, so every row's solution is g (v^T S b_i) / (|v|^2 |g|^2
+        # + lam), which roundoff in D would move by up to 1e-16 |D| / lam
+        model, x, cfg = block_problem((1, 1, 2), (0, 2, 0), 2, 1e-12, 0, 2)
+        g = model.core.reshape(-1)
+        s = regression_sample_count(1, cfg.eps, cfg.alpha, math.log(2 / cfg.delta))
+        sketch = sample_rows(build_product_sampler(
+            [statistical_leverage_scores(a) for a in model.factors[:2]]), s, cfg.seed)
+        rows, cols = sketch.indices.T
+        v = sketch.weights * model.factors[0][rows, 0] * model.factors[1][cols, 0]
+        sb = sketch.weights[:, None] * x[rows, cols]
+        want = np.outer(v @ sb, g) / ((v @ v) * (g @ g) + 1e-12)
+        got = fast_factor_matrix_update(model, x, 2, cfg)
+        assert_rows_close(got, want, 1e-14)
 
     def test_one_sketch_per_update(self, count_calls):
         model, x, cfg = block_problem((2, 2, 2), (4, 4, 4), 2, 0.1, 1, 20)
