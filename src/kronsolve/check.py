@@ -64,6 +64,30 @@ def run_checks() -> int:
           np.allclose(kron.sketched_kron_transpose_apply(facs, sd, bv),
                       dense.T @ smat @ bfull, atol=1e-10))
 
+    # SketchedKron's normal apply, its nonzeros grouped by right-group row,
+    # vs the dense K^T S^2 K at orders 2 and 3 (left group 6 rows); its 10
+    # right rows hold 1 to 6 nonzeros, two rows in most groups; its own
+    # generator leaves the later instances as they were
+    grng = np.random.default_rng(20240903)
+    gaps = []
+    for shapes in ([(6, 2), (12, 2)], [(6, 2), (3, 2), (4, 2)]):
+        gf = [grng.standard_normal(s) for s in shapes]
+        n_right = gf[1].shape[0] * (gf[2].shape[0] if len(gf) == 3 else 1)
+        counts = (4, 1, 6, 2, 5, 3, 1, 2, 4, 6)
+        right = grng.choice(n_right, size=len(counts), replace=False)
+        flat = np.concatenate([grng.choice(6, size=k, replace=False) * n_right + r
+                               for r, k in zip(right, counts)])
+        gd = kron.SparseDiagonal(indices=np.sort(flat).astype(np.int64),
+                                 values=grng.uniform(0.1, 2.0, flat.size))
+        op = kron.SketchedKron(gf, gd, kron.diagonal_multi_indices(gf, gd))
+        sk = gd.values[:, None] * tensor.explicit_kron(gf)[gd.indices]
+        x = grng.standard_normal(sk.shape[1])
+        want = sk.T @ (sk @ x)
+        gaps.append((len(op.groups), np.linalg.norm(op.normal(x) - want) / np.linalg.norm(want)))
+    check("sketched operator, grouped by right row",
+          all(groups == 6 and gap <= 1e-12 for groups, gap in gaps),
+          "; ".join(f"{groups} groups, relative difference {gap:.2e}" for groups, gap in gaps))
+
     # exact solvers agree
     sf = [rng.standard_normal((8, 3)), rng.standard_normal((6, 2))]
     bb = rng.standard_normal(48)

@@ -14,17 +14,18 @@ themselves, so :class:`SparseDiagonal`, :func:`sparse_diagonal_from_sketch`,
 multi-indices of a diagonal's rows, vectors of the operator's lengths) and
 check nothing again.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
-sketch: built once, it splits the factors into two column-balanced groups,
-keeps the narrow left group's entries at the nonzeros one left column at a
-time (a left-group columns x nnz float array) and the distinct rows of the
-wide right group, both from :func:`kron_rows`, and applies ``S K``,
-``K^T S`` and ``K^T S^2 K`` touching only the nonzero rows.  The apply
-adds one gather per left column; the transpose mirrors it with one
-``np.bincount`` per left column into the bins of the distinct right rows
-and finishes with one multiply against those rows.  The ``sketched_*``
-functions are one-shot wrappers around it.  Every Kronecker row comes
-from :func:`kron_rows`: it returns the transpose view of a column-major
-array, so the left columns are its result transposed back, with no copy.
+sketch: built once, it splits the factors into two column-balanced groups
+and reorders the nonzeros so that each distinct row of the wide right group
+holds a contiguous run, the rows with equally many nonzeros side by side
+(the row-length grouping of sliced ELLPACK).  It keeps the narrow left
+group's entries at the nonzeros one left column at a time (a left-group
+columns x nnz float array) and the distinct right rows, both from
+:func:`kron_rows`, and applies ``S K``, ``K^T S`` and ``K^T S^2 K``
+touching only the nonzero rows: one multiply against the distinct right
+rows and one ``np.einsum`` per run length.  The ``sketched_*`` functions
+are one-shot wrappers around it.  Every Kronecker row comes from
+:func:`kron_rows`: it returns the transpose view of a column-major array,
+so the left columns are its result transposed back, with no copy.
 """
 
 from __future__ import annotations
@@ -215,22 +216,35 @@ def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.nd
     return acc.T
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``a`` starts; none for an empty ``a``."""
+    first = np.ones(min(a.size, 1), dtype=bool)
+    return np.flatnonzero(np.concatenate((first, a[1:] != a[:-1])))
+
+
 class SketchedKron:
     """The row-sparsified operator ``S K`` for one sparse diagonal ``S``.
 
     Everything that depends only on the factors and the sketch is derived
     once: the factors, which the caller has checked, are split by
     :func:`balanced_partition` into a left and a right column group, the
-    left group never the wider.
-    ``left_columns`` holds the left-group Kronecker rows of the nonzeros
-    one left column at a time (left-group columns x nnz, C-contiguous; one
-    all-ones row when the left group is empty), ``right_rows`` the distinct
-    right-group rows and ``right_pos`` each nonzero's position among them,
-    and the column mode order of the two groups is kept with its inverse
-    permutation.  Each later apply is then a loop over the left columns,
-    each step one gather or one ``np.bincount`` over contiguous nnz-long
-    rows, plus one dense multiply.  An empty diagonal takes the same path,
-    with zero-length rows, and its applies return zeros.
+    left group never the wider.  The nonzeros are then reordered by
+    ``perm`` (a permutation of ``range(nnz)``): sorted first by how many
+    nonzeros share their right-group row, then by that row, so each
+    distinct right row's nonzeros are contiguous and the rows with equally
+    many nonzeros form one group, the groups in increasing size.  In that
+    order ``left_columns`` holds the left-group Kronecker rows of the
+    nonzeros one left column at a time (left-group columns x nnz,
+    C-contiguous; one all-ones row when the left group is empty),
+    ``right_rows`` the distinct right-group rows, ``weights`` the diagonal's
+    values, and ``groups`` one ``(c, r0, r1, k0, k1)`` per group size: the
+    distinct rows ``r0:r1`` each hold ``c`` nonzeros, the nonzeros
+    ``k0:k1``.  The column mode order of the two groups is kept with its
+    inverse permutation.  Each later apply is then one dense multiply plus
+    one ``np.einsum`` over contiguous slices per group size, and the public
+    applies pay one nnz-long scatter or gather to ``s_diag``'s order.  An
+    empty diagonal takes the same path, with no groups and zero-length
+    rows, and its applies return zeros.
 
     ``multi`` holds the ``(nnz, N)`` multi-indices of ``s_diag.indices``,
     which the caller has already unravelled to read ``b`` at the draws
@@ -247,65 +261,88 @@ class SketchedKron:
         # ties go to the empty left set, so the right group is never empty
         self.part = balanced_partition(self.col_shape)
         left, right = list(self.part.left), list(self.part.right)
-        self.left_columns = kron_rows([self.factors[i] for i in left], multi[:, left]).T
         right_dims = tuple(row_shape[i] for i in right)
-        unique, self.right_pos = np.unique(
-            np.ravel_multi_index(tuple(multi[:, right].T), right_dims),
-            return_inverse=True)
-        distinct = np.stack(np.unravel_index(unique, right_dims), axis=1)
+        keys = np.ravel_multi_index(tuple(multi[:, right].T), right_dims)
+        by_row = np.argsort(keys)
+        sorted_keys = keys[by_row]
+        starts = _run_starts(sorted_keys)  # in by_row, of each distinct right row
+        counts = np.diff(starts, append=keys.size)
+        by_count = np.argsort(counts, kind="stable")
+        sizes = counts[by_count]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))  # of each row, grouped
+        # each row's run of by_row, moved to its grouped offset
+        self.perm = by_row[np.repeat(starts[by_count] - offsets[:-1], sizes)
+                           + np.arange(keys.size)]
+        self.weights = s_diag.values[self.perm]
+        self.left_columns = kron_rows([self.factors[i] for i in left],
+                                      multi[self.perm[:, None], left]).T
+        distinct = np.stack(np.unravel_index(sorted_keys[starts[by_count]], right_dims),
+                            axis=1)
         self.right_rows = kron_rows([self.factors[i] for i in right], distinct)
+        bounds = np.append(_run_starts(sizes), sizes.size)  # of each group's rows
+        self.groups = tuple(zip(sizes[bounds[:-1]].tolist(), bounds[:-1].tolist(),
+                                bounds[1:].tolist(), offsets[bounds[:-1]].tolist(),
+                                offsets[bounds[1:]].tolist()))
         # column modes in (left group, right group) order, and back
         self.group_order = self.part.left + self.part.right
         self.grouped_shape = tuple(self.col_shape[i] for i in self.group_order)
         self.ungroup = tuple(int(i) for i in np.argsort(self.group_order))
 
-    def apply(self, c) -> np.ndarray:
-        """Entries of ``S K c`` at the nonzero rows of ``S``.
+    def _apply_grouped(self, c) -> np.ndarray:
+        """Entries of ``S K c`` at the nonzeros, in the grouped order.
 
         The right group acts on the matricized ``c`` at its distinct rows,
-        one row of ``y_t`` per left column; each output entry then sums, over
-        the left columns in order, that column's row of ``y_t`` at the
-        entry's right row times its left-group entry.  Returns values
-        aligned with ``s_diag.indices`` (already scaled by
-        ``s_diag.values``).
+        one row of ``y_t`` per left column; each group's entries then sum,
+        over the left columns, their right row's entry of ``y_t`` times
+        their left-group entry, as one ``np.einsum``.
         """
         r_left = self.left_columns.shape[0]
         grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(r_left, -1)
         y_t = grouped @ self.right_rows.T  # (left cols) x (distinct right rows)
-        vals = np.zeros(self.s_diag.nnz)
-        term = np.empty_like(vals)
-        for y_j, column in zip(y_t, self.left_columns):
-            # every position is in range, and "clip" spares take's buffered copy
-            y_j.take(self.right_pos, out=term, mode="clip")
-            term *= column
-            vals += term
-        vals *= self.s_diag.values
+        vals = np.empty(self.weights.size)
+        for c_row, r0, r1, k0, k1 in self.groups:
+            n = r1 - r0
+            np.einsum("lnc,ln->nc", self.left_columns[:, k0:k1].reshape(r_left, n, c_row),
+                      y_t[:, r0:r1], out=vals[k0:k1].reshape(n, c_row))
+        vals *= self.weights
         return vals
 
-    def transpose_apply(self, b_values) -> np.ndarray:
-        """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
-
-        The mirror of :meth:`apply`: for each left column, the nonzeros'
-        entries of that column, scaled by their entries of ``S b``, are
-        summed into the bins of their distinct right rows by one
-        ``np.bincount``, and one multiply against the distinct right rows
-        finishes the contraction.  ``np.bincount`` adds each bin's terms in
-        nonzero order, as ``np.add.at`` would, so the sums are the same to
-        the bit.  ``b_values[t]`` corresponds to ``s_diag.indices[t]``.
-        """
-        scaled = self.s_diag.values * b_values
-        n_right = self.right_rows.shape[0]
-        w_t = np.empty((self.left_columns.shape[0], n_right))
-        for w_j, column in zip(w_t, self.left_columns):
-            w_j[:] = np.bincount(self.right_pos, weights=column * scaled, minlength=n_right)
+    def _transpose_grouped(self, scaled) -> np.ndarray:
+        """``K^T`` of the entries ``scaled`` of ``S b`` at the nonzeros, in the
+        grouped order: the mirror of :meth:`_apply_grouped`, one
+        ``np.einsum`` per group into the columns of its distinct rows, then
+        one multiply against the distinct right rows."""
+        r_left = self.left_columns.shape[0]
+        w_t = np.empty((r_left, self.right_rows.shape[0]))
+        for c_row, r0, r1, k0, k1 in self.groups:
+            n = r1 - r0
+            np.einsum("lnc,nc->ln", self.left_columns[:, k0:k1].reshape(r_left, n, c_row),
+                      scaled[k0:k1].reshape(n, c_row), out=w_t[:, r0:r1])
         # BLAS reads the transposed view w_t.T through its transpose flag, with no copy
         m = self.right_rows.T @ w_t.T  # (right cols) x (left cols)
         # (left slow, right fast) grouped order, permuted back to natural order
         return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
 
+    def apply(self, c) -> np.ndarray:
+        """Entries of ``S K c`` at the nonzero rows of ``S``, aligned with
+        ``s_diag.indices`` (already scaled by ``s_diag.values``): the grouped
+        apply, scattered back through ``perm``."""
+        vals = np.empty(self.weights.size)
+        vals[self.perm] = self._apply_grouped(c)
+        return vals
+
+    def transpose_apply(self, b_values) -> np.ndarray:
+        """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
+
+        ``b_values[t]`` corresponds to ``s_diag.indices[t]``; one gather
+        through ``perm`` puts them in the grouped order.
+        """
+        return self._transpose_grouped(self.weights * b_values[self.perm])
+
     def normal(self, x) -> np.ndarray:
-        """``K^T S^2 K x``, the sketched normal matrix applied to ``x``."""
-        return self.transpose_apply(self.apply(x))
+        """``K^T S^2 K x``, the sketched normal matrix applied to ``x``,
+        kept in the grouped order between the two applies."""
+        return self._transpose_grouped(self.weights * self._apply_grouped(x))
 
 
 def diagonal_multi_indices(factors: Sequence[np.ndarray],

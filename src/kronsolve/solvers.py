@@ -15,8 +15,10 @@ Four routes to ``argmin_x ||K x - b||^2 + lam ||x||^2`` for an implicit
   conjugate gradients preconditioned with the eigendecomposition of the
   *unsketched* normal matrix, read off the factor SVDs.  Every step costs
   one :meth:`KronPreconditioner.apply` and one apply of the sketched rows:
-  sparse Kronecker applies on a large problem, dense matrix-vector products
-  with the materialized design on a small one (:func:`_sketched_normal_system`).
+  on a large problem the implicit :class:`~kronsolve.kron.SketchedKron`,
+  whose draws are grouped by their wide-group row so that each apply is a
+  few dense contractions, and on a small one dense matrix-vector products
+  with the materialized design (:func:`_sketched_normal_system`).
 
 Both sketched routes and the fast Tucker step draw through
 :func:`_leverage_draws`, and each sketched route runs the exact
@@ -86,9 +88,10 @@ _LOSS_BLOCK_ENTRIES = 1 << 20
 
 # fast_kronecker_regression runs PCG on its materialized sketched design when
 # it holds at most this many entries, and on SketchedKron above; both apply
-# KronPreconditioner.  Measured at 1 BLAS thread (orders 2-4, 15 calls each):
-# the dense form took 0.65-0.93x the implicit form's time from 1.3e3 to 1.4e5
-# entries (16 to 144 columns), 1.07-1.11x at 2.6e5, 1.7x at 4.6e5, 7x at 8.5e6.
+# KronPreconditioner.  Measured against SketchedKron's grouped applies at 1
+# BLAS thread (orders 2-4, 15 calls each): the dense form took 0.60-0.76x the
+# implicit form's time from 1.3e3 to 1.4e5 entries (16 to 144 columns; 0.74x
+# at reg-thin's 2.5e4), 1.38x at 3.3e5 and 4.7e5, 2.2x at 2.0e6, 7x at 8.6e6.
 _DENSE_SKETCH_MAX_ENTRIES = 1 << 17
 
 

@@ -349,8 +349,102 @@ class TestSketchedApplies:
         assert len(built) == 2  # the left group's rows, then the distinct right rows
         assert op.left_columns.flags.c_contiguous
         assert np.shares_memory(op.left_columns, built[0])
+        # at the nonzeros in the operator's grouped order
         np.testing.assert_array_equal(
-            op.left_columns.T, kron_rows([facs[i] for i in left], multi[:, left]))
+            op.left_columns.T, kron_rows([facs[i] for i in left], multi[op.perm][:, left]))
+
+
+def repeated_right_rows(rng, shapes, counts):
+    """Factors of the given shapes and a sparse diagonal whose distinct
+    right-group rows hold ``counts[i]`` nonzeros each."""
+    factors = random_factors(rng, shapes)
+    part = balanced_partition([s[1] for s in shapes])
+    row_shape = tuple(s[0] for s in shapes)
+    left_dims = tuple(row_shape[i] for i in part.left)
+    right_dims = tuple(row_shape[i] for i in part.right)
+    right_flat = rng.choice(math.prod(right_dims), size=len(counts), replace=False)
+    multi = np.zeros((sum(counts), len(shapes)), dtype=np.intp)
+    k0 = 0
+    for r, k in zip(right_flat, counts):
+        multi[k0:k0 + k, list(part.right)] = np.unravel_index(r, right_dims)
+        if part.left:  # an empty left group holds one row
+            left_flat = rng.choice(math.prod(left_dims), size=k, replace=False)
+            multi[k0:k0 + k, list(part.left)] = np.stack(
+                np.unravel_index(left_flat, left_dims), axis=1)
+        k0 += k
+    idx = np.sort(np.ravel_multi_index(tuple(multi.T), row_shape)).astype(np.int64)
+    return factors, SparseDiagonal(indices=idx, values=rng.uniform(0.1, 2.0, idx.size))
+
+
+# right rows repeating 1 to 7 times at orders 2 and 3 (the second with a
+# two-factor left group), every right row distinct at orders 1 and 2, and
+# an empty sketch
+REPEATED_RIGHT_ROWS = [
+    ([(8, 2), (9, 2)], [1, 6, 2, 6, 3, 1, 4, 7, 5]),
+    ([(8, 2), (3, 2), (4, 2)], [7, 1, 1, 3, 5, 2, 6, 4, 2, 7, 1, 6]),
+    ([(3, 2), (4, 2), (5, 4)], [1, 3, 6, 7, 2]),
+    ([(9, 3)], [1] * 5),
+    ([(6, 3), (10, 3)], [1] * 10),
+    ([(8, 2), (9, 2)], []),
+]
+
+
+class TestGroupedLayout:
+    """``SketchedKron`` orders its nonzeros by right-group row, the rows
+    with equally many nonzeros side by side, and keeps ``s_diag``'s order
+    at its public applies."""
+
+    @pytest.mark.parametrize("shapes,counts", REPEATED_RIGHT_ROWS)
+    def test_layout(self, rng, shapes, counts):
+        factors, sd = repeated_right_rows(rng, shapes, counts)
+        multi = diagonal_multi_indices(factors, sd)
+        op = SketchedKron(factors, sd, multi)
+        np.testing.assert_array_equal(np.sort(op.perm), np.arange(sd.nnz))
+        np.testing.assert_array_equal(op.weights, sd.values[op.perm])
+        right = list(op.part.right)
+        keys = np.ravel_multi_index(tuple(multi[op.perm][:, right].T),
+                                    tuple(shapes[i][0] for i in right))
+        # the groups tile the distinct right rows and the nonzeros in order,
+        # each in increasing size
+        sizes = [g[0] for g in op.groups]
+        assert sizes == sorted(set(counts))
+        assert [0] + [g[2] for g in op.groups] == [g[1] for g in op.groups] + [len(counts)]
+        assert [0] + [g[4] for g in op.groups] == [g[3] for g in op.groups] + [sd.nnz]
+        row_keys = []
+        for c_row, r0, r1, k0, k1 in op.groups:
+            assert k1 - k0 == c_row * (r1 - r0)
+            runs = keys[k0:k1].reshape(r1 - r0, c_row)
+            # each distinct right row's nonzeros are one contiguous run
+            np.testing.assert_array_equal(runs, runs[:, :1].repeat(c_row, axis=1))
+            row_keys.extend(runs[:, 0])
+            np.testing.assert_array_equal(
+                op.right_rows[r0:r1],
+                kron_rows([factors[i] for i in right],
+                          np.stack(np.unravel_index(runs[:, 0], tuple(
+                              shapes[i][0] for i in right)), axis=1)))
+        assert len(set(row_keys)) == len(row_keys) == len(counts)
+
+    @pytest.mark.parametrize("shapes,counts", REPEATED_RIGHT_ROWS)
+    def test_public_order_matches_explicit_kron(self, rng, shapes, counts):
+        factors, sd = repeated_right_rows(rng, shapes, counts)
+        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        sk = sketched_oracle(factors, sd)  # rows aligned with sd.indices
+        c = rng.standard_normal(op.cols)
+        b_values = rng.standard_normal(sd.nnz)
+        got = op.apply(c)
+        np.testing.assert_allclose(got, sk @ c, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(sk) @ np.abs(c), initial=0.0))
+        got_t = op.transpose_apply(b_values)
+        np.testing.assert_allclose(
+            got_t, sk.T @ b_values, rtol=1e-12,
+            atol=1e-12 * np.max(np.abs(sk.T) @ np.abs(b_values), initial=0.0))
+        np.testing.assert_array_equal(op.normal(c), op.transpose_apply(op.apply(c)))
+        # one nonzero at a time: the t-th entry in and out is s_diag's t-th row
+        for t in range(sd.nnz):
+            e_t = np.zeros(sd.nnz)
+            e_t[t] = 1.0
+            np.testing.assert_allclose(op.transpose_apply(e_t), sk[t], rtol=1e-12,
+                                       atol=1e-12 * np.abs(sk[t]).max())
 
 
 def sketched_problem(shapes, seed, distinct, n_repeats):
@@ -395,56 +489,78 @@ def sketched_oracle(factors, sd):
     return sd.values[:, None] * explicit_kron(factors)[sd.indices]
 
 
-def sequential_formulation(op, factors, c, b_values):
-    """``op.apply(c)`` and ``op.transpose_apply(b_values)`` from the
-    left-group Kronecker rows that :func:`kron_rows` forms.
+def grouped_formulation(op, factors, c, b_values):
+    """``op.apply(c)`` and ``op.transpose_apply(b_values)`` summed term by
+    term in the operator's grouped order, from the left-group Kronecker
+    rows that :func:`kron_rows` forms at the permuted nonzeros.
 
     The apply adds, one left column after another, that column's row of
     ``c_grouped @ right_rows.T`` at each nonzero's right row times its
-    left-group entry.  The transpose scatters the scaled left-group rows
-    into the distinct right-row bins with ``np.add.at``; the operator's
-    per-column ``np.bincount`` must match this to the bit.  The bins are a
-    transposed view of a (left columns) x (right rows) array, as in the
-    operator, since BLAS may round a product differently when it reads an
-    operand in another layout.
+    left-group entry, and scatters the sums back to ``s_diag``'s order.  The
+    transpose scatters the scaled left-group rows into the distinct
+    right-row bins with ``np.add.at``.  The bins are a transposed view of a
+    (left columns) x (right rows) array, as in the operator, since BLAS may
+    round a product differently when it reads an operand in another layout.
     """
     sd = op.s_diag
-    if sd.nnz == 0:
-        return np.zeros(0), np.zeros(op.cols)
     order = op.part.left + op.part.right
-    multi = diagonal_multi_indices(factors, sd)
+    multi = diagonal_multi_indices(factors, sd)[op.perm]
     left = kron_rows([factors[i] for i in op.part.left], multi[:, list(op.part.left)])
     r_left = left.shape[1]
+    # each grouped nonzero's distinct right row
+    row = np.concatenate([np.repeat(np.arange(r0, r1), c_row)
+                          for c_row, r0, r1, _, _ in op.groups] + [np.zeros(0, np.intp)])
     c_grouped = c.reshape(op.col_shape).transpose(order).reshape(r_left, -1)
     y_t = c_grouped @ op.right_rows.T
     vals = np.zeros(sd.nnz)
     for j in range(r_left):
-        vals = vals + y_t[j, op.right_pos] * left[:, j]
-    scaled = sd.values * b_values
+        vals = vals + y_t[j, row] * left[:, j]
+    apply = np.empty(sd.nnz)
+    apply[op.perm] = sd.values[op.perm] * vals
+    scaled = (sd.values * b_values)[op.perm]
     w = np.zeros((r_left, op.right_rows.shape[0])).T
-    np.add.at(w, op.right_pos, scaled[:, None] * left)
+    np.add.at(w, row, scaled[:, None] * left)
     grouped = (op.right_rows.T @ w).T.reshape(-1)
     grouped_shape = tuple(op.col_shape[i] for i in order)
     natural = grouped.reshape(grouped_shape).transpose(
         tuple(np.argsort(np.asarray(order)))).reshape(-1)
-    return sd.values * vals, natural
+    return apply, natural
+
+
+# a sketch whose 30 right rows hold 12 to 29 nonzeros, in 11 groups of
+# equally many
+GROUP_SIZES_EXAMPLE = ([(40, 2), (30, 2)], 5, 600, 100)
+GROUP_SIZES_EXAMPLE_COUNT = 11
 
 
 class TestSketchedProperties:
     # order 1 (left group empty), a unit column dimension (left group
-    # empty), a 1,200-row operator whose bins each sum many draws, order 4
+    # empty), a 1,200-row operator whose bins each sum many draws, order 4,
+    # and many group sizes
     @example(sketched_problem([(5, 2)], 1, 2, 6))
     @example(sketched_problem([(4, 1), (3, 2)], 2, 5, 6))
     @example(sketched_problem([(40, 3), (30, 3)], 3, 500, 300))
     @example(sketched_problem([(5, 2), (4, 3), (3, 2), (2, 2)], 4, 30, 40))
+    @example(sketched_problem(*GROUP_SIZES_EXAMPLE))
     @given(sketched_problems())
     @settings(max_examples=150, deadline=None)
-    def test_kernels_bitwise_match_first_formulation(self, problem):
+    def test_kernels_match_grouped_formulation(self, problem):
+        # the einsum may add a nonzero's left-column terms in another order
+        # than the reference does, so the two agree to rounding, at a
+        # hundredth of test_applies_match_explicit_kron's tolerance
         factors, sd, c, b_values = problem
         op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
-        apply_ref, transpose_ref = sequential_formulation(op, factors, c, b_values)
-        np.testing.assert_array_equal(op.apply(c), apply_ref)
-        np.testing.assert_array_equal(op.transpose_apply(b_values), transpose_ref)
+        apply_ref, transpose_ref = grouped_formulation(op, factors, c, b_values)
+        scale = max(1.0, float(np.max(np.abs(sketched_oracle(factors, sd)), initial=0.0)))
+        np.testing.assert_allclose(op.apply(c), apply_ref, rtol=1e-12,
+                                   atol=1e-12 * scale * np.abs(c).sum())
+        np.testing.assert_allclose(op.transpose_apply(b_values), transpose_ref, rtol=1e-12,
+                                   atol=1e-12 * scale * np.abs(b_values).sum())
+
+    def test_group_sizes_example_has_many_groups(self):
+        factors, sd, _, _ = sketched_problem(*GROUP_SIZES_EXAMPLE)
+        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        assert len(op.groups) == GROUP_SIZES_EXAMPLE_COUNT
 
     @given(sketched_problems())
     @settings(max_examples=150, deadline=None)
