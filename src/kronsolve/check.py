@@ -238,6 +238,20 @@ def run_checks() -> int:
           "; ".join(f"n={n} d={d}: loss/OPT {r:.4g}, converged {conv}, on its side {side}"
                     for n, d, r, conv, side in details))
 
+    # lam 0, K numerically singular (to 1e-18): both routes near dense lstsq
+    srng = np.random.default_rng(0)
+    sing = [(np.linalg.qr(srng.standard_normal((48, 3)))[0] * np.logspace(0, -9, 3))
+            @ np.linalg.qr(srng.standard_normal((3, 3)))[0].T for _ in range(2)]
+    sing_b, sing_k = srng.standard_normal(48 * 48), tensor.explicit_kron(sing)
+    exact, fast, opt = (float(np.sum((sing_k @ x - sing_b) ** 2)) for x in (
+        solvers.kronmatmul_svd_solve(sing, sing_b, 0.0).solution,
+        solvers.fast_kronecker_regression(sing, sing_b, solvers.RegressionConfig(
+            eps=0.1, delta=0.01, alpha=2e-5)).solution,
+        np.linalg.lstsq(sing_k, sing_b, rcond=None)[0]))
+    check("ridge solves at lam 0, numerically singular K",
+          exact <= 1.001 * opt and fast <= 1.5 * opt,
+          f"loss / lstsq optimum: kronmatmul {exact / opt:.6g}, fast {fast / opt:.4g}")
+
     # tensor file round trip
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.ktn"

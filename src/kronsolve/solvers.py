@@ -35,13 +35,9 @@ reads it (:func:`_check_finite_reads`), as every Tucker entry checks its
 tensor.
 
 Every route reports the ridge loss of its solution, evaluated the first
-time :attr:`SolveReport.loss` is read and not inside the call.
-:func:`kronmatmul_svd_solve` and :func:`fast_kronecker_regression` read it
-off the factor SVDs, the projection ``t = (U1 kron ... kron UN)^T b`` and
-``||b||^2`` (:func:`_projected_ridge_loss`): the exact route reuses the
-``t`` its solve formed, and the fast route forms ``t`` at that read, so a
-fast call never passes over all of ``b``.  The other two call
-:func:`ridge_loss`, the direct evaluator.
+time :attr:`SolveReport.loss` is read and not inside the call.  The exact
+solves, the sketched solve and the preconditioner drop the same directions,
+by the one rank rule of :func:`~kronsolve.tensor.ridge_filter`.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ from .leverage import (
     sample_rows,
 )
 from .tensor import (CompactSvd, _mode_products, as_matrix, as_real_array, check_integer,
-                     check_real, check_ridge_weight, compact_svd)
+                     check_real, check_ridge_weight, compact_svd, ridge_filter)
 
 # naive_normal_solve and sketch_and_solve_ridge refuse a dense matrix of more
 # entries than this; each reads it when called
@@ -188,11 +184,8 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class FactorGram:
-    """Eigendecomposition ``A^T A = v @ diag(eigenvalues) @ v.T``.
-
-    ``v`` is square orthogonal and ``eigenvalues`` is descending and clipped
-    at zero, so Kronecker-diagonal pseudo-inverses stay well defined.
-    """
+    """Eigendecomposition ``A^T A = v @ diag(eigenvalues) @ v.T``: ``v`` is
+    square orthogonal and ``eigenvalues`` descending and clipped at zero."""
 
     v: np.ndarray
     eigenvalues: np.ndarray
@@ -227,16 +220,14 @@ def build_factor_cache(a) -> CompactSvd:
 class KronPreconditioner:
     """Decomposed inverse normal matrix ``(V kron ...) D (V kron ...)^T``.
 
-    ``d_diag`` holds ``(eig_1 kron ... kron eig_N + lam)^+`` entries (zero
-    where the eigenvalue product and ``lam`` both vanish), so applying the
-    preconditioner costs one diagonal scaling between two Kronecker
+    ``d_diag`` holds ``1 / (eig_1 kron ... kron eig_N + lam)`` where the rank
+    rule of :func:`~kronsolve.tensor.ridge_filter` keeps a direction and 0
+    elsewhere, so an apply is one diagonal scaling between two Kronecker
     multiplies.  Each ``V`` (``d x r``) has orthonormal columns: the right
     singular vectors of a factor, whose eigenvalues are the squared singular
-    values, or the square eigenvectors of a :class:`FactorGram`.  With
-    ``r < d`` the operator is the inverse on the span of ``V kron ...``,
-    which holds every ``K^T y``.  The factors are computed from checked
-    input, so :meth:`apply` skips to the kernel behind
-    :func:`~kronsolve.kron.kron_mat_mul`, :func:`~kronsolve.tensor._mode_products`.
+    values, or the square eigenvectors of a :class:`FactorGram`; their span
+    holds every ``K^T y``.  The factors are computed from checked input, so
+    :meth:`apply` skips to the kernel :func:`~kronsolve.tensor._mode_products`.
     """
 
     v_factors: tuple[np.ndarray, ...]
@@ -255,9 +246,9 @@ def build_kron_preconditioner(v_factors: Sequence[np.ndarray],
                               eigenvalues: Sequence[np.ndarray],
                               lam: float) -> KronPreconditioner:
     """:class:`KronPreconditioner` from the eigenpairs of each ``A_n^T A_n``:
-    the columns of ``v_factors[n]`` and the entries of ``eigenvalues[n]``."""
-    d = reduce(np.kron, eigenvalues) + lam
-    d_diag = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    the columns of ``v_factors[n]`` and the entries of ``eigenvalues[n]``,
+    cut by the rank rule as the exact solve is."""
+    d_diag = ridge_filter(1.0, reduce(np.kron, eigenvalues) + lam)
     return KronPreconditioner(v_factors=tuple(v_factors), d_diag=d_diag)
 
 
@@ -436,9 +427,12 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
     """Exact ridge solution from factor SVDs and implicit Kronecker products.
 
     ``x = (V kron ...) diag(sigma/(sigma^2+lam)) (U kron ...)^T b`` where the
-    per-factor compact SVDs compose into a compact SVD of ``K``; agrees with
-    :func:`naive_normal_solve` for every ``lam >= 0``.  A non-finite ``b``
-    raises :class:`InvalidInputError`; it is caught in the projection
+    per-factor compact SVDs compose into a compact SVD of ``K``, cut by the
+    rank rule of :func:`~kronsolve.tensor.ridge_filter` (at ``lam = 0``, the
+    directions of ``K`` at or below ``1e-10 sigma_max`` drop); it agrees with
+    :func:`naive_normal_solve`, the independent ``pinv`` reference, while
+    ``K^T K + lam I`` is well conditioned.  A non-finite ``b`` raises
+    :class:`InvalidInputError`; it is caught in the projection
     ``t = (U kron ...)^T b``, not by a scan of ``b``.  The reported loss is
     read off that ``t`` and ``||b||^2`` (:func:`_projected_ridge_loss`) when
     it is first read, against ``b`` as it stands then, so the call reads
@@ -459,11 +453,12 @@ def kronmatmul_svd_solve(factors: Sequence[np.ndarray], b, lam: float) -> SolveR
 
 def _svd_ridge_solution(svds: Sequence[CompactSvd], t: np.ndarray,
                         lam: float) -> np.ndarray:
-    """The ridge solution ``(V kron ...) diag(sigma/(sigma^2+lam)) t`` from
-    the factors' compact SVDs and the projection ``t = (U kron ...)^T b``,
-    which the caller has formed and checked; no loss is evaluated."""
+    """The ridge solution ``(V kron ...) diag(sigma/(sigma^2+lam)) t``, cut
+    by the rank rule, from the factors' compact SVDs and the projection
+    ``t = (U kron ...)^T b``, which the caller has formed and checked; no
+    loss is evaluated."""
     sigma = reduce(np.kron, [s.sigma for s in svds])
-    return kron_mat_mul([s.v for s in svds], t * (sigma / (sigma**2 + lam)))
+    return kron_mat_mul([s.v for s in svds], t * ridge_filter(sigma, sigma**2 + lam))
 
 
 def _projected_ridge_loss(svds: Sequence[CompactSvd], t: np.ndarray,
@@ -504,11 +499,13 @@ def _loss_off_bases(svds: Sequence[CompactSvd], b: np.ndarray, x: np.ndarray,
 
 
 def _weighted_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
-                   multi: np.ndarray) -> np.ndarray:
-    """The materialized sketched design ``S K``: the Kronecker rows of
-    :func:`~kronsolve.kron.kron_rows` at the merged draws ``multi``, each
-    weighted in place by its entry of ``sdiag``."""
+                   multi: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
+    """The materialized sketched design ``S K right`` (``right`` omitted: the
+    identity): the Kronecker rows of :func:`~kronsolve.kron.kron_rows` at the
+    merged draws ``multi``, times ``right``, weighted in place by ``sdiag``."""
     design = kron_rows(factors, multi)
+    if right is not None:
+        design = design @ right
     design *= sdiag.values[:, None]
     return design
 
@@ -524,28 +521,22 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
     diagonal ``sdiag`` (a repeated row weighted by the root of its summed
     squared weights, which leaves ``D^T D`` and ``D^T S b`` unchanged), its
     ``(nnz, N)`` multi-indices ``multi``, and ``b_drawn``, ``b`` there,
-    whose trailing axis holds more right-hand sides.  ``D`` holds the
-    Kronecker rows of :func:`~kronsolve.kron.kron_rows`, times ``right``,
-    weighted in place.  One :func:`~kronsolve.tensor.compact_svd`,
+    whose trailing axis holds more right-hand sides; ``D`` is
+    :func:`_weighted_rows`.  One :func:`~kronsolve.tensor.compact_svd`,
     ``D = U diag(sigma) V^T``, gives every solution at once as
-    ``V diag(sigma / (sigma^2 + lam)) (S U)^T b_drawn``, the ridge filter
-    :func:`_svd_ridge_solution` applies to the exact problem; so the drawn
-    block is read by one GEMM, no ``R x R`` matrix is formed, and the solve
-    loses ``cond(D)``, not the ``cond(D)^2`` of the normal equations.  The
-    SVD drops singular values at or below ``1e-10 sigma_max``, which gives
-    the pseudo-inverse convention: ``lam = 0`` with a rank-deficient ``D``
-    does not raise.  ``factors``, ``right`` and ``lam`` are the caller's
-    to validate; ``b_drawn`` is checked through ``(S U)^T b``.
+    ``V diag(sigma / (sigma^2 + lam)) (S U)^T b_drawn``, cut by the rank rule
+    as :func:`_svd_ridge_solution` cuts the exact problem (so ``lam = 0``
+    with a rank-deficient ``D`` does not raise): the drawn block is read by
+    one GEMM, no ``R x R`` matrix is formed, and the solve loses
+    ``cond(D)``, not the ``cond(D)^2`` of the normal equations.  ``factors``,
+    ``right`` and ``lam`` are the caller's to validate; ``b_drawn`` is
+    checked through ``(S U)^T b``.
     """
-    design = kron_rows(factors, multi)
-    if right is not None:
-        design = design @ right
-    design *= sdiag.values[:, None]
-    svd = compact_svd(design)
+    svd = compact_svd(_weighted_rows(factors, sdiag, multi, right))
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         t = (svd.u * sdiag.values[:, None]).T @ b_drawn
     _check_finite_reads(t, "(S U)^T b")
-    gain = svd.sigma / (svd.sigma**2 + lam)
+    gain = ridge_filter(svd.sigma, svd.sigma**2 + lam)
     return svd.v @ (gain.reshape((-1,) + (1,) * (t.ndim - 1)) * t)
 
 
@@ -615,14 +606,12 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     keeps it implicit in a :class:`~kronsolve.kron.SketchedKron`, whose
     applies touch only the drawn rows.  Both forms apply the one
     :class:`KronPreconditioner` by Kronecker multiplies, never a formed
-    ``R x R`` matrix, and solve the same sketched problem.  When the sample
-    count reaches the row count the sketch is pointless, and the exact
-    :func:`kronmatmul_svd_solve` runs instead.  This is the regression
-    route only: the fast Tucker block updates solve their small sketched
-    problems directly (:func:`sketched_ridge_solve`).  Singular values at or
-    below ``1e-10 * sigma_max`` of their factor are dropped, as in
-    :func:`kronmatmul_svd_solve`, so the preconditioner inverts only the
-    directions the SVD resolves.
+    ``R x R`` matrix, and solve the same sketched problem; it drops the
+    directions of ``K`` that :func:`kronmatmul_svd_solve` drops, so PCG does
+    not break down at ``lam = 0`` on a numerically singular ``K``.  When the
+    sample count reaches the row count, the exact :func:`kronmatmul_svd_solve`
+    runs instead.  This is the regression route only: the fast Tucker block
+    updates solve their small sketched problems directly.
 
     ``b`` is checked through the ``||S b||^2`` that PCG needs anyway: a
     non-finite or overflowing read at the sampled rows raises

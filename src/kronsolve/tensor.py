@@ -19,7 +19,11 @@ CholeskyQR2 and one ``n x n`` SVD, a few GEMMs, whose singular values match
 LAPACK's to about ``1e-15 sigma_max`` and whose singular vectors are
 orthonormal to a few ulp.  Every other factor, and a tall one with
 ``sigma_min <= 1e-6 sigma_max``, goes through LAPACK's ``np.linalg.svd``,
-backward stable at any condition number.
+backward stable at any condition number.  Every ridge solve drops the
+directions of its design by the one rule of :func:`ridge_filter`, the cut
+:func:`compact_svd` makes on the stacked design ``[K; sqrt(lam) I]``; a
+Kronecker product's singular values are products of its factors', so it
+can hold directions below that cut which each factor's own SVD keeps.
 """
 
 from __future__ import annotations
@@ -191,6 +195,14 @@ def _cholesky_qr2_svd(a: np.ndarray) -> CompactSvd | None:
     if not s[-1] > _CHOLQR_MIN_SIGMA_RATIO * s[0]:
         return None
     return CompactSvd(u=q1 @ (np.linalg.inv(r2) @ ur), sigma=s, v=vt.T.copy())
+
+
+def ridge_filter(numerator, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where ``denominator`` (``sigma^2 + lam`` per
+    direction) exceeds ``DEFAULT_RANK_TOL^2 (sigma_max^2 + lam)``, else 0: the
+    truncated-SVD pseudo-inverse (Hansen 1987) of ``[K; sqrt(lam) I]``."""
+    kept = denominator > DEFAULT_RANK_TOL**2 * np.max(denominator, initial=0.0)
+    return np.divide(numerator, denominator, out=np.zeros_like(denominator), where=kept)
 
 
 def pseudo_inverse(a) -> np.ndarray:

@@ -73,6 +73,7 @@ from .tensor import (
     compact_svd,
     multi_mode_product,
     pseudo_inverse,
+    ridge_filter,
     unfold,
 )
 
@@ -228,13 +229,12 @@ def naive_factor_update(model: TuckerModel, x, n: int) -> np.ndarray:
 
     With the compact SVDs ``A_k = U_k S_k V_k^T``, ``Z = X x_k U_k^T for
     every k != n`` (one pass over ``x``) and ``C = G_(n) (kron of V_k S_k for
-    k != n)``, ``K^T K = C C^T`` and ``K^T b_i = C z_i``, so the new factor
-    is ``Z_(n) C^T (C C^T + lam I)^+`` (pseudo-inverse convention) and no
-    ``R_rest x R_rest`` matrix is formed.  As in ``_fit``, the SVDs drop
-    singular values at or below ``1e-10 * sigma_max`` of their factor.  The
-    step decomposes the N-1 factors it reads and runs
-    :func:`_exact_factor_update`.  A NaN or inf in ``x`` raises
-    :class:`InvalidInputError` from the check of ``Z``; ``x`` is not
+    k != n)``, ``K^T K = C C^T`` and ``K^T b_i = C z_i``, so one compact SVD
+    ``C = U diag(sigma) V^T`` gives the new factor ``Z_(n) V diag(sigma /
+    (sigma^2 + lam)) U^T``, cut by :func:`~kronsolve.tensor.ridge_filter`,
+    with no Gram matrix formed.  The step decomposes the N-1 factors it
+    reads and runs :func:`_exact_factor_update`.  A NaN or inf in ``x``
+    raises :class:`InvalidInputError` from the check of ``Z``; ``x`` is not
     scanned.  When another factor is zero its basis is empty, so is ``Z``,
     and the update is zero whatever ``x`` holds.
     """
@@ -259,9 +259,9 @@ def _ridge_factor(model: TuckerModel, z: np.ndarray, n: int,
                   svds: Sequence[CompactSvd | None]) -> np.ndarray:
     """:func:`naive_factor_update` from ``z`` and the SVDs (``svds[n]`` unread)."""
     coords = [None if k == n else (svd.v * svd.sigma).T for k, svd in enumerate(svds)]
-    c = _unfold(_mode_products(model.core, coords), n)
-    gram = c @ c.T + model.lam * np.eye(c.shape[0])
-    return (np.linalg.pinv(gram) @ (c @ _unfold(z, n).T)).T
+    svd = compact_svd(_unfold(_mode_products(model.core, coords), n))
+    gain = ridge_filter(svd.sigma, svd.sigma**2 + model.lam)
+    return (_unfold(z, n) @ svd.v * gain) @ svd.u.T
 
 
 @dataclass(frozen=True)
@@ -399,15 +399,12 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
     ``ceil(alpha * 1680 R_rest ln(40 R_rest) ln(I_n/delta) / eps)`` rows of
     the leftover Kronecker product is drawn from the leverage-score product
     distribution by :func:`~kronsolve.solvers._leverage_draws` (seeded by
-    ``config.seed``), and
-    :func:`~kronsolve.solvers.sketched_ridge_solve` returns
-    ``(D^T D + lam I)^+ D^T S B^T`` with ``D = S K`` (one row per distinct
-    draw, R_n columns) for every row at once, from one SVD
-    ``D = U diag(sigma) V^T`` as ``V diag(sigma / (sigma^2 + lam))
-    (S U)^T B^T``, with the pseudo-inverse convention of
-    :func:`naive_factor_update` (so ``lam = 0`` with a rank-deficient core
-    does not raise), reading ``B^T`` only at the sampled fibres of
-    ``np.moveaxis(x, n, -1)``, a view of X, in one GEMM.  The
+    ``config.seed``), and :func:`~kronsolve.solvers.sketched_ridge_solve`
+    returns ``(D^T D + lam I)^+ D^T S B^T`` with ``D = S K`` (one row per
+    distinct draw, R_n columns) for every row at once, from one SVD of ``D``
+    cut by the rank rule as in :func:`naive_factor_update` (so ``lam = 0``
+    with a rank-deficient core does not raise), reading ``B^T`` only at the
+    sampled fibres of ``np.moveaxis(x, n, -1)``, a view of X, in one GEMM.  The
     ``ln(I_n/delta)`` factor is the per-row union bound of the paper: the
     one sketch serves all ``I_n`` right-hand sides, so each row's (1+eps)
     guarantee holds together with probability ``1 - delta``.  The step

@@ -30,6 +30,15 @@ def dense_kron(factors):
     return reduce(np.kron, [np.asarray(a, dtype=np.float64) for a in factors])
 
 
+def factor_shaped(calls, shape, core_shape):
+    """The recorded calls whose first argument has the shape of a factor of
+    a Tucker model of ``shape`` and ``core_shape``; an exact factor step
+    also decomposes its ``R_n x R_rest`` projected design, which is no
+    factor decomposition."""
+    shapes = set(zip(shape, core_shape))
+    return [args for args in calls if args[0].shape in shapes]
+
+
 def sketched_rows(factors, sketch):
     """``S K`` densely: one rescaled row of ``explicit_kron`` per draw."""
     from kronsolve.tensor import explicit_kron

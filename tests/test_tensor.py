@@ -11,6 +11,7 @@ from kronsolve.tensor import (
     explicit_kron,
     multi_mode_product,
     pseudo_inverse,
+    ridge_filter,
     unfold,
 )
 
@@ -146,6 +147,25 @@ class TestPseudoInverse:
         np.testing.assert_allclose(p @ a @ p, p, atol=1e-8)
         np.testing.assert_allclose((a @ p).T, a @ p, atol=1e-8)
         np.testing.assert_allclose((p @ a).T, p @ a, atol=1e-8)
+
+
+class TestRidgeFilter:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_one_cut_for_every_lam(self, lam):
+        # sigma^2 + lam must exceed 1e-20 (sigma_max^2 + lam); kept entries
+        # are one division each, bit for bit
+        sigma = np.array([2.0, 1e-3, 2.1e-10, 1.9e-10, 0.0])
+        denominator = sigma**2 + lam
+        got = ridge_filter(sigma, denominator)
+        kept = denominator > 1e-20 * denominator[0]
+        assert kept.tolist() == ([True, True, True, False, False] if lam == 0
+                                 else [True] * 5)
+        np.testing.assert_array_equal(got[kept], sigma[kept] / denominator[kept])
+        np.testing.assert_array_equal(got[~kept], 0.0)
+
+    def test_empty_and_all_zero(self):
+        assert ridge_filter(1.0, np.zeros(0)).shape == (0,)
+        np.testing.assert_array_equal(ridge_filter(1.0, np.zeros(3)), np.zeros(3))
 
 
 class TestUnfoldFold:
