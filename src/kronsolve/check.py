@@ -50,7 +50,8 @@ def run_checks() -> int:
     rows = dense.shape[0]
     idx = np.sort(rng.choice(rows, size=5, replace=False)).astype(np.int64)
     vals = rng.standard_normal(5)
-    sd = kron.SparseDiagonal(indices=idx, values=vals)
+    multi = np.stack(np.unravel_index(idx, [a.shape[0] for a in facs]), axis=1)
+    sd = kron.SparseDiagonal(indices=multi, values=vals)
     cvec = rng.standard_normal(dense.shape[1])
     smat = np.zeros((rows, rows))
     smat[idx, idx] = vals
@@ -75,12 +76,12 @@ def run_checks() -> int:
         n_right = gf[1].shape[0] * (gf[2].shape[0] if len(gf) == 3 else 1)
         counts = (4, 1, 6, 2, 5, 3, 1, 2, 4, 6)
         right = grng.choice(n_right, size=len(counts), replace=False)
-        flat = np.concatenate([grng.choice(6, size=k, replace=False) * n_right + r
-                               for r, k in zip(right, counts)])
-        gd = kron.SparseDiagonal(indices=np.sort(flat).astype(np.int64),
-                                 values=grng.uniform(0.1, 2.0, flat.size))
-        op = kron.SketchedKron(gf, gd, kron.diagonal_multi_indices(gf, gd))
-        sk = gd.values[:, None] * tensor.explicit_kron(gf)[gd.indices]
+        flat = np.sort(np.concatenate([grng.choice(6, size=k, replace=False) * n_right + r
+                                       for r, k in zip(right, counts)]))
+        multi = np.stack(np.unravel_index(flat, [a.shape[0] for a in gf]), axis=1)
+        gd = kron.SparseDiagonal(indices=multi, values=grng.uniform(0.1, 2.0, flat.size))
+        op = kron.SketchedKron(gf, gd)
+        sk = gd.values[:, None] * tensor.explicit_kron(gf)[flat]
         x = grng.standard_normal(sk.shape[1])
         want = sk.T @ (sk @ x)
         gaps.append((len(op.groups), np.linalg.norm(op.normal(x) - want) / np.linalg.norm(want)))

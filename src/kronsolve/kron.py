@@ -10,9 +10,9 @@ Everything else here is a kernel that takes checked input: the solvers
 validate the factors at their public entry and draw every sketch
 themselves, so :class:`SparseDiagonal`, :func:`sparse_diagonal_from_sketch`,
 :class:`SketchedKron` and its ``sketched_*`` wrappers trust their arguments
-(finite float64 factors, a multi-index sketch inside the row shape, the
-multi-indices of a diagonal's rows, vectors of the operator's lengths) and
-check nothing again.
+(finite float64 factors, a multi-index sketch inside the row shape, a
+diagonal whose rows are distinct multi-indices in row order, vectors of the
+operator's lengths) and check nothing again.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups
 and reorders the nonzeros so that each distinct row of the wide right group
@@ -153,16 +153,16 @@ def balanced_partition(col_dims: Sequence[int]) -> FactorPartition:
 
 @dataclass(frozen=True)
 class SparseDiagonal:
-    """Sparse diagonal over the Kronecker rows: strictly increasing flat
-    int64 ``indices`` inside the row count and finite float64 ``values`` of
-    the same length (not checked)."""
+    """Sparse diagonal over the Kronecker rows: ``indices`` holds the
+    ``(nnz, N)`` multi-indices of its rows inside the row shape, distinct and
+    in row order, and ``values`` their finite float64 entries (not checked)."""
 
     indices: np.ndarray
     values: np.ndarray
 
     @property
     def nnz(self) -> int:
-        return self.indices.size
+        return self.values.size
 
 
 def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> SparseDiagonal:
@@ -177,7 +177,8 @@ def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> 
     ``np.bincount`` sums over the distinct rows.  Both add each row's
     squared weights in draw order, and a drawn row's squared weight is
     positive, so both give the same diagonal to the bit.  The sketch holds
-    multi-indices, shape ``(s, N)``, inside ``row_shape``.
+    multi-indices, shape ``(s, N)``, inside ``row_shape``; the merge runs on
+    their flat rows and unravels the distinct ones once, at its end.
     """
     flat = np.ravel_multi_index(tuple(sketch.indices.T), tuple(row_shape))
     weights_sq = sketch.weights**2
@@ -189,7 +190,8 @@ def sparse_diagonal_from_sketch(sketch: RowSketch, row_shape: Sequence[int]) -> 
     else:
         indices, inverse = np.unique(flat, return_inverse=True)
         sums = np.bincount(inverse, weights=weights_sq, minlength=indices.size)
-    return SparseDiagonal(indices=indices, values=np.sqrt(sums))
+    multi = np.stack(np.unravel_index(indices, tuple(row_shape)), axis=1)
+    return SparseDiagonal(indices=multi, values=np.sqrt(sums))
 
 
 def kron_rows(factors: Sequence[np.ndarray], multi_indices: np.ndarray) -> np.ndarray:
@@ -245,14 +247,9 @@ class SketchedKron:
     applies pay one nnz-long scatter or gather to ``s_diag``'s order.  An
     empty diagonal takes the same path, with no groups and zero-length
     rows, and its applies return zeros.
-
-    ``multi`` holds the ``(nnz, N)`` multi-indices of ``s_diag.indices``,
-    which the caller has already unravelled to read ``b`` at the draws
-    (:func:`diagonal_multi_indices` forms them from the diagonal alone).
     """
 
-    def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal,
-                 multi: np.ndarray):
+    def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
         self.factors = list(factors)
         self.s_diag = s_diag
         self.rows, self.cols = kron_operator_shape(self.factors)
@@ -262,7 +259,7 @@ class SketchedKron:
         self.part = balanced_partition(self.col_shape)
         left, right = list(self.part.left), list(self.part.right)
         right_dims = tuple(row_shape[i] for i in right)
-        keys = np.ravel_multi_index(tuple(multi[:, right].T), right_dims)
+        keys = np.ravel_multi_index(tuple(s_diag.indices[:, right].T), right_dims)
         by_row = np.argsort(keys)
         sorted_keys = keys[by_row]
         starts = _run_starts(sorted_keys)  # in by_row, of each distinct right row
@@ -275,7 +272,7 @@ class SketchedKron:
                            + np.arange(keys.size)]
         self.weights = s_diag.values[self.perm]
         self.left_columns = kron_rows([self.factors[i] for i in left],
-                                      multi[self.perm[:, None], left]).T
+                                      s_diag.indices[self.perm[:, None], left]).T
         distinct = np.stack(np.unravel_index(sorted_keys[starts[by_count]], right_dims),
                             axis=1)
         self.right_rows = kron_rows([self.factors[i] for i in right], distinct)
@@ -345,21 +342,13 @@ class SketchedKron:
         return self._transpose_grouped(self.weights * self._apply_grouped(x))
 
 
-def diagonal_multi_indices(factors: Sequence[np.ndarray],
-                           s_diag: SparseDiagonal) -> np.ndarray:
-    """The ``(nnz, N)`` multi-indices of ``s_diag.indices`` in ``K``'s row shape."""
-    row_shape = tuple(a.shape[0] for a in factors)
-    return np.stack(np.unravel_index(s_diag.indices, row_shape), axis=1)
-
-
 def sketched_kron_apply(factors: Sequence[np.ndarray], s_diag: SparseDiagonal,
                         c) -> np.ndarray:
     """Entries of ``S K c`` at the nonzero rows of ``S``; see :class:`SketchedKron`."""
-    return SketchedKron(factors, s_diag, diagonal_multi_indices(factors, s_diag)).apply(c)
+    return SketchedKron(factors, s_diag).apply(c)
 
 
 def sketched_kron_transpose_apply(factors: Sequence[np.ndarray],
                                   s_diag: SparseDiagonal, b_values) -> np.ndarray:
     """``K^T S b`` from the entries of ``b`` at nonzero rows; see :class:`SketchedKron`."""
-    return SketchedKron(factors, s_diag, diagonal_multi_indices(factors, s_diag)
-                        ).transpose_apply(b_values)
+    return SketchedKron(factors, s_diag).transpose_apply(b_values)

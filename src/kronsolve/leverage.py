@@ -163,34 +163,26 @@ class ProductSampler:
         self.per_factor_probabilities = probs
         self.per_factor_cdf = [np.cumsum(p) for p in probs]
 
-    @property
-    def order(self) -> int:
-        return len(self.per_factor_probabilities)
-
-    def probabilities(self, indices: np.ndarray) -> np.ndarray:
-        """Joint sampling probability of each multi-index row in ``indices``."""
-        indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))
-        out = np.ones(indices.shape[0])
-        for n, p in enumerate(self.per_factor_probabilities):
-            out *= p[indices[:, n]]
-        return out
-
-    def sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``s`` multi-indices i.i.d. from the product distribution.
+    def sample(self, s: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``s`` multi-indices i.i.d. from the product distribution, and
+        the joint probability of each.
 
         Each factor's uniforms are looked up in its CDF in sorted order,
         which ``np.searchsorted`` walks far faster than random order, and the
         indices go back to the draws' order through the sorting permutation;
-        the draws are those of an unsorted lookup.
+        the draws are those of an unsorted lookup.  Each factor's probability
+        at its draws multiplies into the joint ones in factor order.
         """
-        draws = np.empty((s, self.order), dtype=np.intp)
+        draws = np.empty((s, len(self.per_factor_cdf)), dtype=np.intp)
+        probs = np.ones(s)
         for n, cdf in enumerate(self.per_factor_cdf):
             u = rng.random(s)
             order = np.argsort(u)
             draws[order, n] = np.searchsorted(cdf, u[order], side="right")
             # guard against u landing exactly on the final cumulative 1.0
             np.minimum(draws[:, n], cdf.size - 1, out=draws[:, n])
-        return draws
+            probs *= self.per_factor_probabilities[n][draws[:, n]]
+        return draws, probs
 
 
 def build_product_sampler(per_factor_scores: Sequence[LeverageScores]) -> ProductSampler:
@@ -204,8 +196,8 @@ def sample_rows(sampler: ProductSampler, s: int, seed) -> RowSketch:
     One factor's sampler draws the rows of a single matrix.
     """
     rng = np.random.default_rng(seed)
-    indices = sampler.sample(s, rng)
-    weights = 1.0 / np.sqrt(sampler.probabilities(indices) * s)
+    indices, probs = sampler.sample(s, rng)
+    weights = 1.0 / np.sqrt(probs * s)
     return RowSketch(indices=indices, weights=weights)
 
 

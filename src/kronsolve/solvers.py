@@ -99,7 +99,9 @@ class RegressionConfig:
     unscaled).  The inner solver's stop (a step that lowers the sketched
     loss by at most ``eps^2 / 10`` of what remains) and its iteration cap
     ``8 * ceil(ln(1/eps))`` both derive from ``eps``.  ``seed`` is a
-    non-negative Python or numpy integer, not a ``bool``.
+    non-negative Python or numpy integer, not a ``bool``.  ``lam`` is the
+    regression routes' ridge weight; no Tucker entry reads it: ``tucker_als``
+    takes its own ``lam``, and the public Tucker steps ``TuckerModel.lam``.
     """
 
     eps: float = 0.25
@@ -366,15 +368,14 @@ def _check_finite_reads(values: np.ndarray | float, what: str) -> None:
 
 
 def _drawn_rows(sketch: RowSketch, row_shape: tuple[int, ...], b: np.ndarray):
-    """The merged draws of ``sketch``, their ``(nnz, N)`` multi-indices, and
-    ``b`` there.
+    """The pair ``(sdiag, b_drawn)``: the merged draws of ``sketch``, whose
+    ``indices`` are their ``(nnz, N)`` multi-indices, and ``b`` there.
 
     ``b``'s leading axes are ``row_shape``, so it is read at the draws
     alone; each route checks what it computes from them.
     """
     sdiag = sparse_diagonal_from_sketch(sketch, row_shape)
-    multi = np.unravel_index(sdiag.indices, row_shape)
-    return sdiag, np.stack(multi, axis=1), b[multi]
+    return sdiag, b[tuple(sdiag.indices.T)]
 
 
 def _leverage_draws(svds: Sequence[CompactSvd], count: int, seed, b: np.ndarray):
@@ -499,11 +500,11 @@ def _loss_off_bases(svds: Sequence[CompactSvd], b: np.ndarray, x: np.ndarray,
 
 
 def _weighted_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
-                   multi: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
+                   right: np.ndarray | None = None) -> np.ndarray:
     """The materialized sketched design ``S K right`` (``right`` omitted: the
     identity): the Kronecker rows of :func:`~kronsolve.kron.kron_rows` at the
-    merged draws ``multi``, times ``right``, weighted in place by ``sdiag``."""
-    design = kron_rows(factors, multi)
+    rows of ``sdiag``, times ``right``, weighted in place by its values."""
+    design = kron_rows(factors, sdiag.indices)
     if right is not None:
         design = design @ right
     design *= sdiag.values[:, None]
@@ -511,17 +512,17 @@ def _weighted_rows(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
 
 
 def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
-                         multi: np.ndarray, b_drawn: np.ndarray, lam: float,
+                         b_drawn: np.ndarray, lam: float,
                          right: np.ndarray | None = None) -> np.ndarray:
     """Solve a sketched ridge problem from one SVD of the sketched design.
 
     ``D = S K right`` for the row sketch ``S`` and ``K = A1 kron ... kron
     AN``, with ``right`` (``R x R'``) taken as the identity when omitted.
     The sketch comes merged, as :func:`_leverage_draws` returns it: the
-    diagonal ``sdiag`` (a repeated row weighted by the root of its summed
-    squared weights, which leaves ``D^T D`` and ``D^T S b`` unchanged), its
-    ``(nnz, N)`` multi-indices ``multi``, and ``b_drawn``, ``b`` there,
-    whose trailing axis holds more right-hand sides; ``D`` is
+    diagonal ``sdiag`` over the ``(nnz, N)`` multi-indices of its rows (a
+    repeated row weighted by the root of its summed squared weights, which
+    leaves ``D^T D`` and ``D^T S b`` unchanged), and ``b_drawn``, ``b``
+    there, whose trailing axis holds more right-hand sides; ``D`` is
     :func:`_weighted_rows`.  One :func:`~kronsolve.tensor.compact_svd`,
     ``D = U diag(sigma) V^T``, gives every solution at once as
     ``V diag(sigma / (sigma^2 + lam)) (S U)^T b_drawn``, cut by the rank rule
@@ -532,7 +533,7 @@ def sketched_ridge_solve(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
     ``right`` and ``lam`` are the caller's to validate; ``b_drawn`` is
     checked through ``(S U)^T b``.
     """
-    svd = compact_svd(_weighted_rows(factors, sdiag, multi, right))
+    svd = compact_svd(_weighted_rows(factors, sdiag, right))
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         t = (svd.u * sdiag.values[:, None]).T @ b_drawn
     _check_finite_reads(t, "(S U)^T b")
@@ -576,7 +577,7 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
 
 
 def _sketched_normal_system(factors: Sequence[np.ndarray], sdiag: SparseDiagonal,
-                            multi: np.ndarray, sb: np.ndarray, lam: float):
+                            sb: np.ndarray, lam: float):
     """The normal apply ``v -> K^T S^2 K v + lam v`` and the right-hand side
     ``K^T S^2 b`` (from ``sb``, ``S b`` at the draws) of
     :func:`fast_kronecker_regression`'s PCG solve.  A sketched design
@@ -585,9 +586,9 @@ def _sketched_normal_system(factors: Sequence[np.ndarray], sdiag: SparseDiagonal
     dense matrix-vector products; a larger one stays implicit in a
     :class:`~kronsolve.kron.SketchedKron`."""
     if sdiag.nnz * kron_operator_shape(factors)[1] <= _DENSE_SKETCH_MAX_ENTRIES:
-        design = _weighted_rows(factors, sdiag, multi)
+        design = _weighted_rows(factors, sdiag)
         return lambda u: design.T @ (design @ u) + lam * u, design.T @ sb
-    op = SketchedKron(factors, sdiag, multi)
+    op = SketchedKron(factors, sdiag)
     return lambda u: op.normal(u) + lam * u, op.transpose_apply(sb)
 
 
@@ -649,12 +650,12 @@ def fast_kronecker_regression(factors: Sequence[np.ndarray], b,
     # fixed spawn child 2N of config.seed: changing it moves every seeded sketch
     seed = np.random.SeedSequence(config.seed, spawn_key=(2 * len(factors),))
     row_shape = tuple(a.shape[0] for a in factors)
-    sdiag, multi, b_drawn = _leverage_draws(svds, s, seed, b.reshape(row_shape))
+    sdiag, b_drawn = _leverage_draws(svds, s, seed, b.reshape(row_shape))
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
         sb = sdiag.values * b_drawn
         sb_norm_sq = float(sb @ sb)
     _check_finite_reads(sb_norm_sq, "||S b||^2")
-    apply_normal, rhs = _sketched_normal_system(factors, sdiag, multi, sb, lam)
+    apply_normal, rhs = _sketched_normal_system(factors, sdiag, sb, lam)
     x, iters, residual = pcg_solve(apply_normal, precond.apply, rhs, config, sb_norm_sq)
     wall = time.perf_counter() - t0
     return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, lam),

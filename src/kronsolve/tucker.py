@@ -395,7 +395,8 @@ def fast_factor_matrix_update(model: TuckerModel, x, n: int,
 
     Row ``i`` of the factor minimizes ``||K y - b_i||^2 + lam ||y||^2`` with
     ``K = (kron of the other factors) G_(n)^T`` and ``b_i`` row ``i`` of the
-    mode-``n`` unfolding.  One sketch ``S`` of
+    mode-``n`` unfolding, where ``lam`` is ``model.lam`` (the step does not
+    read ``config.lam``).  One sketch ``S`` of
     ``ceil(alpha * 1680 R_rest ln(40 R_rest) ln(I_n/delta) / eps)`` rows of
     the leftover Kronecker product is drawn from the leverage-score product
     distribution by :func:`~kronsolve.solvers._leverage_draws` (seeded by

@@ -129,7 +129,8 @@ def test_fast_multiply_oracle_equivalence():
 
         nnz = int(rng.integers(1, max(2, n_rows // 3)))
         idx = np.sort(rng.choice(n_rows, size=nnz, replace=False)).astype(np.int64)
-        sd = SparseDiagonal(indices=idx, values=rng.standard_normal(nnz))
+        multi = np.stack(np.unravel_index(idx, [s[0] for s in shapes]), axis=1)
+        sd = SparseDiagonal(indices=multi, values=rng.standard_normal(nnz))
         smat = np.zeros((n_rows, n_rows))
         smat[idx, idx] = sd.values
         cv = rng.standard_normal(n_cols)

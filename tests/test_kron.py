@@ -12,7 +12,6 @@ from kronsolve.kron import (
     SketchedKron,
     SparseDiagonal,
     balanced_partition,
-    diagonal_multi_indices,
     kron_mat_mul,
     kron_rows,
     kron_vec_square,
@@ -30,14 +29,28 @@ def random_factors(rng, shapes):
     return [rng.standard_normal(s) for s in shapes]
 
 
-def random_sparse_diag(rng, n_rows, nnz):
-    idx = np.sort(rng.choice(n_rows, size=nnz, replace=False)).astype(np.int64)
-    return SparseDiagonal(indices=idx, values=rng.standard_normal(nnz))
+def diagonal(row_shape, flat, values):
+    """The sparse diagonal over the distinct flat rows ``flat``, in row order."""
+    return SparseDiagonal(indices=np.stack(np.unravel_index(flat, row_shape), axis=1),
+                          values=np.asarray(values, dtype=np.float64))
 
 
-def dense_diag(sd, n_rows):
+def flat_rows(factors, sd):
+    """The flat rows of ``sd`` in the Kronecker product of ``factors``."""
+    return np.ravel_multi_index(tuple(sd.indices.T), [a.shape[0] for a in factors])
+
+
+def random_sparse_diag(rng, factors, nnz):
+    row_shape = [a.shape[0] for a in factors]
+    idx = np.sort(rng.choice(math.prod(row_shape), size=nnz, replace=False))
+    return diagonal(row_shape, idx, rng.standard_normal(nnz))
+
+
+def dense_diag(factors, sd):
+    n_rows = math.prod(a.shape[0] for a in factors)
     s = np.zeros((n_rows, n_rows))
-    s[sd.indices, sd.indices] = sd.values
+    idx = flat_rows(factors, sd)
+    s[idx, idx] = sd.values
     return s
 
 
@@ -166,7 +179,7 @@ class TestSparseDiagonal:
         sketch = RowSketch(indices=np.array([[2], [2], [0]]),
                            weights=np.array([1.0, 1.0, 3.0]))
         sd = sparse_diagonal_from_sketch(sketch, (4,))
-        np.testing.assert_array_equal(sd.indices, [0, 2])
+        np.testing.assert_array_equal(sd.indices, [[0], [2]])
         # squared diagonal reproduces S^T S: sum of squared weights per row
         np.testing.assert_allclose(sd.values**2, [9.0, 2.0], atol=1e-12)
 
@@ -182,8 +195,9 @@ class TestSparseDiagonal:
         flat = np.ravel_multi_index(tuple(sketch.indices.T), row_shape)
         want = np.zeros(math.prod(row_shape))
         np.add.at(want, flat, sketch.weights**2)
-        np.testing.assert_array_equal(sd.indices, [0, 5, 6, 11])
-        np.testing.assert_allclose(sd.values**2, want[sd.indices], rtol=1e-14, atol=0)
+        # the distinct multi-indices in row order: flat rows 0, 5, 6 and 11
+        np.testing.assert_array_equal(sd.indices, [[0, 0], [1, 1], [1, 2], [2, 3]])
+        np.testing.assert_allclose(sd.values**2, want[[0, 5, 6, 11]], rtol=1e-14, atol=0)
 
 
 class TestDrawMerge:
@@ -206,11 +220,12 @@ class TestDrawMerge:
         counts = rows <= kron._COUNT_MERGE_MAX_ROWS_PER_DRAW * draws
         assert len(uniques) == (0 if counts else 1)
         assert merged.nnz == np.unique(flat).size < draws
+        np.testing.assert_array_equal(merged.indices, np.unique(sketch.indices, axis=0))
         # the other merge, forced by moving the rule past this sketch
         monkeypatch.setattr(kron, "_COUNT_MERGE_MAX_ROWS_PER_DRAW", 0 if counts else rows)
         other = sparse_diagonal_from_sketch(sketch, row_shape)
         assert merged.indices.dtype == other.indices.dtype
-        np.testing.assert_array_equal(merged.indices, other.indices)
+        np.testing.assert_array_equal(other.indices, np.unique(sketch.indices, axis=0))
         np.testing.assert_array_equal(merged.values, other.values)
 
 
@@ -218,8 +233,7 @@ class TestSketchedApplies:
     def test_full_diagonal_equals_dense(self, rng):
         facs = random_factors(rng, [(3, 2), (2, 2)])
         n_rows = 6
-        sd = SparseDiagonal(indices=np.arange(n_rows),
-                            values=np.ones(n_rows))
+        sd = diagonal((3, 2), np.arange(n_rows), np.ones(n_rows))
         c = rng.standard_normal(4)
         np.testing.assert_allclose(sketched_kron_apply(facs, sd, c),
                                    kron_mat_mul(facs, c), atol=1e-10)
@@ -230,12 +244,11 @@ class TestSketchedApplies:
 
     def test_empty_diagonal(self, rng):
         facs = random_factors(rng, [(3, 2), (2, 2)])
-        sd = SparseDiagonal(indices=np.array([], dtype=np.int64),
-                            values=np.array([]))
+        sd = SparseDiagonal(indices=np.zeros((0, 2), dtype=np.intp), values=np.array([]))
         assert sketched_kron_apply(facs, sd, rng.standard_normal(4)).size == 0
         out = sketched_kron_transpose_apply(facs, sd, np.array([]))
         np.testing.assert_array_equal(out, np.zeros(4))
-        op = SketchedKron(facs, sd, diagonal_multi_indices(facs, sd))
+        op = SketchedKron(facs, sd)
         np.testing.assert_array_equal(op.apply(rng.standard_normal(4)), np.zeros(0))
         np.testing.assert_array_equal(op.transpose_apply(np.zeros(0)), np.zeros(4))
         np.testing.assert_array_equal(op.normal(rng.standard_normal(4)), np.zeros(4))
@@ -245,14 +258,14 @@ class TestSketchedApplies:
         dense = dense_kron(facs)
         row = 7
         w = 2.5
-        sd = SparseDiagonal(indices=np.array([row]), values=np.array([w]))
+        sd = diagonal((4, 3), [row], [w])
         c = rng.standard_normal(6)
         np.testing.assert_allclose(sketched_kron_apply(facs, sd, c),
                                    [w * dense[row] @ c], atol=1e-12)
 
     def test_zero_vector(self, rng):
         facs = random_factors(rng, [(4, 2), (3, 3)])
-        sd = random_sparse_diag(rng, 12, 4)
+        sd = random_sparse_diag(rng, facs, 4)
         np.testing.assert_array_equal(sketched_kron_apply(facs, sd, np.zeros(6)),
                                       np.zeros(4))
 
@@ -266,14 +279,14 @@ class TestSketchedApplies:
         facs = random_factors(rng, shapes)
         dense = dense_kron(facs)
         n_rows = dense.shape[0]
-        sd = random_sparse_diag(rng, n_rows, nnz)
-        s = dense_diag(sd, n_rows)
+        sd = random_sparse_diag(rng, facs, nnz)
+        s, idx = dense_diag(facs, sd), flat_rows(facs, sd)
         c = rng.standard_normal(dense.shape[1])
         np.testing.assert_allclose(sketched_kron_apply(facs, sd, c),
-                                   (s @ dense @ c)[sd.indices], atol=1e-12)
+                                   (s @ dense @ c)[idx], atol=1e-12)
         bv = rng.standard_normal(nnz)
         bfull = np.zeros(n_rows)
-        bfull[sd.indices] = bv
+        bfull[idx] = bv
         np.testing.assert_allclose(sketched_kron_transpose_apply(facs, sd, bv),
                                    dense.T @ s @ bfull, atol=1e-12)
 
@@ -281,15 +294,15 @@ class TestSketchedApplies:
         # 10 of 12 rows kept: the two-group scheme holds at any density
         facs = random_factors(rng, [(4, 2), (3, 2)])
         dense = dense_kron(facs)
-        sd = random_sparse_diag(rng, 12, 10)
-        s = dense_diag(sd, 12)
+        sd = random_sparse_diag(rng, facs, 10)
+        s = dense_diag(facs, sd)
         c = rng.standard_normal(4)
         np.testing.assert_allclose(sketched_kron_apply(facs, sd, c),
-                                   (s @ dense @ c)[sd.indices], atol=1e-12)
+                                   (s @ dense @ c)[flat_rows(facs, sd)], atol=1e-12)
 
     def test_linearity(self, rng):
         facs = random_factors(rng, [(4, 2), (3, 3)])
-        sd = random_sparse_diag(rng, 12, 5)
+        sd = random_sparse_diag(rng, facs, 5)
         c1, c2 = rng.standard_normal(6), rng.standard_normal(6)
         a, b = 0.7, -1.3
         np.testing.assert_allclose(
@@ -300,7 +313,7 @@ class TestSketchedApplies:
     def test_adjoint_consistency(self, rng):
         facs = random_factors(rng, [(3, 2), (4, 3)])
         n_rows = 12
-        sd = SparseDiagonal(indices=np.arange(n_rows), values=np.ones(n_rows))
+        sd = diagonal((3, 4), np.arange(n_rows), np.ones(n_rows))
         c = rng.standard_normal(6)
         b = rng.standard_normal(n_rows)
         lhs = sketched_kron_apply(facs, sd, c) @ b
@@ -311,8 +324,8 @@ class TestSketchedApplies:
         # order 3 with column dims 3 | 9, and 100 of 240 rows drawn: at most
         # 30 distinct right-group rows, so right rows repeat
         facs = random_factors(rng, [(8, 3), (6, 3), (5, 3)])
-        sd = random_sparse_diag(rng, 240, 100)
-        op = SketchedKron(facs, sd, diagonal_multi_indices(facs, sd))
+        sd = random_sparse_diag(rng, facs, 100)
+        op = SketchedKron(facs, sd)
         assert (op.part.left_product, op.part.right_product) == (3, 9)
         n_right_distinct = op.right_rows.shape[0]
         assert n_right_distinct < sd.nnz
@@ -342,16 +355,15 @@ class TestSketchedApplies:
         monkeypatch.setattr(kron, "kron_rows", recording)
         facs = random_factors(rng, shapes)
         rows = math.prod(a.shape[0] for a in facs)
-        sd = random_sparse_diag(rng, rows, rows // 2)
-        multi = diagonal_multi_indices(facs, sd)
-        op = SketchedKron(facs, sd, multi)
+        sd = random_sparse_diag(rng, facs, rows // 2)
+        op = SketchedKron(facs, sd)
         left = list(op.part.left)
         assert len(built) == 2  # the left group's rows, then the distinct right rows
         assert op.left_columns.flags.c_contiguous
         assert np.shares_memory(op.left_columns, built[0])
         # at the nonzeros in the operator's grouped order
         np.testing.assert_array_equal(
-            op.left_columns.T, kron_rows([facs[i] for i in left], multi[op.perm][:, left]))
+            op.left_columns.T, kron_rows([facs[i] for i in left], sd.indices[op.perm][:, left]))
 
 
 def repeated_right_rows(rng, shapes, counts):
@@ -372,8 +384,8 @@ def repeated_right_rows(rng, shapes, counts):
             multi[k0:k0 + k, list(part.left)] = np.stack(
                 np.unravel_index(left_flat, left_dims), axis=1)
         k0 += k
-    idx = np.sort(np.ravel_multi_index(tuple(multi.T), row_shape)).astype(np.int64)
-    return factors, SparseDiagonal(indices=idx, values=rng.uniform(0.1, 2.0, idx.size))
+    idx = np.sort(np.ravel_multi_index(tuple(multi.T), row_shape))
+    return factors, diagonal(row_shape, idx, rng.uniform(0.1, 2.0, idx.size))
 
 
 # right rows repeating 1 to 7 times at orders 2 and 3 (the second with a
@@ -397,12 +409,11 @@ class TestGroupedLayout:
     @pytest.mark.parametrize("shapes,counts", REPEATED_RIGHT_ROWS)
     def test_layout(self, rng, shapes, counts):
         factors, sd = repeated_right_rows(rng, shapes, counts)
-        multi = diagonal_multi_indices(factors, sd)
-        op = SketchedKron(factors, sd, multi)
+        op = SketchedKron(factors, sd)
         np.testing.assert_array_equal(np.sort(op.perm), np.arange(sd.nnz))
         np.testing.assert_array_equal(op.weights, sd.values[op.perm])
         right = list(op.part.right)
-        keys = np.ravel_multi_index(tuple(multi[op.perm][:, right].T),
+        keys = np.ravel_multi_index(tuple(sd.indices[op.perm][:, right].T),
                                     tuple(shapes[i][0] for i in right))
         # the groups tile the distinct right rows and the nonzeros in order,
         # each in increasing size
@@ -427,7 +438,7 @@ class TestGroupedLayout:
     @pytest.mark.parametrize("shapes,counts", REPEATED_RIGHT_ROWS)
     def test_public_order_matches_explicit_kron(self, rng, shapes, counts):
         factors, sd = repeated_right_rows(rng, shapes, counts)
-        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        op = SketchedKron(factors, sd)
         sk = sketched_oracle(factors, sd)  # rows aligned with sd.indices
         c = rng.standard_normal(op.cols)
         b_values = rng.standard_normal(sd.nnz)
@@ -486,7 +497,7 @@ def sketched_problems(draw):
 
 def sketched_oracle(factors, sd):
     """Dense ``S K`` restricted to the nonzero rows of ``S``."""
-    return sd.values[:, None] * explicit_kron(factors)[sd.indices]
+    return sd.values[:, None] * explicit_kron(factors)[flat_rows(factors, sd)]
 
 
 def grouped_formulation(op, factors, c, b_values):
@@ -504,7 +515,7 @@ def grouped_formulation(op, factors, c, b_values):
     """
     sd = op.s_diag
     order = op.part.left + op.part.right
-    multi = diagonal_multi_indices(factors, sd)[op.perm]
+    multi = sd.indices[op.perm]
     left = kron_rows([factors[i] for i in op.part.left], multi[:, list(op.part.left)])
     r_left = left.shape[1]
     # each grouped nonzero's distinct right row
@@ -549,7 +560,7 @@ class TestSketchedProperties:
         # than the reference does, so the two agree to rounding, at a
         # hundredth of test_applies_match_explicit_kron's tolerance
         factors, sd, c, b_values = problem
-        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        op = SketchedKron(factors, sd)
         apply_ref, transpose_ref = grouped_formulation(op, factors, c, b_values)
         scale = max(1.0, float(np.max(np.abs(sketched_oracle(factors, sd)), initial=0.0)))
         np.testing.assert_allclose(op.apply(c), apply_ref, rtol=1e-12,
@@ -559,7 +570,7 @@ class TestSketchedProperties:
 
     def test_group_sizes_example_has_many_groups(self):
         factors, sd, _, _ = sketched_problem(*GROUP_SIZES_EXAMPLE)
-        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        op = SketchedKron(factors, sd)
         assert len(op.groups) == GROUP_SIZES_EXAMPLE_COUNT
 
     @given(sketched_problems())
@@ -585,7 +596,7 @@ class TestSketchedProperties:
         factors, sd, c, _ = problem
         sk = sketched_oracle(factors, sd)
         expected = sk.T @ (sk @ c)
-        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        op = SketchedKron(factors, sd)
         np.testing.assert_allclose(
             op.normal(c), expected, rtol=1e-9,
             atol=1e-9 * max(1.0, np.abs(expected).max(initial=0.0)))
@@ -594,7 +605,7 @@ class TestSketchedProperties:
     @settings(max_examples=60, deadline=None)
     def test_operator_reuse_is_bitwise_the_wrappers(self, problem, seed):
         factors, sd, _, _ = problem
-        op = SketchedKron(factors, sd, diagonal_multi_indices(factors, sd))
+        op = SketchedKron(factors, sd)
         rng = np.random.default_rng(seed)
         for _ in range(3):
             c = rng.standard_normal(op.cols)

@@ -189,8 +189,9 @@ class TestProductSampler:
         per = [statistical_leverage_scores(np.eye(2)),
                statistical_leverage_scores(np.eye(3))]
         sampler = build_product_sampler(per)
-        for i, j in itertools.product(range(2), range(3)):
-            assert sampler.probabilities([[i, j]])[0] == pytest.approx(1.0 / 6.0)
+        draws, probs = sampler.sample(60, np.random.default_rng(0))
+        assert {tuple(row) for row in draws} == set(itertools.product(range(2), range(3)))
+        np.testing.assert_allclose(probs, 1.0 / 6.0)
 
     def test_single_factor(self, rng):
         a = rng.standard_normal((5, 2))
@@ -210,7 +211,7 @@ class TestProductSampler:
         full = statistical_leverage_scores(explicit_kron(facs)).normalized()
         np.testing.assert_allclose(joint, full, atol=1e-9)
 
-        draws = sampler.sample(100_000, np.random.default_rng(7))
+        draws, _ = sampler.sample(100_000, np.random.default_rng(7))
         flat = draws[:, 0] * 3 + draws[:, 1]
         freq = np.bincount(flat, minlength=12) / 100_000
         se = np.sqrt(joint * (1 - joint) / 100_000)
@@ -232,8 +233,11 @@ class TestProductSampler:
             statistical_leverage_scores(rng.standard_normal((n, 1))) for n in sizes])
         reference_rng = np.random.default_rng(seed)
         uniforms = [reference_rng.random(s) for _ in sizes]
-        draws = sampler.sample(s, np.random.default_rng(seed))
+        draws, probs = sampler.sample(s, np.random.default_rng(seed))
         np.testing.assert_array_equal(draws, self.plain_draws(sampler, uniforms))
+        # the joint probabilities, multiplied in factor order, to the bit
+        np.testing.assert_array_equal(probs, np.prod(
+            [p[col] for p, col in zip(sampler.per_factor_probabilities, draws.T)], axis=0))
 
     def test_uniform_on_a_cdf_entry_draws_plain_searchsorted(self):
         # uniforms equal to CDF entries (the final 1.0 too), repeated and in
@@ -255,7 +259,7 @@ class TestProductSampler:
                 assert out.size == size
                 return out.copy()
 
-        draws = sampler.sample(uniforms[0].size, Replay(uniforms))
+        draws, _ = sampler.sample(uniforms[0].size, Replay(uniforms))
         np.testing.assert_array_equal(draws, self.plain_draws(sampler, uniforms))
 
 

@@ -820,6 +820,22 @@ class TestTuckerAls:
         np.testing.assert_allclose(report.step_losses[-2:], want, rtol=1e-10, atol=0)
         assert report.sweep_losses == report.step_losses[2::2]
 
+    def test_ridge_weight_is_lam_not_config_lam(self, count_calls):
+        # tucker_als's lam alone sets the ridge weight: fast runs whose
+        # factor steps sketch, at config.lam 0 and 5, end at one model
+        x = generate_synth_tucker((12, 12, 12), (3, 3, 3), 0.01, seed=4)
+        solves = count_calls(tucker, "sketched_ridge_solve")
+        runs = [tucker_als(x, (3, 3, 3), lam=1e-3, sweeps=2, solver_mode="fast",
+                           config=replace(LOSS_CFG, lam=config_lam))
+                for config_lam in (0.0, 5.0)]
+        assert len(solves) == 2 * 2 * 3
+        (first, first_report), (second, second_report) = runs
+        assert first.lam == second.lam == 1e-3
+        np.testing.assert_array_equal(first.core, second.core)
+        for a, b in zip(first.factors, second.factors):
+            np.testing.assert_array_equal(a, b)
+        assert first_report.step_losses == second_report.step_losses
+
     def test_report_structure(self, rng):
         x = rng.standard_normal((5, 4, 3))
         _, report = tucker_als(x, (2, 2, 2), lam=0.1, sweeps=2,
