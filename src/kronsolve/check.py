@@ -66,8 +66,9 @@ def run_checks() -> int:
                       dense.T @ smat @ bfull, atol=1e-10))
 
     # SketchedKron's normal apply, its nonzeros grouped by right-group row,
-    # vs the dense K^T S^2 K at orders 2 and 3 (left group 6 rows); its 10
-    # right rows hold 1 to 6 nonzeros, two rows in most groups; its own
+    # vs the dense K^T S^2 K at orders 2 and 3 (left group 6 rows), and its
+    # fused pass over the groups vs its two public applies, to the bit; its
+    # 10 right rows hold 1 to 6 nonzeros, two rows in most groups; its own
     # generator leaves the later instances as they were
     grng = np.random.default_rng(20240903)
     gaps = []
@@ -84,10 +85,14 @@ def run_checks() -> int:
         sk = gd.values[:, None] * tensor.explicit_kron(gf)[flat]
         x = grng.standard_normal(sk.shape[1])
         want = sk.T @ (sk @ x)
-        gaps.append((len(op.groups), np.linalg.norm(op.normal(x) - want) / np.linalg.norm(want)))
+        got = op.normal(x)
+        gaps.append((len(op.groups), np.linalg.norm(got - want) / np.linalg.norm(want),
+                     np.array_equal(got, op.transpose_apply(op.apply(x)))))
     check("sketched operator, grouped by right row",
-          all(groups == 6 and gap <= 1e-12 for groups, gap in gaps),
-          "; ".join(f"{groups} groups, relative difference {gap:.2e}" for groups, gap in gaps))
+          all(groups == 6 and gap <= 1e-12 and fused for groups, gap, fused in gaps),
+          "; ".join(f"{groups} groups, relative difference {gap:.2e}, "
+                    f"normal {'is' if fused else 'is not'} bitwise its two applies"
+                    for groups, gap, fused in gaps))
 
     # exact solvers agree
     sf = [rng.standard_normal((8, 3)), rng.standard_normal((6, 2))]

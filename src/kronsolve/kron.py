@@ -15,17 +15,24 @@ diagonal whose rows are distinct multi-indices in row order, vectors of the
 operator's lengths) and check nothing again.
 :class:`SketchedKron` is the row-sparsified ``S K`` for one
 sketch: built once, it splits the factors into two column-balanced groups
-and reorders the nonzeros so that each distinct row of the wide right group
-holds a contiguous run, the rows with equally many nonzeros side by side
-(the row-length grouping of sliced ELLPACK).  It keeps the narrow left
-group's entries at the nonzeros one left column at a time (a left-group
-columns x nnz float array) and the distinct right rows, both from
-:func:`kron_rows`, and applies ``S K``, ``K^T S`` and ``K^T S^2 K``
-touching only the nonzero rows: one multiply against the distinct right
-rows and one ``np.einsum`` per run length.  The ``sketched_*`` functions
-are one-shot wrappers around it.  Every Kronecker row comes from
-:func:`kron_rows`: it returns the transpose view of a column-major array,
-so the left columns are its result transposed back, with no copy.
+and groups the nonzeros by their row of the wide right group, the rows with
+equally many nonzeros side by side (the row-length grouping of sliced
+ELLPACK).  Within each such count group the nonzeros are stored
+position-in-run-major, as sliced ELLPACK stores a slice: the first nonzero
+of every row, then the second, and so on.  It keeps the narrow left group's
+entries at the nonzeros one left column at a time (a left-group columns x
+nnz float array, so a count group's slice reads as left columns x
+position x rows) and the distinct right rows, both from :func:`kron_rows`,
+and applies ``S K``, ``K^T S`` and ``K^T S^2 K`` touching only the nonzero
+rows: one multiply against the distinct right rows and one ``np.einsum``
+per count group, whose inner loop runs over the group's rows.  The normal
+apply fuses the two passes, as FusedMM fuses a sampled product with the
+sparse product that follows: one loop over the groups applies, weights and
+bins each group while its left columns are still in cache.  The
+``sketched_*`` functions are one-shot wrappers around it.  Every Kronecker
+row comes from :func:`kron_rows`: it returns the transpose view of a
+column-major array, so the left columns are its result transposed back,
+with no copy.
 """
 
 from __future__ import annotations
@@ -232,21 +239,24 @@ class SketchedKron:
     :func:`balanced_partition` into a left and a right column group, the
     left group never the wider.  The nonzeros are then reordered by
     ``perm`` (a permutation of ``range(nnz)``): sorted first by how many
-    nonzeros share their right-group row, then by that row, so each
-    distinct right row's nonzeros are contiguous and the rows with equally
-    many nonzeros form one group, the groups in increasing size.  In that
+    nonzeros share their right-group row, then by that row, so the rows
+    with equally many nonzeros form one group, the groups in increasing
+    size; ``groups`` holds one ``(c, r0, r1, k0, k1)`` per group size: the
+    n = r1 - r0 distinct rows ``r0:r1`` each hold ``c`` nonzeros, the
+    nonzeros ``k0:k1``.  Within a group the nonzeros are position-in-run-
+    major: nonzero ``k0 + j n + i`` is the j-th of row ``r0 + i``.  In that
     order ``left_columns`` holds the left-group Kronecker rows of the
     nonzeros one left column at a time (left-group columns x nnz,
-    C-contiguous; one all-ones row when the left group is empty),
-    ``right_rows`` the distinct right-group rows, ``weights`` the diagonal's
-    values, and ``groups`` one ``(c, r0, r1, k0, k1)`` per group size: the
-    distinct rows ``r0:r1`` each hold ``c`` nonzeros, the nonzeros
-    ``k0:k1``.  The column mode order of the two groups is kept with its
+    C-contiguous; one all-ones row when the left group is empty), so a
+    group's columns ``k0:k1`` read as (left cols, c, n), ``right_rows``
+    holds the distinct right-group rows and ``weights`` the diagonal's
+    values.  The column mode order of the two groups is kept with its
     inverse permutation.  Each later apply is then one dense multiply plus
-    one ``np.einsum`` over contiguous slices per group size, and the public
-    applies pay one nnz-long scatter or gather to ``s_diag``'s order.  An
-    empty diagonal takes the same path, with no groups and zero-length
-    rows, and its applies return zeros.
+    one ``np.einsum`` per group size over contiguous slices, its inner loop
+    over the group's n rows, and the public applies pay one nnz-long
+    scatter or gather to ``s_diag``'s order.  An empty diagonal takes the
+    same path, with no groups and zero-length rows, and its applies return
+    zeros.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
@@ -267,58 +277,76 @@ class SketchedKron:
         by_count = np.argsort(counts, kind="stable")
         sizes = counts[by_count]
         offsets = np.concatenate(([0], np.cumsum(sizes)))  # of each row, grouped
+        bounds = np.append(_run_starts(sizes), sizes.size)  # of each group's rows
+        self.groups = tuple(zip(sizes[bounds[:-1]].tolist(), bounds[:-1].tolist(),
+                                bounds[1:].tolist(), offsets[bounds[:-1]].tolist(),
+                                offsets[bounds[1:]].tolist()))
         # each row's run of by_row, moved to its grouped offset
         self.perm = by_row[np.repeat(starts[by_count] - offsets[:-1], sizes)
                            + np.arange(keys.size)]
+        # then, within each group, the j-th nonzero of every row side by side
+        for c_row, r0, r1, k0, k1 in self.groups:
+            self.perm[k0:k1] = self.perm[k0:k1].reshape(r1 - r0, c_row).T.reshape(-1)
         self.weights = s_diag.values[self.perm]
         self.left_columns = kron_rows([self.factors[i] for i in left],
                                       s_diag.indices[self.perm[:, None], left]).T
         distinct = np.stack(np.unravel_index(sorted_keys[starts[by_count]], right_dims),
                             axis=1)
         self.right_rows = kron_rows([self.factors[i] for i in right], distinct)
-        bounds = np.append(_run_starts(sizes), sizes.size)  # of each group's rows
-        self.groups = tuple(zip(sizes[bounds[:-1]].tolist(), bounds[:-1].tolist(),
-                                bounds[1:].tolist(), offsets[bounds[:-1]].tolist(),
-                                offsets[bounds[1:]].tolist()))
         # column modes in (left group, right group) order, and back
         self.group_order = self.part.left + self.part.right
         self.grouped_shape = tuple(self.col_shape[i] for i in self.group_order)
         self.ungroup = tuple(int(i) for i in np.argsort(self.group_order))
 
+    def _blocks(self):
+        """Each group's ``(r0, r1, k0, k1)`` with its left columns read as
+        (left cols, c, n) for its n = r1 - r0 rows: the j-th nonzeros of
+        the rows side by side, so each ``np.einsum`` runs its inner loop
+        over the rows."""
+        r_left = self.left_columns.shape[0]
+        for c_row, r0, r1, k0, k1 in self.groups:
+            yield r0, r1, k0, k1, self.left_columns[:, k0:k1].reshape(r_left, c_row, r1 - r0)
+
+    def _right_apply(self, c) -> np.ndarray:
+        """The right group's action on the matricized ``c`` at its distinct
+        rows, ``y_t``: (left cols) x (distinct right rows)."""
+        r_left = self.left_columns.shape[0]
+        grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(r_left, -1)
+        return grouped @ self.right_rows.T
+
+    def _right_transpose(self, w_t) -> np.ndarray:
+        """``K^T``'s last step: the bins ``w_t`` of the distinct right rows,
+        (left cols) x (distinct right rows), times those rows, in natural
+        column order."""
+        # BLAS reads the transposed view w_t.T through its transpose flag, with no copy
+        m = self.right_rows.T @ w_t.T  # (right cols) x (left cols)
+        # (left slow, right fast) grouped order, permuted back to natural order
+        return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
+
     def _apply_grouped(self, c) -> np.ndarray:
         """Entries of ``S K c`` at the nonzeros, in the grouped order.
 
-        The right group acts on the matricized ``c`` at its distinct rows,
-        one row of ``y_t`` per left column; each group's entries then sum,
-        over the left columns, their right row's entry of ``y_t`` times
-        their left-group entry, as one ``np.einsum``.
+        Each group's entries sum, over the left columns, their right row's
+        entry of ``y_t`` times their left-group entry, as one ``np.einsum``.
         """
-        r_left = self.left_columns.shape[0]
-        grouped = c.reshape(self.col_shape).transpose(self.group_order).reshape(r_left, -1)
-        y_t = grouped @ self.right_rows.T  # (left cols) x (distinct right rows)
+        y_t = self._right_apply(c)
         vals = np.empty(self.weights.size)
-        for c_row, r0, r1, k0, k1 in self.groups:
-            n = r1 - r0
-            np.einsum("lnc,ln->nc", self.left_columns[:, k0:k1].reshape(r_left, n, c_row),
-                      y_t[:, r0:r1], out=vals[k0:k1].reshape(n, c_row))
+        for r0, r1, k0, k1, block in self._blocks():
+            np.einsum("lcn,ln->cn", block, y_t[:, r0:r1],
+                      out=vals[k0:k1].reshape(block.shape[1:]))
         vals *= self.weights
         return vals
 
     def _transpose_grouped(self, scaled) -> np.ndarray:
         """``K^T`` of the entries ``scaled`` of ``S b`` at the nonzeros, in the
         grouped order: the mirror of :meth:`_apply_grouped`, one
-        ``np.einsum`` per group into the columns of its distinct rows, then
+        ``np.einsum`` per group into the bins of its distinct rows, then
         one multiply against the distinct right rows."""
-        r_left = self.left_columns.shape[0]
-        w_t = np.empty((r_left, self.right_rows.shape[0]))
-        for c_row, r0, r1, k0, k1 in self.groups:
-            n = r1 - r0
-            np.einsum("lnc,nc->ln", self.left_columns[:, k0:k1].reshape(r_left, n, c_row),
-                      scaled[k0:k1].reshape(n, c_row), out=w_t[:, r0:r1])
-        # BLAS reads the transposed view w_t.T through its transpose flag, with no copy
-        m = self.right_rows.T @ w_t.T  # (right cols) x (left cols)
-        # (left slow, right fast) grouped order, permuted back to natural order
-        return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
+        w_t = np.empty((self.left_columns.shape[0], self.right_rows.shape[0]))
+        for r0, r1, k0, k1, block in self._blocks():
+            np.einsum("lcn,cn->ln", block, scaled[k0:k1].reshape(block.shape[1:]),
+                      out=w_t[:, r0:r1])
+        return self._right_transpose(w_t)
 
     def apply(self, c) -> np.ndarray:
         """Entries of ``S K c`` at the nonzero rows of ``S``, aligned with
@@ -337,9 +365,26 @@ class SketchedKron:
         return self._transpose_grouped(self.weights * b_values[self.perm])
 
     def normal(self, x) -> np.ndarray:
-        """``K^T S^2 K x``, the sketched normal matrix applied to ``x``,
-        kept in the grouped order between the two applies."""
-        return self._transpose_grouped(self.weights * self._apply_grouped(x))
+        """``K^T S^2 K x``, the sketched normal matrix applied to ``x``.
+
+        One pass over the groups fuses the two applies: each group's
+        entries of ``S K x`` are formed, multiplied by the weights twice,
+        and binned while its left columns are still in cache.  The bins go
+        over the columns of ``y_t`` the group has just read, so no second
+        (left cols) x (distinct right rows) array is held.  Every entry is
+        rounded as in ``transpose_apply(apply(x))``, so the two agree to
+        the bit.
+        """
+        y_t = self._right_apply(x)
+        vals = np.empty(self.weights.size)
+        for r0, r1, k0, k1, block in self._blocks():
+            v = vals[k0:k1].reshape(block.shape[1:])
+            np.einsum("lcn,ln->cn", block, y_t[:, r0:r1], out=v)
+            w = self.weights[k0:k1].reshape(block.shape[1:])
+            v *= w
+            v *= w
+            np.einsum("lcn,cn->ln", block, v, out=y_t[:, r0:r1])
+        return self._right_transpose(y_t)
 
 
 def sketched_kron_apply(factors: Sequence[np.ndarray], s_diag: SparseDiagonal,

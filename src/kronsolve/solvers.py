@@ -84,10 +84,14 @@ _LOSS_BLOCK_ENTRIES = 1 << 20
 
 # fast_kronecker_regression runs PCG on its materialized sketched design when
 # it holds at most this many entries, and on SketchedKron above; both apply
-# KronPreconditioner.  Measured against SketchedKron's grouped applies at 1
-# BLAS thread (orders 2-4, 15 calls each): the dense form took 0.60-0.76x the
-# implicit form's time from 1.3e3 to 1.4e5 entries (16 to 144 columns; 0.74x
-# at reg-thin's 2.5e4), 1.38x at 3.3e5 and 4.7e5, 2.2x at 2.0e6, 7x at 8.6e6.
+# KronPreconditioner.  Measured against SketchedKron's position-major applies
+# and fused normal apply at 1 BLAS thread (orders 2-4, medians of 15 calls per
+# form, the forms alternating in one process): the dense form took 0.53-0.80x
+# the implicit form's time from 1.3e3 to 1.4e5 entries (16 to 144 columns;
+# 0.80x at reg-thin's 2.5e4), 0.89-0.97x at 2.0e5 and 1.05-1.08x at 2.7e5
+# (order 2), 1.34-1.48x at 3.3e5 (order 3), 1.47x at 4.7e5 (order 2),
+# 1.02-1.23x at 4.5e5 (order 4), 3.6x at 2.6e6 and 9.7x at 8.5e6.  The
+# crossover sits near 2e5 entries, between 2^17 and 2^18.
 _DENSE_SKETCH_MAX_ENTRIES = 1 << 17
 
 

@@ -19,8 +19,13 @@ from kronsolve.kron import (
     sketched_kron_transpose_apply,
     sparse_diagonal_from_sketch,
 )
-from kronsolve.leverage import RowSketch
-from kronsolve.tensor import explicit_kron
+from kronsolve.leverage import (
+    RowSketch,
+    build_product_sampler,
+    ridge_leverage_scores,
+    sample_rows,
+)
+from kronsolve.tensor import compact_svd, explicit_kron
 
 from conftest import dense_kron
 
@@ -402,9 +407,9 @@ REPEATED_RIGHT_ROWS = [
 
 
 class TestGroupedLayout:
-    """``SketchedKron`` orders its nonzeros by right-group row, the rows
-    with equally many nonzeros side by side, and keeps ``s_diag``'s order
-    at its public applies."""
+    """``SketchedKron`` groups its nonzeros by right-group row, the rows
+    with equally many nonzeros together and each group position-in-run-major,
+    and keeps ``s_diag``'s order at its public applies."""
 
     @pytest.mark.parametrize("shapes,counts", REPEATED_RIGHT_ROWS)
     def test_layout(self, rng, shapes, counts):
@@ -424,14 +429,15 @@ class TestGroupedLayout:
         row_keys = []
         for c_row, r0, r1, k0, k1 in op.groups:
             assert k1 - k0 == c_row * (r1 - r0)
-            runs = keys[k0:k1].reshape(r1 - r0, c_row)
-            # each distinct right row's nonzeros are one contiguous run
-            np.testing.assert_array_equal(runs, runs[:, :1].repeat(c_row, axis=1))
-            row_keys.extend(runs[:, 0])
+            runs = keys[k0:k1].reshape(c_row, r1 - r0)
+            # position-in-run-major: the j-th nonzeros of the group's rows
+            # side by side, one distinct right row per column
+            np.testing.assert_array_equal(runs, runs[:1].repeat(c_row, axis=0))
+            row_keys.extend(runs[0])
             np.testing.assert_array_equal(
                 op.right_rows[r0:r1],
                 kron_rows([factors[i] for i in right],
-                          np.stack(np.unravel_index(runs[:, 0], tuple(
+                          np.stack(np.unravel_index(runs[0], tuple(
                               shapes[i][0] for i in right)), axis=1)))
         assert len(set(row_keys)) == len(row_keys) == len(counts)
 
@@ -519,7 +525,7 @@ def grouped_formulation(op, factors, c, b_values):
     left = kron_rows([factors[i] for i in op.part.left], multi[:, list(op.part.left)])
     r_left = left.shape[1]
     # each grouped nonzero's distinct right row
-    row = np.concatenate([np.repeat(np.arange(r0, r1), c_row)
+    row = np.concatenate([np.tile(np.arange(r0, r1), c_row)
                           for c_row, r0, r1, _, _ in op.groups] + [np.zeros(0, np.intp)])
     c_grouped = c.reshape(op.col_shape).transpose(order).reshape(r_left, -1)
     y_t = c_grouped @ op.right_rows.T
@@ -618,6 +624,78 @@ class TestSketchedProperties:
             np.testing.assert_array_equal(
                 op.normal(c), sketched_kron_transpose_apply(
                     factors, sd, sketched_kron_apply(factors, sd, c)))
+
+
+def normal_by_nonzero(factors, sd, x):
+    """``K^T S^2 K x`` summed nonzero by nonzero: each nonzero's entry of
+    ``S^2 K x`` times its left-group row, added into its distinct right
+    row's bin with ``np.add.at``, then the bins times those right rows."""
+    part = balanced_partition([a.shape[1] for a in factors])
+    left, right = list(part.left), list(part.right)
+    right_dims = tuple(factors[i].shape[0] for i in right)
+    keys = np.ravel_multi_index(tuple(sd.indices[:, right].T), right_dims)
+    distinct, row = np.unique(keys, return_inverse=True)
+    left_rows = kron_rows([factors[i] for i in left], sd.indices[:, left])
+    right_rows = kron_rows([factors[i] for i in right],
+                           np.stack(np.unravel_index(distinct, right_dims), axis=1))
+    order = part.left + part.right
+    col_shape = tuple(a.shape[1] for a in factors)
+    x_grouped = x.reshape(col_shape).transpose(order).reshape(left_rows.shape[1], -1)
+    u = np.sum(left_rows * (x_grouped @ right_rows.T).T[row], axis=1)
+    bins = np.zeros((right_rows.shape[0], left_rows.shape[1]))
+    np.add.at(bins, row, (sd.values**2 * u)[:, None] * left_rows)
+    grouped = (bins.T @ right_rows).reshape(tuple(col_shape[i] for i in order))
+    return grouped.transpose(tuple(np.argsort(order))).reshape(-1)
+
+
+def leverage_diagonal(shapes, draws, seed):
+    """Factors of the benchmark's synthetic law and the merged diagonal of
+    ``draws`` rows from the product of their leverage distributions."""
+    rng = np.random.default_rng(seed)
+    factors = [rng.normal(1.0, math.sqrt(1e-3), s) for s in shapes]
+    sampler = build_product_sampler([ridge_leverage_scores(compact_svd(a), 0.0)
+                                     for a in factors])
+    sketch = sample_rows(sampler, draws, seed)
+    return factors, sparse_diagonal_from_sketch(sketch, [s[0] for s in shapes])
+
+
+class TestFusedNormal:
+    """``SketchedKron.normal`` runs both applies in one pass over the
+    groups; it rounds every entry as the two public applies do."""
+
+    def check(self, factors, sd):
+        op = SketchedKron(factors, sd)
+        x = np.random.default_rng(0).standard_normal(op.cols)
+        got = op.normal(x)
+        np.testing.assert_array_equal(got, op.transpose_apply(op.apply(x)))
+        want = normal_by_nonzero(factors, sd, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        return op
+
+    def test_table_point(self):
+        # reg-table's shape: 38,049 draws over 4096^2 rows, 64 | 64 columns
+        factors, sd = leverage_diagonal([(4096, 64), (4096, 64)], 38_049, 14)
+        op = self.check(factors, sd)
+        assert len(op.groups) == 26
+
+    def test_right_rows_all_distinct(self, rng):
+        factors = random_factors(rng, [(6, 3), (50, 3)])
+        flat = rng.integers(0, 6, 20) * 50 + rng.choice(50, 20, replace=False)
+        sd = diagonal((6, 50), np.sort(flat), rng.uniform(0.1, 2.0, 20))
+        op = self.check(factors, sd)
+        assert op.groups == ((1, 0, 20, 0, 20),)
+
+    def test_empty_diagonal(self, rng):
+        factors = random_factors(rng, [(6, 3), (5, 3)])
+        sd = SparseDiagonal(indices=np.zeros((0, 2), dtype=np.intp), values=np.zeros(0))
+        op = self.check(factors, sd)
+        assert op.groups == ()
+
+    def test_two_factor_left_group(self):
+        factors, sd = leverage_diagonal([(6, 2), (5, 2), (40, 8)], 600, 3)
+        op = self.check(factors, sd)
+        assert op.part.left == (0, 1)
+        assert len(op.groups) > 1
 
 
 class TestSketchRowsOfKron:
