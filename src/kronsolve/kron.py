@@ -251,20 +251,21 @@ class SketchedKron:
     group's columns ``k0:k1`` read as (left cols, c, n), ``right_rows``
     holds the distinct right-group rows and ``weights`` the diagonal's
     values.  The column mode order of the two groups is kept with its
-    inverse permutation.  Each later apply is then one dense multiply plus
-    one ``np.einsum`` per group size over contiguous slices, its inner loop
-    over the group's n rows, and the public applies pay one nnz-long
-    scatter or gather to ``s_diag``'s order.  An empty diagonal takes the
-    same path, with no groups and zero-length rows, and its applies return
-    zeros.
+    inverse permutation.  There are three passes, :meth:`apply`,
+    :meth:`transpose_apply` and the fused :meth:`normal`, each one dense
+    multiply plus one ``np.einsum`` per group size (two in ``normal``) over
+    contiguous slices, its inner loop over the group's n rows; ``apply``
+    and ``transpose_apply`` pay one nnz-long scatter or gather to
+    ``s_diag``'s order.  An empty diagonal takes the same path, with no
+    groups and zero-length rows, and its applies return zeros.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], s_diag: SparseDiagonal):
-        self.factors = list(factors)
+        factors = list(factors)
         self.s_diag = s_diag
-        self.rows, self.cols = kron_operator_shape(self.factors)
-        row_shape = tuple(a.shape[0] for a in self.factors)
-        self.col_shape = tuple(a.shape[1] for a in self.factors)
+        self.cols = kron_operator_shape(factors)[1]
+        row_shape = tuple(a.shape[0] for a in factors)
+        self.col_shape = tuple(a.shape[1] for a in factors)
         # ties go to the empty left set, so the right group is never empty
         self.part = balanced_partition(self.col_shape)
         left, right = list(self.part.left), list(self.part.right)
@@ -288,11 +289,11 @@ class SketchedKron:
         for c_row, r0, r1, k0, k1 in self.groups:
             self.perm[k0:k1] = self.perm[k0:k1].reshape(r1 - r0, c_row).T.reshape(-1)
         self.weights = s_diag.values[self.perm]
-        self.left_columns = kron_rows([self.factors[i] for i in left],
+        self.left_columns = kron_rows([factors[i] for i in left],
                                       s_diag.indices[self.perm[:, None], left]).T
         distinct = np.stack(np.unravel_index(sorted_keys[starts[by_count]], right_dims),
                             axis=1)
-        self.right_rows = kron_rows([self.factors[i] for i in right], distinct)
+        self.right_rows = kron_rows([factors[i] for i in right], distinct)
         # column modes in (left group, right group) order, and back
         self.group_order = self.part.left + self.part.right
         self.grouped_shape = tuple(self.col_shape[i] for i in self.group_order)
@@ -323,11 +324,13 @@ class SketchedKron:
         # (left slow, right fast) grouped order, permuted back to natural order
         return m.T.reshape(self.grouped_shape).transpose(self.ungroup).reshape(-1)
 
-    def _apply_grouped(self, c) -> np.ndarray:
-        """Entries of ``S K c`` at the nonzeros, in the grouped order.
+    def apply(self, c) -> np.ndarray:
+        """Entries of ``S K c`` at the nonzero rows of ``S``, aligned with
+        ``s_diag.indices`` (already scaled by ``s_diag.values``).
 
         Each group's entries sum, over the left columns, their right row's
-        entry of ``y_t`` times their left-group entry, as one ``np.einsum``.
+        entry of ``y_t`` times their left-group entry, as one ``np.einsum``;
+        the weighted entries are then scattered back through ``perm``.
         """
         y_t = self._right_apply(c)
         vals = np.empty(self.weights.size)
@@ -335,34 +338,24 @@ class SketchedKron:
             np.einsum("lcn,ln->cn", block, y_t[:, r0:r1],
                       out=vals[k0:k1].reshape(block.shape[1:]))
         vals *= self.weights
-        return vals
-
-    def _transpose_grouped(self, scaled) -> np.ndarray:
-        """``K^T`` of the entries ``scaled`` of ``S b`` at the nonzeros, in the
-        grouped order: the mirror of :meth:`_apply_grouped`, one
-        ``np.einsum`` per group into the bins of its distinct rows, then
-        one multiply against the distinct right rows."""
-        w_t = np.empty((self.left_columns.shape[0], self.right_rows.shape[0]))
-        for r0, r1, k0, k1, block in self._blocks():
-            np.einsum("lcn,cn->ln", block, scaled[k0:k1].reshape(block.shape[1:]),
-                      out=w_t[:, r0:r1])
-        return self._right_transpose(w_t)
-
-    def apply(self, c) -> np.ndarray:
-        """Entries of ``S K c`` at the nonzero rows of ``S``, aligned with
-        ``s_diag.indices`` (already scaled by ``s_diag.values``): the grouped
-        apply, scattered back through ``perm``."""
-        vals = np.empty(self.weights.size)
-        vals[self.perm] = self._apply_grouped(c)
-        return vals
+        out = np.empty(self.weights.size)
+        out[self.perm] = vals
+        return out
 
     def transpose_apply(self, b_values) -> np.ndarray:
         """Compute ``K^T S b`` given only the entries of ``b`` at nonzero rows.
 
         ``b_values[t]`` corresponds to ``s_diag.indices[t]``; one gather
-        through ``perm`` puts them in the grouped order.
+        through ``perm`` puts them in the grouped order.  The mirror of
+        :meth:`apply`: one ``np.einsum`` per group into the bins of its
+        distinct rows, then one multiply against the distinct right rows.
         """
-        return self._transpose_grouped(self.weights * b_values[self.perm])
+        scaled = self.weights * b_values[self.perm]
+        w_t = np.empty((self.left_columns.shape[0], self.right_rows.shape[0]))
+        for r0, r1, k0, k1, block in self._blocks():
+            np.einsum("lcn,cn->ln", block, scaled[k0:k1].reshape(block.shape[1:]),
+                      out=w_t[:, r0:r1])
+        return self._right_transpose(w_t)
 
     def normal(self, x) -> np.ndarray:
         """``K^T S^2 K x``, the sketched normal matrix applied to ``x``.

@@ -35,7 +35,9 @@ reads it (:func:`_check_finite_reads`), as every Tucker entry checks its
 tensor.
 
 Every route reports the ridge loss of its solution, evaluated the first
-time :attr:`SolveReport.loss` is read and not inside the call.  The exact
+time :attr:`SolveReport.loss` is read and not inside the call: by
+:func:`ridge_loss` in :func:`naive_normal_solve`, the independent reference,
+and off the factor SVDs the route holds in the other three.  The exact
 solves, the sketched solve and the preconditioner drop the same directions,
 by the one rank rule of :func:`~kronsolve.tensor.ridge_filter`.
 """
@@ -151,9 +153,9 @@ class SolveReport:
     :attr:`loss` is the exact ridge loss ``||K x - b||^2 + lam ||x||^2`` of
     ``solution``.  The call that returns the report does not evaluate it:
     ``loss_fn`` does, the first time :attr:`loss` is read, directly by
-    :func:`ridge_loss` or, in :func:`kronmatmul_svd_solve` and
-    :func:`fast_kronecker_regression`, from the projection of ``b`` onto the
-    factors' left singular vectors, to about ulp * ||b||^2 absolute.  The
+    :func:`ridge_loss` in :func:`naive_normal_solve` or, in every other
+    route, from the projection of ``b`` onto the factors' left singular
+    vectors, to about ulp * ||b||^2 absolute.  The
     route keeps a reference to ``b``, not a copy, so the loss is taken
     against ``b`` as it stands at that first read, and copies made by
     :func:`dataclasses.replace` before it share that one evaluation.
@@ -494,8 +496,8 @@ def _loss_off_bases(svds: Sequence[CompactSvd], b: np.ndarray, x: np.ndarray,
                     lam: float, t: np.ndarray | None = None) -> float:
     """:func:`_projected_ridge_loss` against ``b`` as it stands at the call:
     ``||b||^2`` is taken here, and so is ``t = (U kron ...)^T b`` unless the
-    solve formed it.  The reports of the two SVD routes evaluate their loss
-    through it when it is first read."""
+    solve formed it.  Every route but :func:`naive_normal_solve` evaluates
+    its report's loss through it when it is first read."""
     # an undrawn non-finite entry of b reaches t as a NaN or inf, not an error
     with np.errstate(invalid="ignore"):
         if t is None:
@@ -558,9 +560,10 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     :func:`kronmatmul_svd_solve` runs instead, as in
     :func:`fast_kronecker_regression`.  Otherwise guarded: raises
     :class:`SizeGuardError` when the sketched design could hold more than
-    :data:`DENSE_GUARD` entries (its SVD holds no more).  The loss is
-    :func:`ridge_loss`'s, evaluated when it is first read, against ``b`` as
-    it stands then.
+    :data:`DENSE_GUARD` entries (its SVD holds no more).  The loss is read
+    off the factor SVDs the draws came from, as in
+    :func:`fast_kronecker_regression`, when it is first read, against ``b``
+    as it stands then.
     """
     factors, b, rows, cols = _validated_problem(factors, b)
     t0 = time.perf_counter()
@@ -571,11 +574,11 @@ def sketch_and_solve_ridge(factors: Sequence[np.ndarray], b,
     if s * cols > DENSE_GUARD:
         raise SizeGuardError(
             f"sketched matrix would hold {s}x{cols} entries (guard: {DENSE_GUARD})")
-    draws = _leverage_draws([compact_svd(a) for a in factors], s, config.seed,
-                            b.reshape([a.shape[0] for a in factors]))
+    svds = [compact_svd(a) for a in factors]
+    draws = _leverage_draws(svds, s, config.seed, b.reshape([a.shape[0] for a in factors]))
     x = sketched_ridge_solve(factors, *draws, config.lam)
     wall = time.perf_counter() - t0
-    return SolveReport(solution=x, loss_fn=partial(ridge_loss, factors, x, b, config.lam),
+    return SolveReport(solution=x, loss_fn=partial(_loss_off_bases, svds, b, x, config.lam),
                        iterations=0, sample_count=s, wall_time=wall,
                        distinct_rows=draws[0].nnz)
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ def write_tensor(path, x) -> None:
         fh.write(struct.pack("<B", x.ndim))
         for dim in x.shape:
             fh.write(struct.pack("<Q", dim))
-        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+        np.ascontiguousarray(x, dtype="<f8").tofile(fh)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -52,39 +52,41 @@ def read_tensor(path) -> np.ndarray:
     an unsupported version, an impossible dimension header, or a truncated
     payload.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != TENSOR_MAGIC:
-        raise TensorFormatError(f"{path}: not a tensor file (bad magic)",
-                                code="bad-magic")
-    if len(data) < 9:
-        raise TensorFormatError(f"{path}: header truncated", code="truncated")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != TENSOR_VERSION:
-        raise TensorFormatError(
-            f"{path}: unsupported format version {version}", code="bad-version")
-    order = data[8]
-    if order < 1:
-        raise TensorFormatError(f"{path}: tensor order must be >= 1",
-                                code="dim-overflow")
-    header_end = 9 + 8 * order
-    if len(data) < header_end:
-        raise TensorFormatError(f"{path}: dimension header truncated",
-                                code="truncated")
-    dims = struct.unpack_from(f"<{order}Q", data, 9)
-    if any(d == 0 for d in dims):
-        raise TensorFormatError(f"{path}: zero dimension", code="dim-overflow")
-    count = math.prod(dims)
-    if count > MAX_TENSOR_ELEMENTS:
-        raise TensorFormatError(
-            f"{path}: header promises {count} elements (limit "
-            f"{MAX_TENSOR_ELEMENTS})", code="dim-overflow")
-    expected = header_end + 8 * count
-    if len(data) != expected:
-        raise TensorFormatError(
-            f"{path}: expected {expected} bytes, found {len(data)}",
-            code="truncated")
-    payload = np.frombuffer(data, dtype="<f8", offset=header_end, count=count)
-    return payload.astype(np.float64).reshape(dims)
+    with open(path, "rb") as fh:
+        head = fh.read(9)
+        if head[:4] != TENSOR_MAGIC:
+            raise TensorFormatError(f"{path}: not a tensor file (bad magic)",
+                                    code="bad-magic")
+        if len(head) < 9:
+            raise TensorFormatError(f"{path}: header truncated", code="truncated")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != TENSOR_VERSION:
+            raise TensorFormatError(
+                f"{path}: unsupported format version {version}", code="bad-version")
+        order = head[8]
+        if order < 1:
+            raise TensorFormatError(f"{path}: tensor order must be >= 1",
+                                    code="dim-overflow")
+        dim_bytes = fh.read(8 * order)
+        if len(dim_bytes) < 8 * order:
+            raise TensorFormatError(f"{path}: dimension header truncated",
+                                    code="truncated")
+        dims = struct.unpack(f"<{order}Q", dim_bytes)
+        if any(d == 0 for d in dims):
+            raise TensorFormatError(f"{path}: zero dimension", code="dim-overflow")
+        count = math.prod(dims)
+        if count > MAX_TENSOR_ELEMENTS:
+            raise TensorFormatError(
+                f"{path}: header promises {count} elements (limit "
+                f"{MAX_TENSOR_ELEMENTS})", code="dim-overflow")
+        expected = 9 + 8 * order + 8 * count
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise TensorFormatError(
+                f"{path}: expected {expected} bytes, found {size}", code="truncated")
+        # the payload's one copy: read straight into the array, no byte string first
+        payload = np.fromfile(fh, dtype="<f8", count=count)
+    return payload.astype(np.float64, copy=False).reshape(dims)
 
 
 def format_cell(value) -> str:

@@ -449,7 +449,7 @@ def _sketched_factor_update(model: TuckerModel, x: np.ndarray, n: int,
     ``count`` draws, seeded by ``seed``, from the bases ``svds``."""
     others = _other_factors(model, n)
     g_n = _unfold(model.core, n)  # TuckerModel checked the core
-    if not (np.any(g_n) and all(np.any(a) for a in others)):
+    if not all(np.any(a) for a in others):  # the sampler's scores would sum to 0
         return np.zeros_like(model.factors[n])
     draws = _leverage_draws([svd for k, svd in enumerate(svds) if k != n], count, seed,
                             np.moveaxis(x, n, -1))

@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,41 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError) as err:
             read_tensor(path)
         assert err.value.code == "dim-overflow"
+
+
+class TestTensorFileMemory:
+    """A tensor file passes through one array of its payload: ``read_tensor``
+    reads into the array it returns, and ``write_tensor`` writes X itself."""
+
+    SHAPE = (100, 100, 100)
+
+    @staticmethod
+    def peak_during(call):
+        """The traced allocation peak of ``call`` beyond what was held before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            return tracemalloc.get_traced_memory()[1] - base, result
+        finally:
+            tracemalloc.stop()
+
+    def test_read_holds_one_copy(self, rng, tmp_path):
+        x = rng.standard_normal(self.SHAPE)
+        path = tmp_path / "x.ktn"
+        write_tensor(path, x)
+        peak, back = self.peak_during(lambda: read_tensor(path))
+        assert np.array_equal(back, x)
+        assert peak <= 1.1 * x.nbytes
+
+    def test_write_copies_nothing(self, rng, tmp_path):
+        # the finiteness check's mask, 1/8 of the payload, is all it allocates
+        x = rng.standard_normal(self.SHAPE)
+        path = tmp_path / "x.ktn"
+        peak, _ = self.peak_during(lambda: write_tensor(path, x))
+        assert peak <= 0.25 * x.nbytes
+        assert np.array_equal(read_tensor(path), x)
 
 
 class TestCsv:

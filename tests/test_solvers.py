@@ -611,19 +611,21 @@ class TestFastKroneckerRegression:
         assert rep.loss <= (1 + cfg.eps) * opt.loss + 1e-12
 
     def test_exact_fallback_report_is_kronmatmuls(self):
-        # when the sketch would cover every row, the report is the exact
-        # solver's in every field but the wall time, which covers the call,
-        # and the loss function, whose value is the same
+        # when the sketch would cover every row, the report of either
+        # sketched route is the exact solver's in every field but the wall
+        # time, which covers the call, and the loss function, whose value is
+        # the same
         rs = np.random.default_rng(0)
         facs = [rs.normal(1.0, math.sqrt(1e-3), (20, 3)) for _ in range(2)]
         b = rs.standard_normal(400)
-        rep = fast_kronecker_regression(facs, b, RegressionConfig(lam=1e-3, seed=0))
         exact = kronmatmul_svd_solve(facs, b, 1e-3)
-        for f in dataclasses.fields(exact):
-            if f.name not in ("wall_time", "loss_fn"):
-                np.testing.assert_array_equal(getattr(rep, f.name),
-                                              getattr(exact, f.name), err_msg=f.name)
-        assert rep.loss == exact.loss
+        for route in (fast_kronecker_regression, sketch_and_solve_ridge):
+            rep = route(facs, b, RegressionConfig(lam=1e-3, seed=0))
+            for f in dataclasses.fields(exact):
+                if f.name not in ("wall_time", "loss_fn"):
+                    np.testing.assert_array_equal(getattr(rep, f.name),
+                                                  getattr(exact, f.name), err_msg=f.name)
+            assert rep.loss == exact.loss
 
     def test_exact_fallback_reports_no_sketch(self):
         # alpha 1: the sketch would cover every row, so nothing is drawn,
@@ -1053,7 +1055,7 @@ class TestOneDrawPath:
 
 
 class TestReportedLoss:
-    """The two SVD routes read their loss off ``(U kron ...)^T b`` and
+    """The three SVD routes read their loss off ``(U kron ...)^T b`` and
     ``||b||^2``; it must be the dense ridge loss of the reported solution."""
 
     CFG = dict(eps=0.25, delta=0.05, seed=4, alpha=1e-4)
@@ -1065,10 +1067,12 @@ class TestReportedLoss:
             facs[-1][:, 0] = 0.0  # a dropped singular value
         return facs, rs.standard_normal(math.prod(a.shape[0] for a in facs))
 
-    def solve_both(self, facs, b, lam):
-        fast = fast_kronecker_regression(facs, b, RegressionConfig(lam=lam, **self.CFG))
-        assert 0 < fast.sample_count < b.size  # the sketched route ran
-        return kronmatmul_svd_solve(facs, b, lam), fast
+    def solve_svd_routes(self, facs, b, lam):
+        cfg = RegressionConfig(lam=lam, **self.CFG)
+        sketched = [route(facs, b, cfg)
+                    for route in (sketch_and_solve_ridge, fast_kronecker_regression)]
+        assert all(0 < rep.sample_count < b.size for rep in sketched)  # both sketched
+        return [kronmatmul_svd_solve(facs, b, lam)] + sketched
 
     @pytest.mark.parametrize("shapes", [[(20, 3), (15, 2)], [(8, 2), (7, 3), (6, 2)]])
     @pytest.mark.parametrize("lam", [0.0, 0.3])
@@ -1076,7 +1080,7 @@ class TestReportedLoss:
     def test_matches_dense_loss(self, shapes, lam, zero_column):
         rs = np.random.default_rng(len(shapes) + 10 * zero_column)
         facs, b = self.instance(rs, shapes, zero_column)
-        for rep in self.solve_both(facs, b, lam):
+        for rep in self.solve_svd_routes(facs, b, lam):
             want = dense_ridge_loss(facs, rep.solution, b, lam)
             assert rep.loss == pytest.approx(want, rel=1e-10)
 
@@ -1088,7 +1092,7 @@ class TestReportedLoss:
         facs = [rs.standard_normal(shape) for shape in shapes]
         k = dense_kron(facs)
         b = k @ rs.standard_normal(k.shape[1]) + 1e-9 * rs.standard_normal(k.shape[0])
-        for rep in self.solve_both(facs, b, 0.0):
+        for rep in self.solve_svd_routes(facs, b, 0.0):
             assert rep.loss >= 0.0
             want = dense_ridge_loss(facs, rep.solution, b, 0.0)
             assert abs(rep.loss - want) <= 1e-13 * float(b @ b)
@@ -1147,7 +1151,7 @@ class TestLazyLoss:
     @staticmethod
     def eager_loss(route, factors, x, b):
         """The loss as each route evaluated it inside the call before."""
-        if route in ("naive", "sketch-solve"):
+        if route == "naive":
             return ridge_loss(factors, x, b, 1e-3)
         svds = [compact_svd(a) for a in factors]
         t = kron_mat_mul([s.u.T for s in svds], b)
@@ -1189,16 +1193,18 @@ class TestLazyLoss:
         assert (rep.sample_count > 0) == (route in ("sketch-solve", "fast"))
         assert losses == []
         assert operand_sizes.count(b.size) == self.SOLVE_PASSES[route]
-        # the SVD routes' loss functions hold every basis the call made;
-        # sketch-solve draws by its factors' bases but its loss holds none
-        assert (len(bases) > 0) == (route != "naive")
-        svd_route = route in ("kronmatmul", "fast", "fast-fallback")
-        assert [ref() is not None for ref in bases] == [svd_route] * len(bases)
+        # every route but naive holds its two factor bases until the first
+        # read; sketch-solve's third SVD, of its sketched design, is gone
+        held = [ref() is not None for ref in bases]
+        sketch_solve = route == "sketch-solve"
+        assert held == ([] if route == "naive" else [True, True] + [False] * sketch_solve)
         function = weakref.ref(rep.loss_fn)
 
         first = rep.loss
         assert len(losses) == 1
-        assert operand_sizes.count(b.size) == self.SOLVE_PASSES[route] + (route == "fast")
+        # the sketched routes project b at the first read, the exact ones in the call
+        assert operand_sizes.count(b.size) == (self.SOLVE_PASSES[route]
+                                               + (route in ("fast", "sketch-solve")))
         assert rep.loss == first
         assert len(losses) == 1
         assert function() is None

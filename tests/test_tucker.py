@@ -540,6 +540,20 @@ class TestBlockFactorUpdate:
         np.testing.assert_array_equal(got[:, 1], np.zeros(x.shape[0]))
         assert_rows_close(got, want, 1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_zero_core_gives_exact_zeros(self, count_calls, n, lam):
+        # a zero core makes the sketched design zero; its SVD has rank 0, so
+        # the general solve returns zeros, with no -0.0 and no warning
+        model, x, cfg = block_problem((2, 2, 2), (4, 4, 4), n, lam, 1, 20)
+        model.core[...] = 0.0
+        draws = count_calls(solvers, "sample_rows")
+        got = fast_factor_matrix_update(model, x, n, cfg)
+        assert len(draws) == 1
+        assert got.shape == model.factors[n].shape
+        assert np.ascontiguousarray(got).tobytes() == bytes(8 * got.size)
+
     def test_rank_one_design_at_tiny_ridge(self):
         # one leftover core column and R_n = 2: D = v g^T has rank 1 in exact
         # arithmetic, so every row's solution is g (v^T S b_i) / (|v|^2 |g|^2
